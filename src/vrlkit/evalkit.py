@@ -21,15 +21,10 @@ from .uncertainty import UncertaintyScores, entropy_of
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their average rank."""
     order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
+    _, start, count = np.unique(values[order], return_index=True, return_counts=True)
+    end = start + count
     ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j < values.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
-        i = j
+    ranks[order] = np.repeat(0.5 * (start + end + 1), count)  # ranks start+1 .. end
     return ranks
 
 
@@ -43,6 +38,8 @@ def auroc(in_scores: UncertaintyScores, out_scores: UncertaintyScores) -> float:
     if n_in == 0 or n_out == 0:
         raise ValueError("both score sets must be non-empty")
     combined = np.concatenate([in_scores.values, out_scores.values])
+    if np.isnan(combined).any():
+        raise ValueError("scores must not be NaN")
     ranks = _average_ranks(combined)
     u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
     return float(u / (n_in * n_out))
@@ -60,73 +57,92 @@ class BinningSpec:
             raise ValueError("n_bins must be >= 1")
 
 
-def _confidence_correct(probs, labels):
-    p = as_matrix(probs)
+def _checked(scores, labels, spec: BinningSpec, what: str):
+    """Validate a (n, k) score matrix and its n labels before any binning."""
+    s = as_matrix(scores)
     labels = np.asarray(labels)
+    n = s.shape[0]
+    if n == 0:
+        raise ValueError(f"{what} have no rows")
+    if labels.shape != (n,):
+        raise ValueError(f"{labels.size} labels for {n} rows of {what}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"{what} must be finite")
+    if spec.mode == "equal_mass" and spec.n_bins > n:
+        raise ValueError("equal_mass binning needs n_bins <= n_samples")
+    return s, labels
+
+
+def _confidence_correct(probs, labels, spec: BinningSpec):
+    p, labels = _checked(probs, labels, spec, "probabilities")
     conf = p.max(axis=1)
     correct = (p.argmax(axis=1) == labels).astype(np.float64)
     return conf, correct
 
 
-def _ece_equal_width(conf, correct, n_bins) -> float:
-    idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
-    total = conf.size
-    err = 0.0
-    for b in range(n_bins):
-        mask = idx == b
-        n_b = int(mask.sum())
-        if n_b == 0:
-            continue
-        err += (n_b / total) * abs(correct[mask].mean() - conf[mask].mean())
-    return err
+def _bin_sums(conf, correct, spec: BinningSpec):
+    """Per-bin sample count, summed confidence and summed correctness.
+
+    `conf` is (m, n): m confidence vectors over the same n samples, whose
+    0/1 correctness is `correct` (n,); a 1-D `conf` is one row.  Returns
+    three (m, n_bins) arrays, each one bincount over (row, bin) cells.  Equal width puts c in bin min(floor(c * n_bins), n_bins - 1).
+    Equal mass sorts each row stably and cuts it at round(i * n / n_bins);
+    a cut inside a run of tied confidences moves to the run's end, so the
+    whole run stays in the left bin.
+    """
+    conf = np.atleast_2d(conf)
+    m, n = conf.shape
+    n_bins = spec.n_bins
+    if spec.mode == "equal_width":
+        idx = np.minimum((conf * n_bins).astype(np.intp), n_bins - 1)
+        correct = np.broadcast_to(correct, conf.shape)
+    else:
+        order = np.argsort(conf, axis=1, kind="stable")
+        conf = np.take_along_axis(conf, order, axis=1)
+        correct = correct[order]
+        # run_end[:, j]: the first position >= j that starts a new run (or n)
+        pos = np.arange(n + 1)
+        starts = np.ones((m, n + 1), dtype=bool)
+        starts[:, 1:n] = conf[:, 1:] != conf[:, :-1]
+        run_end = np.minimum.accumulate(
+            np.where(starts, pos, n)[:, ::-1], axis=1
+        )[:, ::-1]
+        cuts = [round(i * n / n_bins) for i in range(1, n_bins)]
+        cuts = np.maximum.accumulate(run_end[:, cuts], axis=1)
+        # bin of sorted position j = number of cuts <= j
+        marks = np.bincount(
+            (cuts + (n + 1) * np.arange(m)[:, None]).ravel(),
+            minlength=m * (n + 1),
+        ).reshape(m, n + 1)
+        idx = np.cumsum(marks[:, :n], axis=1)
+    cells = (idx + n_bins * np.arange(m)[:, None]).ravel()
+
+    def per_bin(weights=None):
+        return np.bincount(cells, weights, minlength=m * n_bins).reshape(m, n_bins)
+
+    return per_bin(), per_bin(conf.ravel()), per_bin(correct.ravel())
 
 
-def _equal_mass_slices(conf_sorted, n_bins):
-    n = conf_sorted.size
-    bounds = [int(round(i * n / n_bins)) for i in range(n_bins + 1)]
-    # A boundary never splits a run of tied confidences: the whole run stays
-    # in the left bin.
-    for i in range(1, n_bins):
-        b = bounds[i]
-        while 0 < b < n and conf_sorted[b - 1] == conf_sorted[b]:
-            b += 1
-        bounds[i] = max(b, bounds[i - 1])
-    bounds[n_bins] = n
-    return [(bounds[i], bounds[i + 1]) for i in range(n_bins)]
-
-
-def _ece_equal_mass(conf, correct, n_bins) -> float:
-    order = np.argsort(conf, kind="mergesort")
-    conf_s = conf[order]
-    correct_s = correct[order]
-    total = conf.size
-    err = 0.0
-    for lo, hi in _equal_mass_slices(conf_s, n_bins):
-        if hi <= lo:
-            continue
-        n_b = hi - lo
-        err += (n_b / total) * abs(
-            correct_s[lo:hi].mean() - conf_s[lo:hi].mean()
-        )
-    return err
+def _binned_ece(conf, correct, spec: BinningSpec) -> np.ndarray:
+    """ECE of each row of `conf`: sum over bins of |sum correct - sum conf| / n."""
+    _, conf_sum, correct_sum = _bin_sums(conf, correct, spec)
+    return np.abs(correct_sum - conf_sum).sum(axis=1) / correct.size
 
 
 def ece(probs, labels, spec: BinningSpec = BinningSpec()) -> float:
     """Expected calibration error over equal-width confidence bins."""
     if spec.mode != "equal_width":
         raise ValueError("ece requires an equal_width BinningSpec")
-    conf, correct = _confidence_correct(probs, labels)
-    return float(_ece_equal_width(conf, correct, spec.n_bins))
+    conf, correct = _confidence_correct(probs, labels, spec)
+    return float(_binned_ece(conf, correct, spec)[0])
 
 
 def adaece(probs, labels, spec: BinningSpec = BinningSpec("equal_mass")) -> float:
     """Adaptive ECE over equal-mass bins of sorted confidence."""
     if spec.mode != "equal_mass":
         raise ValueError("adaece requires an equal_mass BinningSpec")
-    conf, correct = _confidence_correct(probs, labels)
-    if spec.n_bins > conf.size:
-        raise ValueError("equal_mass binning needs n_bins <= n_samples")
-    return float(_ece_equal_mass(conf, correct, spec.n_bins))
+    conf, correct = _confidence_correct(probs, labels, spec)
+    return float(_binned_ece(conf, correct, spec)[0])
 
 
 @dataclass(frozen=True)
@@ -151,11 +167,11 @@ def fit_temperature(
     """Grid-search the softmax temperature minimizing validation ECE.
 
     The grid runs 0.100..10.000 in steps of 0.001; ties go to the smaller T.
-    Scaling by a positive temperature never changes the argmax, so accuracy
-    is untouched by construction.
+    Each chunk of 512 temperatures is binned in one pass.  Scaling by a
+    positive temperature never changes the argmax, so accuracy is untouched
+    by construction.
     """
-    s = as_matrix(logits_val)
-    labels = np.asarray(labels_val)
+    s, labels = _checked(logits_val, labels_val, spec, "logits")
     correct = (s.argmax(axis=1) == labels).astype(np.float64)
     shifted = s - s.max(axis=1, keepdims=True)
     best_t, best_ece = None, math.inf
@@ -164,13 +180,10 @@ def fit_temperature(
         ts = TEMPERATURE_GRID[start : start + chunk]
         # max-softmax confidence for every T at once: 1 / sum exp(D / T)
         conf = 1.0 / np.exp(shifted[None, :, :] / ts[:, None, None]).sum(axis=2)
-        for ti, t in enumerate(ts):
-            if spec.mode == "equal_width":
-                e = _ece_equal_width(conf[ti], correct, spec.n_bins)
-            else:
-                e = _ece_equal_mass(conf[ti], correct, spec.n_bins)
-            if e < best_ece:
-                best_ece, best_t = e, float(t)
+        errs = _binned_ece(conf, correct, spec)
+        i = int(np.argmin(errs))  # the first minimum: the smallest T
+        if errs[i] < best_ece:
+            best_ece, best_t = errs[i], float(ts[i])
     return Temperature(best_t)
 
 
@@ -313,9 +326,10 @@ def heatmap_svg(profile: EntropyProfile, path=None) -> str:
 
 def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None) -> str:
     """Reliability diagram: per-bin accuracy bars against the diagonal."""
-    conf, correct = _confidence_correct(probs, labels)
     n_bins = spec.n_bins
-    idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
+    width_spec = BinningSpec("equal_width", n_bins)  # bars sit on a confidence axis
+    conf, correct = _confidence_correct(probs, labels, width_spec)
+    count, _, correct_sum = _bin_sums(conf, correct, width_spec)
     size = 320
     margin = 40
     plot = size - 2 * margin
@@ -327,11 +341,8 @@ def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None)
         f'y2="{margin}" stroke="#999" stroke-dasharray="4 3"/>',
     ]
     bar_w = plot / n_bins
-    for b in range(n_bins):
-        mask = idx == b
-        if not mask.any():
-            continue
-        acc = float(correct[mask].mean())
+    for b in np.flatnonzero(count[0]):
+        acc = float(correct_sum[0, b] / count[0, b])
         x = margin + b * bar_w
         bar_h = acc * plot
         parts.append(

@@ -22,6 +22,21 @@ from vrlkit.trainer import TrainConfig, train
 from vrlkit.uncertainty import UncertaintyScores, entropy_of
 
 
+def average_ranks_loop(values):
+    """The per-run tie loop that `_average_ranks` replaced."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j < values.size and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j + 1)
+        i = j
+    return ranks
+
+
 def scores(values, measure="entropy"):
     return UncertaintyScores(measure, np.asarray(values, dtype=float))
 
@@ -85,6 +100,24 @@ class TestAuroc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auroc(scores([]), scores([1.0]))
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auroc(scores([0.1, np.nan]), scores([0.5]))
+
+    def test_average_ranks_bitwise_equal_to_loop(self):
+        from vrlkit.evalkit import _average_ranks
+
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n = int(rng.integers(1, 300))
+            high = int(rng.integers(1, 20))  # few distinct values: long tie runs
+            values = rng.integers(0, high, size=n).astype(float)
+            if trial % 4 == 0:
+                values[rng.integers(0, n, size=n // 3)] = np.inf
+            got = _average_ranks(values)
+            want = average_ranks_loop(values)
+            assert got.tobytes() == want.tobytes()
 
 
 def ece_oracle_equal_width(probs, labels, n_bins):
@@ -185,6 +218,140 @@ class TestCalibrationErrors:
         probs = np.array([[0.6, 0.4]] * 3)
         with pytest.raises(ValueError):
             adaece(probs, [0, 0, 1], BinningSpec("equal_mass", 5))
+
+
+def fit_temperature_oracle(logits, labels, spec):
+    """The smallest grid T minimizing ECE, computed as per-bin mean gaps.
+
+    ECE(T) = sum_b (n_b / n) * |mean(correct_b) - mean(conf_b)|, accumulated
+    bin by bin over an explicit member mask, for every grid T at once; the
+    first minimum wins, so ties go to the smaller T.  Equal-mass cuts move
+    right one position at a time while they split a run of tied confidences.
+    """
+    from vrlkit.evalkit import TEMPERATURE_GRID
+
+    n, n_bins = len(labels), spec.n_bins
+    correct = (logits.argmax(axis=1) == labels).astype(np.float64)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    conf = 1.0 / np.exp(shifted[None] / TEMPERATURE_GRID[:, None, None]).sum(axis=2)
+    rows = np.arange(TEMPERATURE_GRID.size)
+    if spec.mode == "equal_width":
+        idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
+        correct = np.broadcast_to(correct, conf.shape)
+        members = [idx == b for b in range(n_bins)]
+    else:
+        order = np.argsort(conf, axis=1, kind="mergesort")
+        conf = np.take_along_axis(conf, order, axis=1)
+        correct = correct[order]
+        bounds = [np.zeros(rows.size, dtype=int)]
+        for i in range(1, n_bins):
+            b = np.full(rows.size, int(round(i * n / n_bins)))
+            while True:
+                inner = (b > 0) & (b < n)
+                tied = np.zeros(rows.size, dtype=bool)
+                tied[inner] = conf[rows[inner], b[inner] - 1] == conf[rows[inner], b[inner]]
+                if not tied.any():
+                    break
+                b[tied] += 1
+            bounds.append(np.maximum(b, bounds[-1]))
+        bounds.append(np.full(rows.size, n))
+        pos = np.arange(n)
+        members = [
+            (pos >= lo[:, None]) & (pos < hi[:, None])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    err = np.zeros(rows.size)
+    conf_t, correct_t = conf.T.copy(), correct.T.copy()  # sum over samples: axis 0
+    for mask in members:
+        mask = mask.T
+        n_b = mask.sum(axis=0)
+        denom = np.maximum(n_b, 1)
+        gap = np.abs(
+            np.where(mask, correct_t, 0.0).sum(axis=0) / denom
+            - np.where(mask, conf_t, 0.0).sum(axis=0) / denom
+        )
+        err += np.where(n_b > 0, (n_b / n) * gap, 0.0)
+    return float(TEMPERATURE_GRID[np.argmin(err)])
+
+
+def temperature_fixture(rng, trial):
+    """Random validation logits; every third fixture is tie-heavy."""
+    n = int(rng.integers(5, 25))
+    k = int(rng.integers(2, 5))
+    logits = rng.normal(size=(n, k)) * rng.uniform(0.3, 6.0)
+    if trial % 3 == 0:
+        logits = np.round(logits)  # integer logits: many identical rows
+        logits[: n // 4] = logits[n // 4 : 2 * (n // 4)]  # duplicated rows
+        if n > 8:
+            logits[-3:, 0] += 800.0  # saturated rows: confidence exactly 1
+    labels = rng.integers(0, k, size=n)
+    labels[: n // 2] = logits[: n // 2].argmax(axis=1)  # some signal
+    return logits, labels
+
+
+class TestTemperatureOracle:
+    """The binned grid search picks exactly the T of the per-bin loop."""
+
+    def test_equal_width_matches_oracle(self):
+        rng = np.random.default_rng(13)
+        spec = BinningSpec("equal_width", 15)
+        for trial in range(200):
+            logits, labels = temperature_fixture(rng, trial)
+            assert fit_temperature(logits, labels, spec).T == fit_temperature_oracle(
+                logits, labels, spec
+            )
+
+    def test_equal_mass_matches_oracle(self):
+        rng = np.random.default_rng(14)
+        for trial in range(50):
+            logits, labels = temperature_fixture(rng, trial)
+            spec = BinningSpec("equal_mass", int(rng.integers(1, 6)))
+            assert fit_temperature(logits, labels, spec).T == fit_temperature_oracle(
+                logits, labels, spec
+            )
+
+    def test_plateau_goes_to_smallest_t(self):
+        # a 1000 logit gap, all correct: confidence is exactly 1 and ECE exactly
+        # 0 across the low-T grid, so the tie goes to the grid's first T
+        logits = np.array([[1000.0, 0.0, 0.0]] * 6 + [[0.0, 1000.0, 0.0]] * 6)
+        labels = np.array([0] * 6 + [1] * 6)
+        for spec in (BinningSpec("equal_width", 15), BinningSpec("equal_mass", 4)):
+            assert fit_temperature(logits, labels, spec).T == 0.1
+            assert fit_temperature_oracle(logits, labels, spec) == 0.1
+
+
+class TestCalibrationInputsRejected:
+    def test_non_finite_logits(self):
+        logits = np.array([[1.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            fit_temperature(logits, [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            fit_temperature(np.array([[1.0, 0.0], [np.inf, 0.0]]), [0, 1])
+
+    def test_non_finite_probabilities(self):
+        probs = np.array([[0.6, 0.4], [np.nan, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            ece(probs, [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            adaece(probs, [0, 1], BinningSpec("equal_mass", 2))
+
+    def test_zero_rows(self):
+        with pytest.raises(ValueError, match="no rows"):
+            fit_temperature(np.empty((0, 3)), np.empty(0, dtype=int))
+        with pytest.raises(ValueError, match="no rows"):
+            ece(np.empty((0, 3)), np.empty(0, dtype=int))
+
+    def test_label_count_mismatch(self):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="labels"):
+            fit_temperature(logits, [0, 1])
+        with pytest.raises(ValueError, match="labels"):
+            ece(softmax(logits), [0, 1, 0, 1])
+
+    def test_equal_mass_bins_exceed_rows(self):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="n_bins"):
+            fit_temperature(logits, [0, 1, 0], BinningSpec("equal_mass", 4))
 
 
 class TestTemperature:
