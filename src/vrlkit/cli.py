@@ -416,24 +416,42 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     return run_dir
 
 
+def _write_per_run_csv(
+    manifest: RunManifest, name: str, expect_dim: int, run_rows
+) -> Path:
+    """Load every trained run's net and write the (strategy, seed, *row) CSV.
+
+    ``run_rows(strategy, seed, net)`` returns the run's (dataset, metric,
+    measure, value) rows; the CSV is sorted on its first five columns.
+    """
+    rows = []
+    for strategy, seed, _ in load_records(manifest):
+        net = _load_net(manifest, strategy, seed, expect_dim)
+        rows += [(strategy, seed, *row) for row in run_rows(strategy, seed, net)]
+    rows.sort(key=lambda r: r[:5])
+    path = manifest.run_dir() / name
+    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
+    return path
+
+
+def _test_sets(pipe: Pipeline) -> list:
+    """(name, dataset) for the test split and each corrupted copy of it."""
+    return [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
+
+
 def cmd_eval(manifest: RunManifest) -> Path:
     """Accuracy on the test split and every corrupted variant."""
     pipe = build_pipeline(manifest)
-    rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, pipe.test.d)
-        targets = [("test", pipe.test)]
-        targets += [(ds.name, ds) for _, ds in pipe.corrupted]
-        for name, ds in targets:
-            logits, _, _ = nn.forward(net, ds.x)
-            rows.append(
-                (strategy, seed, name, "accuracy", "-",
-                 accuracy_from_logits(logits, ds.labels))
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    path = manifest.run_dir() / "eval.csv"
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
-    return path
+    sets = _test_sets(pipe)
+
+    def run_rows(strategy, seed, net):
+        return [
+            (name, "accuracy", "-",
+             accuracy_from_logits(nn.forward(net, ds.x)[0], ds.labels))
+            for name, ds in sets
+        ]
+
+    return _write_per_run_csv(manifest, "eval.csv", pipe.test.d, run_rows)
 
 
 _LOGIT_MEASURES = (("ds", ds_score), ("energy", energy_score))
@@ -445,9 +463,8 @@ def cmd_ood(manifest: RunManifest) -> Path:
     pipe = build_pipeline(manifest)
     if pipe.ood is None:
         raise ManifestError("manifest has no ood.* section")
-    rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, pipe.test.d)
+
+    def run_rows(strategy, seed, net):
         logits_in, feat_in, _ = nn.forward(net, pipe.test.x)
         logits_out, feat_out, _ = nn.forward(net, pipe.ood.x)
         probs_in, probs_out = nn.softmax(logits_in), nn.softmax(logits_out)
@@ -456,20 +473,18 @@ def cmd_ood(manifest: RunManifest) -> Path:
             scored.append((name, fn(logits_in), fn(logits_out)))
         for name, fn in _PROB_MEASURES:
             scored.append((name, fn(probs_in), fn(probs_out)))
-        logits_tr, feat_tr, _ = nn.forward(net, pipe.train.x)
+        _, feat_tr, _ = nn.forward(net, pipe.train.x)
         gauss = fit_class_gaussians(feat_tr, pipe.train.labels)
         scored.append(
             ("mahalanobis", mahalanobis_score(gauss, feat_in),
              mahalanobis_score(gauss, feat_out))
         )
-        for name, s_in, s_out in scored:
-            rows.append(
-                (strategy, seed, pipe.ood.name, "auroc", name, auroc(s_in, s_out))
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    path = manifest.run_dir() / "ood.csv"
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
-    return path
+        return [
+            (pipe.ood.name, "auroc", name, auroc(s_in, s_out))
+            for name, s_in, s_out in scored
+        ]
+
+    return _write_per_run_csv(manifest, "ood.csv", pipe.test.d, run_rows)
 
 
 def cmd_calibrate(manifest: RunManifest) -> Path:
@@ -478,9 +493,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
     ew = BinningSpec("equal_width", 15)
     em = BinningSpec("equal_mass", 15)
     run_dir = manifest.run_dir()
-    rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, pipe.test.d)
+
+    def run_rows(strategy, seed, net):
         logits_val, _, _ = nn.forward(net, pipe.val.x)
         logits_test, _, _ = nn.forward(net, pipe.test.x)
         temp = fit_temperature(logits_val, pipe.val.labels, ew)
@@ -490,18 +504,18 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
             post, pipe.test.labels, ew,
             run_dir / f"reliability_{strategy}_seed{seed}.svg",
         )
-        for metric, value in (
-            ("temperature", temp.T),
-            ("ece_pre_t", ece(pre, pipe.test.labels, ew)),
-            ("ece_post_t", ece(post, pipe.test.labels, ew)),
-            ("adaece_pre_t", adaece(pre, pipe.test.labels, em)),
-            ("adaece_post_t", adaece(post, pipe.test.labels, em)),
-        ):
-            rows.append((strategy, seed, "test", metric, "-", value))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    path = manifest.run_dir() / "calibrate.csv"
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
-    return path
+        return [
+            ("test", metric, "-", value)
+            for metric, value in (
+                ("temperature", temp.T),
+                ("ece_pre_t", ece(pre, pipe.test.labels, ew)),
+                ("ece_post_t", ece(post, pipe.test.labels, ew)),
+                ("adaece_pre_t", adaece(pre, pipe.test.labels, em)),
+                ("adaece_post_t", adaece(post, pipe.test.labels, em)),
+            )
+        ]
+
+    return _write_per_run_csv(manifest, "calibrate.csv", pipe.test.d, run_rows)
 
 
 def cmd_heatmap(manifest: RunManifest) -> Path:
@@ -514,38 +528,30 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
     source = pipe.train if source_name == "train" else pipe.test
     n_pairs = _get_int(cfg, "heatmap.pairs", 1000)
     run_dir = manifest.run_dir()
-    rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, source.d)
+
+    def run_rows(strategy, seed, net):
         profile = entropy_profile(
             net, source, n_pairs=n_pairs, rng=RngState(seed).split(300)
         )
         heatmap_svg(profile, run_dir / f"heatmap_{strategy}_seed{seed}.svg")
-        rows.append(
-            (strategy, seed, source.name, "barrier", "-", barrier_statistic(profile))
-        )
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    path = run_dir / "barrier.csv"
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
-    return path
+        return [(source.name, "barrier", "-", barrier_statistic(profile))]
+
+    return _write_per_run_csv(manifest, "barrier.csv", source.d, run_rows)
 
 
 def cmd_fisher(manifest: RunManifest) -> Path:
     """Fisher criterion of network features per corruption kind x intensity."""
     pipe = build_pipeline(manifest)
-    rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, pipe.test.d)
-        targets = [("test", pipe.test)]
-        targets += [(ds.name, ds) for _, ds in pipe.corrupted]
-        for name, ds in targets:
-            _, feats, _ = nn.forward(net, ds.x)
-            value = fisher_criterion(feats, ds.labels, epsilon=1e-9)
-            rows.append((strategy, seed, name, "fisher", "-", value))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    path = manifest.run_dir() / "fisher.csv"
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
-    return path
+    sets = _test_sets(pipe)
+
+    def run_rows(strategy, seed, net):
+        return [
+            (name, "fisher", "-",
+             fisher_criterion(nn.forward(net, ds.x)[1], ds.labels, epsilon=1e-9))
+            for name, ds in sets
+        ]
+
+    return _write_per_run_csv(manifest, "fisher.csv", pipe.test.d, run_rows)
 
 
 def cmd_compare(manifests: list) -> list:

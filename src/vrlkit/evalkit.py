@@ -325,11 +325,15 @@ def heatmap_svg(profile: EntropyProfile, path=None) -> str:
 
 
 def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None) -> str:
-    """Reliability diagram: per-bin accuracy bars against the diagonal."""
+    """Reliability diagram: per-bin accuracy bars against the diagonal.
+
+    Bars sit on a confidence axis, so only equal-width bins are drawn.
+    """
+    if spec.mode != "equal_width":
+        raise ValueError(f"reliability_svg draws equal_width bins, not {spec.mode!r}")
     n_bins = spec.n_bins
-    width_spec = BinningSpec("equal_width", n_bins)  # bars sit on a confidence axis
-    conf, correct = _confidence_correct(probs, labels, width_spec)
-    count, _, correct_sum = _bin_sums(conf, correct, width_spec)
+    conf, correct = _confidence_correct(probs, labels, spec)
+    count, _, correct_sum = _bin_sums(conf, correct, spec)
     size = 320
     margin = 40
     plot = size - 2 * margin

@@ -171,13 +171,6 @@ class GradientSet:
     d_weights: list
     d_biases: list
 
-    def scaled_add(self, other: "GradientSet", weight: float) -> "GradientSet":
-        """New GradientSet equal to self + weight * other."""
-        return GradientSet(
-            [a + weight * b for a, b in zip(self.d_weights, other.d_weights)],
-            [a + weight * b for a, b in zip(self.d_biases, other.d_biases)],
-        )
-
 
 def backward(net: Network, cache: ForwardCache, soft_targets) -> GradientSet:
     """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters."""
@@ -201,6 +194,34 @@ def backward(net: Network, cache: ForwardCache, soft_targets) -> GradientSet:
                 spec.activation, cache.pre[l - 1], cache.act[l - 1]
             )
     return GradientSet(d_weights, d_biases)
+
+
+def weighted_ce(net: Network, terms) -> tuple[float, GradientSet]:
+    """Weighted sum of batch-mean cross-entropies and its gradient.
+
+    ``terms`` is a list of (inputs, soft_targets, weight); each term gets one
+    forward/backward pass, and the terms are summed in list order.  A weight
+    of 1 is never multiplied in, so a one-term call returns forward + backward
+    bit for bit.
+    """
+    if not terms:
+        raise ValueError("weighted_ce needs at least one term")
+    total_loss, total = None, None
+    for x, targets, weight in terms:
+        logits, _, cache = forward(net, x)
+        loss = cross_entropy_soft(softmax(logits), targets)
+        grads = backward(net, cache, targets)
+        arrays = grads.d_weights + grads.d_biases
+        if weight != 1:
+            loss, arrays = weight * loss, [weight * g for g in arrays]
+        if total is None:
+            total_loss, total = loss, arrays
+        else:
+            total_loss += loss
+            for acc, g in zip(total, arrays):
+                acc += g
+    n = len(net.layers)
+    return total_loss, GradientSet(total[:n], total[n:])
 
 
 @dataclass

@@ -25,18 +25,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ ({a.shape[0]}x{a.shape[1]} @ "
-            f"{b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
 def _derive_key(seed: int, path: tuple) -> int:
     # 128-bit Philox key from (seed, split path); blake2b keeps unrelated
     # paths statistically independent.
@@ -130,12 +118,3 @@ class RngState:
             filled += got.size
         return out
 
-
-def rng_uniform(state: RngState, n: int) -> np.ndarray:
-    """n uniform draws in [0, 1), advancing the state."""
-    return state.uniform(n)
-
-
-def rng_gamma(state: RngState, shape: float) -> float:
-    """One Gamma(shape, 1) draw, advancing the state."""
-    return state.gamma(shape)

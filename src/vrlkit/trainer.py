@@ -9,7 +9,7 @@ degenerate to ERM (eta=0, forced lambda=1) replay the exact same batches.
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,22 +76,9 @@ class TrainConfig:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "hidden_dims": ",".join(str(h) for h in self.hidden_dims),
-            "activation": self.activation,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "lambda_mode": self.lambda_mode,
-            "force_lambda": self.force_lambda,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["hidden_dims"] = ",".join(str(h) for h in self.hidden_dims)
+        return out
 
 
 @dataclass
@@ -150,23 +137,9 @@ class ExperimentRecord:
         )
 
     def train_config(self) -> TrainConfig:
-        c = self.config
-        return TrainConfig(
-            strategy=c["strategy"],
-            hidden_dims=tuple(int(h) for h in str(c["hidden_dims"]).split(",") if h),
-            activation=c["activation"],
-            alpha=c["alpha"],
-            eta=c["eta"],
-            epochs=int(c["epochs"]),
-            batch_size=int(c["batch_size"]),
-            learning_rate=c["learning_rate"],
-            momentum=c["momentum"],
-            weight_decay=c["weight_decay"],
-            schedule=c["schedule"],
-            seed=int(c["seed"]),
-            lambda_mode=c["lambda_mode"],
-            force_lambda=c["force_lambda"],
-        )
+        c = {f.name: self.config[f.name] for f in fields(TrainConfig)}
+        c["hidden_dims"] = tuple(int(h) for h in str(c["hidden_dims"]).split(",") if h)
+        return TrainConfig(**c)
 
 
 def _fmt(value) -> str:
@@ -205,15 +178,6 @@ def _batch_bounds(n: int, batch_size: int):
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         bounds.pop(-2)
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _mixed_for(op: str, xb, yb, config, mix_rng, image_shape):
-    params = BetaParams(config.alpha)
-    if op == "mixup":
-        return mixup_batch(
-            xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
-        )
-    return cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
 
 
 def train(
@@ -278,21 +242,24 @@ def train(
 
 
 def _strategy_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
+    """Loss and gradient of one batch as a list of weighted CE terms."""
     strategy = config.strategy
     if strategy == "erm":
-        logits, _, cache = nn.forward(net, xb)
-        loss = nn.cross_entropy_soft(nn.softmax(logits), yb)
-        return loss, nn.backward(net, cache, yb)
+        return nn.weighted_ce(net, [(xb, yb, 1)])
     if strategy in _ALTERNATING:
-        op = "mixup" if coin_rng.uniform(1)[0] < 0.5 else "cutmix"
+        use_mixup = coin_rng.uniform(1)[0] < 0.5
     else:
-        op = "cutmix" if strategy in ("cutmix", "regcutmix") else "mixup"
-    mixed = _mixed_for(op, xb, yb, config, mix_rng, image_shape)
+        use_mixup = strategy not in ("cutmix", "regcutmix")
+    params = BetaParams(config.alpha)
+    if use_mixup:
+        mixed = mixup_batch(
+            xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
+        )
+    else:
+        mixed = cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
     if strategy in _REGULARIZED:
         return regmix_loss(net, xb, yb, mixed, config.eta)
-    logits, _, cache = nn.forward(net, mixed.x_mixed)
-    loss = nn.cross_entropy_soft(nn.softmax(logits), mixed.y_mixed)
-    return loss, nn.backward(net, cache, mixed.y_mixed)
+    return nn.weighted_ce(net, [(mixed.x_mixed, mixed.y_mixed, 1)])
 
 
 def accuracy_from_logits(logits, labels) -> float:

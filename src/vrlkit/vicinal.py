@@ -25,13 +25,6 @@ class BetaParams:
             raise ValueError("alpha must be > 0")
 
 
-def sample_lambda(params: BetaParams, rng: RngState) -> float:
-    """One Beta(alpha, alpha) draw via g1 / (g1 + g2)."""
-    g1 = rng.gamma(params.alpha)
-    g2 = rng.gamma(params.alpha)
-    return g1 / (g1 + g2)
-
-
 def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
     """n Beta(alpha, alpha) draws (vectorized two-Gamma construction)."""
     g1 = rng.gamma(params.alpha, size=n)
@@ -82,7 +75,7 @@ def mixup_batch(
         lam_used = float(lam)
         lam_col = lam_used
     elif lambda_mode == "per_batch":
-        lam_used = sample_lambda(params, rng)
+        lam_used = float(sample_lambdas(params, 1, rng)[0])
         lam_col = lam_used
     else:
         lam_used = sample_lambdas(params, n, rng)
@@ -120,7 +113,7 @@ def cutmix_batch(
             f"rows of length {x.shape[1]} do not match image shape {image_shape}"
         )
     pairing = sample_pairing(n, rng)
-    lam_drawn = float(lam) if lam is not None else sample_lambda(params, rng)
+    lam_drawn = float(lam if lam is not None else sample_lambdas(params, 1, rng)[0])
     ratio = np.sqrt(max(0.0, 1.0 - lam_drawn))
     patch_h = int(round(h * ratio))
     patch_w = int(round(w * ratio))
@@ -145,15 +138,11 @@ def regmix_loss(
 ) -> tuple[float, nn.GradientSet]:
     """Two-term objective: clean-batch CE plus eta times mixed-batch CE.
 
-    Runs one forward/backward per term and returns the summed loss and the
-    eta-weighted gradient sum.
+    The weighted-term list [(x, y, 1), (x_mixed, y_mixed, eta)] for
+    nn.weighted_ce: one forward/backward per term, gradients g_c + eta * g_m.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    logits_c, _, cache_c = nn.forward(net, x)
-    loss_c = nn.cross_entropy_soft(nn.softmax(logits_c), y_onehot)
-    grads_c = nn.backward(net, cache_c, y_onehot)
-    logits_m, _, cache_m = nn.forward(net, mixed.x_mixed)
-    loss_m = nn.cross_entropy_soft(nn.softmax(logits_m), mixed.y_mixed)
-    grads_m = nn.backward(net, cache_m, mixed.y_mixed)
-    return loss_c + eta * loss_m, grads_c.scaled_add(grads_m, eta)
+    return nn.weighted_ce(
+        net, [(x, y_onehot, 1), (mixed.x_mixed, mixed.y_mixed, eta)]
+    )

@@ -547,3 +547,11 @@ class TestSvgEmission:
         svg = reliability_svg(probs, labels, BinningSpec("equal_width", 10),
                               tmp_path / "r.svg")
         assert "<svg" in svg and (tmp_path / "r.svg").exists()
+
+    def test_reliability_svg_rejects_equal_mass(self, tmp_path):
+        rng = np.random.default_rng(12)
+        probs = softmax(rng.normal(size=(50, 3)))
+        labels = rng.integers(0, 3, size=50)
+        with pytest.raises(ValueError):
+            reliability_svg(probs, labels, BinningSpec("equal_mass", 10), tmp_path / "r.svg")
+        assert not (tmp_path / "r.svg").exists()

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vrlkit.nn import (
     save_checkpoint,
     sgd_step,
     softmax,
+    weighted_ce,
 )
 from vrlkit.tensor import RngState, ShapeError
 
@@ -159,7 +161,8 @@ class TestBackward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("hidden", [(), (7,), (6, 5), (5, 4, 4)])
     def test_finite_difference_agreement(self, activation, hidden):
-        rng = RngState(hash((activation, hidden)) % 2**31)
+        # crc32 of the parameters, unlike hash(), is the same in every process
+        rng = RngState(zlib.crc32(repr((activation, hidden)).encode()))
         dims = [3, *hidden, 4]
         net = random_net(dims, activation, rng)
         x = rng.normal((8, 3))
@@ -203,6 +206,48 @@ class TestBackward:
         _, _, cache = forward(net, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             backward(other, cache, np.eye(3)[:2])
+
+
+class TestWeightedCe:
+    def _fixture(self, seed):
+        rng = RngState(seed)
+        net = random_net([3, 6, 5, 4], "relu", rng)
+        x = rng.normal((9, 3))
+        y = np.eye(4)[np.asarray(rng.integers(0, 4, size=9))]
+        x_m = rng.normal((9, 3))
+        y_m = 0.3 * y + 0.7 * y[::-1]
+        return net, x, y, x_m, y_m
+
+    def test_one_term_equals_forward_backward_bitwise(self):
+        net, x, y, _, _ = self._fixture(31)
+        loss, grads = weighted_ce(net, [(x, y, 1)])
+        logits, _, cache = forward(net, x)
+        want = backward(net, cache, y)
+        assert loss == cross_entropy_soft(softmax(logits), y)
+        for a, b in zip([*grads.d_weights, *grads.d_biases],
+                        [*want.d_weights, *want.d_biases]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 2.5])
+    def test_two_terms_equal_weighted_sum_bitwise(self, eta):
+        net, x, y, x_m, y_m = self._fixture(32)
+        loss, grads = weighted_ce(net, [(x, y, 1), (x_m, y_m, eta)])
+        logits_c, _, cache_c = forward(net, x)
+        logits_m, _, cache_m = forward(net, x_m)
+        g_c = backward(net, cache_c, y)
+        g_m = backward(net, cache_m, y_m)
+        loss_c = cross_entropy_soft(softmax(logits_c), y)
+        loss_m = cross_entropy_soft(softmax(logits_m), y_m)
+        assert loss == loss_c + eta * loss_m
+        for got, a, b in zip([*grads.d_weights, *grads.d_biases],
+                             [*g_c.d_weights, *g_c.d_biases],
+                             [*g_m.d_weights, *g_m.d_biases]):
+            assert np.array_equal(got, a + eta * b)
+
+    def test_empty_term_list_rejected(self):
+        net, _, _, _, _ = self._fixture(33)
+        with pytest.raises(ValueError):
+            weighted_ce(net, [])
 
 
 class TestSgdStep:

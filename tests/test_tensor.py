@@ -3,65 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from vrlkit.tensor import RngState, ShapeError, matmul, rng_gamma, rng_uniform
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12, rtol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-9 * max(np.linalg.norm(right), 1.0)
+from vrlkit.tensor import RngState
 
 
 class TestRngUniform:
     def test_empty(self):
-        assert rng_uniform(RngState(3), 0).size == 0
+        assert RngState(3).uniform(0).size == 0
 
     def test_same_seed_identical(self):
-        a = rng_uniform(RngState(42), 1000)
-        b = rng_uniform(RngState(42), 1000)
+        a = RngState(42).uniform(1000)
+        b = RngState(42).uniform(1000)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(
-            rng_uniform(RngState(1), 100), rng_uniform(RngState(2), 100)
+            RngState(1).uniform(100), RngState(2).uniform(100)
         )
 
     def test_split_streams_independent_of_consumption(self):
@@ -74,7 +30,7 @@ class TestRngUniform:
 
     def test_mean_within_three_sigma(self):
         n = 10**6
-        draws = rng_uniform(RngState(2024), n)
+        draws = RngState(2024).uniform(n)
         se = 1.0 / math.sqrt(12 * n)
         assert abs(draws.mean() - 0.5) < 3 * se
         assert draws.min() >= 0.0 and draws.max() < 1.0
@@ -97,17 +53,17 @@ class TestRngGamma:
         state = RngState(13)
         for shape in (0.2, 0.7, 1.0, 3.5):
             assert state.gamma(shape, size=2000).min() > 0.0
-        assert rng_gamma(RngState(14), 1.5) > 0.0
+        assert RngState(14).gamma(1.5) > 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            rng_gamma(RngState(0), 0.0)
+            RngState(0).gamma(0.0)
         with pytest.raises(ValueError):
-            rng_gamma(RngState(0), -1.0)
+            RngState(0).gamma(-1.0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            rng_uniform(RngState(0), -1)
+            RngState(0).uniform(-1)
 
     def test_scalar_matches_repeat_determinism(self):
         a = RngState(5).gamma(1.3)

@@ -3,7 +3,8 @@ import pytest
 
 from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, make_gaussian_blobs, make_two_moons, split
 from vrlkit.evalkit import entropy_profile
-from vrlkit.nn import forward
+from vrlkit import trainer
+from vrlkit.nn import GradientSet, backward, cross_entropy_soft, forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.trainer import (
     MIXUP_ALPHA_GRID,
@@ -19,6 +20,7 @@ from vrlkit.trainer import (
     train,
     train_ensemble,
 )
+from vrlkit.vicinal import BetaParams, cutmix_batch, mixup_batch
 
 
 def normalized_moons(n=300, noise=0.15, seed=0):
@@ -153,6 +155,65 @@ class TestTrainBehaviour:
             accs[strat] = accuracy(net, val)
         assert abs(accs["regmixup"] - accs["erm"]) <= 0.02
         assert mids["regmixup"] >= 2.0 * mids["erm"]
+
+
+def three_branch_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
+    """The per-strategy step before the weighted-term list, kept as an oracle:
+    ERM, one mixed pass, or two passes merged as g_c + eta * g_m."""
+    strategy = config.strategy
+    if strategy == "erm":
+        logits, _, cache = forward(net, xb)
+        loss = cross_entropy_soft(softmax(logits), yb)
+        return loss, backward(net, cache, yb)
+    if strategy in ("mixup_plus_cutmix", "reg_mixup_plus_regcutmix"):
+        op = "mixup" if coin_rng.uniform(1)[0] < 0.5 else "cutmix"
+    else:
+        op = "cutmix" if strategy in ("cutmix", "regcutmix") else "mixup"
+    params = BetaParams(config.alpha)
+    if op == "mixup":
+        mixed = mixup_batch(
+            xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
+        )
+    else:
+        mixed = cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
+    if strategy in ("regmixup", "regcutmix", "reg_mixup_plus_regcutmix"):
+        eta = config.eta
+        logits_c, _, cache_c = forward(net, xb)
+        loss_c = cross_entropy_soft(softmax(logits_c), yb)
+        grads_c = backward(net, cache_c, yb)
+        logits_m, _, cache_m = forward(net, mixed.x_mixed)
+        loss_m = cross_entropy_soft(softmax(logits_m), mixed.y_mixed)
+        grads_m = backward(net, cache_m, mixed.y_mixed)
+        return loss_c + eta * loss_m, GradientSet(
+            [a + eta * b for a, b in zip(grads_c.d_weights, grads_m.d_weights)],
+            [a + eta * b for a, b in zip(grads_c.d_biases, grads_m.d_biases)],
+        )
+    logits, _, cache = forward(net, mixed.x_mixed)
+    loss = cross_entropy_soft(softmax(logits), mixed.y_mixed)
+    return loss, backward(net, cache, mixed.y_mixed)
+
+
+class TestWeightedTermStep:
+    @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
+    def test_equals_three_branch_step_bitwise(self, strategy, monkeypatch):
+        ds = tiny_image_dataset(n=14)
+        val = tiny_image_dataset(n=10, seed=8)
+        cfg = TrainConfig(
+            strategy=strategy,
+            hidden_dims=(6, 5),
+            alpha=None if strategy == "erm" else 0.7,
+            eta=0.6 if "reg" in strategy else None,
+            epochs=3,
+            batch_size=4,
+            learning_rate=0.05,
+            seed=12,
+        )
+        net, record = train(cfg, ds, val)
+        monkeypatch.setattr(trainer, "_strategy_step", three_branch_step)
+        want_net, want_record = train(cfg, ds, val)
+        assert nets_equal(net, want_net)
+        assert record.epoch_losses == want_record.epoch_losses
+        assert record.metrics == want_record.metrics
 
 
 class TestRecord:

@@ -11,7 +11,6 @@ from vrlkit.vicinal import (
     cutmix_batch,
     mixup_batch,
     regmix_loss,
-    sample_lambda,
     sample_lambdas,
     sample_pairing,
 )
@@ -69,8 +68,20 @@ class TestSampleLambda:
     def test_scalar_draw_in_unit_interval(self):
         rng = RngState(4)
         for _ in range(100):
-            lam = sample_lambda(BetaParams(0.5), rng)
-            assert 0.0 < lam < 1.0
+            lam = sample_lambdas(BetaParams(0.5), 1, rng)
+            assert lam.shape == (1,) and 0.0 < lam[0] < 1.0
+
+    def test_single_draw_matches_two_scalar_gammas(self):
+        # mixup_batch and cutmix_batch take their per-batch lambda as
+        # sample_lambdas(params, 1, rng)[0]: the same draws, in the same
+        # order, as a scalar g1 / (g1 + g2).
+        for alpha in (0.1, 0.4, 1.0, 2.0, 10.0, 30.0):
+            for seed in range(50):
+                rng, ref = RngState(seed), RngState(seed)
+                for _ in range(3):
+                    lam = sample_lambdas(BetaParams(alpha), 1, rng)[0]
+                    g1, g2 = ref.gamma(alpha), ref.gamma(alpha)
+                    assert lam == g1 / (g1 + g2)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
