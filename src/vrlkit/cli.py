@@ -163,9 +163,12 @@ def _get_floats(cfg, key, default=None):
     v = _get(cfg, key, default)
     if v is None:
         return None
-    if isinstance(v, str):
+    if not isinstance(v, str):
+        return list(v)
+    try:
         return [float(p) for p in v.split(",") if p.strip()]
-    return list(v)
+    except ValueError:
+        raise ManifestError(f"key {key!r}: expected comma-separated numbers, got {v!r}")
 
 
 def load_manifest(config_path, out_override=None, seeds_override=None) -> RunManifest:
@@ -279,11 +282,14 @@ def parse_corruptions(value: str) -> list:
         kind, _, levels = part.partition(":")
         if not levels:
             raise ManifestError(f"corruption {part!r} needs kind:levels")
-        if "-" in levels:
-            lo, _, hi = levels.partition("-")
-            rng = range(int(lo), int(hi) + 1)
-        else:
-            rng = [int(levels)]
+        try:
+            if "-" in levels:
+                lo, _, hi = levels.partition("-")
+                rng = range(int(lo), int(hi) + 1)
+            else:
+                rng = [int(levels)]
+        except ValueError:
+            raise ManifestError(f"corruption {part!r}: levels must be integers")
         for level in rng:
             try:
                 specs.append(CorruptionSpec(kind, level))
@@ -527,6 +533,8 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
         raise ManifestError("heatmap.source must be train or test")
     source = pipe.train if source_name == "train" else pipe.test
     n_pairs = _get_int(cfg, "heatmap.pairs", 1000)
+    if n_pairs < 1:
+        raise ManifestError(f"heatmap.pairs must be >= 1, got {n_pairs}")
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):

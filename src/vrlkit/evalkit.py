@@ -237,7 +237,17 @@ def entropy_profile(
     Pairs are drawn with replacement and redrawn until their labels differ;
     each pair is evaluated at `lambda_points` equally spaced mixing factors,
     with x_bar = lambda * x_i + (1 - lambda) * x_j.
+
+    The first layer is affine and the two weights sum to 1, so x_bar's
+    first-layer pre-activation is lambda * z_i + (1 - lambda) * z_j, with
+    z = x @ W_0 + b_0.  Each endpoint set is forwarded once, and each lambda
+    interpolates the (n_pairs, width) pre-activations and runs only the
+    layers after the first, never building an interpolated input batch.
     """
+    if rng is None:
+        raise ValueError("entropy profile needs an RngState to draw its pairs")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     if np.unique(ds.labels).size < 2:
         raise ValueError("entropy profile needs at least two classes")
     i_idx = np.asarray(rng.integers(0, ds.n, size=n_pairs))
@@ -248,12 +258,16 @@ def entropy_profile(
             break
         j_idx[same] = rng.integers(0, ds.n, size=int(same.sum()))
     grid = np.linspace(0.0, 1.0, lambda_points)
-    xi = ds.x[i_idx]
-    xj = ds.x[j_idx]
+    # keep only layer 0's pre-activation, so neither endpoint cache outlives its call
+    zi = nn.forward(net, ds.x[i_idx])[2].pre[0]
+    zj = nn.forward(net, ds.x[j_idx])[2].pre[0]
     entropies = np.empty((n_pairs, lambda_points))
+    zbar = np.empty_like(zi)  # reused: a fresh array per lambda costs page faults
     for li, lam in enumerate(grid):
-        logits, _, _ = nn.forward(net, lam * xi + (1.0 - lam) * xj)
-        entropies[:, li] = entropy_of(nn.softmax(logits))
+        np.multiply(zi, lam, out=zbar)
+        zbar += (1.0 - lam) * zj
+        _, act = nn._forward_from_first_pre(net, zbar)
+        entropies[:, li] = entropy_of(nn.softmax(act[-1]))
     h_max = math.log(ds.k)
     h_edges = np.linspace(0.0, h_max, h_bins + 1)
     hist = np.empty((lambda_points, h_bins), dtype=np.int64)

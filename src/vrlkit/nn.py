@@ -133,16 +133,20 @@ def forward(net: Network, x_batch) -> tuple[np.ndarray, np.ndarray, ForwardCache
         raise ShapeError(
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
-    pre, act = [], []
-    h = x
-    for spec, w, b in zip(net.layers, net.weights, net.biases):
-        z = h @ w + b
-        h = _activate(spec.activation, z)
-        pre.append(z)
-        act.append(h)
+    pre, act = _forward_from_first_pre(net, x @ net.weights[0] + net.biases[0])
     logits = act[-1]
     features = act[-2] if len(act) > 1 else x
     return logits, features, ForwardCache(net, x, pre, act)
+
+
+def _forward_from_first_pre(net: Network, z0: np.ndarray) -> tuple[list, list]:
+    """Apply the network from layer 0's pre-activation on: (pre, act) per layer."""
+    pre, act = [z0], [_activate(net.layers[0].activation, z0)]
+    for spec, w, b in zip(net.layers[1:], net.weights[1:], net.biases[1:]):
+        z = act[-1] @ w + b
+        pre.append(z)
+        act.append(_activate(spec.activation, z))
+    return pre, act
 
 
 def softmax(logits) -> np.ndarray:

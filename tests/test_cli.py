@@ -241,6 +241,42 @@ class TestImagePipeline:
         assert run_cli("ood", *base) == EXIT_SCHEMA
 
 
+class TestBadManifestValues:
+    """A malformed manifest value exits 3 with a one-line message, no traceback."""
+
+    def _run(self, tmp_path, capsys, replace, commands):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MANIFEST.replace(*replace))
+        base = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        *before, last = commands
+        for command in before:
+            assert run_cli(command, *base) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(last, *base) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "kind,key", [("blob", "ood.center"), ("uniform_box", "ood.low"), ("uniform_box", "ood.high")]
+    )
+    def test_non_numeric_float_list(self, tmp_path, capsys, kind, key):
+        replace = ("ood.kind = blob\nood.center = 10,10", f"ood.kind = {kind}\n{key} = a,b")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert key in err
+
+    def test_non_integer_corruption_level(self, tmp_path, capsys):
+        replace = ("gaussian_noise:1-2", "gaussian_noise:x")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert "gaussian_noise:x" in err
+
+    @pytest.mark.parametrize("pairs", ["0", "-5"])
+    def test_nonpositive_heatmap_pairs(self, tmp_path, capsys, pairs):
+        replace = ("heatmap.pairs = 40", f"heatmap.pairs = {pairs}")
+        err = self._run(tmp_path, capsys, replace, ["train", "heatmap"])
+        assert "heatmap.pairs" in err
+
+
 class TestConsoleScript:
     def test_entry_point_help(self):
         import subprocess

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vrlkit.datagen import apply_normalizer, fit_normalizer, split
+from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, split
 from vrlkit.evalkit import (
     BinningSpec,
     Temperature,
@@ -16,7 +16,7 @@ from vrlkit.evalkit import (
     heatmap_svg,
     reliability_svg,
 )
-from vrlkit.nn import forward, softmax
+from vrlkit.nn import LayerSpec, Network, forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.trainer import TrainConfig, train
 from vrlkit.uncertainty import UncertaintyScores, entropy_of
@@ -465,7 +465,78 @@ def trained_moons_net(seed=0):
     return net, tr
 
 
+def input_space_profile(net, ds, n_pairs, rng, lambda_points=20):
+    """The input-space loop `entropy_profile` replaced: one forward pass per
+    lambda over the interpolated inputs.  Returns (i_idx, j_idx, entropies)."""
+    i_idx = np.asarray(rng.integers(0, ds.n, size=n_pairs))
+    j_idx = np.asarray(rng.integers(0, ds.n, size=n_pairs))
+    while True:
+        same = ds.labels[i_idx] == ds.labels[j_idx]
+        if not same.any():
+            break
+        j_idx[same] = rng.integers(0, ds.n, size=int(same.sum()))
+    xi, xj = ds.x[i_idx], ds.x[j_idx]
+    entropies = np.empty((n_pairs, lambda_points))
+    for li, lam in enumerate(np.linspace(0.0, 1.0, lambda_points)):
+        logits, _, _ = forward(net, lam * xi + (1.0 - lam) * xj)
+        entropies[:, li] = entropy_of(softmax(logits))
+    return i_idx, j_idx, entropies
+
+
+# (input dim, hidden dims, hidden activation, classes); () is a single-layer net
+PROFILE_NETS = {
+    "relu": (2, (16, 16), "relu", 3),
+    "tanh": (2, (32,), "tanh", 4),
+    "identity": (5, (8,), "identity", 3),
+    "single-layer": (2, (), "identity", 3),
+    "image-3072": (3072, (64,), "relu", 10),
+}
+
+
+def random_profile_case(name, n=120):
+    d, hidden, act, k = PROFILE_NETS[name]
+    dims = (d, *hidden, k)
+    specs = [
+        LayerSpec(a, b, act if i < len(hidden) else "identity")
+        for i, (a, b) in enumerate(zip(dims, dims[1:]))
+    ]
+    net = Network(specs, rng=RngState(7).split(len(dims)))
+    gen = np.random.default_rng(d + len(hidden))
+    ds = Dataset(3.0 * gen.normal(size=(n, d)), gen.integers(0, k, size=n), k, name)
+    return net, ds
+
+
 class TestEntropyProfile:
+    @pytest.mark.parametrize("name", sorted(PROFILE_NETS))
+    def test_matches_input_space_oracle(self, name):
+        net, ds = random_profile_case(name)
+        rng_new, rng_old = RngState(8).split(0), RngState(8).split(0)
+        profile = entropy_profile(net, ds, n_pairs=150, rng=rng_new)
+        i_idx, j_idx, want = input_space_profile(net, ds, 150, rng_old)
+        assert profile.entropies.shape == want.shape
+        assert np.max(np.abs(profile.entropies - want)) <= 1e-12
+        # the same draws, and no more: both streams continue identically
+        assert rng_new.integers(0, 2**31, size=4).tolist() == rng_old.integers(
+            0, 2**31, size=4
+        ).tolist()
+        # lambda = 0 is x_j and lambda = 1 is x_i, bit for bit
+        for col, idx in ((0, j_idx), (-1, i_idx)):
+            logits, _, _ = forward(net, ds.x[idx])
+            assert profile.entropies[:, col].tobytes() == entropy_of(softmax(logits)).tobytes()
+        assert profile.histogram.sum() == 150 * profile.lambda_grid.size
+        assert (profile.histogram.sum(axis=1) == 150).all()
+
+    def test_rng_required(self):
+        net, ds = random_profile_case("relu")
+        with pytest.raises(ValueError, match="RngState"):
+            entropy_profile(net, ds)
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_nonpositive_pairs_rejected(self, n_pairs):
+        net, ds = random_profile_case("relu")
+        with pytest.raises(ValueError, match="n_pairs"):
+            entropy_profile(net, ds, n_pairs=n_pairs, rng=RngState(9).split(0))
+
     def test_defaults_and_counts(self):
         import inspect
 
@@ -481,14 +552,12 @@ class TestEntropyProfile:
     def test_endpoints_match_pure_samples(self):
         net, tr = trained_moons_net()
         profile = entropy_profile(net, tr, n_pairs=20, rng=RngState(2).split(0))
+        i_idx, j_idx, _ = input_space_profile(net, tr, 20, RngState(2).split(0))
         assert profile.lambda_grid[0] == 0.0 and profile.lambda_grid[-1] == 1.0
-        # all endpoint entropies must appear among the per-sample entropies
-        logits, _, _ = forward(net, tr.x)
-        sample_h = np.sort(entropy_of(softmax(logits)))
-        for h in np.concatenate([profile.entropies[:, 0], profile.entropies[:, -1]]):
-            idx = np.searchsorted(sample_h, h)
-            neighbours = sample_h[max(0, idx - 1) : idx + 1]
-            assert np.min(np.abs(neighbours - h)) <= 1e-12
+        # the endpoint columns are the pure samples' entropies, bit for bit
+        for col, idx in ((0, j_idx), (-1, i_idx)):
+            logits, _, _ = forward(net, tr.x[idx])
+            assert profile.entropies[:, col].tobytes() == entropy_of(softmax(logits)).tobytes()
 
     def test_single_class_rejected(self):
         net, tr = trained_moons_net()
