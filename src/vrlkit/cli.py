@@ -185,7 +185,23 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     strategies = [
         s.strip() for s in _get(cfg, "strategies", required=True).split(",") if s.strip()
     ]
+    _heatmap_keys(cfg)
     return RunManifest(cfg, out_dir, seeds, strategies)
+
+
+def _heatmap_keys(cfg) -> tuple[str, int]:
+    """The checked (heatmap.source, heatmap.pairs).
+
+    load_manifest checks them too, so a bad value stops every command before
+    any work, not only `vrl heatmap` after training.
+    """
+    source = _get(cfg, "heatmap.source", "train")
+    if source not in ("train", "test"):
+        raise ManifestError("heatmap.source must be train or test")
+    n_pairs = _get_int(cfg, "heatmap.pairs", 1000)
+    if n_pairs < 1:
+        raise ManifestError(f"heatmap.pairs must be >= 1, got {n_pairs}")
+    return source, n_pairs
 
 
 def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainConfig:
@@ -251,25 +267,36 @@ def _base_dataset(cfg) -> Dataset:
     raise ManifestError(f"unknown data.kind {kind!r}")
 
 
-def _ood_dataset(cfg, d: int) -> Dataset | None:
+def _ood_dataset(cfg, d: int, generate: bool) -> Dataset | None:
+    """The manifest's OOD set, or None when it has none.
+
+    Every ood.* key is checked against the data dimension ``d`` first; with
+    ``generate=False`` nothing is drawn and the result is None.
+    """
     kind = _get(cfg, "ood.kind", "none")
     if kind == "none":
         return None
-    seed = _get_int(cfg, "data.seed", 12345)
-    rng = RngState(seed).split(200)
     n = _get_int(cfg, "ood.n", 400)
+    if n < 1:
+        raise ManifestError(f"ood.n must be >= 1, got {n}")
     if kind == "blob":
         center = _get_floats(cfg, "ood.center", ",".join(["30.0"] * d))
         if len(center) != d:
             raise ManifestError("ood.center dimension does not match the data")
-        return make_blob(n, center, _get_float(cfg, "ood.noise_sd", 1.0), rng, name="ood_blob")
-    if kind == "uniform_box":
+        noise_sd = _get_float(cfg, "ood.noise_sd", 1.0)
+        make, args, name = make_blob, (n, center, noise_sd), "ood_blob"
+    elif kind == "uniform_box":
         low = _get_floats(cfg, "ood.low", ",".join(["-20.0"] * d))
         high = _get_floats(cfg, "ood.high", ",".join(["20.0"] * d))
         if len(low) != d or len(high) != d:
             raise ManifestError("ood.low/high dimension does not match the data")
-        return make_uniform_box(n, low, high, rng, name="ood_box")
-    raise ManifestError(f"unknown ood.kind {kind!r}")
+        make, args, name = make_uniform_box, (n, low, high), "ood_box"
+    else:
+        raise ManifestError(f"unknown ood.kind {kind!r}")
+    if not generate:
+        return None
+    rng = RngState(_get_int(cfg, "data.seed", 12345)).split(200)
+    return make(*args, rng, name=name)
 
 
 def parse_corruptions(value: str) -> list:
@@ -282,15 +309,15 @@ def parse_corruptions(value: str) -> list:
         kind, _, levels = part.partition(":")
         if not levels:
             raise ManifestError(f"corruption {part!r} needs kind:levels")
+        lo, dash, hi = levels.partition("-")
         try:
-            if "-" in levels:
-                lo, _, hi = levels.partition("-")
-                rng = range(int(lo), int(hi) + 1)
-            else:
-                rng = [int(levels)]
+            first = int(lo)
+            last = int(hi) if dash else first
         except ValueError:
             raise ManifestError(f"corruption {part!r}: levels must be integers")
-        for level in rng:
+        if last < first:
+            raise ManifestError(f"corruption {part!r}: level range runs backwards")
+        for level in range(first, last + 1):
             try:
                 specs.append(CorruptionSpec(kind, level))
             except ValueError as err:
@@ -300,7 +327,11 @@ def parse_corruptions(value: str) -> list:
 
 @dataclass
 class Pipeline:
-    """Datasets of one experiment, normalized by train-split statistics."""
+    """Datasets of one experiment, normalized by train-split statistics.
+
+    ``ood`` and ``corrupted`` are None and [] unless build_pipeline was asked
+    for them (and the manifest defines them).
+    """
 
     train: Dataset
     val: Dataset
@@ -309,9 +340,27 @@ class Pipeline:
     corrupted: list  # [(CorruptionSpec, Dataset)]
 
 
-def build_pipeline(manifest: RunManifest) -> Pipeline:
+PIPELINE_PARTS = ("corrupted", "ood")
+
+
+def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
+    """The normalized train/val/test splits and the optional sets in ``parts``.
+
+    ``parts`` names any of PIPELINE_PARTS: "corrupted" (the corrupted copies
+    of the test split) and "ood". A set not named is left empty (``[]`` or
+    None). The keys of every part are checked on each call, built or not, and
+    each set draws from its own RngState label, so no set depends on which
+    others are built.
+    """
+    unknown = set(parts) - set(PIPELINE_PARTS)
+    if unknown:
+        raise ValueError(f"unknown pipeline parts {sorted(unknown)}, expected {PIPELINE_PARTS}")
     cfg = manifest.config
     base = _base_dataset(cfg)
+    specs = parse_corruptions(_get(cfg, "corruptions", ""))
+    if base.d != 2 and any(spec.kind == "rotation2d" for spec in specs):
+        raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
+    ood_raw = _ood_dataset(cfg, base.d, generate="ood" in parts)
     seed = _get_int(cfg, "data.seed", 12345)
     test_frac = _get_float(cfg, "data.test_frac", 0.25)
     val_frac = _get_float(cfg, "data.val_frac", 0.1)
@@ -323,12 +372,10 @@ def build_pipeline(manifest: RunManifest) -> Pipeline:
     )
     stats = fit_normalizer(train_raw)
     corrupted = []
-    corr_value = _get(cfg, "corruptions", "")
-    if corr_value:
-        for i, spec in enumerate(parse_corruptions(corr_value)):
+    if "corrupted" in parts:
+        for i, spec in enumerate(specs):
             raw = corrupt(test_raw, spec, RngState(seed).split(103, i))
             corrupted.append((spec, apply_normalizer(raw, stats)))
-    ood_raw = _ood_dataset(cfg, base.d)
     return Pipeline(
         train=apply_normalizer(train_raw, stats),
         val=apply_normalizer(val_raw, stats),
@@ -399,7 +446,7 @@ def _csv_cell(v) -> str:
 
 def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     """Train the full strategy x seed grid and persist records + checkpoints."""
-    pipe = build_pipeline(manifest)
+    pipe = build_pipeline(manifest, parts=())
     run_dir = manifest.run_dir()
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -447,7 +494,7 @@ def _test_sets(pipe: Pipeline) -> list:
 
 def cmd_eval(manifest: RunManifest) -> Path:
     """Accuracy on the test split and every corrupted variant."""
-    pipe = build_pipeline(manifest)
+    pipe = build_pipeline(manifest, parts=("corrupted",))
     sets = _test_sets(pipe)
 
     def run_rows(strategy, seed, net):
@@ -466,7 +513,7 @@ _PROB_MEASURES = (("entropy", entropy_score), ("mps_uncertainty", mps_score))
 
 def cmd_ood(manifest: RunManifest) -> Path:
     """AUROC of in-distribution test vs the OOD set, per uncertainty measure."""
-    pipe = build_pipeline(manifest)
+    pipe = build_pipeline(manifest, parts=("ood",))
     if pipe.ood is None:
         raise ManifestError("manifest has no ood.* section")
 
@@ -495,7 +542,7 @@ def cmd_ood(manifest: RunManifest) -> Path:
 
 def cmd_calibrate(manifest: RunManifest) -> Path:
     """Fit the temperature on validation logits; report pre/post calibration."""
-    pipe = build_pipeline(manifest)
+    pipe = build_pipeline(manifest, parts=())
     ew = BinningSpec("equal_width", 15)
     em = BinningSpec("equal_mass", 15)
     run_dir = manifest.run_dir()
@@ -526,15 +573,9 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
 
 def cmd_heatmap(manifest: RunManifest) -> Path:
     """Entropy-profile heatmap SVG per run, plus a barrier-statistic CSV."""
-    pipe = build_pipeline(manifest)
-    cfg = manifest.config
-    source_name = _get(cfg, "heatmap.source", "train")
-    if source_name not in ("train", "test"):
-        raise ManifestError("heatmap.source must be train or test")
+    source_name, n_pairs = _heatmap_keys(manifest.config)
+    pipe = build_pipeline(manifest, parts=())
     source = pipe.train if source_name == "train" else pipe.test
-    n_pairs = _get_int(cfg, "heatmap.pairs", 1000)
-    if n_pairs < 1:
-        raise ManifestError(f"heatmap.pairs must be >= 1, got {n_pairs}")
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):
@@ -549,7 +590,7 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
 
 def cmd_fisher(manifest: RunManifest) -> Path:
     """Fisher criterion of network features per corruption kind x intensity."""
-    pipe = build_pipeline(manifest)
+    pipe = build_pipeline(manifest, parts=("corrupted",))
     sets = _test_sets(pipe)
 
     def run_rows(strategy, seed, net):

@@ -201,10 +201,6 @@ def fit_laplace_last_layer(
     return LaplacePosterior(w, V, U, float(sigma0), include_bias, exact_cov)
 
 
-def laplace_map_logits(post: LaplacePosterior, features) -> np.ndarray:
-    return _augment(features, post.include_bias) @ post.map_weights.T
-
-
 def laplace_logit_variance(
     post: LaplacePosterior, features, exact: bool = False
 ) -> np.ndarray:

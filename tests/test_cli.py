@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 
+from vrlkit import cli
 from vrlkit.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_SCHEMA,
     ManifestError,
+    build_pipeline,
     load_manifest,
     main,
     parse_config,
@@ -44,6 +47,27 @@ def manifest_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(MANIFEST)
     return path
+
+
+def write_cifar_manifest(tmp_path, extra=""):
+    """A manifest over 40 random CIFAR-format records (labels 0..2)."""
+    rng = np.random.default_rng(0)
+    records = []
+    for _ in range(40):
+        label = int(rng.integers(0, 3))
+        pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
+        records.append(bytes([label]) + pixels.tobytes())
+    data_path = tmp_path / "images.bin"
+    data_path.write_bytes(b"".join(records))
+    cfg = tmp_path / "img.cfg"
+    cfg.write_text(
+        f"data.kind = cifar\ndata.path = {data_path}\ndata.seed = 2\n"
+        "data.test_frac = 0.3\ndata.val_frac = 0.2\n"
+        "strategies = cutmix,reg_mixup_plus_regcutmix\nseeds = 0\n"
+        "train.hidden = 8\ntrain.epochs = 2\ntrain.batch_size = 16\n"
+        "train.lr = 0.05\ntrain.alpha = 1.0\ntrain.eta = 1.0\n" + extra
+    )
+    return cfg
 
 
 class TestParseConfig:
@@ -204,25 +228,7 @@ class TestDeterminism:
 
 class TestImagePipeline:
     def test_cifar_cutmix_end_to_end(self, tmp_path):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        records = []
-        for _ in range(40):
-            label = int(rng.integers(0, 3))
-            pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
-            records.append(bytes([label]) + pixels.tobytes())
-        data_path = tmp_path / "images.bin"
-        data_path.write_bytes(b"".join(records))
-        cfg = tmp_path / "img.cfg"
-        cfg.write_text(
-            f"data.kind = cifar\ndata.path = {data_path}\ndata.seed = 2\n"
-            "data.test_frac = 0.3\ndata.val_frac = 0.2\n"
-            "corruptions = gaussian_noise:3\n"
-            "strategies = cutmix,reg_mixup_plus_regcutmix\nseeds = 0\n"
-            "train.hidden = 8\ntrain.epochs = 2\ntrain.batch_size = 16\n"
-            "train.lr = 0.05\ntrain.alpha = 1.0\ntrain.eta = 1.0\n"
-        )
+        cfg = write_cifar_manifest(tmp_path, "corruptions = gaussian_noise:3\n")
         out = tmp_path / "runs"
         base = ["--config", str(cfg), "--out", str(out)]
         assert run_cli("train", *base) == EXIT_OK
@@ -239,6 +245,9 @@ class TestImagePipeline:
         base = ["--config", str(cfg), "--out", str(out)]
         assert run_cli("train", *base) == EXIT_OK
         assert run_cli("ood", *base) == EXIT_SCHEMA
+
+
+COMMANDS = ("train", "eval", "ood", "calibrate", "heatmap", "fisher")
 
 
 class TestBadManifestValues:
@@ -270,11 +279,110 @@ class TestBadManifestValues:
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert "gaussian_noise:x" in err
 
+    def test_inverted_corruption_range(self, tmp_path, capsys):
+        replace = ("gaussian_noise:1-2", "gaussian_noise:5-1")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert "gaussian_noise:5-1" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_ood_n(self, tmp_path, capsys, command, n):
+        err = self._run(tmp_path, capsys, ("ood.n = 60", f"ood.n = {n}"), [command])
+        assert "ood.n" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rotation_on_image_data(self, tmp_path, capsys, command):
+        cfg = write_cifar_manifest(tmp_path, "corruptions = rotation2d:1\n")
+        code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rotation2d" in err
+
+    # Checked by load_manifest: `vrl train` stops before any work.
     @pytest.mark.parametrize("pairs", ["0", "-5"])
     def test_nonpositive_heatmap_pairs(self, tmp_path, capsys, pairs):
         replace = ("heatmap.pairs = 40", f"heatmap.pairs = {pairs}")
-        err = self._run(tmp_path, capsys, replace, ["train", "heatmap"])
+        err = self._run(tmp_path, capsys, replace, ["train"])
         assert "heatmap.pairs" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_heatmap_source(self, tmp_path, capsys):
+        replace = ("heatmap.pairs = 40", "heatmap.pairs = 40\nheatmap.source = val")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert "heatmap.source" in err
+        assert not (tmp_path / "o").exists()
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+class TestPipelineParts:
+    """Each command builds only the optional sets it reads."""
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        [
+            ("train", []),
+            ("calibrate", []),
+            ("heatmap", []),
+            ("eval", ["corrupt", "corrupt"]),
+            ("fisher", ["corrupt", "corrupt"]),
+            ("ood", ["make_blob"]),
+        ],
+    )
+    def test_commands_generate_only_what_they_read(
+        self, manifest_file, tmp_path, monkeypatch, command, expected
+    ):
+        out = tmp_path / "o"
+        if command != "train":
+            assert run_cli("train", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
+        calls = []
+        for name in ("corrupt", "make_blob", "make_uniform_box"):
+            _spy(monkeypatch, name, calls)
+        assert run_cli(command, "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
+        assert calls == expected  # MANIFEST: gaussian_noise:1-2 and an ood blob
+
+    @pytest.mark.parametrize("image", [False, True], ids=["blobs", "cifar"])
+    @pytest.mark.parametrize("parts", [(), ("corrupted",), ("ood",), ("corrupted", "ood")])
+    def test_parts_equal_full_build_bitwise(self, manifest_file, tmp_path, image, parts):
+        if image:
+            path = write_cifar_manifest(
+                tmp_path, "corruptions = gaussian_noise:2,feature_shift:1-2\n"
+                "ood.kind = uniform_box\nood.n = 30\n"
+            )
+        else:
+            path = manifest_file
+        manifest = load_manifest(path, tmp_path / "o")
+        full = build_pipeline(manifest)
+        part = build_pipeline(manifest, parts=parts)
+        for name in ("train", "val", "test"):
+            a, b = getattr(full, name), getattr(part, name)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+        if "ood" in parts:
+            assert part.ood.name == full.ood.name
+            assert np.array_equal(part.ood.x, full.ood.x)
+        else:
+            assert part.ood is None
+        if "corrupted" in parts:
+            assert [s for s, _ in part.corrupted] == [s for s, _ in full.corrupted]
+            for (_, a), (_, b) in zip(part.corrupted, full.corrupted):
+                assert a.name == b.name and np.array_equal(a.x, b.x)
+            assert len(part.corrupted) == len(parse_corruptions(manifest.config["corruptions"]))
+        else:
+            assert part.corrupted == []
+
+    def test_unknown_part_rejected(self, manifest_file, tmp_path):
+        manifest = load_manifest(manifest_file, tmp_path / "o")
+        with pytest.raises(ValueError, match="unknown pipeline parts"):
+            build_pipeline(manifest, parts="ood")
 
 
 class TestConsoleScript:
