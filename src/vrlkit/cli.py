@@ -85,6 +85,15 @@ class IncompatibleError(Exception):
     """Checkpoint and dataset shapes do not line up."""
 
 
+# What `vrl` prints as one `error:` line, and the exit code it returns.
+_EXIT_CODES = (
+    (MissingInputError, EXIT_MISSING_INPUT),
+    (ManifestError, EXIT_SCHEMA),
+    (IncompatibleError, EXIT_INCOMPATIBLE),
+    (OSError, EXIT_ERROR),
+)
+
+
 def parse_config(text: str) -> dict:
     """Parse `key = value` lines; `#` starts a comment."""
     cfg = {}
@@ -181,19 +190,44 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     if seeds_override is not None:
         seeds = list(range(int(seeds_override)))
     else:
-        seeds = [int(s) for s in _get(cfg, "seeds", "0,1,2,3,4").split(",") if s.strip()]
+        seeds = _get_ints(cfg, "seeds", "0,1,2,3,4")
     strategies = [
         s.strip() for s in _get(cfg, "strategies", required=True).split(",") if s.strip()
     ]
     _heatmap_keys(cfg)
-    return RunManifest(cfg, out_dir, seeds, strategies)
+    _split_fracs(cfg)
+    manifest = RunManifest(cfg, out_dir, seeds, strategies)
+    for strategy in strategies:
+        train_config_for(manifest, strategy, seeds[0])
+    return manifest
+
+
+def _get_ints(cfg, key, default):
+    v = _get(cfg, key, default)
+    try:
+        return [int(p) for p in v.split(",") if p.strip()]
+    except ValueError:
+        raise ManifestError(f"key {key!r}: expected comma-separated integers, got {v!r}")
+
+
+def _split_fracs(cfg) -> tuple[float, float]:
+    """The checked (data.test_frac, data.val_frac), each in (0, 1)."""
+    fracs = (
+        _get_float(cfg, "data.test_frac", 0.25),
+        _get_float(cfg, "data.val_frac", 0.1),
+    )
+    for key, frac in zip(("data.test_frac", "data.val_frac"), fracs):
+        if not 0.0 < frac < 1.0:
+            raise ManifestError(f"{key} must be in (0, 1), got {frac}")
+    return fracs
 
 
 def _heatmap_keys(cfg) -> tuple[str, int]:
     """The checked (heatmap.source, heatmap.pairs).
 
-    load_manifest checks them too, so a bad value stops every command before
-    any work, not only `vrl heatmap` after training.
+    load_manifest checks them (and the split fractions and every strategy's
+    TrainConfig), so a bad value stops every command before any work, not
+    only the command that reads it.
     """
     source = _get(cfg, "heatmap.source", "train")
     if source not in ("train", "test"):
@@ -240,18 +274,21 @@ def _base_dataset(cfg) -> Dataset:
     kind = _get(cfg, "data.kind", required=True)
     seed = _get_int(cfg, "data.seed", 12345)
     rng = RngState(seed).split(100)
-    if kind == "moons":
-        return make_two_moons(
-            _get_int(cfg, "data.n", 1000), _get_float(cfg, "data.noise_sd", 0.1), rng
-        )
-    if kind == "blobs":
-        return make_gaussian_blobs(
-            _get_int(cfg, "data.n", 1000),
-            _get_int(cfg, "data.k", 3),
-            _get_float(cfg, "data.separation", 8.0),
-            rng,
-            noise_sd=_get_float(cfg, "data.noise_sd", 1.0),
-        )
+    try:
+        if kind == "moons":
+            return make_two_moons(
+                _get_int(cfg, "data.n", 1000), _get_float(cfg, "data.noise_sd", 0.1), rng
+            )
+        if kind == "blobs":
+            return make_gaussian_blobs(
+                _get_int(cfg, "data.n", 1000),
+                _get_int(cfg, "data.k", 3),
+                _get_float(cfg, "data.separation", 8.0),
+                rng,
+                noise_sd=_get_float(cfg, "data.noise_sd", 1.0),
+            )
+    except ValueError as err:
+        raise ManifestError(f"data.kind = {kind}: {err}")
     if kind == "csv":
         path = Path(_get(cfg, "data.path", required=True))
         if not path.exists():
@@ -362,8 +399,7 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
     ood_raw = _ood_dataset(cfg, base.d, generate="ood" in parts)
     seed = _get_int(cfg, "data.seed", 12345)
-    test_frac = _get_float(cfg, "data.test_frac", 0.25)
-    val_frac = _get_float(cfg, "data.val_frac", 0.1)
+    test_frac, val_frac = _split_fracs(cfg)
     pool, test_raw = split(
         base, 1.0 - test_frac, stratified=True, rng=RngState(seed).split(101)
     )
@@ -640,17 +676,13 @@ def main(argv=None) -> int:
         description="Train and evaluate ERM / Mixup-family classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "ood", "calibrate", "heatmap", "fisher"):
+    for name in ("train", "eval", "ood", "calibrate", "heatmap", "fisher", "compare"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
+        p.add_argument("--config", required=True, nargs="+" if name == "compare" else None)
         p.add_argument("--out", default=None)
         p.add_argument("--seeds", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-    p = sub.add_parser("compare")
-    p.add_argument("--config", required=True, nargs="+")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+        if name == "train":
+            p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         if args.command == "compare":
@@ -680,18 +712,9 @@ def main(argv=None) -> int:
         }[args.command]
         print(handler())
         return EXIT_OK
-    except MissingInputError as err:
+    except tuple(exc for exc, _ in _EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ManifestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except IncompatibleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for exc, code in _EXIT_CODES if isinstance(err, exc))
 
 
 if __name__ == "__main__":

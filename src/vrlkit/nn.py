@@ -63,25 +63,12 @@ class Network:
     def n_classes(self) -> int:
         return self.layers[-1].out_dim
 
-    @property
-    def feature_dim(self) -> int:
-        """Width of the penultimate activation (input when single-layer)."""
-        return self.layers[-1].in_dim
-
     def copy(self) -> "Network":
         other = Network.__new__(Network)
         other.layers = list(self.layers)
         other.weights = [w.copy() for w in self.weights]
         other.biases = [b.copy() for b in self.biases]
         return other
-
-    def parameters(self):
-        """Flat list of (array, kind, layer_index) over weights then bias per layer."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((w, "weight", i))
-            out.append((b, "bias", i))
-        return out
 
 
 def _init_weight(spec: LayerSpec, rng: RngState | None) -> np.ndarray:

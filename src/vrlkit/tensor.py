@@ -7,7 +7,6 @@ derives its own stream with ``split``.
 """
 
 import hashlib
-import math
 import struct
 
 import numpy as np
@@ -77,44 +76,10 @@ class RngState:
         return self._gen.permutation(int(n))
 
     def gamma(self, shape: float, size=None):
-        """Gamma(shape, 1) draws via Marsaglia-Tsang rejection.
+        """Gamma(shape, 1) draws from numpy's ``Generator.gamma``.
 
-        Valid for any shape > 0; shapes below 1 use the boosting identity
-        Gamma(a) = Gamma(a+1) * U^(1/a).  Returns a float when size is None,
-        else an array of length ``size``.
+        Returns a float when size is None, else an array of length ``size``.
         """
         if shape <= 0:
             raise ValueError(f"gamma shape must be > 0, got {shape}")
-        scalar = size is None
-        n = 1 if scalar else int(size)
-        if n == 0:
-            return np.empty(0)
-        boosted = shape < 1.0
-        a = shape + 1.0 if boosted else float(shape)
-        out = self._marsaglia_tsang(a, n)
-        if boosted:
-            u = 1.0 - self._gen.random(n)
-            out = out * u ** (1.0 / shape)
-        return float(out[0]) if scalar else out
-
-    def _marsaglia_tsang(self, a: float, n: int) -> np.ndarray:
-        # a >= 1. Acceptance rate is ~0.95+, so the refill loop is short.
-        d = a - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            k = n - filled
-            x = self._gen.standard_normal(k)
-            v = (1.0 + c * x) ** 3
-            u = 1.0 - self._gen.random(k)  # in (0, 1], log is finite
-            pos = v > 0
-            safe_v = np.where(pos, v, 1.0)
-            accept = pos & (
-                np.log(u) < 0.5 * x * x + d * (1.0 - safe_v + np.log(safe_v))
-            )
-            got = d * v[accept]
-            out[filled : filled + got.size] = got
-            filled += got.size
-        return out
-
+        return self._gen.gamma(shape, size=size)

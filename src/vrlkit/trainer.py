@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .datagen import Dataset, split
 from .tensor import RngState
-from .vicinal import BetaParams, cutmix_batch, mixup_batch, regmix_loss
+from .vicinal import LAMBDA_MODES, BetaParams, cutmix_batch, mixup_batch, regmix_loss
 
 STRATEGIES = (
     "erm",
@@ -74,6 +74,16 @@ class TrainConfig:
             raise ValueError(f"strategy {self.strategy} requires eta >= 0")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
+        if self.lambda_mode not in LAMBDA_MODES:
+            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
+        # nn's own layer and optimiser checks, made before any training; the
+        # leading width 1 checks the activation even with no hidden layer.
+        for width in (1, *self.hidden_dims):
+            nn.LayerSpec(1, width, self.activation)
+        nn.OptimState(
+            learning_rate=self.learning_rate, momentum=self.momentum,
+            weight_decay=self.weight_decay, schedule=self.schedule,
+        )
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -273,8 +283,7 @@ def accuracy(net: nn.Network, ds: Dataset) -> float:
 
 
 def cross_validate(
-    grid: list, train_ds: Dataset, metric: str = "accuracy",
-    split_seed: int | None = None,
+    grid: list, train_ds: Dataset, split_seed: int | None = None
 ) -> TrainConfig:
     """Pick the grid config with the best validation accuracy.
 
@@ -283,8 +292,6 @@ def cross_validate(
     """
     if not grid:
         raise ValueError("empty grid")
-    if metric != "accuracy":
-        raise ValueError("selection metric must be accuracy")
     if split_seed is None:
         split_seed = grid[0].seed
     tr, val = split(train_ds, 0.9, stratified=True, rng=RngState(split_seed).split(9))

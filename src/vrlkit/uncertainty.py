@@ -280,10 +280,3 @@ def meanfield_predictive(
     var = laplace_logit_variance(post, features, exact=exact)
     return nn.softmax(s / np.sqrt(1.0 + mf_lambda * var))
 
-
-def write_scores_csv(scores: UncertaintyScores, path):
-    """Export one measure's scores as sample_index,measure,value rows."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("sample_index,measure,value\n")
-        for i, v in enumerate(scores.values):
-            f.write(f"{i},{scores.measure},{repr(float(v))}\n")

@@ -13,6 +13,8 @@ import numpy as np
 from . import nn
 from .tensor import RngState, as_matrix
 
+LAMBDA_MODES = ("per_batch", "per_pair")
+
 
 @dataclass(frozen=True)
 class BetaParams:
@@ -68,7 +70,7 @@ def mixup_batch(
         raise ValueError("mixup needs a batch of at least 2")
     if y.shape[0] != n:
         raise ValueError("x and y_onehot row counts differ")
-    if lambda_mode not in ("per_batch", "per_pair"):
+    if lambda_mode not in LAMBDA_MODES:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
     pairing = sample_pairing(n, rng)
     if lam is not None:

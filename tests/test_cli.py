@@ -41,6 +41,13 @@ regmixup.eta = 1
 heatmap.pairs = 40
 """
 
+# The same experiment on 200 two-moons points.
+MOONS_MANIFEST = MANIFEST.replace(
+    "data.kind = blobs\ndata.n = 240\ndata.k = 3\ndata.separation = 8.0\n"
+    "data.noise_sd = 1.0\n",
+    "data.kind = moons\ndata.n = 200\ndata.noise_sd = 0.1\n",
+)
+
 
 @pytest.fixture()
 def manifest_file(tmp_path):
@@ -155,6 +162,11 @@ class TestPipeline:
         code = run_cli("eval", "--config", str(manifest_file), "--out", str(tmp_path / "o"))
         assert code == EXIT_MISSING_INPUT
 
+    def test_jobs_is_a_train_option_only(self, manifest_file):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--config", str(manifest_file), "--jobs", "2")
+        assert exc.value.code == 2  # argparse usage error
+
     def test_missing_config_exits_missing(self, tmp_path):
         code = run_cli("train", "--config", str(tmp_path / "absent.cfg"))
         assert code == EXIT_MISSING_INPUT
@@ -253,9 +265,9 @@ COMMANDS = ("train", "eval", "ood", "calibrate", "heatmap", "fisher")
 class TestBadManifestValues:
     """A malformed manifest value exits 3 with a one-line message, no traceback."""
 
-    def _run(self, tmp_path, capsys, replace, commands):
+    def _run(self, tmp_path, capsys, replace, commands, manifest=MANIFEST):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(MANIFEST.replace(*replace))
+        cfg.write_text(manifest.replace(*replace))
         base = ["--config", str(cfg), "--out", str(tmp_path / "o")]
         *before, last = commands
         for command in before:
@@ -311,6 +323,28 @@ class TestBadManifestValues:
         replace = ("heatmap.pairs = 40", "heatmap.pairs = 40\nheatmap.source = val")
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert "heatmap.source" in err
+        assert not (tmp_path / "o").exists()
+
+    # Checked before any work: `vrl train` makes no output directory.
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("data.test_frac", "1.5"),
+            ("data.val_frac", "0"),
+            ("data.n", "2"),
+            ("data.noise_sd", "-1"),
+            ("train.hidden", "0"),
+            ("train.hidden", "8,-3"),
+            ("train.activation", "gelu"),
+            ("train.lr", "0"),
+            ("train.epochs", "0"),
+            ("seeds", "a"),
+        ],
+    )
+    def test_bad_data_train_or_seeds_value(self, tmp_path, capsys, key, value):
+        old = next(line for line in MOONS_MANIFEST.splitlines() if line.startswith(key + " "))
+        replace = (old, f"{key} = {value}")
+        self._run(tmp_path, capsys, replace, ["train"], manifest=MOONS_MANIFEST)
         assert not (tmp_path / "o").exists()
 
 

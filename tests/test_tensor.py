@@ -52,7 +52,10 @@ class TestRngGamma:
     def test_positive_support(self):
         state = RngState(13)
         for shape in (0.2, 0.7, 1.0, 3.5):
-            assert state.gamma(shape, size=2000).min() > 0.0
+            draws = state.gamma(shape, size=2000)
+            assert draws.shape == (2000,)  # size is a count, never the scale
+            assert draws.min() > 0.0
+            assert state.gamma(shape, size=0).shape == (0,)
         assert RngState(14).gamma(1.5) > 0.0
 
     def test_domain_error(self):
@@ -68,4 +71,5 @@ class TestRngGamma:
     def test_scalar_matches_repeat_determinism(self):
         a = RngState(5).gamma(1.3)
         b = RngState(5).gamma(1.3)
+        assert type(a) is float
         assert a == b

@@ -60,6 +60,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(strategy="dropout")
 
+    def test_unknown_lambda_mode(self):
+        with pytest.raises(ValueError, match="lambda_mode"):
+            TrainConfig(strategy="mixup", alpha=1.0, lambda_mode="per_sample")
+
 
 class TestDegeneracies:
     def test_regmixup_eta_zero_equals_erm_bitwise(self):

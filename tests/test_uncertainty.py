@@ -22,7 +22,6 @@ from vrlkit.uncertainty import (
     mc_predictive,
     meanfield_predictive,
     mps_score,
-    write_scores_csv,
 )
 
 
@@ -100,14 +99,6 @@ class TestSimpleScores:
                         (entropy_score, probs), (mps_score, probs)):
             doubled = np.vstack([arg, arg[:1]])
             assert np.array_equal(fn(doubled).values[:5], fn(arg).values)
-
-    def test_csv_export(self, tmp_path):
-        scores = entropy_score(np.full((2, 2), 0.5))
-        path = tmp_path / "scores.csv"
-        write_scores_csv(scores, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample_index,measure,value"
-        assert lines[1].startswith("0,entropy,")
 
 
 class TestMahalanobis:
