@@ -242,38 +242,41 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
     """Resolve train.* defaults with per-strategy overrides (mixup.alpha etc.)."""
     cfg = manifest.config
 
-    def opt(name, default=None):
-        return _get(cfg, f"{strategy}.{name}", _get(cfg, f"train.{name}", default))
+    def key(name):
+        own = f"{strategy}.{name}"
+        return own if own in cfg else f"train.{name}"
 
-    hidden = opt("hidden", "32,32")
+    def maybe_float(name):  # alpha and eta: empty or "none" means unset
+        return None if cfg.get(key(name), "") in ("", "none") else _get_float(cfg, key(name))
+
     try:
         return TrainConfig(
             strategy=strategy,
-            hidden_dims=tuple(int(h) for h in str(hidden).split(",") if h.strip()),
-            activation=opt("activation", "relu"),
-            alpha=_maybe_float(opt("alpha")),
-            eta=_maybe_float(opt("eta")),
-            epochs=int(opt("epochs", 40)),
-            batch_size=int(opt("batch_size", 64)),
-            learning_rate=float(opt("lr", 0.1)),
-            momentum=float(opt("momentum", 0.9)),
-            weight_decay=float(opt("weight_decay", 5e-4)),
-            schedule=opt("schedule", "cosine"),
+            hidden_dims=tuple(_get_ints(cfg, key("hidden"), "32,32")),
+            activation=_get(cfg, key("activation"), "relu"),
+            alpha=maybe_float("alpha"),
+            eta=maybe_float("eta"),
+            epochs=_get_int(cfg, key("epochs"), 40),
+            batch_size=_get_int(cfg, key("batch_size"), 64),
+            learning_rate=_get_float(cfg, key("lr"), 0.1),
+            momentum=_get_float(cfg, key("momentum"), 0.9),
+            weight_decay=_get_float(cfg, key("weight_decay"), 5e-4),
+            schedule=_get(cfg, key("schedule"), "cosine"),
             seed=seed,
-            lambda_mode=opt("lambda_mode", "per_batch"),
+            lambda_mode=_get(cfg, key("lambda_mode"), "per_batch"),
         )
     except ValueError as err:
         raise ManifestError(str(err))
-
-
-def _maybe_float(v):
-    return None if v in (None, "", "none") else float(v)
 
 
 def _base_dataset(cfg) -> Dataset:
     kind = _get(cfg, "data.kind", required=True)
     seed = _get_int(cfg, "data.seed", 12345)
     rng = RngState(seed).split(100)
+    if kind in ("csv", "cifar"):
+        path = Path(_get(cfg, "data.path", required=True))
+        if not path.exists():
+            raise MissingInputError(f"dataset file not found: {path}")
     try:
         if kind == "moons":
             return make_two_moons(
@@ -287,20 +290,14 @@ def _base_dataset(cfg) -> Dataset:
                 rng,
                 noise_sd=_get_float(cfg, "data.noise_sd", 1.0),
             )
+        if kind == "csv":
+            return load_csv(path)
+        if kind == "cifar":
+            return load_cifar_binary(
+                path, max_per_class=_get_int(cfg, "data.max_per_class"), normalize=False
+            )
     except ValueError as err:
         raise ManifestError(f"data.kind = {kind}: {err}")
-    if kind == "csv":
-        path = Path(_get(cfg, "data.path", required=True))
-        if not path.exists():
-            raise MissingInputError(f"dataset file not found: {path}")
-        return load_csv(path)
-    if kind == "cifar":
-        path = Path(_get(cfg, "data.path", required=True))
-        if not path.exists():
-            raise MissingInputError(f"dataset file not found: {path}")
-        return load_cifar_binary(
-            path, max_per_class=_get_int(cfg, "data.max_per_class"), normalize=False
-        )
     raise ManifestError(f"unknown data.kind {kind!r}")
 
 
@@ -400,12 +397,15 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     ood_raw = _ood_dataset(cfg, base.d, generate="ood" in parts)
     seed = _get_int(cfg, "data.seed", 12345)
     test_frac, val_frac = _split_fracs(cfg)
-    pool, test_raw = split(
-        base, 1.0 - test_frac, stratified=True, rng=RngState(seed).split(101)
-    )
-    train_raw, val_raw = split(
-        pool, 1.0 - val_frac, stratified=True, rng=RngState(seed).split(102)
-    )
+    try:
+        pool, test_raw = split(
+            base, 1.0 - test_frac, stratified=True, rng=RngState(seed).split(101)
+        )
+        train_raw, val_raw = split(
+            pool, 1.0 - val_frac, stratified=True, rng=RngState(seed).split(102)
+        )
+    except ValueError as err:
+        raise ManifestError(f"cannot split the data: {err}")
     stats = fit_normalizer(train_raw)
     corrupted = []
     if "corrupted" in parts:
@@ -429,12 +429,6 @@ def _ckpt_path(run_dir: Path, strategy: str, seed: int) -> Path:
     return run_dir / "checkpoints" / f"{strategy}_seed{seed}.ckpt"
 
 
-def _train_job(payload):
-    strategy, seed, config, train_ds, val_ds = payload
-    net, record = train(config, train_ds, val_ds)
-    return strategy, seed, net, record
-
-
 def load_records(manifest: RunManifest) -> list:
     """All (strategy, seed, record) triples for the manifest, sorted."""
     run_dir = manifest.run_dir()
@@ -446,7 +440,11 @@ def load_records(manifest: RunManifest) -> list:
                 raise MissingInputError(
                     f"record not found (run `vrl train` first): {path}"
                 )
-            out.append((strategy, seed, ExperimentRecord.from_text(path.read_text())))
+            try:
+                record = ExperimentRecord.from_text(path.read_text())
+            except ValueError as err:
+                raise ManifestError(f"unreadable record {path}: {err}")
+            out.append((strategy, seed, record))
     return out
 
 
@@ -454,7 +452,10 @@ def _load_net(manifest: RunManifest, strategy: str, seed: int, expect_dim: int) 
     path = _ckpt_path(manifest.run_dir(), strategy, seed)
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
-    net = nn.load_checkpoint(path)
+    try:
+        net = nn.load_checkpoint(path)
+    except ValueError as err:
+        raise ManifestError(f"unreadable checkpoint {path}: {err}")
     if net.in_dim != expect_dim:
         raise IncompatibleError(
             f"checkpoint expects {net.in_dim} features, dataset has {expect_dim}"
@@ -487,17 +488,15 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.txt").write_text(manifest.canonical_text())
-    payloads = [
-        (s, seed, train_config_for(manifest, s, seed), pipe.train, pipe.val)
-        for s in sorted(manifest.strategies)
-        for seed in sorted(manifest.seeds)
-    ]
+    grid = [(s, seed) for s in sorted(manifest.strategies) for seed in sorted(manifest.seeds)]
+    configs = [train_config_for(manifest, s, seed) for s, seed in grid]
     if deterministic_mode() or jobs <= 1:
-        results = [_train_job(p) for p in payloads]
+        results = [train(c, pipe.train, pipe.val) for c in configs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_train_job, payloads))
-    for strategy, seed, net, record in sorted(results, key=lambda r: (r[0], r[1])):
+            n = len(configs)
+            results = list(pool.map(train, configs, [pipe.train] * n, [pipe.val] * n))
+    for (strategy, seed), (net, record) in zip(grid, results):
         ckpt = _ckpt_path(run_dir, strategy, seed)
         nn.save_checkpoint(net, ckpt)
         record.checkpoint = str(ckpt.relative_to(run_dir))
@@ -543,8 +542,8 @@ def cmd_eval(manifest: RunManifest) -> Path:
     return _write_per_run_csv(manifest, "eval.csv", pipe.test.d, run_rows)
 
 
-_LOGIT_MEASURES = (("ds", ds_score), ("energy", energy_score))
-_PROB_MEASURES = (("entropy", entropy_score), ("mps_uncertainty", mps_score))
+_LOGIT_MEASURES = (ds_score, energy_score)
+_PROB_MEASURES = (entropy_score, mps_score)
 
 
 def cmd_ood(manifest: RunManifest) -> Path:
@@ -557,20 +556,14 @@ def cmd_ood(manifest: RunManifest) -> Path:
         logits_in, feat_in, _ = nn.forward(net, pipe.test.x)
         logits_out, feat_out, _ = nn.forward(net, pipe.ood.x)
         probs_in, probs_out = nn.softmax(logits_in), nn.softmax(logits_out)
-        scored = []
-        for name, fn in _LOGIT_MEASURES:
-            scored.append((name, fn(logits_in), fn(logits_out)))
-        for name, fn in _PROB_MEASURES:
-            scored.append((name, fn(probs_in), fn(probs_out)))
+        scored = [(fn(logits_in), fn(logits_out)) for fn in _LOGIT_MEASURES]
+        scored += [(fn(probs_in), fn(probs_out)) for fn in _PROB_MEASURES]
         _, feat_tr, _ = nn.forward(net, pipe.train.x)
         gauss = fit_class_gaussians(feat_tr, pipe.train.labels)
-        scored.append(
-            ("mahalanobis", mahalanobis_score(gauss, feat_in),
-             mahalanobis_score(gauss, feat_out))
-        )
+        scored.append((mahalanobis_score(gauss, feat_in), mahalanobis_score(gauss, feat_out)))
         return [
-            (pipe.ood.name, "auroc", name, auroc(s_in, s_out))
-            for name, s_in, s_out in scored
+            (pipe.ood.name, "auroc", s_in.measure, auroc(s_in, s_out))
+            for s_in, s_out in scored
         ]
 
     return _write_per_run_csv(manifest, "ood.csv", pipe.test.d, run_rows)
@@ -639,7 +632,7 @@ def cmd_fisher(manifest: RunManifest) -> Path:
     return _write_per_run_csv(manifest, "fisher.csv", pipe.test.d, run_rows)
 
 
-def cmd_compare(manifests: list) -> list:
+def cmd_compare(manifests: list) -> Path:
     """Aggregate per-seed CSVs into (strategy, dataset, metric) mean +- sd rows."""
     rows = []
     for manifest in manifests:
@@ -667,7 +660,13 @@ def cmd_compare(manifests: list) -> list:
                 (manifest.content_hash(), strategy, dataset, metric, measure,
                  float(arr.mean()), float(arr.std()))
             )
-    return rows
+    combined = hashlib.sha256(
+        "".join(m.content_hash() for m in manifests).encode()
+    ).hexdigest()[:12]
+    path = manifests[0].out_dir / f"compare_{combined}.csv"
+    header = ["manifest", "strategy", "dataset", "metric", "measure", "mean", "stddev"]
+    write_csv(path, header, rows)
+    return path
 
 
 def main(argv=None) -> int:
@@ -686,20 +685,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "compare":
-            manifests = [
-                load_manifest(c, args.out, args.seeds) for c in args.config
-            ]
-            rows = cmd_compare(manifests)
-            combined = hashlib.sha256(
-                "".join(m.content_hash() for m in manifests).encode()
-            ).hexdigest()[:12]
-            path = manifests[0].out_dir / f"compare_{combined}.csv"
-            write_csv(
-                path,
-                ["manifest", "strategy", "dataset", "metric", "measure", "mean", "stddev"],
-                rows,
-            )
-            print(path)
+            print(cmd_compare([load_manifest(c, args.out, args.seeds) for c in args.config]))
             return EXIT_OK
         manifest = load_manifest(args.config, args.out, args.seeds)
         handler = {

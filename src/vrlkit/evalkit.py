@@ -270,14 +270,11 @@ def entropy_profile(
         entropies[:, li] = entropy_of(nn.softmax(act[-1]))
     h_max = math.log(ds.k)
     h_edges = np.linspace(0.0, h_max, h_bins + 1)
-    hist = np.empty((lambda_points, h_bins), dtype=np.int64)
-    for li in range(lambda_points):
-        cell = np.minimum(
-            np.searchsorted(h_edges, entropies[:, li], side="right") - 1,
-            h_bins - 1,
-        )
-        cell = np.maximum(cell, 0)
-        hist[li] = np.bincount(cell, minlength=h_bins)
+    cell = np.clip(np.searchsorted(h_edges, entropies, side="right") - 1, 0, h_bins - 1)
+    hist = np.bincount(
+        (cell + h_bins * np.arange(lambda_points)).ravel(),
+        minlength=lambda_points * h_bins,
+    ).reshape(lambda_points, h_bins)
     return EntropyProfile(grid, entropies, hist, h_edges)
 
 
@@ -301,6 +298,26 @@ def _svg_color(frac: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _svg(width, height, shapes, x_label, x_label_y, y_label, path) -> str:
+    """A standalone SVG: white ground, the shapes, and two axis labels."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *shapes,
+        f'<text x="{width // 2}" y="{x_label_y}" font-size="12" '
+        f'text-anchor="middle">{x_label}</text>',
+        f'<text x="12" y="{height // 2}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 12 {height // 2})">{y_label}</text>',
+        "</svg>",
+    ]
+    svg = "\n".join(parts) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="ascii") as f:
+            f.write(svg)
+    return svg
+
+
 def heatmap_svg(profile: EntropyProfile, path=None) -> str:
     """Render the (lambda, entropy) count histogram as a standalone SVG."""
     margin, cell_w, cell_h = 40, 18, 9
@@ -308,34 +325,16 @@ def heatmap_svg(profile: EntropyProfile, path=None) -> str:
     width = margin * 2 + n_lam * cell_w
     height = margin * 2 + n_h * cell_h
     peak = max(int(profile.histogram.max()), 1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+    cells = [
+        f'<rect x="{margin + li * cell_w}" y="{margin + (n_h - 1 - hi) * cell_h}" '
+        f'width="{cell_w}" height="{cell_h}" '
+        f'fill="{_svg_color(int(profile.histogram[li, hi]) / peak)}"/>'
+        for li in range(n_lam)
+        for hi in range(n_h)
     ]
-    for li in range(n_lam):
-        for hi in range(n_h):
-            count = int(profile.histogram[li, hi])
-            x = margin + li * cell_w
-            y = margin + (n_h - 1 - hi) * cell_h
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
-                f'fill="{_svg_color(count / peak)}"/>'
-            )
-    parts.append(
-        f'<text x="{width // 2}" y="{height - 8}" font-size="12" '
-        f'text-anchor="middle">interpolation factor</text>'
+    return _svg(
+        width, height, cells, "interpolation factor", height - 8, "predictive entropy", path
     )
-    parts.append(
-        f'<text x="12" y="{height // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 12 {height // 2})">predictive entropy</text>'
-    )
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(svg)
-    return svg
 
 
 def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None) -> str:
@@ -345,40 +344,21 @@ def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None)
     """
     if spec.mode != "equal_width":
         raise ValueError(f"reliability_svg draws equal_width bins, not {spec.mode!r}")
-    n_bins = spec.n_bins
     conf, correct = _confidence_correct(probs, labels, spec)
     count, _, correct_sum = _bin_sums(conf, correct, spec)
     size = 320
     margin = 40
     plot = size - 2 * margin
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+    shapes = [
         f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
-        f'y2="{margin}" stroke="#999" stroke-dasharray="4 3"/>',
+        f'y2="{margin}" stroke="#999" stroke-dasharray="4 3"/>'
     ]
-    bar_w = plot / n_bins
+    bar_w = plot / spec.n_bins
     for b in np.flatnonzero(count[0]):
-        acc = float(correct_sum[0, b] / count[0, b])
-        x = margin + b * bar_w
-        bar_h = acc * plot
-        parts.append(
-            f'<rect x="{x:.2f}" y="{size - margin - bar_h:.2f}" '
+        bar_h = float(correct_sum[0, b] / count[0, b]) * plot
+        shapes.append(
+            f'<rect x="{margin + b * bar_w:.2f}" y="{size - margin - bar_h:.2f}" '
             f'width="{bar_w:.2f}" height="{bar_h:.2f}" fill="#4477aa" '
             f'stroke="white"/>'
         )
-    parts.append(
-        f'<text x="{size // 2}" y="{size - 10}" font-size="12" '
-        f'text-anchor="middle">confidence</text>'
-    )
-    parts.append(
-        f'<text x="12" y="{size // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 12 {size // 2})">accuracy</text>'
-    )
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(svg)
-    return svg
+    return _svg(size, size, shapes, "confidence", size - 10, "accuracy", path)

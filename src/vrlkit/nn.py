@@ -281,24 +281,30 @@ def save_checkpoint(net: Network, path):
 
 
 def load_checkpoint(path) -> Network:
-    """Reconstruct a Network saved by save_checkpoint."""
+    """Reconstruct a Network saved by save_checkpoint; ValueError if malformed."""
     with open(path, "rb") as f:
         magic = f.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        header = json.loads(f.readline().decode("ascii"))
-        specs = [
-            LayerSpec(d["in"], d["out"], d["act"]) for d in header["layers"]
-        ]
+            raise ValueError("not a checkpoint file")
+        try:
+            header = json.loads(f.readline().decode("ascii"))
+            specs = [
+                LayerSpec(d["in"], d["out"], d["act"]) for d in header["layers"]
+            ]
+        except (ValueError, KeyError, TypeError) as err:
+            raise ValueError(f"bad checkpoint header: {err!r}") from None
         net = Network(specs, rng=None)
+
+        def block(*shape):
+            size = 8 * int(np.prod(shape))
+            raw = f.read(size)
+            if len(raw) != size:
+                raise ValueError("checkpoint is truncated")
+            return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
         for i, spec in enumerate(specs):
-            nw = spec.in_dim * spec.out_dim
-            w = np.frombuffer(f.read(8 * nw), dtype="<f8").reshape(
-                spec.in_dim, spec.out_dim
-            )
-            b = np.frombuffer(f.read(8 * spec.out_dim), dtype="<f8")
-            net.weights[i] = w.astype(np.float64)
-            net.biases[i] = b.astype(np.float64)
+            net.weights[i] = block(spec.in_dim, spec.out_dim)
+            net.biases[i] = block(spec.out_dim)
         if f.read(1):
             raise ValueError("trailing bytes in checkpoint")
     return net

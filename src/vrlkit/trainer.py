@@ -18,20 +18,19 @@ from .datagen import Dataset, split
 from .tensor import RngState
 from .vicinal import LAMBDA_MODES, BetaParams, cutmix_batch, mixup_batch, regmix_loss
 
-STRATEGIES = (
-    "erm",
-    "mixup",
-    "regmixup",
-    "cutmix",
-    "regcutmix",
-    "mixup_plus_cutmix",
-    "reg_mixup_plus_regcutmix",
-)
-
-_MIXING = {s for s in STRATEGIES if s != "erm"}
-_REGULARIZED = {"regmixup", "regcutmix", "reg_mixup_plus_regcutmix"}
-_NEEDS_IMAGES = {"cutmix", "regcutmix", "mixup_plus_cutmix", "reg_mixup_plus_regcutmix"}
-_ALTERNATING = {"mixup_plus_cutmix", "reg_mixup_plus_regcutmix"}
+# strategy -> (mixing ops, regularized).  With two ops a per-batch coin picks
+# one, mixup when coin < 0.5.  A regularized strategy keeps the clean CE term
+# and adds the mixed one weighted by eta (vicinal.regmix_loss).
+_RECIPES = {
+    "erm": ((), False),
+    "mixup": (("mixup",), False),
+    "regmixup": (("mixup",), True),
+    "cutmix": (("cutmix",), False),
+    "regcutmix": (("cutmix",), True),
+    "mixup_plus_cutmix": (("mixup", "cutmix"), False),
+    "reg_mixup_plus_regcutmix": (("mixup", "cutmix"), True),
+}
+STRATEGIES = tuple(_RECIPES)
 
 # RngState stream labels; keeping them distinct makes shuffling independent
 # of how many draws the mixing ops consume.
@@ -66,11 +65,12 @@ class TrainConfig:
     force_lambda: float | None = None  # test hook: pins the mixing factor
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in _RECIPES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy in _MIXING and (self.alpha is None or self.alpha <= 0):
+        ops, regularized = _RECIPES[self.strategy]
+        if ops and (self.alpha is None or self.alpha <= 0):
             raise ValueError(f"strategy {self.strategy} requires alpha > 0")
-        if self.strategy in _REGULARIZED and (self.eta is None or self.eta < 0):
+        if regularized and (self.eta is None or self.eta < 0):
             raise ValueError(f"strategy {self.strategy} requires eta >= 0")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
@@ -123,20 +123,20 @@ class ExperimentRecord:
         header, *lines = text.strip().split("\n")
         if header != "vrlkit-record v1":
             raise ValueError(f"unknown record version: {header!r}")
-        section = None
-        config, losses, metrics, meta = {}, {}, {}, {}
+        sections = {"config": {}, "epoch_losses": {}, "metrics": {}, "meta": {}}
+        target = None
         for line in lines:
             if line.startswith("["):
-                section = line.strip("[]")
+                target = sections.get(line.strip("[]"))
                 continue
+            if target is None:
+                raise ValueError(f"record line outside a known section: {line!r}")
             key, _, value = line.partition(" = ")
-            target = {
-                "config": config,
-                "epoch_losses": losses,
-                "metrics": metrics,
-                "meta": meta,
-            }[section]
             target[key] = value
+        config, losses, metrics, meta = sections.values()
+        missing = [key for key in ("seed", "wall_clock_s") if key not in meta]
+        if missing:
+            raise ValueError(f"record has no [meta] {', '.join(missing)}")
         return cls(
             config={k: _parse(v) for k, v in config.items()},
             epoch_losses=[float(losses[str(i)]) for i in range(len(losses))],
@@ -200,7 +200,7 @@ def train(
     """
     if train_ds.n < 2:
         raise ValueError("training needs at least 2 samples")
-    if config.strategy in _NEEDS_IMAGES and train_ds.image_shape is None:
+    if "cutmix" in _RECIPES[config.strategy][0] and train_ds.image_shape is None:
         raise ValueError(f"strategy {config.strategy} needs image-shaped data")
     if val_ds is not None and val_ds.d != train_ds.d:
         raise ValueError("train/val feature dimensions differ")
@@ -253,21 +253,18 @@ def train(
 
 def _strategy_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
     """Loss and gradient of one batch as a list of weighted CE terms."""
-    strategy = config.strategy
-    if strategy == "erm":
+    ops, regularized = _RECIPES[config.strategy]
+    if not ops:
         return nn.weighted_ce(net, [(xb, yb, 1)])
-    if strategy in _ALTERNATING:
-        use_mixup = coin_rng.uniform(1)[0] < 0.5
-    else:
-        use_mixup = strategy not in ("cutmix", "regcutmix")
+    op = ops[0] if len(ops) == 1 or coin_rng.uniform(1)[0] < 0.5 else ops[1]
     params = BetaParams(config.alpha)
-    if use_mixup:
+    if op == "mixup":
         mixed = mixup_batch(
             xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
         )
     else:
         mixed = cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
-    if strategy in _REGULARIZED:
+    if regularized:
         return regmix_loss(net, xb, yb, mixed, config.eta)
     return nn.weighted_ce(net, [(mixed.x_mixed, mixed.y_mixed, 1)])
 

@@ -204,26 +204,22 @@ def fit_laplace_last_layer(
 def laplace_logit_variance(
     post: LaplacePosterior, features, exact: bool = False
 ) -> np.ndarray:
-    """Per-sample, per-class logit variance under the posterior.
-
-    Factored form: (phi' V^-1 phi) * diag(U^-1).  With exact=True, reads the
-    diagonal of J Cov J' from the dense covariance instead.
-    """
+    """Per-sample, per-class logit variance: the diagonals of _logit_covariances."""
     phi = _augment(features, post.include_bias)
-    if exact:
-        if post.exact_cov is None:
-            raise ValueError("posterior was fit without exact covariance")
-        return _exact_logit_cov_diag(post, phi)
-    q = (phi * np.linalg.solve(post.V, phi.T).T).sum(axis=1)
-    u_inv_diag = np.diag(np.linalg.inv(post.U))
-    return np.outer(q, u_inv_diag)
+    return np.einsum("nkk->nk", _logit_covariances(post, phi, exact))
 
 
 def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
-    """(n, K, K) logit covariance per sample."""
+    """(n, K, K) logit covariance per sample.
+
+    Factored form: (phi' V^-1 phi) * sym(U^-1).  With exact=True, J Cov J'
+    from the dense covariance instead.
+    """
     n = phi.shape[0]
     k = post.n_classes
     if exact:
+        if post.exact_cov is None:
+            raise ValueError("posterior was fit without exact covariance")
         d = phi.shape[1]
         covs = np.empty((n, k, k))
         cov_blocks = post.exact_cov.reshape(k, d, k, d)
@@ -234,11 +230,6 @@ def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
     u_inv = np.linalg.inv(post.U)
     u_inv = 0.5 * (u_inv + u_inv.T)
     return q[:, None, None] * u_inv
-
-
-def _exact_logit_cov_diag(post, phi) -> np.ndarray:
-    covs = _logit_covariances(post, phi, exact=True)
-    return np.einsum("nkk->nk", covs)
 
 
 def mc_predictive(
@@ -253,8 +244,6 @@ def mc_predictive(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if exact and post.exact_cov is None:
-        raise ValueError("posterior was fit without exact covariance")
     phi = _augment(features, post.include_bias)
     s = phi @ post.map_weights.T
     covs = _logit_covariances(post, phi, exact)

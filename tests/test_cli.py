@@ -347,6 +347,87 @@ class TestBadManifestValues:
         self._run(tmp_path, capsys, replace, ["train"], manifest=MOONS_MANIFEST)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("train.epochs", "x"),
+            ("train.hidden", "a"),
+            ("train.lr", "fast"),
+            ("regmixup.alpha", "big"),
+            ("regmixup.eta", "y"),
+        ],
+    )
+    def test_bad_train_or_strategy_value_names_its_key(self, tmp_path, capsys, key, value):
+        old = next(line for line in MANIFEST.splitlines() if line.startswith(key + " "))
+        err = self._run(tmp_path, capsys, (old, f"{key} = {value}"), ["train"])
+        assert key in err and value in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["singleton_class", "cifar_size", "csv_cell"])
+    def test_unreadable_or_unsplittable_data(self, tmp_path, capsys, case):
+        cfg = write_cifar_manifest(tmp_path)
+        data = tmp_path / "images.bin"
+        if case == "singleton_class":
+            labels = [0] * 6 + [1] + [2] * 5
+            data.write_bytes(b"".join(bytes([lab]) + bytes(3072) for lab in labels))
+            expected = "class 1 has 1 sample"
+        elif case == "cifar_size":
+            data.write_bytes(data.read_bytes()[:-1])
+            expected = "multiple of 3073"
+        else:
+            data = tmp_path / "points.csv"
+            data.write_text("0.5,0.25,0\n0.5,abc,1\n")
+            cfg.write_text(MOONS_MANIFEST.replace(
+                "data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n"
+            ))
+            expected = "abc"
+        code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+        assert not (tmp_path / "o").exists()
+
+
+def _corrupt_artifact(run_dir, case):
+    """Damage one artifact of a trained run; return the damaged file."""
+    from vrlkit.nn import _CHECKPOINT_MAGIC
+
+    ckpt = run_dir / "checkpoints" / "erm_seed1.ckpt"
+    record = run_dir / "records" / "regmixup_seed0.record"
+    if case == "truncated_record":
+        text = record.read_text()
+        record.write_text(text[: text.index("seed = ")])
+        return record
+    if case == "garbage_record":
+        record.write_text("vrlkit-record v1\nstray line\n[meta]\nseed = 0\n")
+        return record
+    raw = ckpt.read_bytes()
+    if case == "truncated_checkpoint":
+        ckpt.write_bytes(raw[:-5])
+    elif case == "checkpoint_header":
+        ckpt.write_bytes(_CHECKPOINT_MAGIC + b"{not json\n" + raw.split(b"\n", 1)[1])
+    else:
+        ckpt.write_bytes(b"X" * len(_CHECKPOINT_MAGIC) + raw[len(_CHECKPOINT_MAGIC):])
+    return ckpt
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["truncated_checkpoint", "checkpoint_header", "checkpoint_magic",
+     "truncated_record", "garbage_record"],
+)
+def test_corrupt_artifact_exits_schema(manifest_file, tmp_path, capsys, case):
+    out = tmp_path / "runs"
+    base = ["--config", str(manifest_file), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    damaged = _corrupt_artifact(next(out.iterdir()), case)
+    capsys.readouterr()
+    assert run_cli("eval", *base) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(damaged) in err
+
 
 def _spy(monkeypatch, name, calls):
     real = getattr(cli, name)

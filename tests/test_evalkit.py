@@ -624,3 +624,92 @@ class TestSvgEmission:
         with pytest.raises(ValueError):
             reliability_svg(probs, labels, BinningSpec("equal_mass", 10), tmp_path / "r.svg")
         assert not (tmp_path / "r.svg").exists()
+
+
+def histogram_loop(entropies, h_edges):
+    """The per-lambda binning loop that the one-pass histogram replaced."""
+    h_bins = h_edges.size - 1
+    hist = np.empty((entropies.shape[1], h_bins), dtype=np.int64)
+    for li in range(entropies.shape[1]):
+        cell = np.minimum(
+            np.searchsorted(h_edges, entropies[:, li], side="right") - 1, h_bins - 1
+        )
+        hist[li] = np.bincount(np.maximum(cell, 0), minlength=h_bins)
+    return hist
+
+
+class TestEntropyHistogram:
+    @pytest.mark.parametrize("name", sorted(PROFILE_NETS))
+    def test_equals_per_lambda_loop(self, name):
+        net, ds = random_profile_case(name)
+        profile = entropy_profile(net, ds, n_pairs=300, rng=RngState(12).split(0), h_bins=17)
+        assert profile.histogram.dtype == np.int64
+        want = histogram_loop(profile.entropies, profile.h_edges)
+        assert np.array_equal(profile.histogram, want)
+
+    def test_bin_edges_zero_and_max_entropy(self, monkeypatch):
+        # entropies exactly on every bin edge, at 0 and at ln k, plus a
+        # slightly negative value, fed through the real entropy_profile
+        import math
+
+        from vrlkit import evalkit
+
+        k, h_bins, points = 3, 6, 5
+        edges = np.linspace(0.0, math.log(k), h_bins + 1)
+        values = np.concatenate([edges, [-1e-18, math.log(k), 0.0, edges[3]]])
+        n_pairs = values.size
+        net, ds = random_profile_case("relu")
+        assert ds.k == k
+        table = np.stack([np.roll(values, li) for li in range(points)], axis=1)
+        calls = iter(range(points))
+        monkeypatch.setattr(evalkit, "entropy_of", lambda probs: table[:, next(calls)])
+        profile = entropy_profile(
+            net, ds, n_pairs=n_pairs, rng=RngState(3).split(0),
+            lambda_points=points, h_bins=h_bins,
+        )
+        assert np.array_equal(profile.entropies, table)
+        want = histogram_loop(table, profile.h_edges)
+        assert np.array_equal(profile.histogram, want)
+        assert want[:, 0].min() >= 3 and want[:, -1].min() >= 3  # both ends clipped in
+        assert (profile.histogram.sum(axis=1) == n_pairs).all()
+
+
+# sha256 of the SVG documents as rendered before heatmap_svg and
+# reliability_svg shared one envelope helper.
+SVG_DIGESTS = {
+    "heatmap": "4f505fab8e6bfb99d15529cd12e0e09eaed56d2ff7aceb5ddec374805c24e8c0",
+    "heatmap_empty": "d136cfb090ce6d6017e97dfcfaa13dab4e33b0f22ae3aaced1571d38583ba470",
+    "reliability_10": "b85d38a186931a07ebc6c0e1f5d8904441073ef3a7925b6a7b38dee7d58ed388",
+    "reliability_15": "df4aa7f21c33dad85e63b78bdd595f421689b97cbdd04fea3e5d967a8134c4ca",
+}
+
+
+class TestSvgBytesPinned:
+    @staticmethod
+    def _digest(svg):
+        import hashlib
+
+        return hashlib.sha256(svg.encode()).hexdigest()
+
+    def test_heatmap(self, tmp_path):
+        from vrlkit.evalkit import EntropyProfile
+
+        hist = ((np.arange(20 * 30).reshape(20, 30) * 7919) % 53).astype(np.int64)
+        prof = EntropyProfile(np.linspace(0, 1, 20), np.zeros((1, 20)), hist,
+                              np.linspace(0, 1, 31))
+        svg = heatmap_svg(prof, tmp_path / "h.svg")
+        assert self._digest(svg) == SVG_DIGESTS["heatmap"]
+        assert (tmp_path / "h.svg").read_text() == svg
+        empty = EntropyProfile(np.linspace(0, 1, 5), np.zeros((1, 5)),
+                               np.zeros((5, 4), dtype=np.int64), np.linspace(0, 1, 5))
+        assert self._digest(heatmap_svg(empty)) == SVG_DIGESTS["heatmap_empty"]
+
+    @pytest.mark.parametrize("n_bins", [10, 15])
+    def test_reliability(self, tmp_path, n_bins):
+        rng = np.random.default_rng(11)
+        probs = softmax(3.0 * rng.normal(size=(200, 3)))
+        labels = rng.integers(0, 3, size=200)
+        svg = reliability_svg(probs, labels, BinningSpec("equal_width", n_bins),
+                              tmp_path / "r.svg")
+        assert self._digest(svg) == SVG_DIGESTS[f"reliability_{n_bins}"]
+        assert (tmp_path / "r.svg").read_text() == svg

@@ -297,3 +297,28 @@ class TestLaplace:
         net, tr, _ = trained_blob_fixture()
         with pytest.raises(ValueError):
             fit_laplace_last_layer(net, tr, sigma0=0.0)
+
+    def test_factored_variance_equals_outer_oracle_bitwise(self):
+        net, tr, te = trained_blob_fixture(k=3)
+        post = fit_laplace_last_layer(net, tr, sigma0=1.0)
+        _, feats, _ = forward(net, te.x)
+        phi = np.hstack([feats, np.ones((feats.shape[0], 1))])
+        q = (phi * np.linalg.solve(post.V, phi.T).T).sum(axis=1)
+        want = np.outer(q, np.diag(np.linalg.inv(post.U)))
+        assert laplace_logit_variance(post, feats).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda post, f: laplace_logit_variance(post, f, exact=True),
+            lambda post, f: mc_predictive(post, f, m=3, rng=RngState(1).split(0), exact=True),
+            lambda post, f: meanfield_predictive(post, f, 1.0, exact=True),
+        ],
+        ids=["laplace_logit_variance", "mc_predictive", "meanfield_predictive"],
+    )
+    def test_exact_without_exact_cov_rejected(self, call):
+        net, tr, te = trained_blob_fixture()
+        post = fit_laplace_last_layer(net, tr, sigma0=1.0)
+        _, feats, _ = forward(net, te.x[:4])
+        with pytest.raises(ValueError, match="without exact covariance"):
+            call(post, feats)
