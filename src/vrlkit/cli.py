@@ -48,7 +48,7 @@ from .evalkit import (
     heatmap_svg,
     reliability_svg,
 )
-from .tensor import RngState
+from .tensor import RngState, atomic_open
 from .trainer import (
     STRATEGIES,
     ExperimentRecord,
@@ -466,7 +466,7 @@ def _load_net(manifest: RunManifest, strategy: str, seed: int, expect_dim: int) 
 def write_csv(path: Path, header: list, rows: list):
     """RFC-4180-style CSV with a mandatory header; rows sorted upstream."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="") as f:
+    with atomic_open(path, "w", encoding="ascii", newline="") as f:
         f.write(",".join(header) + "\r\n")
         for row in rows:
             f.write(",".join(_csv_cell(v) for v in row) + "\r\n")
@@ -487,7 +487,8 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     run_dir = manifest.run_dir()
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    (run_dir / "manifest.txt").write_text(manifest.canonical_text())
+    with atomic_open(run_dir / "manifest.txt") as f:
+        f.write(manifest.canonical_text())
     grid = [(s, seed) for s in sorted(manifest.strategies) for seed in sorted(manifest.seeds)]
     configs = [train_config_for(manifest, s, seed) for s, seed in grid]
     if deterministic_mode() or jobs <= 1:
@@ -500,7 +501,8 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
         ckpt = _ckpt_path(run_dir, strategy, seed)
         nn.save_checkpoint(net, ckpt)
         record.checkpoint = str(ckpt.relative_to(run_dir))
-        _record_path(run_dir, strategy, seed).write_text(record.to_text())
+        with atomic_open(_record_path(run_dir, strategy, seed)) as f:
+            f.write(record.to_text())
     return run_dir
 
 
@@ -518,8 +520,40 @@ def _write_per_run_csv(
         rows += [(strategy, seed, *row) for row in run_rows(strategy, seed, net)]
     rows.sort(key=lambda r: r[:5])
     path = manifest.run_dir() / name
-    write_csv(path, ["strategy", "seed", "dataset", "metric", "measure", "value"], rows)
+    write_csv(path, list(_METRIC_HEADER), rows)
     return path
+
+
+_METRIC_HEADER = ("strategy", "seed", "dataset", "metric", "measure", "value")
+
+
+def _read_metric_csv(path: Path):
+    """Yield (strategy, dataset, metric, measure, value) rows of a metric CSV.
+
+    Text that is not ASCII, a missing or wrong header, a row with the wrong
+    cell count or a value that is not a number raises ManifestError naming
+    the file.
+    """
+    try:
+        reader = csv.reader(io.StringIO(path.read_text(encoding="ascii")))
+    except UnicodeDecodeError:
+        raise ManifestError(f"{path}: not an ASCII metric CSV") from None
+    if tuple(next(reader, ())) != _METRIC_HEADER:
+        raise ManifestError(f"{path}: header is not {','.join(_METRIC_HEADER)}")
+    for row in reader:
+        if len(row) != len(_METRIC_HEADER):
+            raise ManifestError(
+                f"{path}: line {reader.line_num} has {len(row)} cells, "
+                f"expected {len(_METRIC_HEADER)}"
+            )
+        strategy, _, dataset, metric, measure, value = row
+        try:
+            value = float(value)
+        except ValueError:
+            raise ManifestError(
+                f"{path}: line {reader.line_num} value {value!r} is not a number"
+            ) from None
+        yield strategy, dataset, metric, measure, value
 
 
 def _test_sets(pipe: Pipeline) -> list:
@@ -644,12 +678,8 @@ def cmd_compare(manifests: list) -> Path:
             if not path.exists():
                 continue
             found = True
-            reader = csv.reader(io.StringIO(path.read_text()))
-            next(reader)  # header
-            for strategy, seed, dataset, metric, measure, value in reader:
-                groups.setdefault((strategy, dataset, metric, measure), []).append(
-                    float(value)
-                )
+            for *key, value in _read_metric_csv(path):
+                groups.setdefault(tuple(key), []).append(value)
         if not found:
             raise MissingInputError(
                 f"no metric CSVs under {run_dir}; run eval/ood/calibrate first"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import RngState, as_matrix
+from .tensor import RngState, as_matrix, atomic_open
 
 
 @dataclass
@@ -274,7 +274,7 @@ def split(
 
 def save_csv(ds: Dataset, path):
     """Header-free rows f1,...,fd,label with round-trip float formatting."""
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_open(path, "w", encoding="ascii") as f:
         for row, label in zip(ds.x, ds.labels):
             f.write(",".join(repr(float(v)) for v in row))
             f.write(f",{int(label)}\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .datagen import Dataset
-from .tensor import RngState, as_matrix
+from .tensor import RngState, as_matrix, atomic_open
 from .uncertainty import UncertaintyScores, entropy_of
 
 
@@ -313,7 +313,7 @@ def _svg(width, height, shapes, x_label, x_label_y, y_label, path) -> str:
     ]
     svg = "\n".join(parts) + "\n"
     if path is not None:
-        with open(path, "w", encoding="ascii") as f:
+        with atomic_open(path, "w", encoding="ascii") as f:
             f.write(svg)
     return svg
 

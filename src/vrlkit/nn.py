@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import RngState, ShapeError, as_matrix
+from .tensor import RngState, ShapeError, as_matrix, atomic_open
 
 EPS_LOG = 1e-12  # floor inside log(); prevents -inf loss from saturated softmax
 
@@ -271,7 +271,7 @@ def save_checkpoint(net: Network, path):
             for s in net.layers
         ]
     }
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("ascii"))
         f.write(b"\n")

@@ -1,12 +1,15 @@
-"""Dense float64 matrix helpers and a splittable, counter-based RNG.
+"""Dense float64 matrix helpers, a splittable counter-based RNG, atomic writes.
 
 Everything downstream works on plain 2-D numpy arrays (row-major, float64).
 Randomness always flows through an explicit RngState so that a run is fully
 reproducible from its seed, independent of iteration order: each consumer
-derives its own stream with ``split``.
+derives its own stream with ``split``.  Every artifact is written through
+``atomic_open``, so a failed write never leaves a half-written file.
 """
 
+import contextlib
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -22,6 +25,25 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got ndim={m.ndim}")
     return m
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """open() a temp file beside path; replace path with it only on success.
+
+    If the body raises, the temp file is removed and path keeps its old bytes.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _derive_key(seed: int, path: tuple) -> int:

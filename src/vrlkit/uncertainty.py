@@ -21,6 +21,10 @@ from .tensor import RngState, as_matrix
 
 MEASURES = ("entropy", "ds", "energy", "mps_uncertainty", "mahalanobis")
 
+# Logit draws per mc_predictive chunk: one draw of all n rows at once was
+# slower than the per-row loop, its temporaries being megabytes in size.
+_MC_CHUNK_FLOATS = 64 * 1024
+
 
 @dataclass
 class UncertaintyScores:
@@ -192,10 +196,16 @@ def fit_laplace_last_layer(
         w = np.hstack([w, net.biases[-1][:, None]])
     exact_cov = None
     if exact:
-        ggn = np.zeros((k * d, k * d))
-        for i in range(n):
-            lam = np.diag(probs[i]) - np.outer(probs[i], probs[i])
-            ggn += np.kron(lam, np.outer(phi[i], phi[i]))
+        # sum_n kron(Lambda_n, phi_n phi_n') with Lambda_n = diag(p_n) - p_n p_n':
+        # block (a, b) is phi' (Lambda[:, a, b] * phi); the a > b blocks are
+        # mirrored so the GGN is exactly symmetric
+        lam = probs[:, :, None] * (np.eye(k) - probs[:, None, :])
+        ggn = np.empty((k * d, k * d))
+        for a in range(k):
+            for b in range(a, k):
+                block = phi.T @ (lam[:, a, b, None] * phi)
+                ggn[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+                ggn[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
         ggn += (1.0 / sigma0**2) * np.eye(k * d)
         exact_cov = np.linalg.inv(ggn)
     return LaplacePosterior(w, V, U, float(sigma0), include_bias, exact_cov)
@@ -221,11 +231,10 @@ def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
         if post.exact_cov is None:
             raise ValueError("posterior was fit without exact covariance")
         d = phi.shape[1]
-        covs = np.empty((n, k, k))
-        cov_blocks = post.exact_cov.reshape(k, d, k, d)
-        for i in range(n):
-            covs[i] = np.einsum("a,xayb,b->xy", phi[i], cov_blocks, phi[i])
-        return covs
+        # Cov[x, a, y, b] -> (a, x*y*b), contract a with phi, then b per row
+        blocks = post.exact_cov.reshape(k, d, k, d).transpose(1, 0, 2, 3).reshape(d, k * k * d)
+        half = (phi @ blocks).reshape(n, k * k, d)
+        return (half @ phi[:, :, None]).reshape(n, k, k)
     q = (phi * np.linalg.solve(post.V, phi.T).T).sum(axis=1)
     u_inv = np.linalg.inv(post.U)
     u_inv = 0.5 * (u_inv + u_inv.T)
@@ -240,21 +249,26 @@ def mc_predictive(
 
     Logits are drawn from N(s, Sigma(x)); the sampling factor comes from an
     eigendecomposition with eigenvalues clipped at zero, so a vanishing
-    covariance reproduces softmax(s) exactly.
+    covariance reproduces softmax(s) exactly.  Rows are sampled in chunks of
+    about _MC_CHUNK_FLOATS draws; the draws, products and sums run in the
+    same order as one (m, K) draw per row would.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if rng is None:
+        raise ValueError("mc_predictive needs an RngState to draw logit samples")
     phi = _augment(features, post.include_bias)
     s = phi @ post.map_weights.T
-    covs = _logit_covariances(post, phi, exact)
+    w, vecs = np.linalg.eigh(_logit_covariances(post, phi, exact))
+    factor_t = (vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]).transpose(0, 2, 1)
     n, k = s.shape
-    out = np.zeros((n, k))
-    for i in range(n):
-        w, vecs = np.linalg.eigh(covs[i])
-        factor = vecs * np.sqrt(np.clip(w, 0.0, None))
-        z = rng.normal((m, k)) if rng is not None else np.zeros((m, k))
-        samples = s[i] + z @ factor.T
-        out[i] = nn.softmax(samples).mean(axis=0)
+    out = np.empty((n, k))
+    rows = max(1, _MC_CHUNK_FLOATS // (m * k))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        z = rng.normal((hi - lo, m, k))
+        samples = s[lo:hi, None, :] + z @ factor_t[lo:hi]
+        out[lo:hi] = nn.softmax(samples.reshape(-1, k)).reshape(hi - lo, m, k).mean(axis=1)
     return out
 
 

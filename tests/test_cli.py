@@ -429,6 +429,38 @@ def test_corrupt_artifact_exits_schema(manifest_file, tmp_path, capsys, case):
     assert str(damaged) in err
 
 
+
+@pytest.mark.parametrize(
+    "case,expected",
+    [
+        ("short_row", "has 5 cells"),
+        ("non_numeric", "is not a number"),
+        ("empty", "header is not"),
+        ("non_ascii", "not an ASCII"),
+    ],
+)
+def test_damaged_metric_csv_exits_schema(manifest_file, tmp_path, capsys, case, expected):
+    out = tmp_path / "runs"
+    base = ["--config", str(manifest_file), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    assert run_cli("eval", *base) == EXIT_OK
+    damaged = next(out.iterdir()) / "eval.csv"
+    text = damaged.read_text()
+    if case == "short_row":
+        damaged.write_text(text + "erm,0,test,accuracy,-\r\n")
+    elif case == "non_numeric":
+        damaged.write_text(text.replace(text.splitlines()[1].rsplit(",", 1)[1], "abc", 1))
+    elif case == "empty":
+        damaged.write_text("")
+    else:
+        damaged.write_bytes(text.encode("ascii") + b"erm,0,test,\xff,-,1.0\r\n")
+    capsys.readouterr()
+    assert run_cli("compare", *base) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(damaged) in err and expected in err
+    assert not list(out.glob("compare_*.csv"))
+
 def _spy(monkeypatch, name, calls):
     real = getattr(cli, name)
 

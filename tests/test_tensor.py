@@ -73,3 +73,71 @@ class TestRngGamma:
         b = RngState(5).gamma(1.3)
         assert type(a) is float
         assert a == b
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell fails")
+
+
+def _fail_write_csv(path):
+    from vrlkit.cli import write_csv
+
+    write_csv(path, ["a", "b"], [("x", 1), ("y", _Unprintable())])
+
+
+def _fail_save_checkpoint(path):
+    from vrlkit.nn import LayerSpec, Network, save_checkpoint
+
+    net = Network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "identity")], RngState(0))
+    net.weights[1] = [["not a float"]]
+    save_checkpoint(net, path)
+
+
+def _fail_save_csv(path):
+    from vrlkit.datagen import Dataset, save_csv
+
+    ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), k=1, name="d")
+    ds.x = np.array([[1.0, 2.0], ["x", 3.0]], dtype=object)
+    save_csv(ds, path)
+
+
+def _fail_svg(path):
+    from vrlkit.evalkit import _svg
+
+    _svg(10, 10, ["<g/>", "<text>é</text>"], "x", 5, "y", path)
+
+
+def _fail_body(path):
+    from vrlkit.tensor import atomic_open
+
+    with atomic_open(path, "wb") as f:
+        f.write(b"partial")
+        raise RuntimeError("body fails")
+
+
+class TestAtomicWrite:
+    """A write that fails partway leaves the old file and no temp file."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [_fail_body, _fail_write_csv, _fail_save_checkpoint, _fail_save_csv, _fail_svg],
+        ids=["atomic_open", "write_csv", "save_checkpoint", "save_csv", "svg"],
+    )
+    def test_failed_write_keeps_old_bytes(self, tmp_path, write):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises((RuntimeError, ValueError)):
+            write(target)
+        assert target.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_success_replaces_and_leaves_one_file(self, tmp_path):
+        from vrlkit.tensor import atomic_open
+
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old")
+        with atomic_open(target, "w", encoding="ascii") as f:
+            f.write("new\n")
+        assert target.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

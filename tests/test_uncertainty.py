@@ -9,6 +9,7 @@ from vrlkit.evalkit import auroc
 from vrlkit.nn import forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.trainer import TrainConfig, train
+from vrlkit import uncertainty
 from vrlkit.uncertainty import (
     LaplacePosterior,
     ds_score,
@@ -307,6 +308,13 @@ class TestLaplace:
         want = np.outer(q, np.diag(np.linalg.inv(post.U)))
         assert laplace_logit_variance(post, feats).tobytes() == want.tobytes()
 
+    def test_mc_without_rng_rejected(self):
+        net, tr, te = trained_blob_fixture()
+        post = fit_laplace_last_layer(net, tr, sigma0=1.0)
+        _, feats, _ = forward(net, te.x[:4])
+        with pytest.raises(ValueError, match="RngState"):
+            mc_predictive(post, feats, m=3)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -322,3 +330,82 @@ class TestLaplace:
         _, feats, _ = forward(net, te.x[:4])
         with pytest.raises(ValueError, match="without exact covariance"):
             call(post, feats)
+
+
+def _kron_ggn_oracle(net, ds, sigma0):
+    """Dense GGN + prior as a sum of one np.kron per training sample."""
+    logits, feats, _ = forward(net, ds.x)
+    probs = softmax(logits)
+    phi = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    n, d = phi.shape
+    k = probs.shape[1]
+    ggn = np.zeros((k * d, k * d))
+    for i in range(n):
+        lam = np.diag(probs[i]) - np.outer(probs[i], probs[i])
+        ggn += np.kron(lam, np.outer(phi[i], phi[i]))
+    return ggn + (1.0 / sigma0**2) * np.eye(k * d)
+
+
+def _einsum_cov_oracle(post, phi):
+    """Exact logit covariances with one einsum per sample."""
+    n, d = phi.shape
+    k = post.n_classes
+    blocks = post.exact_cov.reshape(k, d, k, d)
+    return np.stack([np.einsum("a,xayb,b->xy", phi[i], blocks, phi[i]) for i in range(n)])
+
+
+def _mc_loop_oracle(s, covs, m, rng):
+    """One eigh, one (m, K) draw and one softmax per sample."""
+    n, k = s.shape
+    out = np.zeros((n, k))
+    for i in range(n):
+        w, vecs = np.linalg.eigh(covs[i])
+        factor = vecs * np.sqrt(np.clip(w, 0.0, None))
+        z = rng.normal((m, k))
+        out[i] = softmax(s[i] + z @ factor.T).mean(axis=0)
+    return out
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4], ids=["k2", "k3", "k4"])
+def exact_posterior(request):
+    net, tr, te = trained_blob_fixture(k=request.param)
+    return net, tr, te, fit_laplace_last_layer(net, tr, sigma0=1.0, exact=True)
+
+
+class TestExactLaplaceOracles:
+    """The batched exact path against the per-sample loops it replaced."""
+
+    def test_exact_cov_equals_kron_oracle(self, exact_posterior):
+        net, tr, _, post = exact_posterior
+        ggn = _kron_ggn_oracle(net, tr, sigma0=1.0)
+        assert _rel_err(post.exact_cov, np.linalg.inv(ggn)) < 1e-12
+
+    def test_logit_covariances_equal_einsum_oracle(self, exact_posterior):
+        net, _, te, post = exact_posterior
+        _, feats, _ = forward(net, te.x)
+        phi = np.hstack([feats, np.ones((feats.shape[0], 1))])
+        got = uncertainty._logit_covariances(post, phi, exact=True)
+        assert _rel_err(got, _einsum_cov_oracle(post, phi)) < 1e-12
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["factored", "exact"])
+    @pytest.mark.parametrize(
+        "case,n,m", [("one_row", 1, 50), ("ragged", 47, 1000), ("row_per_chunk", 3, 40000)]
+    )
+    def test_mc_equals_loop_oracle_bitwise(self, exact_posterior, exact, case, n, m):
+        net, _, te, post = exact_posterior
+        k = post.n_classes
+        rows = max(1, uncertainty._MC_CHUNK_FLOATS // (m * k))  # rows per chunk
+        assert {"one_row": n == 1, "ragged": rows > 1 and n % rows != 0,
+                "row_per_chunk": rows == 1}[case]
+        _, feats, _ = forward(net, te.x[:n])
+        phi = np.hstack([feats, np.ones((n, 1))])
+        covs = uncertainty._logit_covariances(post, phi, exact)
+        rng_got, rng_want = RngState(11).split(k), RngState(11).split(k)
+        got = mc_predictive(post, feats, m=m, rng=rng_got, exact=exact)
+        want = _mc_loop_oracle(phi @ post.map_weights.T, covs, m, rng_want)
+        assert got.tobytes() == want.tobytes()
+        assert rng_got.normal(3).tobytes() == rng_want.normal(3).tobytes()
