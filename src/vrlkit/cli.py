@@ -168,12 +168,8 @@ def _get_int(cfg, key, default=None, required=False):
         raise ManifestError(f"key {key!r}: expected an integer, got {v!r}")
 
 
-def _get_floats(cfg, key, default=None):
+def _get_floats(cfg, key, default):
     v = _get(cfg, key, default)
-    if v is None:
-        return None
-    if not isinstance(v, str):
-        return list(v)
     try:
         return [float(p) for p in v.split(",") if p.strip()]
     except ValueError:
@@ -293,9 +289,7 @@ def _base_dataset(cfg) -> Dataset:
         if kind == "csv":
             return load_csv(path)
         if kind == "cifar":
-            return load_cifar_binary(
-                path, max_per_class=_get_int(cfg, "data.max_per_class"), normalize=False
-            )
+            return load_cifar_binary(path, max_per_class=_get_int(cfg, "data.max_per_class"))
     except ValueError as err:
         raise ManifestError(f"data.kind = {kind}: {err}")
     raise ManifestError(f"unknown data.kind {kind!r}")

@@ -21,7 +21,6 @@ class Dataset:
     k: int
     name: str
     image_shape: tuple | None = None   # (H, W, C); rows laid out as C planes of H*W
-    norm_stats: tuple | None = None    # (mean, sd) applied to x, recorded for reuse
 
     def __post_init__(self):
         self.x = as_matrix(self.x)
@@ -125,12 +124,15 @@ def make_uniform_box(n: int, low, high, rng: RngState, name: str = "uniform_box"
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 
 
-def load_cifar_binary(path, max_per_class: int | None = None, normalize: bool = True) -> Dataset:
-    """Load CIFAR-10-format binary records.
+def load_cifar_binary(path, max_per_class: int | None = None) -> Dataset:
+    """Load CIFAR-10-format binary records with pixels scaled to [0, 1].
 
-    Pixels are scaled to [0, 1]; with normalize=True, per-channel mean/sd
-    computed over the loaded rows is applied and recorded in norm_stats.
+    With max_per_class, only the first max_per_class records of each label
+    are kept, in file order.  Standardize with fit_normalizer on the train
+    split, like any other dataset.
     """
+    if max_per_class is not None and max_per_class < 1:
+        raise ValueError(f"max_per_class must be >= 1, got {max_per_class}")
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
@@ -141,35 +143,13 @@ def load_cifar_binary(path, max_per_class: int | None = None, normalize: bool = 
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) >= 10:
         raise ValueError(f"label byte out of range: {labels.max()}")
-    x = records[:, 1:].astype(np.float64) / 255.0
     if max_per_class is not None:
-        keep = []
-        seen = {}
-        for i, lab in enumerate(labels):
-            c = seen.get(lab, 0)
-            if c < max_per_class:
-                keep.append(i)
-                seen[lab] = c + 1
-        x = x[keep]
-        labels = labels[keep]
-    ds = Dataset(x, labels, k=10, name="cifar", image_shape=(32, 32, 3))
-    if normalize:
-        mean, sd = _per_channel_stats(ds)
-        ds = apply_normalizer(ds, (mean, sd))
-    return ds
-
-
-def _per_channel_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    h, w, c = ds.image_shape
-    plane = h * w
-    mean = np.empty(ds.d)
-    sd = np.empty(ds.d)
-    for ch in range(c):
-        sl = slice(ch * plane, (ch + 1) * plane)
-        vals = ds.x[:, sl]
-        mean[sl] = vals.mean()
-        sd[sl] = max(vals.std(), 1e-8)
-    return mean, sd
+        # per-label running count: each record's 1-based rank within its label
+        seen = np.cumsum(labels[:, None] == np.arange(10), axis=0)
+        keep = seen[np.arange(labels.size), labels] <= max_per_class
+        records, labels = records[keep], labels[keep]
+    x = records[:, 1:].astype(np.float64) / 255.0
+    return Dataset(x, labels, k=10, name="cifar", image_shape=(32, 32, 3))
 
 
 def fit_normalizer(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +160,9 @@ def fit_normalizer(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_normalizer(ds: Dataset, stats) -> Dataset:
-    """Standardize with the given stats, recording them on the result."""
+    """Standardize with the given (mean, sd) stats, as fit by fit_normalizer."""
     mean, sd = stats
-    return replace(ds, x=(ds.x - mean) / sd, norm_stats=(np.asarray(mean), np.asarray(sd)))
+    return replace(ds, x=(ds.x - mean) / sd)
 
 
 CORRUPTION_KINDS = ("gaussian_noise", "feature_shift", "feature_scale", "rotation2d")
@@ -217,8 +197,9 @@ def corrupt(ds: Dataset, spec: CorruptionSpec, rng: RngState) -> Dataset:
     level = spec.intensity - 1
     scale = pooled_feature_sd(ds)
     if spec.kind == "gaussian_noise":
-        sigma = GAUSS_NOISE_FACTORS[level] * scale
-        x = ds.x + sigma * rng.normal(ds.x.shape)
+        x = rng.normal(ds.x.shape)
+        x *= GAUSS_NOISE_FACTORS[level] * scale
+        x += ds.x
     elif spec.kind == "feature_shift":
         direction = rng.normal(ds.d)
         direction = direction / np.linalg.norm(direction)

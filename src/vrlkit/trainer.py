@@ -279,19 +279,16 @@ def accuracy(net: nn.Network, ds: Dataset) -> float:
     return accuracy_from_logits(logits, ds.labels)
 
 
-def cross_validate(
-    grid: list, train_ds: Dataset, split_seed: int | None = None
-) -> TrainConfig:
+def cross_validate(grid: list, train_ds: Dataset) -> TrainConfig:
     """Pick the grid config with the best validation accuracy.
 
     Each config is trained on a stratified 90% split and scored on the held
-    out 10%; ties break toward the earliest grid entry.
+    out 10%; ties break toward the earliest grid entry.  The split is drawn
+    from the seed of the first grid entry, so every config sees the same one.
     """
     if not grid:
         raise ValueError("empty grid")
-    if split_seed is None:
-        split_seed = grid[0].seed
-    tr, val = split(train_ds, 0.9, stratified=True, rng=RngState(split_seed).split(9))
+    tr, val = split(train_ds, 0.9, stratified=True, rng=RngState(grid[0].seed).split(9))
     best_config, best_score = None, -1.0
     for config in grid:
         net, _ = train(config, tr, None)

@@ -203,8 +203,17 @@ class TestPipeline:
 
 
 class TestDeterminism:
-    def test_rerun_reproduces_identical_bytes(self, manifest_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("image", [False, True], ids=["blobs", "cifar"])
+    def test_rerun_reproduces_identical_bytes(self, manifest_file, tmp_path, monkeypatch, image):
         monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+        if image:
+            # 30 records after max_per_class; half of them keep the test split
+            # at the 15 rows that calibrate's 15 equal-mass bins need
+            manifest_file = write_cifar_manifest(
+                tmp_path,
+                "corruptions = gaussian_noise:1-2\ndata.max_per_class = 10\n"
+                "ood.kind = uniform_box\ndata.test_frac = 0.5\n",
+            )
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
@@ -363,7 +372,9 @@ class TestBadManifestValues:
         assert key in err and value in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["singleton_class", "cifar_size", "csv_cell"])
+    @pytest.mark.parametrize(
+        "case", ["singleton_class", "cifar_size", "csv_cell", "max_per_class_0", "max_per_class_-1"]
+    )
     def test_unreadable_or_unsplittable_data(self, tmp_path, capsys, case):
         cfg = write_cifar_manifest(tmp_path)
         data = tmp_path / "images.bin"
@@ -374,6 +385,10 @@ class TestBadManifestValues:
         elif case == "cifar_size":
             data.write_bytes(data.read_bytes()[:-1])
             expected = "multiple of 3073"
+        elif case.startswith("max_per_class"):
+            n = case.rsplit("_", 1)[1]
+            cfg.write_text(cfg.read_text() + f"data.max_per_class = {n}\n")
+            expected = f"data.kind = cifar: max_per_class must be >= 1, got {n}"
         else:
             data = tmp_path / "points.csv"
             data.write_text("0.5,0.25,0\n0.5,abc,1\n")

@@ -90,7 +90,7 @@ class TestCifarLoader:
     def test_saturated_record(self, tmp_path):
         path = tmp_path / "one.bin"
         write_cifar_file(path, [3])
-        ds = load_cifar_binary(path, normalize=False)
+        ds = load_cifar_binary(path)
         assert ds.n == 1 and ds.labels[0] == 3
         assert np.array_equal(ds.x, np.ones((1, 3072)))
         assert ds.image_shape == (32, 32, 3)
@@ -110,20 +110,43 @@ class TestCifarLoader:
     def test_max_per_class_subsampling(self, tmp_path):
         path = tmp_path / "multi.bin"
         write_cifar_file(path, [0] * 15 + [1] * 12 + [2] * 8)
-        ds = load_cifar_binary(path, max_per_class=10, normalize=False)
+        ds = load_cifar_binary(path, max_per_class=10)
         counts = np.bincount(ds.labels, minlength=3)
         assert list(counts) == [10, 10, 8]
 
-    def test_normalization_recorded(self, tmp_path):
-        path = tmp_path / "norm.bin"
-        rng = np.random.default_rng(0)
-        records = []
-        for _ in range(4):
-            records.append(bytes([1]) + bytes(rng.integers(0, 256, 3072, dtype=np.uint8)))
-        path.write_bytes(b"".join(records))
-        ds = load_cifar_binary(path, normalize=True)
-        assert ds.norm_stats is not None
-        assert abs(ds.x.mean()) < 1e-8
+    # 2,000 records with interleaved random labels (about 200 per label)
+    @pytest.mark.parametrize("max_per_class", [1, 7, 150, 2000])
+    def test_max_per_class_equals_loop_oracle(self, tmp_path, max_per_class):
+        rng = np.random.default_rng(1)
+        records = rng.integers(0, 256, (2000, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, 2000)
+        path = tmp_path / "many.bin"
+        path.write_bytes(records.tobytes())
+        ds = load_cifar_binary(path, max_per_class=max_per_class)
+        x, labels = max_per_class_oracle(records, max_per_class)
+        assert ds.x.tobytes() == x.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("max_per_class", [0, -1])
+    def test_nonpositive_max_per_class_rejected(self, tmp_path, max_per_class):
+        path = tmp_path / "one.bin"
+        write_cifar_file(path, [3])
+        with pytest.raises(ValueError, match="max_per_class must be >= 1"):
+            load_cifar_binary(path, max_per_class=max_per_class)
+
+
+def max_per_class_oracle(records, max_per_class):
+    """The first max_per_class records of each label, in file order, one record at a time."""
+    labels = records[:, 0].astype(np.int64)
+    x = records[:, 1:].astype(np.float64) / 255.0
+    keep = []
+    seen = {}
+    for i, lab in enumerate(labels):
+        c = seen.get(lab, 0)
+        if c < max_per_class:
+            keep.append(i)
+            seen[lab] = c + 1
+    return x[keep], labels[keep]
 
 
 class TestCorrupt:
@@ -137,6 +160,16 @@ class TestCorrupt:
         chi_mean = math.sqrt(2) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
         observed = np.linalg.norm(out.x - ds.x, axis=1).mean()
         assert abs(observed - sigma * chi_mean) <= 0.05 * sigma * chi_mean
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_gaussian_noise_bitwise(self, level):
+        ds = make_gaussian_blobs(300, 3, 5.0, RngState(9))
+        before = ds.x.copy()
+        out = corrupt(ds, CorruptionSpec("gaussian_noise", level), RngState(31))
+        sigma = GAUSS_NOISE_FACTORS[level - 1] * pooled_feature_sd(ds)
+        expected = ds.x + sigma * RngState(31).normal(ds.x.shape)
+        assert out.x.tobytes() == expected.tobytes()
+        assert ds.x.tobytes() == before.tobytes()
 
     def test_labels_untouched(self):
         ds = make_gaussian_blobs(100, 2, 5.0, RngState(9))
@@ -207,13 +240,14 @@ class TestNormalizerAndCsv:
         ds = make_gaussian_blobs(300, 3, 6.0, RngState(25))
         train, rest = split(ds, 0.8, stratified=True, rng=RngState(26))
         stats = fit_normalizer(train)
+        before = rest.x.copy()
         train_n = apply_normalizer(train, stats)
         rest_n = apply_normalizer(rest, stats)
         assert np.allclose(train_n.x.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(train_n.x.std(axis=0), 1.0, atol=1e-10)
         # the val/test set reuses train stats verbatim, so it is not centered
-        assert rest_n.norm_stats is not None
-        assert np.array_equal(rest_n.norm_stats[0], stats[0])
+        assert rest_n.x.tobytes() == ((before - stats[0]) / stats[1]).tobytes()
+        assert rest.x.tobytes() == before.tobytes()
 
     def test_csv_round_trip(self, tmp_path):
         ds = make_two_moons(30, 0.2, RngState(27))
