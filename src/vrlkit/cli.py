@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -450,6 +451,8 @@ def _load_net(manifest: RunManifest, strategy: str, seed: int, expect_dim: int) 
         net = nn.load_checkpoint(path)
     except ValueError as err:
         raise ManifestError(f"unreadable checkpoint {path}: {err}")
+    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+        raise ManifestError(f"checkpoint {path} holds non-finite weights or biases")
     if net.in_dim != expect_dim:
         raise IncompatibleError(
             f"checkpoint expects {net.in_dim} features, dataset has {expect_dim}"
@@ -525,8 +528,8 @@ def _read_metric_csv(path: Path):
     """Yield (strategy, dataset, metric, measure, value) rows of a metric CSV.
 
     Text that is not ASCII, a missing or wrong header, a row with the wrong
-    cell count or a value that is not a number raises ManifestError naming
-    the file.
+    cell count or a value that is not a finite number raises ManifestError
+    naming the file.
     """
     try:
         reader = csv.reader(io.StringIO(path.read_text(encoding="ascii")))
@@ -542,12 +545,14 @@ def _read_metric_csv(path: Path):
             )
         strategy, _, dataset, metric, measure, value = row
         try:
-            value = float(value)
+            number = float(value)
         except ValueError:
             raise ManifestError(
                 f"{path}: line {reader.line_num} value {value!r} is not a number"
             ) from None
-        yield strategy, dataset, metric, measure, value
+        if not math.isfinite(number):
+            raise ManifestError(f"{path}: line {reader.line_num} value {value!r} is not finite")
+        yield strategy, dataset, metric, measure, number
 
 
 def _test_sets(pipe: Pipeline) -> list:
@@ -602,6 +607,11 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
     pipe = build_pipeline(manifest, parts=())
     ew = BinningSpec("equal_width", 15)
     em = BinningSpec("equal_mass", 15)
+    if pipe.test.n < em.n_bins:
+        raise ManifestError(
+            f"calibrate needs >= {em.n_bins} test rows for its {em.n_bins}-bin AdaECE; "
+            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
+        )
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):

@@ -75,20 +75,19 @@ def _checked(scores, labels, spec: BinningSpec, what: str):
 
 def _confidence_correct(probs, labels, spec: BinningSpec):
     p, labels = _checked(probs, labels, spec, "probabilities")
-    conf = p.max(axis=1)
-    correct = (p.argmax(axis=1) == labels).astype(np.float64)
-    return conf, correct
+    return p.max(axis=1), p.argmax(axis=1) == labels
 
 
-def _bin_sums(conf, correct, spec: BinningSpec):
-    """Per-bin sample count, summed confidence and summed correctness.
+def _bin_cells(conf, correct, spec: BinningSpec):
+    """The (row, bin) cell of every sample, with its confidence and correctness.
 
     `conf` is (m, n): m confidence vectors over the same n samples, whose
-    0/1 correctness is `correct` (n,); a 1-D `conf` is one row.  Returns
-    three (m, n_bins) arrays, each one bincount over (row, bin) cells.  Equal width puts c in bin min(floor(c * n_bins), n_bins - 1).
-    Equal mass sorts each row stably and cuts it at round(i * n / n_bins);
-    a cut inside a run of tied confidences moves to the run's end, so the
-    whole run stays in the left bin.
+    boolean correctness is `correct` (n,); a 1-D `conf` is one row.  Returns
+    three (m, n) arrays in matching order: the cell index row * n_bins + bin,
+    the confidence and the correctness.  Equal width puts c in bin
+    min(floor(c * n_bins), n_bins - 1).  Equal mass sorts each row stably and
+    cuts it at round(i * n / n_bins); a cut inside a run of tied confidences
+    moves to the run's end, so the whole run stays in the left bin.
     """
     conf = np.atleast_2d(conf)
     m, n = conf.shape
@@ -115,18 +114,19 @@ def _bin_sums(conf, correct, spec: BinningSpec):
             minlength=m * (n + 1),
         ).reshape(m, n + 1)
         idx = np.cumsum(marks[:, :n], axis=1)
-    cells = (idx + n_bins * np.arange(m)[:, None]).ravel()
-
-    def per_bin(weights=None):
-        return np.bincount(cells, weights, minlength=m * n_bins).reshape(m, n_bins)
-
-    return per_bin(), per_bin(conf.ravel()), per_bin(correct.ravel())
+    return idx + n_bins * np.arange(m)[:, None], conf, correct
 
 
 def _binned_ece(conf, correct, spec: BinningSpec) -> np.ndarray:
     """ECE of each row of `conf`: sum over bins of |sum correct - sum conf| / n."""
-    _, conf_sum, correct_sum = _bin_sums(conf, correct, spec)
-    return np.abs(correct_sum - conf_sum).sum(axis=1) / correct.size
+    cells, conf, correct = _bin_cells(conf, correct, spec)
+    m, n = conf.shape
+    size = m * spec.n_bins
+    # a bin's correct-sum is a count, so the unweighted bincount is exact
+    gap = np.bincount(cells[correct], minlength=size) - np.bincount(
+        cells.ravel(), conf.ravel(), minlength=size
+    )
+    return np.abs(gap.reshape(m, spec.n_bins)).sum(axis=1) / n
 
 
 def ece(probs, labels, spec: BinningSpec = BinningSpec()) -> float:
@@ -156,9 +156,44 @@ class Temperature:
 
 TEMPERATURE_GRID = np.arange(100, 10001) / 1000.0  # 0.100 .. 10.000 step 0.001
 
+# fit_temperature sizes its temperature chunk so that the (k, chunk, n)
+# buffer holds about this many doubles.
+_TEMPERATURE_CHUNK_FLOATS = 65536
+
 
 def apply_temperature(logits, temp: Temperature) -> np.ndarray:
     return nn.softmax(as_matrix(logits) / temp.T)
+
+
+def _class_sum(planes: np.ndarray) -> np.ndarray:
+    """Add the k planes of `planes` (k, ...) into planes[0], in place.
+
+    The whole-plane additions run in the order of numpy's pairwise sum over
+    a contiguous axis of length k, so planes[0] ends bitwise equal to
+    `x.sum(axis=-1)` of the same values laid out class-last: sequential for
+    k < 8; up to 128, eight accumulators combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)) and then the remaining planes in turn; above
+    128, the two halves split at k // 2 rounded down to a multiple of 8.
+    The other planes are overwritten.
+    """
+    k = planes.shape[0]
+    total = planes[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _class_sum(planes[:half])
+        total += _class_sum(planes[half:])
+        return total
+    rest = range(1, k)
+    if k >= 8:
+        acc = planes[:8]
+        for i in range(8, k - k % 8, 8):
+            acc += planes[i : i + 8]
+        for step in (1, 2, 4):
+            acc[:: 2 * step] += acc[step :: 2 * step]
+        rest = range(k - k % 8, k)
+    for c in rest:
+        total += planes[c]
+    return total
 
 
 def fit_temperature(
@@ -167,19 +202,30 @@ def fit_temperature(
     """Grid-search the softmax temperature minimizing validation ECE.
 
     The grid runs 0.100..10.000 in steps of 0.001; ties go to the smaller T.
-    Each chunk of 512 temperatures is binned in one pass.  Scaling by a
-    positive temperature never changes the argmax, so accuracy is untouched
-    by construction.
+    The grid is searched in chunks of temperatures, each binned in one pass.
+    Scaling by a positive temperature never changes the argmax, so accuracy
+    is untouched by construction.
+
+    The max-softmax confidence at temperature T is 1 / sum_c exp(D_c / T),
+    with D the logits minus their row maximum.  D is laid out class-major,
+    so each chunk fills one (k, chunk, n) buffer and sums its class planes
+    with whole-array adds (`_class_sum`), bitwise equal to summing the
+    class-last (chunk, n, k) array over its last axis.
     """
     s, labels = _checked(logits_val, labels_val, spec, "logits")
-    correct = (s.argmax(axis=1) == labels).astype(np.float64)
-    shifted = s - s.max(axis=1, keepdims=True)
+    correct = s.argmax(axis=1) == labels
+    n, k = s.shape
+    shifted = np.ascontiguousarray((s - s.max(axis=1, keepdims=True)).T)[:, None, :]
+    chunk = min(max(1, _TEMPERATURE_CHUNK_FLOATS // (n * k)), TEMPERATURE_GRID.size)
+    buf = np.empty((k, chunk, n))
     best_t, best_ece = None, math.inf
-    chunk = 512
     for start in range(0, TEMPERATURE_GRID.size, chunk):
         ts = TEMPERATURE_GRID[start : start + chunk]
-        # max-softmax confidence for every T at once: 1 / sum exp(D / T)
-        conf = 1.0 / np.exp(shifted[None, :, :] / ts[:, None, None]).sum(axis=2)
+        planes = buf[:, : ts.size]
+        np.divide(shifted, ts[:, None], out=planes)
+        np.exp(planes, out=planes)
+        conf = _class_sum(planes)
+        np.divide(1.0, conf, out=conf)
         errs = _binned_ece(conf, correct, spec)
         i = int(np.argmin(errs))  # the first minimum: the smallest T
         if errs[i] < best_ece:
@@ -345,7 +391,9 @@ def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None)
     if spec.mode != "equal_width":
         raise ValueError(f"reliability_svg draws equal_width bins, not {spec.mode!r}")
     conf, correct = _confidence_correct(probs, labels, spec)
-    count, _, correct_sum = _bin_sums(conf, correct, spec)
+    cells, _, correct = _bin_cells(conf, correct, spec)
+    count = np.bincount(cells.ravel(), minlength=spec.n_bins)
+    correct_sum = np.bincount(cells[correct], minlength=spec.n_bins)
     size = 320
     margin = 40
     plot = size - 2 * margin
@@ -354,8 +402,8 @@ def reliability_svg(probs, labels, spec: BinningSpec = BinningSpec(), path=None)
         f'y2="{margin}" stroke="#999" stroke-dasharray="4 3"/>'
     ]
     bar_w = plot / spec.n_bins
-    for b in np.flatnonzero(count[0]):
-        bar_h = float(correct_sum[0, b] / count[0, b]) * plot
+    for b in np.flatnonzero(count):
+        bar_h = float(correct_sum[b] / count[b]) * plot
         shapes.append(
             f'<rect x="{margin + b * bar_w:.2f}" y="{size - margin - bar_h:.2f}" '
             f'width="{bar_w:.2f}" height="{bar_h:.2f}" fill="#4477aa" '

@@ -452,6 +452,8 @@ def test_corrupt_artifact_exits_schema(manifest_file, tmp_path, capsys, case):
         ("non_numeric", "is not a number"),
         ("empty", "header is not"),
         ("non_ascii", "not an ASCII"),
+        ("nan", "'nan' is not finite"),
+        ("-inf", "'-inf' is not finite"),
     ],
 )
 def test_damaged_metric_csv_exits_schema(manifest_file, tmp_path, capsys, case, expected):
@@ -465,6 +467,8 @@ def test_damaged_metric_csv_exits_schema(manifest_file, tmp_path, capsys, case, 
         damaged.write_text(text + "erm,0,test,accuracy,-\r\n")
     elif case == "non_numeric":
         damaged.write_text(text.replace(text.splitlines()[1].rsplit(",", 1)[1], "abc", 1))
+    elif case in ("nan", "-inf"):
+        damaged.write_text(text.replace(text.splitlines()[1].rsplit(",", 1)[1], case, 1))
     elif case == "empty":
         damaged.write_text("")
     else:
@@ -475,6 +479,50 @@ def test_damaged_metric_csv_exits_schema(manifest_file, tmp_path, capsys, case, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(damaged) in err and expected in err
     assert not list(out.glob("compare_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command,param,value",
+    [
+        ("eval", "weights", np.nan),
+        ("eval", "biases", np.inf),
+        ("ood", "weights", np.nan),
+        ("calibrate", "weights", np.nan),
+        ("heatmap", "biases", -np.inf),
+        ("fisher", "weights", np.nan),
+    ],
+)
+def test_non_finite_checkpoint_exits_schema(manifest_file, tmp_path, capsys, command, param, value):
+    from vrlkit.nn import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "runs"
+    base = ["--config", str(manifest_file), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    ckpt = next(out.iterdir()) / "checkpoints" / "regmixup_seed1.ckpt"
+    net = load_checkpoint(ckpt)
+    getattr(net, param)[-1][0] = value
+    save_checkpoint(net, ckpt)
+    capsys.readouterr()
+    assert run_cli(command, *base) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(ckpt) in err and "non-finite" in err
+
+
+def test_calibrate_rejects_small_test_split(tmp_path, capsys):
+    # 40 records, data.test_frac = 0.3: 12 test rows, below AdaECE's 15 bins
+    cfg = write_cifar_manifest(tmp_path)
+    out = tmp_path / "runs"
+    base = ["--config", str(cfg), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("calibrate", *base) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "12 test" in err
+    assert not list(out.rglob("*.svg"))
+    assert not list(out.rglob("calibrate.csv"))
+
 
 def _spy(monkeypatch, name, calls):
     real = getattr(cli, name)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vrlkit import evalkit
 from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, split
 from vrlkit.evalkit import (
     BinningSpec,
@@ -274,10 +275,14 @@ def fit_temperature_oracle(logits, labels, spec):
     return float(TEMPERATURE_GRID[np.argmin(err)])
 
 
-def temperature_fixture(rng, trial):
-    """Random validation logits; every third fixture is tie-heavy."""
+def temperature_fixture(rng, trial, k=None):
+    """Random validation logits; every third fixture is tie-heavy.
+
+    Without `k`, the class count is drawn from 2..4.
+    """
     n = int(rng.integers(5, 25))
-    k = int(rng.integers(2, 5))
+    if k is None:
+        k = int(rng.integers(2, 5))
     logits = rng.normal(size=(n, k)) * rng.uniform(0.3, 6.0)
     if trial % 3 == 0:
         logits = np.round(logits)  # integer logits: many identical rows
@@ -310,6 +315,20 @@ class TestTemperatureOracle:
                 logits, labels, spec
             )
 
+    @pytest.mark.parametrize("k", [8, 9, 10, 17])
+    def test_many_classes_match_oracle(self, k):
+        # k >= 8: the class sum runs through its eight accumulators
+        rng = np.random.default_rng(100 + k)
+        for trial in range(6):
+            logits, labels = temperature_fixture(rng, trial, k)
+            for spec in (
+                BinningSpec("equal_width", 15),
+                BinningSpec("equal_mass", int(rng.integers(1, 6))),
+            ):
+                assert fit_temperature(logits, labels, spec).T == fit_temperature_oracle(
+                    logits, labels, spec
+                )
+
     def test_plateau_goes_to_smallest_t(self):
         # a 1000 logit gap, all correct: confidence is exactly 1 and ECE exactly
         # 0 across the low-T grid, so the tie goes to the grid's first T
@@ -318,6 +337,43 @@ class TestTemperatureOracle:
         for spec in (BinningSpec("equal_width", 15), BinningSpec("equal_mass", 4)):
             assert fit_temperature(logits, labels, spec).T == 0.1
             assert fit_temperature_oracle(logits, labels, spec) == 0.1
+
+
+CLASS_COUNTS = [2, 3, 7, 8, 9, 10, 16, 17, 100, 130]
+
+
+class TestClassMajorConfidence:
+    """fit_temperature's class-major sums equal numpy's class-last sums bit for bit."""
+
+    @pytest.mark.parametrize("k", CLASS_COUNTS)
+    def test_class_sum_bitwise_equal_to_numpy_sum(self, k):
+        rng = np.random.default_rng(k)
+        x = np.exp(rng.normal(size=(6, 11, k)) * 6.0)  # magnitudes 1e-16..1e16
+        total = evalkit._class_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
+        assert total.tobytes() == x.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("k", CLASS_COUNTS)
+    def test_confidences_bitwise_equal_to_class_last_expression(self, k, monkeypatch):
+        rng = np.random.default_rng(200 + k)
+        n = int(rng.integers(5, 40))
+        logits = rng.normal(size=(n, k)) * rng.uniform(0.3, 6.0)
+        labels = rng.integers(0, k, size=n)
+        seen = []
+        binned_ece = evalkit._binned_ece
+
+        def spy(conf, correct, spec):
+            seen.append(conf.copy())
+            return binned_ece(conf, correct, spec)
+
+        monkeypatch.setattr(evalkit, "_binned_ece", spy)
+        fit_temperature(logits, labels)
+        grid = evalkit.TEMPERATURE_GRID
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = np.concatenate([
+            1.0 / np.exp(shifted[None] / grid[i : i + 512, None, None]).sum(axis=2)
+            for i in range(0, grid.size, 512)
+        ])
+        assert np.concatenate(seen).tobytes() == expected.tobytes()
 
 
 class TestCalibrationInputsRejected:
