@@ -5,7 +5,7 @@ from .datagen import CorruptionSpec, Dataset
 from .evalkit import BinningSpec, EntropyProfile, Temperature
 from .nn import LayerSpec, Network, OptimState
 from .tensor import RngState, ShapeError
-from .trainer import EnsembleModel, ExperimentRecord, TrainConfig
+from .trainer import DivergedError, EnsembleModel, ExperimentRecord, TrainConfig
 from .uncertainty import ClassGaussians, LaplacePosterior, UncertaintyScores
 from .vicinal import BetaParams, MixedBatch
 
@@ -17,6 +17,7 @@ __all__ = [
     "ClassGaussians",
     "CorruptionSpec",
     "Dataset",
+    "DivergedError",
     "EnsembleModel",
     "EntropyProfile",
     "ExperimentRecord",

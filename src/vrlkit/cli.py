@@ -52,10 +52,12 @@ from .evalkit import (
 from .tensor import RngState, atomic_open
 from .trainer import (
     STRATEGIES,
+    DivergedError,
     ExperimentRecord,
     TrainConfig,
     accuracy_from_logits,
     deterministic_mode,
+    lockstep_groups,
     train,
 )
 from .uncertainty import (
@@ -72,6 +74,7 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_SCHEMA = 3
 EXIT_INCOMPATIBLE = 4
+EXIT_NUMERIC = 5
 
 
 class ManifestError(Exception):
@@ -91,6 +94,7 @@ _EXIT_CODES = (
     (MissingInputError, EXIT_MISSING_INPUT),
     (ManifestError, EXIT_SCHEMA),
     (IncompatibleError, EXIT_INCOMPATIBLE),
+    (DivergedError, EXIT_NUMERIC),
     (OSError, EXIT_ERROR),
 )
 
@@ -479,26 +483,36 @@ def _csv_cell(v) -> str:
 
 
 def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
-    """Train the full strategy x seed grid and persist records + checkpoints."""
+    """Train the full strategy x seed grid and persist records + checkpoints.
+
+    Every run trains before anything is written, so a diverged run
+    (DivergedError) leaves no record or checkpoint.  With ``jobs`` > 1 each
+    lockstep group (one strategy, all seeds) goes to a worker.
+    """
     pipe = build_pipeline(manifest, parts=())
+    configs = [
+        train_config_for(manifest, s, seed)
+        for s in sorted(manifest.strategies) for seed in sorted(manifest.seeds)
+    ]
+    if deterministic_mode() or jobs <= 1:
+        results = train(configs, pipe.train, pipe.val)
+    else:
+        groups = [[configs[i] for i in group] for group in lockstep_groups(configs)]
+        n = len(groups)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            trained = list(pool.map(train, groups, [pipe.train] * n, [pipe.val] * n))
+        configs = [config for group in groups for config in group]
+        results = [result for group in trained for result in group]
     run_dir = manifest.run_dir()
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with atomic_open(run_dir / "manifest.txt") as f:
         f.write(manifest.canonical_text())
-    grid = [(s, seed) for s in sorted(manifest.strategies) for seed in sorted(manifest.seeds)]
-    configs = [train_config_for(manifest, s, seed) for s, seed in grid]
-    if deterministic_mode() or jobs <= 1:
-        results = [train(c, pipe.train, pipe.val) for c in configs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            n = len(configs)
-            results = list(pool.map(train, configs, [pipe.train] * n, [pipe.val] * n))
-    for (strategy, seed), (net, record) in zip(grid, results):
-        ckpt = _ckpt_path(run_dir, strategy, seed)
+    for config, (net, record) in zip(configs, results):
+        ckpt = _ckpt_path(run_dir, config.strategy, config.seed)
         nn.save_checkpoint(net, ckpt)
         record.checkpoint = str(ckpt.relative_to(run_dir))
-        with atomic_open(_record_path(run_dir, strategy, seed)) as f:
+        with atomic_open(_record_path(run_dir, config.strategy, config.seed)) as f:
             f.write(record.to_text())
     return run_dir
 
@@ -509,11 +523,16 @@ def _write_per_run_csv(
     """Load every trained run's net and write the (strategy, seed, *row) CSV.
 
     ``run_rows(strategy, seed, net)`` returns the run's (dataset, metric,
-    measure, value) rows; the CSV is sorted on its first five columns.
+    measure, value) rows; the CSV is sorted on its first five columns.  All
+    nets load before the first ``run_rows`` call, so a damaged checkpoint
+    stops the command before it writes any SVG.
     """
+    runs = [
+        (strategy, seed, _load_net(manifest, strategy, seed, expect_dim))
+        for strategy, seed, _ in load_records(manifest)
+    ]
     rows = []
-    for strategy, seed, _ in load_records(manifest):
-        net = _load_net(manifest, strategy, seed, expect_dim)
+    for strategy, seed, net in runs:
         rows += [(strategy, seed, *row) for row in run_rows(strategy, seed, net)]
     rows.sort(key=lambda r: r[:5])
     path = manifest.run_dir() / name

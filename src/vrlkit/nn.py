@@ -35,7 +35,13 @@ class LayerSpec:
 
 
 class Network:
-    """Ordered dense layers; weights[l] is (in_dim, out_dim), biases[l] (out_dim,)."""
+    """Ordered dense layers; weights[l] is (in_dim, out_dim), biases[l] (out_dim,).
+
+    A stacked network (``Network.stack``) holds several runs of one
+    architecture on a leading run axis: weights[l] is (runs, in_dim, out_dim)
+    and biases[l] (runs, out_dim).  forward, backward, weighted_ce and
+    sgd_step treat every run at once with the same lines as a plain network.
+    """
 
     def __init__(self, layers, rng: RngState | None = None):
         layers = list(layers)
@@ -64,11 +70,32 @@ class Network:
         return self.layers[-1].out_dim
 
     def copy(self) -> "Network":
+        return self._with([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def _with(self, weights, biases) -> "Network":
         other = Network.__new__(Network)
         other.layers = list(self.layers)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other.weights = weights
+        other.biases = biases
         return other
+
+    @staticmethod
+    def stack(nets) -> "Network":
+        """One stacked network holding ``nets`` (one architecture) in order."""
+        first = nets[0]
+        if any(net.layers != first.layers for net in nets):
+            raise ValueError("stacked networks must share an architecture")
+        return first._with(
+            [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+            [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+        )
+
+    def unstack(self) -> list:
+        """The runs of a stacked network as plain networks (copies)."""
+        return [
+            self._with([w[r].copy() for w in self.weights], [b[r].copy() for b in self.biases])
+            for r in range(self.weights[0].shape[0])
+        ]
 
 
 def _init_weight(spec: LayerSpec, rng: RngState | None) -> np.ndarray:
@@ -104,25 +131,39 @@ class ForwardCache:
 
     def __init__(self, net, x, pre, act):
         self.net = net
-        self.x = x
+        self.x = x  # the input rows as passed, (rows, in_dim)
         self.pre = pre  # pre[l] = act[l-1] @ W[l] + b[l]
         self.act = act  # act[l] = activation(pre[l]); act[-1] = logits
+
+
+def _per_run(net: Network, rows: np.ndarray) -> np.ndarray:
+    """View a (runs * n, c) row block as (runs, n, c) for a stacked network.
+
+    Run r owns rows r*n .. (r+1)*n - 1.  A plain network keeps (n, c).
+    """
+    runs = net.weights[0].shape[:-2]
+    if runs and rows.shape[0] % runs[0]:
+        raise ShapeError(f"{rows.shape[0]} rows do not split into {runs[0]} runs")
+    return rows.reshape(*runs, -1, rows.shape[1])
 
 
 def forward(net: Network, x_batch) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a batch.
 
     Returns (logits, features, cache) where features are the penultimate
-    activations (the inputs themselves for a single-layer net).
+    activations (the inputs themselves for a single-layer net).  A stacked
+    network takes one block of rows per run, stacked run-major, and returns
+    logits and features as (runs, rows per run, width).
     """
     x = as_matrix(x_batch)
     if x.shape[1] != net.in_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
-    pre, act = _forward_from_first_pre(net, x @ net.weights[0] + net.biases[0])
+    h = _per_run(net, x)
+    pre, act = _forward_from_first_pre(net, h @ net.weights[0] + net.biases[0][..., None, :])
     logits = act[-1]
-    features = act[-2] if len(act) > 1 else x
+    features = act[-2] if len(act) > 1 else h
     return logits, features, ForwardCache(net, x, pre, act)
 
 
@@ -130,29 +171,38 @@ def _forward_from_first_pre(net: Network, z0: np.ndarray) -> tuple[list, list]:
     """Apply the network from layer 0's pre-activation on: (pre, act) per layer."""
     pre, act = [z0], [_activate(net.layers[0].activation, z0)]
     for spec, w, b in zip(net.layers[1:], net.weights[1:], net.biases[1:]):
-        z = act[-1] @ w + b
+        z = act[-1] @ w + b[..., None, :]
         pre.append(z)
         act.append(_activate(spec.activation, z))
     return pre, act
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
-    s = as_matrix(logits)
-    shifted = s - s.max(axis=1, keepdims=True)
+    """Row-wise softmax with max subtraction for stability.
+
+    Rows are the last axis, so a stacked (runs, rows, k) array works per run.
+    """
+    s = np.ascontiguousarray(logits, dtype=np.float64)
+    if s.ndim not in (2, 3):
+        raise ShapeError(f"expected (rows, k) or (runs, rows, k) logits, got ndim={s.ndim}")
+    shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_soft(probs, soft_targets) -> float:
     """Batch-mean cross-entropy -sum_k t_k log p_k against soft targets."""
-    p = as_matrix(probs)
-    t = as_matrix(soft_targets)
+    return float(_mean_ce(as_matrix(probs), as_matrix(soft_targets)))
+
+
+def _mean_ce(p: np.ndarray, t: np.ndarray):
+    """Mean soft-target CE over the rows axis (-2): a scalar, or one per run."""
     if p.shape != t.shape:
         raise ShapeError(f"probs {p.shape} vs targets {t.shape}")
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("target entries must be >= 0")
-    return float(-(t * np.log(np.maximum(p, EPS_LOG))).sum(axis=1).mean())
+    # sum / rows is numpy's mean, bit for bit, without its Python wrapper
+    return -(t * np.log(np.maximum(p, EPS_LOG))).sum(axis=-1).sum(axis=-1) / t.shape[-2]
 
 
 @dataclass
@@ -163,25 +213,31 @@ class GradientSet:
     d_biases: list
 
 
-def backward(net: Network, cache: ForwardCache, soft_targets) -> GradientSet:
-    """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters."""
+def backward(net: Network, cache: ForwardCache, soft_targets, probs=None) -> GradientSet:
+    """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters.
+
+    ``soft_targets`` are rows laid out like the forward inputs; ``probs`` is
+    softmax(logits) when the caller already has it.  A stacked network gets
+    each run's gradient of its own batch-mean loss.
+    """
     if cache.net is not net:
         raise ValueError("cache does not belong to this network")
-    t = as_matrix(soft_targets)
+    t = _per_run(net, as_matrix(soft_targets))
     logits = cache.act[-1]
     if t.shape != logits.shape:
         raise ShapeError(f"targets {t.shape} vs logits {logits.shape}")
-    n = logits.shape[0]
-    delta = (softmax(logits) - t) / n  # dL/dlogits for mean CE
+    if probs is None:
+        probs = softmax(logits)
+    delta = (probs - t) / logits.shape[-2]  # dL/dlogits for mean CE
     d_weights = [None] * len(net.layers)
     d_biases = [None] * len(net.layers)
     for l in range(len(net.layers) - 1, -1, -1):
-        inp = cache.act[l - 1] if l > 0 else cache.x
-        d_weights[l] = inp.T @ delta
-        d_biases[l] = delta.sum(axis=0)
+        inp = cache.act[l - 1] if l > 0 else _per_run(net, cache.x)
+        d_weights[l] = inp.swapaxes(-1, -2) @ delta
+        d_biases[l] = delta.sum(axis=-2)
         if l > 0:
             spec = net.layers[l - 1]
-            delta = (delta @ net.weights[l].T) * _activate_grad(
+            delta = (delta @ net.weights[l].swapaxes(-1, -2)) * _activate_grad(
                 spec.activation, cache.pre[l - 1], cache.act[l - 1]
             )
     return GradientSet(d_weights, d_biases)
@@ -193,18 +249,23 @@ def weighted_ce(net: Network, terms) -> tuple[float, GradientSet]:
     ``terms`` is a list of (inputs, soft_targets, weight); each term gets one
     forward/backward pass, and the terms are summed in list order.  A weight
     of 1 is never multiplied in, so a one-term call returns forward + backward
-    bit for bit.
+    bit for bit.  For a stacked network a weight may be one value per run,
+    and the loss comes back as one value per run.
     """
     if not terms:
         raise ValueError("weighted_ce needs at least one term")
     total_loss, total = None, None
     for x, targets, weight in terms:
         logits, _, cache = forward(net, x)
-        loss = cross_entropy_soft(softmax(logits), targets)
-        grads = backward(net, cache, targets)
+        probs = softmax(logits)
+        loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
+        grads = backward(net, cache, targets, probs)
         arrays = grads.d_weights + grads.d_biases
-        if weight != 1:
-            loss, arrays = weight * loss, [weight * g for g in arrays]
+        w = np.asarray(weight, dtype=np.float64)
+        if (w != 1).any():
+            # one weight per run scales that run's slice of every gradient
+            loss = w * loss
+            arrays = [w.reshape(w.shape + (1,) * (g.ndim - w.ndim)) * g for g in arrays]
         if total is None:
             total_loss, total = loss, arrays
         else:

@@ -5,6 +5,9 @@ Every run derives all of its randomness from TrainConfig.seed through
 labelled RngState streams (init / shuffle / mixing / coin), so two runs with
 the same config produce byte-identical ExperimentRecords, and strategies that
 degenerate to ERM (eta=0, forced lambda=1) replay the exact same batches.
+Runs that differ only in seed, alpha, eta, lambda_mode or force_lambda train
+in lockstep on one stacked network, each on its own streams and rows, with
+the same bits as alone.
 """
 
 import os
@@ -16,7 +19,14 @@ import numpy as np
 from . import nn
 from .datagen import Dataset, split
 from .tensor import RngState
-from .vicinal import LAMBDA_MODES, BetaParams, cutmix_batch, mixup_batch, regmix_loss
+from .vicinal import (
+    LAMBDA_MODES,
+    BetaParams,
+    cutmix_batch,
+    mixup_batch,
+    regmix_loss,
+    stack_batches,
+)
 
 # strategy -> (mixing ops, regularized).  With two ops a per-batch coin picks
 # one, mixup when coin < 0.5.  A regularized strategy keeps the clean CE term
@@ -190,83 +200,150 @@ def _batch_bounds(n: int, batch_size: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def train(
-    config: TrainConfig, train_ds: Dataset, val_ds: Dataset | None
-) -> tuple[nn.Network, ExperimentRecord]:
-    """Train one network under the configured strategy.
+class DivergedError(ArithmeticError):
+    """A run's batch loss or final weights are not finite."""
 
-    Returns the trained network and an ExperimentRecord holding the config,
-    per-epoch mean training losses, and final validation metrics.
+
+# TrainConfig fields that may differ between runs training in lockstep; every
+# other field fixes the batch bounds, learning rates and network shapes.
+_PER_RUN_FIELDS = ("seed", "alpha", "eta", "lambda_mode", "force_lambda")
+
+
+def lockstep_groups(configs) -> list:
+    """Index lists of the configs that train together, in first-seen order.
+
+    Configs share a group when they differ at most in _PER_RUN_FIELDS.
     """
+    groups = {}
+    for i, config in enumerate(configs):
+        key = tuple(
+            getattr(config, f.name) for f in fields(config) if f.name not in _PER_RUN_FIELDS
+        )
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None):
+    """Train one network per config under its strategy.
+
+    Given one TrainConfig, returns (network, ExperimentRecord): the config,
+    per-epoch mean training losses and final validation metrics.  Given a
+    list, returns one such pair per config, in input order.
+
+    The runs of each lockstep group train together: their weights sit on one
+    stacked network, so each step is one forward, backward and SGD update
+    for the whole group.  Each run still draws its init, shuffle, mixing and
+    coin streams from its own seed and mixes its own rows, and its result is
+    bit for bit what it would be alone.  In a group, wall_clock_s is the
+    group's wall time.
+
+    Raises DivergedError, naming the first bad run, when a batch loss or a
+    trained weight is not finite.
+    """
+    if isinstance(configs, TrainConfig):
+        return _train_lockstep([configs], train_ds, val_ds)[0]
+    results = [None] * len(configs)
+    for group in lockstep_groups(configs):
+        trained = _train_lockstep([configs[i] for i in group], train_ds, val_ds)
+        for i, result in zip(group, trained):
+            results[i] = result
+    return results
+
+
+def _train_lockstep(configs, train_ds, val_ds) -> list:
+    """(net, record) per config of one lockstep group."""
+    first = configs[0]
+    ops, regularized = _RECIPES[first.strategy]
     if train_ds.n < 2:
         raise ValueError("training needs at least 2 samples")
-    if "cutmix" in _RECIPES[config.strategy][0] and train_ds.image_shape is None:
-        raise ValueError(f"strategy {config.strategy} needs image-shaped data")
+    if "cutmix" in ops and train_ds.image_shape is None:
+        raise ValueError(f"strategy {first.strategy} needs image-shaped data")
     if val_ds is not None and val_ds.d != train_ds.d:
         raise ValueError("train/val feature dimensions differ")
     t_start = time.perf_counter()
-    root = RngState(config.seed)
-    net = build_network(config, train_ds.d, train_ds.k, root.split(_S_INIT))
+    roots = [RngState(config.seed) for config in configs]
+    net = nn.Network.stack([
+        build_network(config, train_ds.d, train_ds.k, root.split(_S_INIT))
+        for config, root in zip(configs, roots)
+    ])
     opt = nn.OptimState(
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        schedule=config.schedule,
+        learning_rate=first.learning_rate,
+        momentum=first.momentum,
+        weight_decay=first.weight_decay,
+        schedule=first.schedule,
     )
+    etas = np.array([config.eta for config in configs]) if regularized else None
     y_onehot = train_ds.onehot()
     n = train_ds.n
-    bounds = _batch_bounds(n, config.batch_size)
-    total_steps = config.epochs * len(bounds)
+    bounds = _batch_bounds(n, first.batch_size)
+    total_steps = first.epochs * len(bounds)
     epoch_losses = []
     step = 0
-    for epoch in range(config.epochs):
-        order = root.split(_S_SHUFFLE, epoch).permutation(n)
-        loss_sum = 0.0
-        for b, (lo, hi) in enumerate(bounds):
-            idx = order[lo:hi]
-            xb = train_ds.x[idx]
-            yb = y_onehot[idx]
-            loss, grads = _strategy_step(
-                config, net, xb, yb, train_ds.image_shape,
-                root.split(_S_MIX, epoch, b), root.split(_S_COIN, epoch, b),
-            )
-            nn.sgd_step(net, grads, opt, step / total_steps)
-            loss_sum += loss * idx.size
-            step += 1
-        epoch_losses.append(loss_sum / n)
-    metrics = {}
+    # Diverging runs stop at the isfinite checks below, not in numpy warnings.
+    with np.errstate(all="ignore"):
+        for epoch in range(first.epochs):
+            orders = [root.split(_S_SHUFFLE, epoch).permutation(n) for root in roots]
+            loss_sum = np.zeros(len(configs))
+            for b, (lo, hi) in enumerate(bounds):
+                idx = np.concatenate([order[lo:hi] for order in orders])
+                xb, yb = train_ds.x[idx], y_onehot[idx]
+                if ops:  # each run mixes its own block of rows
+                    runs = zip(configs, roots, xb.reshape(len(configs), hi - lo, -1),
+                               yb.reshape(len(configs), hi - lo, -1))
+                    mixed = stack_batches([
+                        _mix(config, root, ops, x, y, train_ds.image_shape, epoch, b)
+                        for config, root, x, y in runs
+                    ])
+                if regularized:
+                    loss, grads = regmix_loss(net, xb, yb, mixed, etas)
+                else:
+                    term = (mixed.x_mixed, mixed.y_mixed, 1) if ops else (xb, yb, 1)
+                    loss, grads = nn.weighted_ce(net, [term])
+                if not np.isfinite(loss).all():
+                    raise _diverged(configs, ~np.isfinite(loss), f"loss at epoch {epoch}, step {step}")
+                nn.sgd_step(net, grads, opt, step / total_steps)
+                loss_sum += loss * (hi - lo)
+                step += 1
+            epoch_losses.append(loss_sum / n)
+    nets = net.unstack()
+    finite = [all(np.isfinite(a).all() for a in (*run.weights, *run.biases)) for run in nets]
+    if not all(finite):
+        raise _diverged(configs, np.logical_not(finite),
+                        f"weights after epoch {first.epochs - 1}, step {step - 1}")
+    metrics = [{} for _ in configs]
     if val_ds is not None:
-        logits, _, _ = nn.forward(net, val_ds.x)
-        probs = nn.softmax(logits)
-        metrics["val_accuracy"] = accuracy_from_logits(logits, val_ds.labels)
-        metrics["val_loss"] = nn.cross_entropy_soft(probs, val_ds.onehot())
+        for run, run_metrics in zip(nets, metrics):
+            logits, _, _ = nn.forward(run, val_ds.x)
+            run_metrics["val_accuracy"] = accuracy_from_logits(logits, val_ds.labels)
+            run_metrics["val_loss"] = nn.cross_entropy_soft(nn.softmax(logits), val_ds.onehot())
     wall = 0.0 if deterministic_mode() else time.perf_counter() - t_start
-    record = ExperimentRecord(
-        config=config.to_dict(),
-        epoch_losses=epoch_losses,
-        metrics=metrics,
-        seed=config.seed,
-        wall_clock_s=wall,
+    return [
+        (run, ExperimentRecord(
+            config=config.to_dict(),
+            epoch_losses=losses.tolist(),
+            metrics=run_metrics,
+            seed=config.seed,
+            wall_clock_s=wall,
+        ))
+        for config, run, run_metrics, losses in zip(configs, nets, metrics, np.transpose(epoch_losses))
+    ]
+
+
+def _diverged(configs, bad, what: str) -> DivergedError:
+    config = configs[int(np.flatnonzero(bad)[0])]
+    return DivergedError(
+        f"training diverged: {config.strategy} seed {config.seed}: non-finite {what}"
     )
-    return net, record
 
 
-def _strategy_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
-    """Loss and gradient of one batch as a list of weighted CE terms."""
-    ops, regularized = _RECIPES[config.strategy]
-    if not ops:
-        return nn.weighted_ce(net, [(xb, yb, 1)])
-    op = ops[0] if len(ops) == 1 or coin_rng.uniform(1)[0] < 0.5 else ops[1]
+def _mix(config, root, ops, xb, yb, image_shape, epoch, b):
+    """One run's mixed batch; with two ops a coin picks mixup when < 0.5."""
+    op = ops[0] if len(ops) == 1 or root.split(_S_COIN, epoch, b).uniform(1)[0] < 0.5 else ops[1]
     params = BetaParams(config.alpha)
+    mix_rng = root.split(_S_MIX, epoch, b)
     if op == "mixup":
-        mixed = mixup_batch(
-            xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
-        )
-    else:
-        mixed = cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
-    if regularized:
-        return regmix_loss(net, xb, yb, mixed, config.eta)
-    return nn.weighted_ce(net, [(mixed.x_mixed, mixed.y_mixed, 1)])
+        return mixup_batch(xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda)
+    return cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
 
 
 def accuracy_from_logits(logits, labels) -> float:
@@ -290,8 +367,7 @@ def cross_validate(grid: list, train_ds: Dataset) -> TrainConfig:
         raise ValueError("empty grid")
     tr, val = split(train_ds, 0.9, stratified=True, rng=RngState(grid[0].seed).split(9))
     best_config, best_score = None, -1.0
-    for config in grid:
-        net, _ = train(config, tr, None)
+    for config, (net, _) in zip(grid, train(grid, tr, None)):
         score = accuracy(net, val)
         if score > best_score:
             best_config, best_score = config, score
@@ -332,11 +408,8 @@ def train_ensemble(
     """Train n members with seeds seed, seed+1, ... and identical configs."""
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
-    members = []
-    for i in range(n_members):
-        net, _ = train(replace(config, seed=config.seed + i), train_ds, val_ds)
-        members.append(net)
-    return EnsembleModel(members)
+    configs = [replace(config, seed=config.seed + i) for i in range(n_members)]
+    return EnsembleModel([net for net, _ in train(configs, train_ds, val_ds)])
 
 
 def ensemble_predict(

@@ -38,15 +38,29 @@ def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
 class MixedBatch:
     x_mixed: np.ndarray
     y_mixed: np.ndarray
-    lambda_used: float | np.ndarray
-    pairing: np.ndarray  # pairing[i] != i for all i
+    lambda_used: float | np.ndarray | list
+    pairing: np.ndarray | list  # pairing[i] != i for all i
+
+
+def stack_batches(batches: list) -> MixedBatch:
+    """Several runs' batches as one row block per run, run-major, for a
+    stacked network; lambda_used and pairing become one entry per run.
+    A single batch is its own block and comes back as it is."""
+    if len(batches) == 1:
+        return batches[0]
+    return MixedBatch(
+        np.concatenate([m.x_mixed for m in batches]),
+        np.concatenate([m.y_mixed for m in batches]),
+        [m.lambda_used for m in batches],
+        [m.pairing for m in batches],
+    )
 
 
 def sample_pairing(n: int, rng: RngState) -> np.ndarray:
     """Random in-batch partner assignment with no fixed points (n >= 2)."""
     perm = rng.permutation(n)
     pairing = np.empty(n, dtype=np.int64)
-    pairing[perm] = perm[np.roll(np.arange(n), -1)]
+    pairing[perm] = np.concatenate((perm[1:], perm[:1]))
     return pairing
 
 
@@ -142,8 +156,10 @@ def regmix_loss(
 
     The weighted-term list [(x, y, 1), (x_mixed, y_mixed, eta)] for
     nn.weighted_ce: one forward/backward per term, gradients g_c + eta * g_m.
+    For a stacked network (rows and ``stack_batches`` blocks run-major) eta
+    may be one value per run.
     """
-    if eta < 0:
+    if np.any(np.asarray(eta) < 0):
         raise ValueError("eta must be >= 0")
     return nn.weighted_ce(
         net, [(x, y_onehot, 1), (mixed.x_mixed, mixed.y_mixed, eta)]

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from vrlkit import cli
 from vrlkit.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_MISSING_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SCHEMA,
     ManifestError,
@@ -507,6 +511,45 @@ def test_non_finite_checkpoint_exits_schema(manifest_file, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(ckpt) in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "heatmap"])
+def test_damaged_later_checkpoint_writes_no_svg(manifest_file, tmp_path, capsys, command):
+    # regmixup_seed1 is the last run loaded: every net loads before any SVG
+    from vrlkit.nn import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "runs"
+    base = ["--config", str(manifest_file), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    run_dir = next(out.iterdir())
+    ckpt = run_dir / "checkpoints" / "regmixup_seed1.ckpt"
+    net = load_checkpoint(ckpt)
+    net.weights[0][0, 0] = np.nan
+    save_checkpoint(net, ckpt)
+    capsys.readouterr()
+    assert run_cli(command, *base) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
+    assert not list(run_dir.glob("reliability_*.svg"))
+    assert not list(run_dir.glob("heatmap_*.svg"))
+    assert not list(run_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_diverged_training_exits_numeric(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.delenv("VRL_DETERMINISTIC", raising=False)
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(re.sub(r"(?m)^train\.lr = .*$", "train.lr = 1e6", demo.read_text()))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = run_cli("train", "--config", str(cfg), "--out", str(out), "--seeds", "1",
+                   "--jobs", jobs)
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged: ") and err.count("\n") == 1
+    assert "seed 0: non-finite" in err
+    assert not list(tmp_path.rglob("*.record")) and not list(tmp_path.rglob("*.ckpt"))
 
 
 def test_calibrate_rejects_small_test_split(tmp_path, capsys):

@@ -250,6 +250,60 @@ class TestWeightedCe:
             weighted_ce(net, [])
 
 
+class TestStacked:
+    """A stacked network computes each run exactly as the plain network would."""
+
+    def _runs(self, n_runs=3, rows=7):
+        nets = [random_net([3, 6, 5, 4], "relu", RngState(40 + r), param_sd=0.5)
+                for r in range(n_runs)]
+        rng = RngState(50)
+        xs = [rng.normal((rows, 3)) for _ in nets]
+        ys = [np.eye(4)[np.asarray(rng.integers(0, 4, size=rows))] for _ in nets]
+        return nets, xs, ys
+
+    def test_stack_unstack_round_trip(self):
+        nets, _, _ = self._runs()
+        stacked = Network.stack(nets)
+        assert stacked.weights[1].shape == (3, 6, 5) and stacked.biases[1].shape == (3, 5)
+        for net, back in zip(nets, stacked.unstack()):
+            for a, b in zip([*net.weights, *net.biases], [*back.weights, *back.biases]):
+                assert np.array_equal(a, b) and b.flags["C_CONTIGUOUS"]
+
+    def test_mixed_architectures_rejected(self):
+        a = random_net([3, 4, 2], "relu", RngState(1))
+        b = random_net([3, 4, 2], "tanh", RngState(1))
+        with pytest.raises(ValueError):
+            Network.stack([a, b])
+
+    def test_rows_must_split_into_runs(self):
+        nets, _, _ = self._runs()
+        with pytest.raises(ShapeError):
+            forward(Network.stack(nets), np.zeros((8, 3)))
+
+    def test_weighted_ce_and_sgd_equal_per_run_bitwise(self):
+        nets, xs, ys = self._runs()
+        x_m = [x[::-1] * 0.5 for x in xs]
+        y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
+        etas = [0.4, 1.0, 0.0]
+        stacked = Network.stack(nets)
+        loss, grads = weighted_ce(stacked, [
+            (np.concatenate(xs), np.concatenate(ys), 1),
+            (np.concatenate(x_m), np.concatenate(y_m), np.array(etas)),
+        ])
+        opt = OptimState(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+        sgd_step(stacked, grads, opt, 0.25)
+        for r, net in enumerate(nets):
+            want_loss, want = weighted_ce(net, [(xs[r], ys[r], 1), (x_m[r], y_m[r], etas[r])])
+            assert loss[r] == want_loss
+            for got, ref in zip([*grads.d_weights, *grads.d_biases],
+                                [*want.d_weights, *want.d_biases]):
+                assert np.array_equal(got[r], ref)
+            sgd_step(net, want, OptimState(learning_rate=0.1, momentum=0.9, weight_decay=0.01), 0.25)
+        for net, back in zip(nets, stacked.unstack()):
+            for a, b in zip([*net.weights, *net.biases], [*back.weights, *back.biases]):
+                assert np.array_equal(a, b)
+
+
 class TestSgdStep:
     def test_vanilla_sgd(self):
         net = Network([LayerSpec(2, 2, "identity")])

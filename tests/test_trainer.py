@@ -1,10 +1,21 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, make_gaussian_blobs, make_two_moons, split
 from vrlkit.evalkit import entropy_profile
 from vrlkit import trainer
-from vrlkit.nn import GradientSet, backward, cross_entropy_soft, forward, softmax
+from vrlkit.nn import (
+    GradientSet,
+    OptimState,
+    backward,
+    cross_entropy_soft,
+    forward,
+    sgd_step,
+    softmax,
+)
 from vrlkit.tensor import RngState
 from vrlkit.trainer import (
     MIXUP_ALPHA_GRID,
@@ -197,27 +208,162 @@ def three_branch_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
     return loss, backward(net, cache, mixed.y_mixed)
 
 
+def reference_train(config, train_ds, val_ds):
+    """One run alone as a plain 2-D loop over three_branch_step: the oracle
+    for the lockstep trainer.  Returns (net, epoch losses, val metrics)."""
+    root = RngState(config.seed)
+    net = trainer.build_network(config, train_ds.d, train_ds.k, root.split(trainer._S_INIT))
+    opt = OptimState(
+        learning_rate=config.learning_rate, momentum=config.momentum,
+        weight_decay=config.weight_decay, schedule=config.schedule,
+    )
+    y = train_ds.onehot()
+    bounds = trainer._batch_bounds(train_ds.n, config.batch_size)
+    total_steps = config.epochs * len(bounds)
+    losses, step = [], 0
+    for epoch in range(config.epochs):
+        order = root.split(trainer._S_SHUFFLE, epoch).permutation(train_ds.n)
+        loss_sum = 0.0
+        for b, (lo, hi) in enumerate(bounds):
+            idx = order[lo:hi]
+            loss, grads = three_branch_step(
+                config, net, train_ds.x[idx], y[idx], train_ds.image_shape,
+                root.split(trainer._S_MIX, epoch, b), root.split(trainer._S_COIN, epoch, b),
+            )
+            sgd_step(net, grads, opt, step / total_steps)
+            loss_sum += loss * idx.size
+            step += 1
+        losses.append(loss_sum / train_ds.n)
+    metrics = {}
+    if val_ds is not None:
+        logits, _, _ = forward(net, val_ds.x)
+        metrics["val_accuracy"] = trainer.accuracy_from_logits(logits, val_ds.labels)
+        metrics["val_loss"] = cross_entropy_soft(softmax(logits), val_ds.onehot())
+    return net, losses, metrics
+
+
+def step_test_config(strategy, **overrides):
+    return TrainConfig(**{
+        "strategy": strategy,
+        "hidden_dims": (6, 5),
+        "alpha": None if strategy == "erm" else 0.7,
+        "eta": 0.6 if "reg" in strategy else None,
+        "epochs": 3,
+        "batch_size": 4,
+        "learning_rate": 0.05,
+        "seed": 12,
+        **overrides,
+    })
+
+
 class TestWeightedTermStep:
     @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
-    def test_equals_three_branch_step_bitwise(self, strategy, monkeypatch):
+    def test_equals_three_branch_step_bitwise(self, strategy):
         ds = tiny_image_dataset(n=14)
         val = tiny_image_dataset(n=10, seed=8)
-        cfg = TrainConfig(
-            strategy=strategy,
-            hidden_dims=(6, 5),
-            alpha=None if strategy == "erm" else 0.7,
-            eta=0.6 if "reg" in strategy else None,
-            epochs=3,
-            batch_size=4,
-            learning_rate=0.05,
-            seed=12,
-        )
+        cfg = step_test_config(strategy)
         net, record = train(cfg, ds, val)
-        monkeypatch.setattr(trainer, "_strategy_step", three_branch_step)
-        want_net, want_record = train(cfg, ds, val)
+        want_net, want_losses, want_metrics = reference_train(cfg, ds, val)
         assert nets_equal(net, want_net)
-        assert record.epoch_losses == want_record.epoch_losses
-        assert record.metrics == want_record.metrics
+        assert record.epoch_losses == want_losses
+        assert record.metrics == want_metrics
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
+    def test_group_of_three_equals_runs_alone_bitwise(self, strategy):
+        ds = tiny_image_dataset(n=14)
+        val = tiny_image_dataset(n=10, seed=8)
+        mixing = strategy != "erm"
+        reg = "reg" in strategy
+        configs = [
+            step_test_config(strategy),
+            step_test_config(strategy, seed=3, alpha=2.0 if mixing else None,
+                             eta=1.0 if reg else None),
+            step_test_config(strategy, seed=5, alpha=0.3 if mixing else None,
+                             eta=2.5 if reg else None, lambda_mode="per_pair"),
+        ]
+        assert trainer.lockstep_groups(configs) == [[0, 1, 2]]
+        results = train(configs, ds, val)
+        assert len(results) == 3
+        for config, (net, record) in zip(configs, results):
+            want_net, want_losses, want_metrics = reference_train(config, ds, val)
+            assert record.config == config.to_dict() and record.seed == config.seed
+            assert nets_equal(net, want_net)
+            assert record.epoch_losses == want_losses
+            assert record.metrics == want_metrics
+
+    def test_mixed_list_splits_into_groups_in_input_order(self):
+        tr, val = normalized_moons()
+        configs = [
+            TrainConfig(strategy="erm", seed=1, **FAST),
+            TrainConfig(strategy="erm", seed=2, **{**FAST, "epochs": 3}),
+            TrainConfig(strategy="mixup", alpha=0.4, seed=3, **FAST),
+            TrainConfig(strategy="erm", seed=4, **{**FAST, "hidden_dims": (8, 4)}),
+            TrainConfig(strategy="erm", seed=5, **{**FAST, "learning_rate": 0.01}),
+            TrainConfig(strategy="erm", seed=6, **FAST),
+        ]
+        assert trainer.lockstep_groups(configs) == [[0, 5], [1], [2], [3], [4]]
+        results = train(configs, tr, val)
+        for config, (net, record) in zip(configs, results):
+            solo_net, solo_record = train(config, tr, val)
+            assert record.config == config.to_dict()
+            assert nets_equal(net, solo_net)
+            assert record.epoch_losses == solo_record.epoch_losses
+            assert record.metrics == solo_record.metrics
+
+    def test_list_of_one_equals_single_config(self, monkeypatch):
+        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+        tr, val = normalized_moons()
+        cfg = TrainConfig(strategy="regmixup", alpha=5.0, eta=1.0, seed=3, **FAST)
+        (net, record), = train([cfg], tr, val)
+        solo_net, solo_record = train(cfg, tr, val)
+        assert nets_equal(net, solo_net)
+        assert record.to_text() == solo_record.to_text()
+
+    def test_empty_list(self):
+        tr, val = normalized_moons()
+        assert train([], tr, val) == []
+
+
+class TestDivergence:
+    def _train_quietly(self, configs, ds):
+        # numpy's overflow warnings must stay off stderr: any warning fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return train(configs, ds, None)
+
+    def test_non_finite_loss_names_run_epoch_and_step(self):
+        tr, _ = normalized_moons()
+        cfg = TrainConfig(strategy="erm", seed=4, **{**FAST, "learning_rate": 1e6})
+        with pytest.raises(trainer.DivergedError) as err:
+            self._train_quietly(cfg, tr)
+        found = re.fullmatch(
+            r"training diverged: erm seed 4: non-finite loss at epoch (\d+), step (\d+)",
+            str(err.value),
+        )
+        steps_per_epoch = len(trainer._batch_bounds(tr.n, cfg.batch_size))
+        assert found and int(found[2]) // steps_per_epoch == int(found[1])
+
+    def test_first_bad_run_of_a_group_is_named(self):
+        tr, _ = normalized_moons()
+        configs = [
+            TrainConfig(strategy="regmixup", alpha=1.0, eta=eta, seed=seed, **FAST)
+            for seed, eta in ((7, 1.0), (8, 1e300), (9, 1e300))
+        ]
+        with pytest.raises(trainer.DivergedError, match="regmixup seed 8: non-finite loss"):
+            self._train_quietly(configs, tr)
+
+    def test_non_finite_final_weights(self):
+        # one full-batch step: its loss is finite, the update overflows
+        tr, _ = normalized_moons()
+        cfg = TrainConfig(
+            strategy="erm", hidden_dims=(4,), epochs=1, batch_size=tr.n,
+            learning_rate=1e300, momentum=0.0, weight_decay=1e300, schedule="constant",
+            seed=2,
+        )
+        with pytest.raises(trainer.DivergedError, match="erm seed 2: non-finite weights after epoch 0, step 0"):
+            self._train_quietly(cfg, tr)
 
 
 class TestRecord:
