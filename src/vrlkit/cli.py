@@ -131,6 +131,10 @@ class RunManifest:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ManifestError(f"unknown strategy {s!r}")
+        for key, values in (("seeds", self.seeds), ("strategies", self.strategies)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ManifestError(f"{key} lists {value!r} more than once")
 
     def canonical_text(self) -> str:
         keyed = dict(self.config)
@@ -145,40 +149,39 @@ class RunManifest:
         return self.out_dir / self.content_hash()
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ManifestError(f"missing required key {key!r}")
-    return default
+_REQUIRED = object()
+# What a value that fails its cast should have been, for the exit-3 message.
+_EXPECTED = {int: "an integer", float: "a finite number"}
 
 
-def _get_float(cfg, key, default=None, required=False):
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
+def _get(cfg, key, default=_REQUIRED, cast=str):
+    """``cfg[key]`` read by ``cast`` (str, int or float), else ``default``.
+
+    A key with no default is required. A number must parse and be finite;
+    a value that does not raises ManifestError naming the key and the value.
+    """
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ManifestError(f"missing required key {key!r}")
+        return default
+    return _cast(cast, key, cfg[key])
+
+
+def _get_list(cfg, key, default=_REQUIRED, cast=str):
+    """The comma-separated items of ``cfg[key]``, each read as by ``_get``."""
+    if key not in cfg:
+        return _get(cfg, key, default)
+    return [_cast(cast, key, item.strip()) for item in cfg[key].split(",") if item.strip()]
+
+
+def _cast(cast, key, text):
     try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ManifestError(f"key {key!r}: expected a number, got {v!r}")
-
-
-def _get_int(cfg, key, default=None, required=False):
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise ManifestError(f"key {key!r}: expected an integer, got {v!r}")
-
-
-def _get_floats(cfg, key, default):
-    v = _get(cfg, key, default)
-    try:
-        return [float(p) for p in v.split(",") if p.strip()]
+        value = cast(text)
     except ValueError:
-        raise ManifestError(f"key {key!r}: expected comma-separated numbers, got {v!r}")
+        value = math.nan  # fails the finite check below
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ManifestError(f"key {key!r}: expected {_EXPECTED[cast]}, got {text!r}")
+    return value
 
 
 def load_manifest(config_path, out_override=None, seeds_override=None) -> RunManifest:
@@ -191,10 +194,8 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     if seeds_override is not None:
         seeds = list(range(int(seeds_override)))
     else:
-        seeds = _get_ints(cfg, "seeds", "0,1,2,3,4")
-    strategies = [
-        s.strip() for s in _get(cfg, "strategies", required=True).split(",") if s.strip()
-    ]
+        seeds = _get_list(cfg, "seeds", list(range(5)), int)
+    strategies = _get_list(cfg, "strategies")
     _heatmap_keys(cfg)
     _split_fracs(cfg)
     manifest = RunManifest(cfg, out_dir, seeds, strategies)
@@ -203,19 +204,11 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     return manifest
 
 
-def _get_ints(cfg, key, default):
-    v = _get(cfg, key, default)
-    try:
-        return [int(p) for p in v.split(",") if p.strip()]
-    except ValueError:
-        raise ManifestError(f"key {key!r}: expected comma-separated integers, got {v!r}")
-
-
 def _split_fracs(cfg) -> tuple[float, float]:
     """The checked (data.test_frac, data.val_frac), each in (0, 1)."""
     fracs = (
-        _get_float(cfg, "data.test_frac", 0.25),
-        _get_float(cfg, "data.val_frac", 0.1),
+        _get(cfg, "data.test_frac", 0.25, float),
+        _get(cfg, "data.val_frac", 0.1, float),
     )
     for key, frac in zip(("data.test_frac", "data.val_frac"), fracs):
         if not 0.0 < frac < 1.0:
@@ -233,7 +226,7 @@ def _heatmap_keys(cfg) -> tuple[str, int]:
     source = _get(cfg, "heatmap.source", "train")
     if source not in ("train", "test"):
         raise ManifestError("heatmap.source must be train or test")
-    n_pairs = _get_int(cfg, "heatmap.pairs", 1000)
+    n_pairs = _get(cfg, "heatmap.pairs", 1000, int)
     if n_pairs < 1:
         raise ManifestError(f"heatmap.pairs must be >= 1, got {n_pairs}")
     return source, n_pairs
@@ -248,20 +241,20 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
         return own if own in cfg else f"train.{name}"
 
     def maybe_float(name):  # alpha and eta: empty or "none" means unset
-        return None if cfg.get(key(name), "") in ("", "none") else _get_float(cfg, key(name))
+        return None if cfg.get(key(name), "") in ("", "none") else _get(cfg, key(name), cast=float)
 
     try:
         return TrainConfig(
             strategy=strategy,
-            hidden_dims=tuple(_get_ints(cfg, key("hidden"), "32,32")),
+            hidden_dims=tuple(_get_list(cfg, key("hidden"), [32, 32], int)),
             activation=_get(cfg, key("activation"), "relu"),
             alpha=maybe_float("alpha"),
             eta=maybe_float("eta"),
-            epochs=_get_int(cfg, key("epochs"), 40),
-            batch_size=_get_int(cfg, key("batch_size"), 64),
-            learning_rate=_get_float(cfg, key("lr"), 0.1),
-            momentum=_get_float(cfg, key("momentum"), 0.9),
-            weight_decay=_get_float(cfg, key("weight_decay"), 5e-4),
+            epochs=_get(cfg, key("epochs"), 40, int),
+            batch_size=_get(cfg, key("batch_size"), 64, int),
+            learning_rate=_get(cfg, key("lr"), 0.1, float),
+            momentum=_get(cfg, key("momentum"), 0.9, float),
+            weight_decay=_get(cfg, key("weight_decay"), 5e-4, float),
             schedule=_get(cfg, key("schedule"), "cosine"),
             seed=seed,
             lambda_mode=_get(cfg, key("lambda_mode"), "per_batch"),
@@ -270,66 +263,59 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
         raise ManifestError(str(err))
 
 
-def _base_dataset(cfg) -> Dataset:
-    kind = _get(cfg, "data.kind", required=True)
-    seed = _get_int(cfg, "data.seed", 12345)
+def _base_dataset(cfg, seed: int) -> Dataset:
+    kind = _get(cfg, "data.kind")
     rng = RngState(seed).split(100)
     if kind in ("csv", "cifar"):
-        path = Path(_get(cfg, "data.path", required=True))
+        path = Path(_get(cfg, "data.path"))
         if not path.exists():
             raise MissingInputError(f"dataset file not found: {path}")
     try:
         if kind == "moons":
             return make_two_moons(
-                _get_int(cfg, "data.n", 1000), _get_float(cfg, "data.noise_sd", 0.1), rng
+                _get(cfg, "data.n", 1000, int), _get(cfg, "data.noise_sd", 0.1, float), rng
             )
         if kind == "blobs":
             return make_gaussian_blobs(
-                _get_int(cfg, "data.n", 1000),
-                _get_int(cfg, "data.k", 3),
-                _get_float(cfg, "data.separation", 8.0),
+                _get(cfg, "data.n", 1000, int),
+                _get(cfg, "data.k", 3, int),
+                _get(cfg, "data.separation", 8.0, float),
                 rng,
-                noise_sd=_get_float(cfg, "data.noise_sd", 1.0),
+                noise_sd=_get(cfg, "data.noise_sd", 1.0, float),
             )
         if kind == "csv":
             return load_csv(path)
         if kind == "cifar":
-            return load_cifar_binary(path, max_per_class=_get_int(cfg, "data.max_per_class"))
+            return load_cifar_binary(path, max_per_class=_get(cfg, "data.max_per_class", None, int))
     except ValueError as err:
         raise ManifestError(f"data.kind = {kind}: {err}")
     raise ManifestError(f"unknown data.kind {kind!r}")
 
 
-def _ood_dataset(cfg, d: int, generate: bool) -> Dataset | None:
-    """The manifest's OOD set, or None when it has none.
+def _ood_dataset(cfg, d: int):
+    """The manifest's OOD recipe (maker, arguments, name), or None when it has none.
 
-    Every ood.* key is checked against the data dimension ``d`` first; with
-    ``generate=False`` nothing is drawn and the result is None.
+    Every ood.* key is checked, against the data dimension ``d`` where it
+    has one; nothing is drawn.
     """
     kind = _get(cfg, "ood.kind", "none")
     if kind == "none":
         return None
-    n = _get_int(cfg, "ood.n", 400)
+    n = _get(cfg, "ood.n", 400, int)
     if n < 1:
         raise ManifestError(f"ood.n must be >= 1, got {n}")
     if kind == "blob":
-        center = _get_floats(cfg, "ood.center", ",".join(["30.0"] * d))
+        center = _get_list(cfg, "ood.center", [30.0] * d, float)
         if len(center) != d:
             raise ManifestError("ood.center dimension does not match the data")
-        noise_sd = _get_float(cfg, "ood.noise_sd", 1.0)
-        make, args, name = make_blob, (n, center, noise_sd), "ood_blob"
-    elif kind == "uniform_box":
-        low = _get_floats(cfg, "ood.low", ",".join(["-20.0"] * d))
-        high = _get_floats(cfg, "ood.high", ",".join(["20.0"] * d))
+        return make_blob, (n, center, _get(cfg, "ood.noise_sd", 1.0, float)), "ood_blob"
+    if kind == "uniform_box":
+        low = _get_list(cfg, "ood.low", [-20.0] * d, float)
+        high = _get_list(cfg, "ood.high", [20.0] * d, float)
         if len(low) != d or len(high) != d:
             raise ManifestError("ood.low/high dimension does not match the data")
-        make, args, name = make_uniform_box, (n, low, high), "ood_box"
-    else:
-        raise ManifestError(f"unknown ood.kind {kind!r}")
-    if not generate:
-        return None
-    rng = RngState(_get_int(cfg, "data.seed", 12345)).split(200)
-    return make(*args, rng, name=name)
+        return make_uniform_box, (n, low, high), "ood_box"
+    raise ManifestError(f"unknown ood.kind {kind!r}")
 
 
 def parse_corruptions(value: str) -> list:
@@ -389,12 +375,12 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     if unknown:
         raise ValueError(f"unknown pipeline parts {sorted(unknown)}, expected {PIPELINE_PARTS}")
     cfg = manifest.config
-    base = _base_dataset(cfg)
+    seed = _get(cfg, "data.seed", 12345, int)
+    base = _base_dataset(cfg, seed)
     specs = parse_corruptions(_get(cfg, "corruptions", ""))
     if base.d != 2 and any(spec.kind == "rotation2d" for spec in specs):
         raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
-    ood_raw = _ood_dataset(cfg, base.d, generate="ood" in parts)
-    seed = _get_int(cfg, "data.seed", 12345)
+    ood_recipe = _ood_dataset(cfg, base.d)
     test_frac, val_frac = _split_fracs(cfg)
     try:
         pool, test_raw = split(
@@ -406,6 +392,10 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     except ValueError as err:
         raise ManifestError(f"cannot split the data: {err}")
     stats = fit_normalizer(train_raw)
+    ood = None
+    if "ood" in parts and ood_recipe is not None:
+        make, args, name = ood_recipe
+        ood = apply_normalizer(make(*args, RngState(seed).split(200), name=name), stats)
     corrupted = []
     if "corrupted" in parts:
         for i, spec in enumerate(specs):
@@ -415,7 +405,7 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         train=apply_normalizer(train_raw, stats),
         val=apply_normalizer(val_raw, stats),
         test=apply_normalizer(test_raw, stats),
-        ood=apply_normalizer(ood_raw, stats) if ood_raw is not None else None,
+        ood=ood,
         corrupted=corrupted,
     )
 
@@ -574,24 +564,29 @@ def _read_metric_csv(path: Path):
         yield strategy, dataset, metric, measure, number
 
 
-def _test_sets(pipe: Pipeline) -> list:
-    """(name, dataset) for the test split and each corrupted copy of it."""
-    return [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
+def _write_per_test_set_csv(manifest: RunManifest, name: str, metric: str, value) -> Path:
+    """One ``metric`` row per run and set: the test split and each corrupted copy.
+
+    ``value(logits, features, labels)`` scores one set under one run's net.
+    """
+    pipe = build_pipeline(manifest, parts=("corrupted",))
+    sets = [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
+
+    def run_rows(strategy, seed, net):
+        return [
+            (set_name, metric, "-", value(*nn.forward(net, ds.x)[:2], ds.labels))
+            for set_name, ds in sets
+        ]
+
+    return _write_per_run_csv(manifest, name, pipe.test.d, run_rows)
 
 
 def cmd_eval(manifest: RunManifest) -> Path:
     """Accuracy on the test split and every corrupted variant."""
-    pipe = build_pipeline(manifest, parts=("corrupted",))
-    sets = _test_sets(pipe)
-
-    def run_rows(strategy, seed, net):
-        return [
-            (name, "accuracy", "-",
-             accuracy_from_logits(nn.forward(net, ds.x)[0], ds.labels))
-            for name, ds in sets
-        ]
-
-    return _write_per_run_csv(manifest, "eval.csv", pipe.test.d, run_rows)
+    return _write_per_test_set_csv(
+        manifest, "eval.csv", "accuracy",
+        lambda logits, features, labels: accuracy_from_logits(logits, labels),
+    )
 
 
 _LOGIT_MEASURES = (ds_score, energy_score)
@@ -676,17 +671,10 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
 
 def cmd_fisher(manifest: RunManifest) -> Path:
     """Fisher criterion of network features per corruption kind x intensity."""
-    pipe = build_pipeline(manifest, parts=("corrupted",))
-    sets = _test_sets(pipe)
-
-    def run_rows(strategy, seed, net):
-        return [
-            (name, "fisher", "-",
-             fisher_criterion(nn.forward(net, ds.x)[1], ds.labels, epsilon=1e-9))
-            for name, ds in sets
-        ]
-
-    return _write_per_run_csv(manifest, "fisher.csv", pipe.test.d, run_rows)
+    return _write_per_test_set_csv(
+        manifest, "fisher.csv", "fisher",
+        lambda logits, features, labels: fisher_criterion(features, labels, epsilon=1e-9),
+    )
 
 
 def cmd_compare(manifests: list) -> Path:

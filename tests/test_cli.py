@@ -124,6 +124,42 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(p, tmp_path / "out")
 
+    # Neither replay manifest leaves these keys unset, so only this pins them.
+    def test_train_seed_and_heatmap_defaults(self, tmp_path):
+        p = tmp_path / "min.cfg"
+        p.write_text("data.kind = moons\nstrategies = erm\n")
+        manifest = load_manifest(p, tmp_path / "out")
+        config = cli.train_config_for(manifest, "erm", 0)
+        assert (config.hidden_dims, config.activation) == ((32, 32), "relu")
+        assert (config.epochs, config.batch_size) == (40, 64)
+        assert (config.learning_rate, config.momentum, config.weight_decay) == (0.1, 0.9, 5e-4)
+        assert (config.schedule, config.lambda_mode) == ("cosine", "per_batch")
+        assert config.alpha is None and config.eta is None
+        assert manifest.seeds == [0, 1, 2, 3, 4]
+        assert cli._heatmap_keys(manifest.config) == ("train", 1000)
+        assert cli._split_fracs(manifest.config) == (0.25, 0.1)
+
+    @pytest.mark.parametrize(
+        "ood,explicit",
+        [
+            ("", "data.seed = 12345\ndata.n = 1000\ndata.noise_sd = 0.1\n"),
+            ("ood.kind = blob\n", "ood.center = 30,30\nood.n = 400\nood.noise_sd = 1\n"),
+            ("ood.kind = uniform_box\n", "ood.low = -20,-20\nood.high = 20,20\nood.n = 400\n"),
+        ],
+    )
+    def test_data_and_ood_defaults_equal_explicit_values(self, tmp_path, ood, explicit):
+        text = "data.kind = moons\nstrategies = erm\n" + ood
+        (tmp_path / "default.cfg").write_text(text)
+        (tmp_path / "explicit.cfg").write_text(text + explicit)
+        default, given = (
+            build_pipeline(load_manifest(tmp_path / f"{name}.cfg", tmp_path / "out"))
+            for name in ("default", "explicit")
+        )
+        for name in ("train", "val", "test", *(["ood"] if ood else [])):
+            a, b = getattr(default, name), getattr(given, name)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+        assert (default.ood is None) == (not ood)
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -275,6 +311,17 @@ class TestImagePipeline:
 COMMANDS = ("train", "eval", "ood", "calibrate", "heatmap", "fisher")
 
 
+def _setting(manifest, key, value):
+    """The (old, new) text replacement that sets ``key = value`` in ``manifest``.
+
+    Whole lines are replaced (``mixup.alpha`` leaves ``regmixup.alpha`` alone);
+    a key the manifest lacks goes after its heatmap.pairs line.
+    """
+    new = f"\n{key} = {value}\n"
+    old = next((line for line in manifest.splitlines() if line.startswith(key + " ")), None)
+    return (f"\n{old}\n", new) if old else ("\nheatmap.pairs = 40\n", f"\nheatmap.pairs = 40{new}")
+
+
 class TestBadManifestValues:
     """A malformed manifest value exits 3 with a one-line message, no traceback."""
 
@@ -292,12 +339,24 @@ class TestBadManifestValues:
         return err
 
     @pytest.mark.parametrize(
-        "kind,key", [("blob", "ood.center"), ("uniform_box", "ood.low"), ("uniform_box", "ood.high")]
+        "kind,key,value",
+        [
+            ("blob", "ood.center", "a,b"),
+            ("uniform_box", "ood.low", "a,b"),
+            ("uniform_box", "ood.high", "a,b"),
+            ("blob", "ood.center", "nan,nan"),
+            ("uniform_box", "ood.high", "20,inf"),
+        ],
+        ids=[
+            "blob-ood.center", "uniform_box-ood.low", "uniform_box-ood.high",
+            "blob-ood.center-nan", "uniform_box-ood.high-inf",
+        ],
     )
-    def test_non_numeric_float_list(self, tmp_path, capsys, kind, key):
-        replace = ("ood.kind = blob\nood.center = 10,10", f"ood.kind = {kind}\n{key} = a,b")
+    def test_non_numeric_float_list(self, tmp_path, capsys, kind, key, value):
+        replace = ("ood.kind = blob\nood.center = 10,10", f"ood.kind = {kind}\n{key} = {value}")
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert key in err
+        assert not (tmp_path / "o").exists()
 
     def test_non_integer_corruption_level(self, tmp_path, capsys):
         replace = ("gaussian_noise:1-2", "gaussian_noise:x")
@@ -352,11 +411,12 @@ class TestBadManifestValues:
             ("train.lr", "0"),
             ("train.epochs", "0"),
             ("seeds", "a"),
+            ("data.noise_sd", "inf"),
+            ("train.lr", "inf"),
         ],
     )
     def test_bad_data_train_or_seeds_value(self, tmp_path, capsys, key, value):
-        old = next(line for line in MOONS_MANIFEST.splitlines() if line.startswith(key + " "))
-        replace = (old, f"{key} = {value}")
+        replace = _setting(MOONS_MANIFEST, key, value)
         self._run(tmp_path, capsys, replace, ["train"], manifest=MOONS_MANIFEST)
         assert not (tmp_path / "o").exists()
 
@@ -368,12 +428,37 @@ class TestBadManifestValues:
             ("train.lr", "fast"),
             ("regmixup.alpha", "big"),
             ("regmixup.eta", "y"),
+            ("train.lr", "nan"),
+            ("train.lr", "inf"),
+            ("train.weight_decay", "nan"),
+            ("regmixup.eta", "nan"),
+            ("mixup.alpha", "nan"),
+            ("data.separation", "nan"),
+            ("data.noise_sd", "inf"),
         ],
     )
     def test_bad_train_or_strategy_value_names_its_key(self, tmp_path, capsys, key, value):
-        old = next(line for line in MANIFEST.splitlines() if line.startswith(key + " "))
-        err = self._run(tmp_path, capsys, (old, f"{key} = {value}"), ["train"])
-        assert key in err and value in err
+        # mixup joins the grid last, so the other cases still fail on their own key
+        manifest = MANIFEST.replace(
+            "strategies = erm,regmixup", "strategies = erm,regmixup,mixup\nmixup.alpha = 1"
+        )
+        err = self._run(
+            tmp_path, capsys, _setting(manifest, key, value), ["train"], manifest=manifest
+        )
+        assert repr(key) in err and value in err  # quoted: 'mixup.alpha' is not regmixup.alpha
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,repeated",
+        [
+            ("strategies", "erm,regmixup,erm", "'erm'"),
+            ("seeds", "0,0", "0"),
+            ("seeds", "3,1,3", "3"),
+        ],
+    )
+    def test_repeated_seed_or_strategy(self, tmp_path, capsys, key, value, repeated):
+        err = self._run(tmp_path, capsys, _setting(MANIFEST, key, value), ["train"])
+        assert f"{key} lists {repeated}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
