@@ -57,7 +57,6 @@ from .trainer import (
     TrainConfig,
     accuracy_from_logits,
     deterministic_mode,
-    lockstep_groups,
     train,
 )
 from .uncertainty import (
@@ -476,8 +475,9 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     """Train the full strategy x seed grid and persist records + checkpoints.
 
     Every run trains before anything is written, so a diverged run
-    (DivergedError) leaves no record or checkpoint.  With ``jobs`` > 1 each
-    lockstep group (one strategy, all seeds) goes to a worker.
+    (DivergedError) leaves no record or checkpoint.  With ``jobs`` > 1 the
+    runs are dealt round-robin to min(jobs, runs) workers, and each worker
+    trains its share in lockstep groups of its own.
     """
     pipe = build_pipeline(manifest, parts=())
     configs = [
@@ -487,12 +487,12 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     if deterministic_mode() or jobs <= 1:
         results = train(configs, pipe.train, pipe.val)
     else:
-        groups = [[configs[i] for i in group] for group in lockstep_groups(configs)]
-        n = len(groups)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            trained = list(pool.map(train, groups, [pipe.train] * n, [pipe.val] * n))
-        configs = [config for group in groups for config in group]
-        results = [result for group in trained for result in group]
+        n = min(jobs, len(configs))
+        shares = [configs[i::n] for i in range(n)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+            trained = list(pool.map(train, shares, [pipe.train] * n, [pipe.val] * n))
+        configs = [config for share in shares for config in share]
+        results = [result for share in trained for result in share]
     run_dir = manifest.run_dir()
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -564,12 +564,14 @@ def _read_metric_csv(path: Path):
         yield strategy, dataset, metric, measure, number
 
 
-def _write_per_test_set_csv(manifest: RunManifest, name: str, metric: str, value) -> Path:
+def _write_per_test_set_csv(
+    manifest: RunManifest, pipe: Pipeline, name: str, metric: str, value
+) -> Path:
     """One ``metric`` row per run and set: the test split and each corrupted copy.
 
-    ``value(logits, features, labels)`` scores one set under one run's net.
+    ``pipe`` holds the corrupted sets; ``value(logits, features, labels)``
+    scores one set under one run's net.
     """
-    pipe = build_pipeline(manifest, parts=("corrupted",))
     sets = [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
 
     def run_rows(strategy, seed, net):
@@ -584,7 +586,7 @@ def _write_per_test_set_csv(manifest: RunManifest, name: str, metric: str, value
 def cmd_eval(manifest: RunManifest) -> Path:
     """Accuracy on the test split and every corrupted variant."""
     return _write_per_test_set_csv(
-        manifest, "eval.csv", "accuracy",
+        manifest, build_pipeline(manifest, parts=("corrupted",)), "eval.csv", "accuracy",
         lambda logits, features, labels: accuracy_from_logits(logits, labels),
     )
 
@@ -671,8 +673,18 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
 
 def cmd_fisher(manifest: RunManifest) -> Path:
     """Fisher criterion of network features per corruption kind x intensity."""
+    pipe = build_pipeline(manifest, parts=("corrupted",))
+    # the corrupted sets share the test labels, so one check covers them all
+    classes, counts = np.unique(pipe.test.labels, return_counts=True)
+    if classes.size < 2 or counts.min() < 2:
+        found = (f"{classes.size} class" if classes.size < 2
+                 else f"class {classes[counts.argmin()]} with {counts.min()} row")
+        raise ManifestError(
+            f"fisher needs >= 2 test classes of >= 2 rows each, found {found}; "
+            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
+        )
     return _write_per_test_set_csv(
-        manifest, "fisher.csv", "fisher",
+        manifest, pipe, "fisher.csv", "fisher",
         lambda logits, features, labels: fisher_criterion(features, labels, epsilon=1e-9),
     )
 

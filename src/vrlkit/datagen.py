@@ -89,6 +89,8 @@ def make_gaussian_blobs(
     n: int, k: int, separation: float, rng: RngState, noise_sd: float = 1.0
 ) -> Dataset:
     """k isotropic Gaussian blobs in 2-D, balanced to within one sample."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 blobs, got k={k}")
     if n < 2 * k:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
     centers = blob_centers(k, separation)

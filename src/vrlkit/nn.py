@@ -110,20 +110,59 @@ def _init_weight(spec: LayerSpec, rng: RngState | None) -> np.ndarray:
     return (2.0 * u - 1.0) * limit
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, buffers=None, role=None) -> np.ndarray:
+    """activation(z), into the array ``buffers`` lends for ``role`` if any."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=_lend(buffers, role, z.shape))
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=_lend(buffers, role, z.shape))
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, z: np.ndarray, a: np.ndarray, buffers=None, role=None):
+    """d activation / dz, given a = activation(z), into the array ``buffers``
+    lends for ``role`` if any.  relu gives bools, which a product reads as
+    1.0 and 0.0."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return np.greater(z, 0.0, out=_lend(buffers, role, z.shape, bool))
     if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        g = np.multiply(a, a, out=_lend(buffers, role, z.shape))
+        return np.subtract(1.0, g, out=g)
+    return 1.0
+
+
+class StepBuffers:
+    """Arrays lent to one training step and taken back by the next.
+
+    The trainer keeps one per lockstep group and passes it as ``_buffers`` to
+    weighted_ce, which hands it on to forward and backward.  Every big array
+    of a step (the gathered rows, pre-activations, activations, deltas,
+    activation gradients and the gradient sums) is then written with
+    ``out=`` into the array kept for its role, so a step maps no fresh
+    memory.  A lent array holds its values only until its role is lent
+    again; a role whose array must grow gets a new one.
+    """
+
+    def __init__(self):
+        self._arrays = {}  # role -> the flat array kept for it
+        self._views = {}  # (role, shape) -> its view, as a step asks again and again
+
+    def take(self, role, shape, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous ``shape`` array kept for ``role`` (contents undefined)."""
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            kept = self._arrays.get(role)
+            if kept is None or kept.size < size:
+                kept = self._arrays[role] = np.empty(size, dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != role}
+            view = self._views[role, shape] = kept[:size].reshape(shape)
+        return view
+
+
+def _lend(buffers: StepBuffers | None, role, shape, dtype=np.float64):
+    """The array ``buffers`` keeps for ``role``, or None: numpy allocates."""
+    return None if buffers is None else buffers.take(role, shape, dtype)
 
 
 class ForwardCache:
@@ -147,13 +186,16 @@ def _per_run(net: Network, rows: np.ndarray) -> np.ndarray:
     return rows.reshape(*runs, -1, rows.shape[1])
 
 
-def forward(net: Network, x_batch) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+def forward(
+    net: Network, x_batch, *, _buffers: StepBuffers | None = None
+) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a batch.
 
     Returns (logits, features, cache) where features are the penultimate
     activations (the inputs themselves for a single-layer net).  A stacked
     network takes one block of rows per run, stacked run-major, and returns
-    logits and features as (runs, rows per run, width).
+    logits and features as (runs, rows per run, width).  ``_buffers`` is the
+    training step's (see StepBuffers); without it every array is fresh.
     """
     x = as_matrix(x_batch)
     if x.shape[1] != net.in_dim:
@@ -161,19 +203,27 @@ def forward(net: Network, x_batch) -> tuple[np.ndarray, np.ndarray, ForwardCache
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
     h = _per_run(net, x)
-    pre, act = _forward_from_first_pre(net, h @ net.weights[0] + net.biases[0][..., None, :])
+    pre, act = _forward_from_first_pre(net, _dense(net, 0, h, _buffers), _buffers)
     logits = act[-1]
     features = act[-2] if len(act) > 1 else h
     return logits, features, ForwardCache(net, x, pre, act)
 
 
-def _forward_from_first_pre(net: Network, z0: np.ndarray) -> tuple[list, list]:
+def _dense(net: Network, l: int, h: np.ndarray, buffers) -> np.ndarray:
+    """Layer l's pre-activation h @ W[l] + b[l]."""
+    w = net.weights[l]
+    z = np.matmul(h, w, out=_lend(buffers, ("pre", l), (*h.shape[:-1], w.shape[-1])))
+    z += net.biases[l][..., None, :]
+    return z
+
+
+def _forward_from_first_pre(net: Network, z0: np.ndarray, buffers=None) -> tuple[list, list]:
     """Apply the network from layer 0's pre-activation on: (pre, act) per layer."""
-    pre, act = [z0], [_activate(net.layers[0].activation, z0)]
-    for spec, w, b in zip(net.layers[1:], net.weights[1:], net.biases[1:]):
-        z = act[-1] @ w + b[..., None, :]
-        pre.append(z)
-        act.append(_activate(spec.activation, z))
+    pre, act = [z0], []
+    for l, spec in enumerate(net.layers):
+        if l:
+            pre.append(_dense(net, l, act[-1], buffers))
+        act.append(_activate(spec.activation, pre[-1], buffers, ("act", l)))
     return pre, act
 
 
@@ -213,12 +263,17 @@ class GradientSet:
     d_biases: list
 
 
-def backward(net: Network, cache: ForwardCache, soft_targets, probs=None) -> GradientSet:
+def backward(
+    net: Network, cache: ForwardCache, soft_targets, probs=None, *,
+    _buffers: StepBuffers | None = None, _out: GradientSet | None = None,
+) -> GradientSet:
     """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters.
 
     ``soft_targets`` are rows laid out like the forward inputs; ``probs`` is
     softmax(logits) when the caller already has it.  A stacked network gets
-    each run's gradient of its own batch-mean loss.
+    each run's gradient of its own batch-mean loss.  For the training step,
+    ``_buffers`` lends the deltas (see StepBuffers) and the gradient is
+    written into the arrays of ``_out``; without them every array is fresh.
     """
     if cache.net is not net:
         raise ValueError("cache does not belong to this network")
@@ -228,22 +283,27 @@ def backward(net: Network, cache: ForwardCache, soft_targets, probs=None) -> Gra
         raise ShapeError(f"targets {t.shape} vs logits {logits.shape}")
     if probs is None:
         probs = softmax(logits)
-    delta = (probs - t) / logits.shape[-2]  # dL/dlogits for mean CE
-    d_weights = [None] * len(net.layers)
-    d_biases = [None] * len(net.layers)
-    for l in range(len(net.layers) - 1, -1, -1):
+    n_layers = len(net.layers)
+    delta = np.subtract(probs, t, out=_lend(_buffers, ("delta", n_layers - 1), t.shape))
+    delta /= logits.shape[-2]  # dL/dlogits for mean CE
+    grads = _out if _out is not None else GradientSet([None] * n_layers, [None] * n_layers)
+    for l in range(n_layers - 1, -1, -1):
         inp = cache.act[l - 1] if l > 0 else _per_run(net, cache.x)
-        d_weights[l] = inp.swapaxes(-1, -2) @ delta
-        d_biases[l] = delta.sum(axis=-2)
+        grads.d_weights[l] = np.matmul(inp.swapaxes(-1, -2), delta, out=grads.d_weights[l])
+        grads.d_biases[l] = np.add.reduce(delta, axis=-2, out=grads.d_biases[l])
         if l > 0:
-            spec = net.layers[l - 1]
-            delta = (delta @ net.weights[l].swapaxes(-1, -2)) * _activate_grad(
-                spec.activation, cache.pre[l - 1], cache.act[l - 1]
-            )
-    return GradientSet(d_weights, d_biases)
+            spec, z = net.layers[l - 1], cache.pre[l - 1]
+            back = np.matmul(delta, net.weights[l].swapaxes(-1, -2),
+                             out=_lend(_buffers, ("delta", l - 1), z.shape))
+            delta = np.multiply(back, _activate_grad(
+                spec.activation, z, cache.act[l - 1], _buffers, ("dact", l - 1)
+            ), out=back)
+    return grads
 
 
-def weighted_ce(net: Network, terms) -> tuple[float, GradientSet]:
+def weighted_ce(
+    net: Network, terms, *, _buffers: StepBuffers | None = None
+) -> tuple[float, GradientSet]:
     """Weighted sum of batch-mean cross-entropies and its gradient.
 
     ``terms`` is a list of (inputs, soft_targets, weight); each term gets one
@@ -251,29 +311,95 @@ def weighted_ce(net: Network, terms) -> tuple[float, GradientSet]:
     of 1 is never multiplied in, so a one-term call returns forward + backward
     bit for bit.  For a stacked network a weight may be one value per run,
     and the loss comes back as one value per run.
+
+    A term for a stacked network may add a fourth item, the slice of runs it
+    covers (all by default); its rows and per-run weights are then those
+    runs' only, and the other runs make no pass for it.  The terms must cover
+    every run, and the runs covered so far must stay one slice.  Where terms
+    overlap, each later one is added in place, so every run still sums its
+    terms in list order.
+
+    ``_buffers`` (see StepBuffers) lends every big array of the step, the
+    returned gradient included.
     """
     if not terms:
         raise ValueError("weighted_ce needs at least one term")
-    total_loss, total = None, None
-    for x, targets, weight in terms:
-        logits, _, cache = forward(net, x)
+    plain = net.weights[0].ndim == 2
+    if plain:  # one run on a leading run axis: the same GEMMs and sums
+        if any(len(term) > 3 for term in terms):
+            raise ValueError("only the terms of a stacked network can pick runs")
+        net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
+    all_runs = range(net.weights[0].shape[0])
+    sums = _gradient_arrays(net, _buffers, "sum")
+    total = [np.empty(len(all_runs)), *sums.d_weights, *sums.d_biases]  # loss, then gradients
+    covered = None  # the runs whose values total holds
+    for x, targets, weight, *runs in terms:
+        span = all_runs[runs[0]] if runs else all_runs
+        if not span or span.step != 1:
+            raise ValueError(f"term runs {runs[0]} are not a non-empty slice")
+        part = net if span == all_runs else net._with(
+            [w[span.start:span.stop] for w in net.weights],
+            [b[span.start:span.stop] for b in net.biases],
+        )
+        logits, _, cache = forward(part, x, _buffers=_buffers)
         probs = softmax(logits)
-        loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
-        grads = backward(net, cache, targets, probs)
-        arrays = grads.d_weights + grads.d_biases
+        loss = _mean_ce(probs, _per_run(part, as_matrix(targets)))
+        # a term over runs no earlier term covers writes its gradient straight
+        # into total; any other goes through arrays of its own
+        fresh = covered is None or span.stop <= covered.start or span.start >= covered.stop
+        if fresh:
+            views = [g[span.start:span.stop] for g in total[1:]]
+            out = GradientSet(views[:len(net.layers)], views[len(net.layers):])
+        else:
+            out = _gradient_arrays(part, _buffers, "term")
+        grads = backward(part, cache, targets, probs, _buffers=_buffers, _out=out)
+        values = [loss, *grads.d_weights, *grads.d_biases]
         w = np.asarray(weight, dtype=np.float64)
         if (w != 1).any():
             # one weight per run scales that run's slice of every gradient
-            loss = w * loss
-            arrays = [w.reshape(w.shape + (1,) * (g.ndim - w.ndim)) * g for g in arrays]
-        if total is None:
-            total_loss, total = loss, arrays
+            values[0] = w * loss
+            for g in values[1:]:
+                g *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
+        if fresh:  # the gradient is in place already; only the loss is copied
+            covered = _sum_runs(total[:1], covered, span, values[:1])
         else:
-            total_loss += loss
-            for acc, g in zip(total, arrays):
-                acc += g
+            covered = _sum_runs(total, covered, span, values)
+    if covered != all_runs:
+        raise ValueError(f"the terms cover runs {covered}, not all of {all_runs}")
+    if plain:
+        total = [a[0] for a in total]
     n = len(net.layers)
-    return total_loss, GradientSet(total[:n], total[n:])
+    return total[0], GradientSet(total[1:n + 1], total[n + 1:])
+
+
+def _gradient_arrays(net: Network, buffers, role: str) -> GradientSet:
+    """Arrays shaped like ``net``'s parameters: lent for ``role``, or fresh."""
+    def array(kind, l, shape):
+        return np.empty(shape) if buffers is None else buffers.take((role, kind, l), shape)
+    return GradientSet(
+        [array("w", l, w.shape) for l, w in enumerate(net.weights)],
+        [array("b", l, b.shape) for l, b in enumerate(net.biases)],
+    )
+
+
+def _sum_runs(total: list, covered: range | None, span: range, values: list) -> range:
+    """Put one term's ``values`` (runs ``span``, leading axis) into the
+    run-major arrays ``total``, which hold the runs ``covered`` (None: no run
+    yet): added where they do, copied into the rest.  Returns the runs total
+    now holds."""
+    lo, hi = span.start, span.stop
+    covered = covered or range(lo, lo)
+    if lo > covered.stop or hi < covered.start:
+        raise ValueError("the runs of the terms must join into one slice")
+    both = range(max(lo, covered.start), min(hi, covered.stop))
+    new = (range(lo, min(hi, covered.start)), range(max(lo, covered.stop), hi))
+    for t, v in zip(total, values):
+        if both:
+            t[both.start:both.stop] += v[both.start - lo:both.stop - lo]
+        for r in new:
+            if r:
+                t[r.start:r.stop] = v[r.start - lo:r.stop - lo]
+    return range(min(lo, covered.start), max(hi, covered.stop))
 
 
 @dataclass
@@ -286,6 +412,7 @@ class OptimState:
     schedule: str = "constant"  # constant | cosine
     _vel_w: list = field(default_factory=list, repr=False)
     _vel_b: list = field(default_factory=list, repr=False)
+    _scratch: list = field(default_factory=list, repr=False)  # sgd_step's two chunk buffers
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -303,25 +430,55 @@ class OptimState:
         return self.learning_rate
 
 
+# Values per pass of sgd_step's in-place update: 128 KiB, so the chunks of
+# the five arrays it streams (param, grad, velocity, two scratch) stay in L2.
+_SGD_CHUNK = 16384
+
+
 def sgd_step(net: Network, grads: GradientSet, opt: OptimState, epoch_frac: float):
-    """In-place Nesterov update; weight decay enters as an L2 gradient term."""
+    """In-place Nesterov update; weight decay enters as an L2 gradient term.
+
+    Per parameter, bit for bit: g = grad + wd * param; vel = mu * vel + g;
+    param -= lr * (g + mu * vel), or lr * g without momentum.  It runs in
+    chunks of _SGD_CHUNK values through two scratch arrays kept in ``opt``,
+    so a step allocates nothing.
+    """
     if not 0.0 <= epoch_frac <= 1.0:
         raise ValueError("epoch_frac must be in [0, 1]")
     if not opt._vel_w:
-        opt._vel_w = [np.zeros_like(w) for w in net.weights]
-        opt._vel_b = [np.zeros_like(b) for b in net.biases]
+        opt._vel_w = [np.zeros(w.shape) for w in net.weights]
+        opt._vel_b = [np.zeros(b.shape) for b in net.biases]
+        opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
     lr = opt.lr_at(epoch_frac)
-    mu = opt.momentum
     for i in range(len(net.layers)):
         for param, grad, vel in (
             (net.weights[i], grads.d_weights[i], opt._vel_w[i]),
             (net.biases[i], grads.d_biases[i], opt._vel_b[i]),
         ):
-            g = grad + opt.weight_decay * param
-            vel *= mu
-            vel += g
-            step = g + mu * vel if mu > 0.0 else g
-            param -= lr * step
+            if grad.shape != param.shape:
+                raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
+            flat = np.ascontiguousarray(param)
+            _sgd_chunks(flat.reshape(-1), np.ascontiguousarray(grad).reshape(-1),
+                        vel.reshape(-1), lr, opt)
+            if flat is not param:  # a strided parameter: write the update back
+                param[...] = flat
+
+
+def _sgd_chunks(param, grad, vel, lr: float, opt: OptimState):
+    """sgd_step's update of one flat parameter, chunk by chunk, in place."""
+    mu = opt.momentum
+    step_buf, tmp_buf = opt._scratch
+    for lo in range(0, param.size, _SGD_CHUNK):
+        hi = lo + _SGD_CHUNK
+        p, v = param[lo:hi], vel[lo:hi]
+        step = np.multiply(p, opt.weight_decay, out=step_buf[:p.size])
+        step += grad[lo:hi]  # g = grad + wd * param
+        v *= mu
+        v += step
+        if mu > 0.0:
+            step += np.multiply(v, mu, out=tmp_buf[:p.size])  # g + mu * vel
+        step *= lr
+        p -= step
 
 
 def save_checkpoint(net: Network, path):

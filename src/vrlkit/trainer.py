@@ -5,9 +5,9 @@ Every run derives all of its randomness from TrainConfig.seed through
 labelled RngState streams (init / shuffle / mixing / coin), so two runs with
 the same config produce byte-identical ExperimentRecords, and strategies that
 degenerate to ERM (eta=0, forced lambda=1) replay the exact same batches.
-Runs that differ only in seed, alpha, eta, lambda_mode or force_lambda train
-in lockstep on one stacked network, each on its own streams and rows, with
-the same bits as alone.
+Runs that differ only in strategy, seed, alpha, eta, lambda_mode or
+force_lambda train in lockstep on one stacked network, each on its own
+streams and rows, with the same bits as alone.
 """
 
 import os
@@ -41,6 +41,14 @@ _RECIPES = {
     "reg_mixup_plus_regcutmix": (("mixup", "cutmix"), True),
 }
 STRATEGIES = tuple(_RECIPES)
+
+
+def _step_role(config) -> int:
+    """Where a run sits in its lockstep group: 0 mixed term only, 1 both
+    terms (regularized), 2 clean term only (erm)."""
+    ops, regularized = _RECIPES[config.strategy]
+    return 2 if not ops else int(regularized)
+
 
 # RngState stream labels; keeping them distinct makes shuffling independent
 # of how many draws the mixing ops consume.
@@ -206,7 +214,7 @@ class DivergedError(ArithmeticError):
 
 # TrainConfig fields that may differ between runs training in lockstep; every
 # other field fixes the batch bounds, learning rates and network shapes.
-_PER_RUN_FIELDS = ("seed", "alpha", "eta", "lambda_mode", "force_lambda")
+_PER_RUN_FIELDS = ("strategy", "seed", "alpha", "eta", "lambda_mode", "force_lambda")
 
 
 def lockstep_groups(configs) -> list:
@@ -232,10 +240,10 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
 
     The runs of each lockstep group train together: their weights sit on one
     stacked network, so each step is one forward, backward and SGD update
-    for the whole group.  Each run still draws its init, shuffle, mixing and
-    coin streams from its own seed and mixes its own rows, and its result is
-    bit for bit what it would be alone.  In a group, wall_clock_s is the
-    group's wall time.
+    per loss term for the whole group.  Each run still draws its init,
+    shuffle, mixing and coin streams from its own seed and mixes its own
+    rows, and its result is bit for bit what it would be alone.  In a group,
+    wall_clock_s is the group's wall time.
 
     Raises DivergedError, naming the first bad run, when a batch loss or a
     trained weight is not finite.
@@ -244,6 +252,7 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
         return _train_lockstep([configs], train_ds, val_ds)[0]
     results = [None] * len(configs)
     for group in lockstep_groups(configs):
+        group.sort(key=lambda i: _step_role(configs[i]))
         trained = _train_lockstep([configs[i] for i in group], train_ds, val_ds)
         for i, result in zip(group, trained):
             results[i] = result
@@ -251,16 +260,26 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
 
 
 def _train_lockstep(configs, train_ds, val_ds) -> list:
-    """(net, record) per config of one lockstep group."""
+    """(net, record) per config of one lockstep group, given in _step_role order.
+
+    Each step makes one clean term over the runs with one (roles 1 and 2)
+    and one mixed term over the runs with one (roles 0 and 1), each a
+    contiguous slice of the stacked network; the runs of role 1 sum both.
+    """
     first = configs[0]
-    ops, regularized = _RECIPES[first.strategy]
     if train_ds.n < 2:
         raise ValueError("training needs at least 2 samples")
-    if "cutmix" in ops and train_ds.image_shape is None:
-        raise ValueError(f"strategy {first.strategy} needs image-shaped data")
+    for config in configs:
+        if "cutmix" in _RECIPES[config.strategy][0] and train_ds.image_shape is None:
+            raise ValueError(f"strategy {config.strategy} needs image-shaped data")
     if val_ds is not None and val_ds.d != train_ds.d:
         raise ValueError("train/val feature dimensions differ")
     t_start = time.perf_counter()
+    roles = [_step_role(config) for config in configs]
+    runs = len(configs)
+    n_mixed_only, n_mixed = roles.count(0), runs - roles.count(2)
+    # per mixed run: eta for the regularized ones, 1 for the mixed-only ones
+    etas = np.array([c.eta if role else 1.0 for c, role in zip(configs[:n_mixed], roles)])
     roots = [RngState(config.seed) for config in configs]
     net = nn.Network.stack([
         build_network(config, train_ds.d, train_ds.k, root.split(_S_INIT))
@@ -272,7 +291,7 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
         weight_decay=first.weight_decay,
         schedule=first.schedule,
     )
-    etas = np.array([config.eta for config in configs]) if regularized else None
+    buffers = nn.StepBuffers()
     y_onehot = train_ds.onehot()
     n = train_ds.n
     bounds = _batch_bounds(n, first.batch_size)
@@ -283,26 +302,38 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     with np.errstate(all="ignore"):
         for epoch in range(first.epochs):
             orders = [root.split(_S_SHUFFLE, epoch).permutation(n) for root in roots]
-            loss_sum = np.zeros(len(configs))
+            loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
                 idx = np.concatenate([order[lo:hi] for order in orders])
-                xb, yb = train_ds.x[idx], y_onehot[idx]
-                if ops:  # each run mixes its own block of rows
-                    runs = zip(configs, roots, xb.reshape(len(configs), hi - lo, -1),
-                               yb.reshape(len(configs), hi - lo, -1))
+                # "wrap" mode takes no private copy; the indices are in range
+                xb = np.take(train_ds.x, idx, axis=0, mode="wrap",
+                             out=buffers.take("x", (idx.size, train_ds.d)))
+                yb = np.take(y_onehot, idx, axis=0, mode="wrap",
+                             out=buffers.take("y", (idx.size, train_ds.k)))
+                rows = hi - lo
+                clean = slice(n_mixed_only * rows, None)  # the rows of roles 1 and 2
+                if n_mixed:  # each mixing run mixes its own block of rows
+                    blocks = zip(configs[:n_mixed], roots, xb.reshape(runs, rows, -1),
+                                 yb.reshape(runs, rows, -1))
                     mixed = stack_batches([
-                        _mix(config, root, ops, x, y, train_ds.image_shape, epoch, b)
-                        for config, root, x, y in runs
+                        _mix(config, root, x, y, train_ds.image_shape, epoch, b)
+                        for config, root, x, y in blocks
                     ])
-                if regularized:
-                    loss, grads = regmix_loss(net, xb, yb, mixed, etas)
+                if n_mixed > n_mixed_only:
+                    loss, grads = regmix_loss(
+                        net, xb[clean], yb[clean], mixed, etas, _buffers=buffers
+                    )
                 else:
-                    term = (mixed.x_mixed, mixed.y_mixed, 1) if ops else (xb, yb, 1)
-                    loss, grads = nn.weighted_ce(net, [term])
+                    terms = []
+                    if n_mixed:
+                        terms.append((mixed.x_mixed, mixed.y_mixed, 1, slice(0, n_mixed)))
+                    if n_mixed < runs:
+                        terms.append((xb[clean], yb[clean], 1, slice(n_mixed, runs)))
+                    loss, grads = nn.weighted_ce(net, terms, _buffers=buffers)
                 if not np.isfinite(loss).all():
                     raise _diverged(configs, ~np.isfinite(loss), f"loss at epoch {epoch}, step {step}")
                 nn.sgd_step(net, grads, opt, step / total_steps)
-                loss_sum += loss * (hi - lo)
+                loss_sum += loss * rows
                 step += 1
             epoch_losses.append(loss_sum / n)
     nets = net.unstack()
@@ -336,8 +367,9 @@ def _diverged(configs, bad, what: str) -> DivergedError:
     )
 
 
-def _mix(config, root, ops, xb, yb, image_shape, epoch, b):
+def _mix(config, root, xb, yb, image_shape, epoch, b):
     """One run's mixed batch; with two ops a coin picks mixup when < 0.5."""
+    ops = _RECIPES[config.strategy][0]
     op = ops[0] if len(ops) == 1 or root.split(_S_COIN, epoch, b).uniform(1)[0] < 0.5 else ops[1]
     params = BetaParams(config.alpha)
     mix_rng = root.split(_S_MIX, epoch, b)

@@ -150,7 +150,7 @@ def cutmix_batch(
 
 
 def regmix_loss(
-    net, x, y_onehot, mixed: MixedBatch, eta: float
+    net, x, y_onehot, mixed: MixedBatch, eta, *, _buffers: nn.StepBuffers | None = None
 ) -> tuple[float, nn.GradientSet]:
     """Two-term objective: clean-batch CE plus eta times mixed-batch CE.
 
@@ -158,9 +158,24 @@ def regmix_loss(
     nn.weighted_ce: one forward/backward per term, gradients g_c + eta * g_m.
     For a stacked network (rows and ``stack_batches`` blocks run-major) eta
     may be one value per run.
+
+    A lockstep group orders its runs mixed-only | both terms | clean-only.
+    There eta holds one weight per run of the mixed rows (1 for a mixed-only
+    run): the mixed rows are those of the leading eta.size runs, the clean
+    rows x those of the trailing runs they fill, and only the runs in both
+    sum two terms.  The term over more runs goes first, so that it writes
+    straight into the sum; as IEEE addition commutes, the order of two terms
+    leaves every bit as is.
+    ``_buffers`` is the training step's (nn.StepBuffers).
     """
-    if np.any(np.asarray(eta) < 0):
+    eta = np.asarray(eta, dtype=np.float64)
+    if np.any(eta < 0):
         raise ValueError("eta must be >= 0")
-    return nn.weighted_ce(
-        net, [(x, y_onehot, 1), (mixed.x_mixed, mixed.y_mixed, eta)]
-    )
+    terms = [(x, y_onehot, 1), (mixed.x_mixed, mixed.y_mixed, eta)]
+    if eta.ndim and net.weights[0].ndim == 3:
+        runs = net.weights[0].shape[0]
+        n_clean = len(x) // (len(mixed.x_mixed) // eta.size)
+        terms = [(*terms[0], slice(runs - n_clean, runs)), (*terms[1], slice(0, eta.size))]
+        if eta.size > n_clean:
+            terms.reverse()
+    return nn.weighted_ce(net, terms, _buffers=_buffers)

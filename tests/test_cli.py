@@ -278,13 +278,27 @@ class TestDeterminism:
         seq = tmp_path / "seq"
         assert run_cli("train", "--config", str(manifest_file), "--out", str(seq)) == EXIT_OK
         monkeypatch.delenv("VRL_DETERMINISTIC")
+        # 4 runs (2 strategies x 2 seeds) and --jobs 2: a share of 2 runs per
+        # worker, which trains them as one lockstep group of its own
+        import concurrent.futures
+
+        shares = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, configs, *rest):
+                shares.extend(configs)
+                return super().map(fn, configs, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         par = tmp_path / "par"
         assert run_cli(
             "train", "--config", str(manifest_file), "--out", str(par), "--jobs", "2"
         ) == EXIT_OK
+        assert [len(share) for share in shares] == [2, 2]
         dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
         for ckpt in sorted((dir_s / "checkpoints").iterdir()):
             assert (dir_p / "checkpoints" / ckpt.name).read_bytes() == ckpt.read_bytes()
+        assert len(list((dir_p / "checkpoints").iterdir())) == 4
 
 
 class TestImagePipeline:
@@ -419,6 +433,18 @@ class TestBadManifestValues:
         replace = _setting(MOONS_MANIFEST, key, value)
         self._run(tmp_path, capsys, replace, ["train"], manifest=MOONS_MANIFEST)
         assert not (tmp_path / "o").exists()
+
+    def test_zero_blobs(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, ("data.k = 3", "data.k = 0"), ["train"])
+        assert "k >= 1" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_fisher_on_a_test_split_too_small_for_its_classes(self, tmp_path, capsys):
+        # 240 rows, data.test_frac = 0.001: 3 test rows, one per class
+        replace = ("data.test_frac = 0.25", "data.test_frac = 0.001")
+        err = self._run(tmp_path, capsys, replace, ["train", "eval", "fisher"])
+        assert "class 0 with 1 row" in err and "3 test" in err
+        assert not list(tmp_path.rglob("fisher.csv"))
 
     @pytest.mark.parametrize(
         "key,value",

@@ -72,6 +72,11 @@ class TestBlobs:
         with pytest.raises(ValueError):
             make_gaussian_blobs(5, 3, 4.0, RngState(0))
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_needs_at_least_one_blob(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            make_gaussian_blobs(10, k, 4.0, RngState(0))
+
     def test_ood_generators(self):
         blob = make_blob(40, (30.0, 30.0), 1.0, RngState(4))
         assert blob.n == 40 and blob.d == 2

@@ -4,10 +4,13 @@ import zlib
 import numpy as np
 import pytest
 
+from vrlkit import nn
 from vrlkit.nn import (
+    GradientSet,
     LayerSpec,
     Network,
     OptimState,
+    StepBuffers,
     backward,
     cross_entropy_soft,
     forward,
@@ -250,19 +253,21 @@ class TestWeightedCe:
             weighted_ce(net, [])
 
 
+def stacked_runs(n_runs=3, rows=7):
+    """Plain nets of one architecture, with one batch of inputs and targets each."""
+    nets = [random_net([3, 6, 5, 4], "relu", RngState(40 + r), param_sd=0.5)
+            for r in range(n_runs)]
+    rng = RngState(50)
+    xs = [rng.normal((rows, 3)) for _ in nets]
+    ys = [np.eye(4)[np.asarray(rng.integers(0, 4, size=rows))] for _ in nets]
+    return nets, xs, ys
+
+
 class TestStacked:
     """A stacked network computes each run exactly as the plain network would."""
 
-    def _runs(self, n_runs=3, rows=7):
-        nets = [random_net([3, 6, 5, 4], "relu", RngState(40 + r), param_sd=0.5)
-                for r in range(n_runs)]
-        rng = RngState(50)
-        xs = [rng.normal((rows, 3)) for _ in nets]
-        ys = [np.eye(4)[np.asarray(rng.integers(0, 4, size=rows))] for _ in nets]
-        return nets, xs, ys
-
     def test_stack_unstack_round_trip(self):
-        nets, _, _ = self._runs()
+        nets, _, _ = stacked_runs()
         stacked = Network.stack(nets)
         assert stacked.weights[1].shape == (3, 6, 5) and stacked.biases[1].shape == (3, 5)
         for net, back in zip(nets, stacked.unstack()):
@@ -276,12 +281,12 @@ class TestStacked:
             Network.stack([a, b])
 
     def test_rows_must_split_into_runs(self):
-        nets, _, _ = self._runs()
+        nets, _, _ = stacked_runs()
         with pytest.raises(ShapeError):
             forward(Network.stack(nets), np.zeros((8, 3)))
 
     def test_weighted_ce_and_sgd_equal_per_run_bitwise(self):
-        nets, xs, ys = self._runs()
+        nets, xs, ys = stacked_runs()
         x_m = [x[::-1] * 0.5 for x in xs]
         y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
         etas = [0.4, 1.0, 0.0]
@@ -304,7 +309,124 @@ class TestStacked:
                 assert np.array_equal(a, b)
 
 
+class TestTermRuns:
+    """Weighted terms over slices of a stacked network's runs."""
+
+    def _fixture(self):
+        nets, xs, ys = stacked_runs()
+        x_m = [x[::-1] * 0.5 for x in xs]
+        y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
+        return nets, xs, ys, x_m, y_m
+
+    @pytest.mark.parametrize("mixed_first", [False, True])
+    def test_overlapping_slices_equal_runs_alone_bitwise(self, mixed_first):
+        # run 0: mixed term only, run 1: both (eta 0.4), run 2: clean only
+        nets, xs, ys, x_m, y_m = self._fixture()
+        clean = (np.concatenate(xs[1:]), np.concatenate(ys[1:]), 1, slice(1, 3))
+        mixed = (np.concatenate(x_m[:2]), np.concatenate(y_m[:2]), np.array([1.0, 0.4]), slice(0, 2))
+        terms = [mixed, clean] if mixed_first else [clean, mixed]
+        loss, grads = weighted_ce(Network.stack(nets), terms)
+        alone = [
+            [(x_m[0], y_m[0], 1)],
+            [(xs[1], ys[1], 1), (x_m[1], y_m[1], 0.4)],
+            [(xs[2], ys[2], 1)],
+        ]
+        for r, (net, run_terms) in enumerate(zip(nets, alone)):
+            want_loss, want = weighted_ce(net, run_terms)
+            assert loss[r] == want_loss
+            for got, ref in zip([*grads.d_weights, *grads.d_biases],
+                                [*want.d_weights, *want.d_biases]):
+                assert np.array_equal(got[r], ref)
+
+    def test_lent_buffers_give_the_same_bits_and_are_reused(self):
+        nets, xs, ys, x_m, y_m = self._fixture()
+        stacked = Network.stack(nets)
+        terms = [
+            (np.concatenate(x_m[:2]), np.concatenate(y_m[:2]), 1, slice(0, 2)),
+            (xs[2], ys[2], 1, slice(2, 3)),
+        ]
+        want_loss, want = weighted_ce(stacked, terms)
+        buffers = StepBuffers()
+        for step in range(2):
+            loss, grads = weighted_ce(stacked, terms, _buffers=buffers)
+            if step == 0:
+                kept = dict(buffers._arrays)
+            assert np.array_equal(loss, want_loss)
+            for got, ref in zip([*grads.d_weights, *grads.d_biases],
+                                [*want.d_weights, *want.d_biases]):
+                assert np.array_equal(got, ref)
+                assert any(np.shares_memory(got, b) for b in kept.values())
+        assert buffers._arrays.keys() == kept.keys()
+        assert all(buffers._arrays[role] is kept[role] for role in kept)
+
+    def test_forward_and_backward_with_buffers_equal_fresh_bitwise(self):
+        net = random_net([3, 6, 5, 4], "tanh", RngState(60))
+        rng = RngState(61)
+        x = rng.normal((9, 3))
+        y = np.eye(4)[np.asarray(rng.integers(0, 4, size=9))]
+        logits, features, cache = forward(net, x)
+        want = backward(net, cache, y)
+        buffers = StepBuffers()
+        lent_logits, lent_features, lent_cache = forward(net, x, _buffers=buffers)
+        got = backward(net, lent_cache, y, _buffers=buffers)
+        assert np.array_equal(lent_logits, logits) and np.array_equal(lent_features, features)
+        assert np.shares_memory(lent_features, buffers._arrays["act", 1])
+        for a, b in zip([*got.d_weights, *got.d_biases], [*want.d_weights, *want.d_biases]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("runs", [
+        [slice(0, 1), slice(2, 3)],  # a gap
+        [slice(0, 2)],  # run 2 has no term
+        [slice(0, 3, 2)],  # not one slice
+    ])
+    def test_runs_must_join_and_cover_every_run(self, runs):
+        nets, xs, ys, _, _ = self._fixture()
+        terms = [(np.concatenate(xs[s]), np.concatenate(ys[s]), 1, s) for s in runs]
+        with pytest.raises(ValueError):
+            weighted_ce(Network.stack(nets), terms)
+
+    def test_plain_network_picks_no_runs(self):
+        nets, xs, ys, _, _ = self._fixture()
+        with pytest.raises(ValueError):
+            weighted_ce(nets[0], [(xs[0], ys[0], 1, slice(0, 1))])
+
+
 class TestSgdStep:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_chunked_update_equals_three_temporary_formula_bitwise(self, momentum):
+        # two stacked runs of a (4684, 7) weight: 4 chunks and 40 values
+        rows = 2 * nn._SGD_CHUNK // 7 + 3
+        nets = [random_net([rows, 7, 3], "relu", RngState(70 + r)) for r in range(2)]
+        net = Network.stack(nets)
+        assert net.weights[0].size > nn._SGD_CHUNK and net.weights[0].size % nn._SGD_CHUNK
+        params = [*net.weights, *net.biases]
+        want = [p.copy() for p in params]
+        vels = [np.zeros_like(p) for p in params]
+        opt = OptimState(learning_rate=0.2, momentum=momentum, weight_decay=0.01,
+                         schedule="cosine")
+        rng = RngState(80)
+        for frac in (0.0, 0.3, 0.7):
+            grads = [rng.normal(p.shape) for p in params]
+            sgd_step(net, GradientSet(grads[:2], grads[2:]), opt, frac)
+            lr = opt.lr_at(frac)
+            for p, g, vel in zip(want, grads, vels):  # the formula before chunking
+                g = g + opt.weight_decay * p
+                vel *= momentum
+                vel += g
+                step = g + momentum * vel if momentum > 0.0 else g
+                p -= lr * step
+        for got, ref in zip(params, want):
+            assert np.array_equal(got, ref)
+
+    def test_strided_parameter_is_updated_in_place(self):
+        net = Network([LayerSpec(3, 2, "identity")])
+        weights = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        net.weights[0] = weights
+        opt = OptimState(learning_rate=0.5)
+        sgd_step(net, GradientSet([np.ones((3, 2))], [np.zeros(2)]), opt, 0.0)
+        assert net.weights[0] is weights
+        assert np.array_equal(weights, np.arange(6.0).reshape(3, 2) - 0.5)
+
     def test_vanilla_sgd(self):
         net = Network([LayerSpec(2, 2, "identity")])
         net.weights[0] = np.ones((2, 2))

@@ -6,7 +6,7 @@ import pytest
 
 from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, make_gaussian_blobs, make_two_moons, split
 from vrlkit.evalkit import entropy_profile
-from vrlkit import trainer
+from vrlkit import nn, trainer
 from vrlkit.nn import (
     GradientSet,
     OptimState,
@@ -269,6 +269,17 @@ class TestWeightedTermStep:
         assert record.metrics == want_metrics
 
 
+def assert_equal_runs_alone(configs, ds, val):
+    results = train(configs, ds, val)
+    assert len(results) == len(configs)
+    for config, (net, record) in zip(configs, results):
+        want_net, want_losses, want_metrics = reference_train(config, ds, val)
+        assert record.config == config.to_dict() and record.seed == config.seed
+        assert nets_equal(net, want_net)
+        assert record.epoch_losses == want_losses
+        assert record.metrics == want_metrics
+
+
 class TestLockstep:
     @pytest.mark.parametrize("strategy", trainer.STRATEGIES)
     def test_group_of_three_equals_runs_alone_bitwise(self, strategy):
@@ -284,26 +295,49 @@ class TestLockstep:
                              eta=2.5 if reg else None, lambda_mode="per_pair"),
         ]
         assert trainer.lockstep_groups(configs) == [[0, 1, 2]]
-        results = train(configs, ds, val)
-        assert len(results) == 3
-        for config, (net, record) in zip(configs, results):
-            want_net, want_losses, want_metrics = reference_train(config, ds, val)
-            assert record.config == config.to_dict() and record.seed == config.seed
-            assert nets_equal(net, want_net)
-            assert record.epoch_losses == want_losses
-            assert record.metrics == want_metrics
+        assert_equal_runs_alone(configs, ds, val)
+
+    def test_all_seven_strategies_in_one_group_equal_runs_alone_bitwise(self):
+        # given out of step order (mixed only | both terms | clean only), with
+        # their own seeds, alphas and etas and two per_pair runs
+        configs = [
+            step_test_config("regcutmix", seed=3, alpha=2.0, eta=1.5),
+            step_test_config("erm", seed=5),
+            step_test_config("mixup", seed=7, alpha=0.3, lambda_mode="per_pair"),
+            step_test_config("reg_mixup_plus_regcutmix", seed=9, eta=0.0),
+            step_test_config("cutmix"),
+            step_test_config("regmixup", seed=2, alpha=5.0, lambda_mode="per_pair"),
+            step_test_config("mixup_plus_cutmix", seed=4, alpha=1.2),
+        ]
+        assert sorted(c.strategy for c in configs) == sorted(trainer.STRATEGIES)
+        assert trainer.lockstep_groups(configs) == [list(range(7))]
+        assert_equal_runs_alone(configs, tiny_image_dataset(n=14), tiny_image_dataset(n=10, seed=8))
+
+    @pytest.mark.parametrize("strategies", [
+        ("mixup", "erm"),  # no run sums two terms
+        ("regmixup", "regcutmix", "reg_mixup_plus_regcutmix"),  # every run does
+        ("erm", "regcutmix", "erm"),  # the clean term is the wider
+        ("cutmix", "regmixup"),  # the mixed term is the wider
+    ])
+    def test_groups_of_different_strategies_equal_runs_alone_bitwise(self, strategies):
+        configs = [step_test_config(s, seed=seed) for seed, s in enumerate(strategies)]
+        assert trainer.lockstep_groups(configs) == [list(range(len(configs)))]
+        assert_equal_runs_alone(configs, tiny_image_dataset(n=14), tiny_image_dataset(n=10, seed=8))
 
     def test_mixed_list_splits_into_groups_in_input_order(self):
+        # strategy, seed, alpha and eta may differ in a group; epochs, width
+        # and learning rate may not
         tr, val = normalized_moons()
         configs = [
             TrainConfig(strategy="erm", seed=1, **FAST),
             TrainConfig(strategy="erm", seed=2, **{**FAST, "epochs": 3}),
             TrainConfig(strategy="mixup", alpha=0.4, seed=3, **FAST),
             TrainConfig(strategy="erm", seed=4, **{**FAST, "hidden_dims": (8, 4)}),
-            TrainConfig(strategy="erm", seed=5, **{**FAST, "learning_rate": 0.01}),
-            TrainConfig(strategy="erm", seed=6, **FAST),
+            TrainConfig(strategy="regmixup", alpha=2.0, eta=0.5, seed=5,
+                        **{**FAST, "learning_rate": 0.01}),
+            TrainConfig(strategy="regmixup", alpha=1.0, eta=1.0, seed=6, **FAST),
         ]
-        assert trainer.lockstep_groups(configs) == [[0, 5], [1], [2], [3], [4]]
+        assert trainer.lockstep_groups(configs) == [[0, 2, 5], [1], [3], [4]]
         results = train(configs, tr, val)
         for config, (net, record) in zip(configs, results):
             solo_net, solo_record = train(config, tr, val)
@@ -311,6 +345,28 @@ class TestLockstep:
             assert nets_equal(net, solo_net)
             assert record.epoch_losses == solo_record.epoch_losses
             assert record.metrics == solo_record.metrics
+
+    def test_results_share_no_memory_with_the_step_buffers(self, monkeypatch):
+        lent = []
+
+        class Recorded(nn.StepBuffers):
+            def __init__(self):
+                super().__init__()
+                lent.append(self)
+
+        monkeypatch.setattr(nn, "StepBuffers", Recorded)
+        val = tiny_image_dataset(n=10, seed=8)
+        configs = [step_test_config(s) for s in ("erm", "regcutmix", "mixup")]
+        results = train(configs, tiny_image_dataset(n=14), val)
+        assert len(lent) == 1
+        buffers = list(lent[0]._arrays.values())
+        assert len(buffers) >= 10  # inputs, activations, deltas, gradient sums
+        for net, record in results:
+            logits, features, cache = forward(net, val.x)
+            for a in (*net.weights, *net.biases, logits, features, *cache.pre, *cache.act):
+                assert not any(np.shares_memory(a, b) for b in buffers)
+            values = [*record.epoch_losses, *record.metrics.values(), record.wall_clock_s]
+            assert all(type(v) is float for v in values)
 
     def test_list_of_one_equals_single_config(self, monkeypatch):
         monkeypatch.setenv("VRL_DETERMINISTIC", "1")
