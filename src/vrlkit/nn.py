@@ -263,6 +263,10 @@ class GradientSet:
     d_biases: list
 
 
+# Rows per chunk of the weight gradient's sum over the batch (_weight_grad).
+_GRAD_ROWS = 256
+
+
 def backward(
     net: Network, cache: ForwardCache, soft_targets, probs=None, *,
     _buffers: StepBuffers | None = None, _out: GradientSet | None = None,
@@ -289,7 +293,7 @@ def backward(
     grads = _out if _out is not None else GradientSet([None] * n_layers, [None] * n_layers)
     for l in range(n_layers - 1, -1, -1):
         inp = cache.act[l - 1] if l > 0 else _per_run(net, cache.x)
-        grads.d_weights[l] = np.matmul(inp.swapaxes(-1, -2), delta, out=grads.d_weights[l])
+        grads.d_weights[l] = _weight_grad(inp, delta, grads.d_weights[l])
         grads.d_biases[l] = np.add.reduce(delta, axis=-2, out=grads.d_biases[l])
         if l > 0:
             spec, z = net.layers[l - 1], cache.pre[l - 1]
@@ -301,8 +305,27 @@ def backward(
     return grads
 
 
+def _weight_grad(inp: np.ndarray, delta: np.ndarray, out) -> np.ndarray:
+    """inp^T @ delta over the rows axis (-2), into ``out`` if given.
+
+    The sum runs over chunks of _GRAD_ROWS rows in a fixed order: the first
+    is written, each later one added in place.  A longer inner dimension
+    lets OpenBLAS split the sum across threads, and its bits would then
+    depend on the thread count; a batch of _GRAD_ROWS rows or fewer is one
+    GEMM, as before.
+    """
+    def chunk(lo):
+        return inp[..., lo:lo + _GRAD_ROWS, :].swapaxes(-1, -2), delta[..., lo:lo + _GRAD_ROWS, :]
+
+    out = np.matmul(*chunk(0), out=out)
+    for lo in range(_GRAD_ROWS, inp.shape[-2], _GRAD_ROWS):
+        out += np.matmul(*chunk(lo))
+    return out
+
+
 def weighted_ce(
-    net: Network, terms, *, _buffers: StepBuffers | None = None
+    net: Network, terms, *, _buffers: StepBuffers | None = None,
+    _out: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
     """Weighted sum of batch-mean cross-entropies and its gradient.
 
@@ -312,64 +335,65 @@ def weighted_ce(
     bit for bit.  For a stacked network a weight may be one value per run,
     and the loss comes back as one value per run.
 
-    A term for a stacked network may add a fourth item, the slice of runs it
-    covers (all by default); its rows and per-run weights are then those
-    runs' only, and the other runs make no pass for it.  The terms must cover
-    every run, and the runs covered so far must stay one slice.  Where terms
-    overlap, each later one is added in place, so every run still sums its
-    terms in list order.
-
     ``_buffers`` (see StepBuffers) lends every big array of the step, the
-    returned gradient included.
+    returned gradient included, unless ``_out`` holds the arrays for it.
     """
     if not terms:
         raise ValueError("weighted_ce needs at least one term")
-    plain = net.weights[0].ndim == 2
-    if plain:  # one run on a leading run axis: the same GEMMs and sums
-        if any(len(term) > 3 for term in terms):
-            raise ValueError("only the terms of a stacked network can pick runs")
-        net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
-    all_runs = range(net.weights[0].shape[0])
-    sums = _gradient_arrays(net, _buffers, "sum")
-    total = [np.empty(len(all_runs)), *sums.d_weights, *sums.d_biases]  # loss, then gradients
-    covered = None  # the runs whose values total holds
-    for x, targets, weight, *runs in terms:
-        span = all_runs[runs[0]] if runs else all_runs
-        if not span or span.step != 1:
-            raise ValueError(f"term runs {runs[0]} are not a non-empty slice")
-        part = net if span == all_runs else net._with(
-            [w[span.start:span.stop] for w in net.weights],
-            [b[span.start:span.stop] for b in net.biases],
-        )
-        logits, _, cache = forward(part, x, _buffers=_buffers)
+    total_loss, total = None, _out if _out is not None else _gradient_arrays(net, _buffers, "sum")
+    for x, targets, weight in terms:
+        out = total if total_loss is None else _gradient_arrays(net, _buffers, "term")
+        logits, _, cache = forward(net, x, _buffers=_buffers)
         probs = softmax(logits)
-        loss = _mean_ce(probs, _per_run(part, as_matrix(targets)))
-        # a term over runs no earlier term covers writes its gradient straight
-        # into total; any other goes through arrays of its own
-        fresh = covered is None or span.stop <= covered.start or span.start >= covered.stop
-        if fresh:
-            views = [g[span.start:span.stop] for g in total[1:]]
-            out = GradientSet(views[:len(net.layers)], views[len(net.layers):])
-        else:
-            out = _gradient_arrays(part, _buffers, "term")
-        grads = backward(part, cache, targets, probs, _buffers=_buffers, _out=out)
-        values = [loss, *grads.d_weights, *grads.d_biases]
+        loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
+        grads = backward(net, cache, targets, probs, _buffers=_buffers, _out=out)
+        arrays = grads.d_weights + grads.d_biases
         w = np.asarray(weight, dtype=np.float64)
         if (w != 1).any():
             # one weight per run scales that run's slice of every gradient
-            values[0] = w * loss
-            for g in values[1:]:
+            loss = w * loss
+            for g in arrays:
                 g *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
-        if fresh:  # the gradient is in place already; only the loss is copied
-            covered = _sum_runs(total[:1], covered, span, values[:1])
+        if total_loss is None:
+            total_loss, total = loss, grads
         else:
-            covered = _sum_runs(total, covered, span, values)
-    if covered != all_runs:
-        raise ValueError(f"the terms cover runs {covered}, not all of {all_runs}")
-    if plain:
-        total = [a[0] for a in total]
-    n = len(net.layers)
-    return total[0], GradientSet(total[1:n + 1], total[n + 1:])
+            total_loss = total_loss + loss
+            for acc, g in zip(total.d_weights + total.d_biases, arrays):
+                acc += g
+    return total_loss, total
+
+
+def _two_term_ce(net: Network, mixed, clean, c: int, m: int, *, _buffers=None):
+    """The lockstep step's loss and gradient on a stacked network of R runs.
+
+    ``mixed`` is a term over the runs [0, m) and ``clean`` one over the runs
+    [c, R), c <= m, each as a weighted_ce term holding only its own runs'
+    rows; a term over no run is skipped.  The runs in [c, m) sum both, the
+    mixed term first.  Returns one loss per run and the gradient sums, which
+    ``_buffers`` lends with every other big array of the step.
+    """
+    runs = net.weights[0].shape[0]
+    loss, sums = np.empty(runs), _gradient_arrays(net, _buffers, "sum")
+
+    def runs_of(lo, hi):  # views of the runs [lo, hi): their network and sums
+        return (net._with([w[lo:hi] for w in net.weights], [b[lo:hi] for b in net.biases]),
+                GradientSet([g[lo:hi] for g in sums.d_weights], [g[lo:hi] for g in sums.d_biases]))
+
+    if m:
+        part, out = runs_of(0, m)
+        loss[:m], _ = weighted_ce(part, [mixed], _buffers=_buffers, _out=out)
+    if c < runs:
+        part, out = runs_of(c, runs)
+        if c < m:  # the mixed term's sums are there already: go apart, then add
+            out = _gradient_arrays(part, _buffers, "term")
+        clean_loss, grads = weighted_ce(part, [clean], _buffers=_buffers, _out=out)
+        pairs = [(loss, clean_loss)]
+        if c < m:
+            pairs += zip(sums.d_weights + sums.d_biases, grads.d_weights + grads.d_biases)
+        for total, values in pairs:
+            total[c:m] += values[:m - c]
+            total[m:] = values[m - c:]
+    return loss, sums
 
 
 def _gradient_arrays(net: Network, buffers, role: str) -> GradientSet:
@@ -380,26 +404,6 @@ def _gradient_arrays(net: Network, buffers, role: str) -> GradientSet:
         [array("w", l, w.shape) for l, w in enumerate(net.weights)],
         [array("b", l, b.shape) for l, b in enumerate(net.biases)],
     )
-
-
-def _sum_runs(total: list, covered: range | None, span: range, values: list) -> range:
-    """Put one term's ``values`` (runs ``span``, leading axis) into the
-    run-major arrays ``total``, which hold the runs ``covered`` (None: no run
-    yet): added where they do, copied into the rest.  Returns the runs total
-    now holds."""
-    lo, hi = span.start, span.stop
-    covered = covered or range(lo, lo)
-    if lo > covered.stop or hi < covered.start:
-        raise ValueError("the runs of the terms must join into one slice")
-    both = range(max(lo, covered.start), min(hi, covered.stop))
-    new = (range(lo, min(hi, covered.start)), range(max(lo, covered.stop), hi))
-    for t, v in zip(total, values):
-        if both:
-            t[both.start:both.stop] += v[both.start - lo:both.stop - lo]
-        for r in new:
-            if r:
-                t[r.start:r.stop] = v[r.start - lo:r.stop - lo]
-    return range(min(lo, covered.start), max(hi, covered.stop))
 
 
 @dataclass
@@ -415,12 +419,12 @@ class OptimState:
     _scratch: list = field(default_factory=list, repr=False)  # sgd_step's two chunk buffers
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 

@@ -86,6 +86,10 @@ class TrainConfig:
         if self.strategy not in _RECIPES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         ops, regularized = _RECIPES[self.strategy]
+        for name in ("alpha", "eta", "force_lambda"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if ops and (self.alpha is None or self.alpha <= 0):
             raise ValueError(f"strategy {self.strategy} requires alpha > 0")
         if regularized and (self.eta is None or self.eta < 0):
@@ -262,9 +266,9 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
 def _train_lockstep(configs, train_ds, val_ds) -> list:
     """(net, record) per config of one lockstep group, given in _step_role order.
 
-    Each step makes one clean term over the runs with one (roles 1 and 2)
-    and one mixed term over the runs with one (roles 0 and 1), each a
-    contiguous slice of the stacked network; the runs of role 1 sum both.
+    Each step is one regmix_loss call: a mixed term over the runs of roles 0
+    and 1 and a clean term over those of roles 1 and 2; the runs of role 1
+    sum both.
     """
     first = configs[0]
     if train_ds.n < 2:
@@ -312,6 +316,7 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
                              out=buffers.take("y", (idx.size, train_ds.k)))
                 rows = hi - lo
                 clean = slice(n_mixed_only * rows, None)  # the rows of roles 1 and 2
+                mixed = None
                 if n_mixed:  # each mixing run mixes its own block of rows
                     blocks = zip(configs[:n_mixed], roots, xb.reshape(runs, rows, -1),
                                  yb.reshape(runs, rows, -1))
@@ -319,17 +324,8 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
                         _mix(config, root, x, y, train_ds.image_shape, epoch, b)
                         for config, root, x, y in blocks
                     ])
-                if n_mixed > n_mixed_only:
-                    loss, grads = regmix_loss(
-                        net, xb[clean], yb[clean], mixed, etas, _buffers=buffers
-                    )
-                else:
-                    terms = []
-                    if n_mixed:
-                        terms.append((mixed.x_mixed, mixed.y_mixed, 1, slice(0, n_mixed)))
-                    if n_mixed < runs:
-                        terms.append((xb[clean], yb[clean], 1, slice(n_mixed, runs)))
-                    loss, grads = nn.weighted_ce(net, terms, _buffers=buffers)
+                loss, grads = regmix_loss(net, xb[clean], yb[clean], mixed, etas,
+                                          _buffers=buffers, _runs=(n_mixed_only, n_mixed))
                 if not np.isfinite(loss).all():
                     raise _diverged(configs, ~np.isfinite(loss), f"loss at epoch {epoch}, step {step}")
                 nn.sgd_step(net, grads, opt, step / total_steps)

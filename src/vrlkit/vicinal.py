@@ -23,8 +23,8 @@ class BetaParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and > 0")
 
 
 def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
@@ -150,7 +150,8 @@ def cutmix_batch(
 
 
 def regmix_loss(
-    net, x, y_onehot, mixed: MixedBatch, eta, *, _buffers: nn.StepBuffers | None = None
+    net, x, y_onehot, mixed: MixedBatch | None, eta, *,
+    _buffers: nn.StepBuffers | None = None, _runs: tuple | None = None,
 ) -> tuple[float, nn.GradientSet]:
     """Two-term objective: clean-batch CE plus eta times mixed-batch CE.
 
@@ -159,23 +160,16 @@ def regmix_loss(
     For a stacked network (rows and ``stack_batches`` blocks run-major) eta
     may be one value per run.
 
-    A lockstep group orders its runs mixed-only | both terms | clean-only.
-    There eta holds one weight per run of the mixed rows (1 for a mixed-only
-    run): the mixed rows are those of the leading eta.size runs, the clean
-    rows x those of the trailing runs they fill, and only the runs in both
-    sum two terms.  The term over more runs goes first, so that it writes
-    straight into the sum; as IEEE addition commutes, the order of two terms
-    leaves every bit as is.
+    ``_runs`` = (c, m) is a lockstep group's step on its stacked network:
+    the mixed rows are those of the runs [0, m), with one eta per run (1 for
+    a mixed-only run), and the clean rows x those of the runs [c, R), c <= m
+    (nn._two_term_ce).  mixed is None when m = 0.
     ``_buffers`` is the training step's (nn.StepBuffers).
     """
     eta = np.asarray(eta, dtype=np.float64)
-    if np.any(eta < 0):
-        raise ValueError("eta must be >= 0")
-    terms = [(x, y_onehot, 1), (mixed.x_mixed, mixed.y_mixed, eta)]
-    if eta.ndim and net.weights[0].ndim == 3:
-        runs = net.weights[0].shape[0]
-        n_clean = len(x) // (len(mixed.x_mixed) // eta.size)
-        terms = [(*terms[0], slice(runs - n_clean, runs)), (*terms[1], slice(0, eta.size))]
-        if eta.size > n_clean:
-            terms.reverse()
-    return nn.weighted_ce(net, terms, _buffers=_buffers)
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ValueError("eta must be finite and >= 0")
+    mixed_term = None if mixed is None else (mixed.x_mixed, mixed.y_mixed, eta)
+    if _runs is None:
+        return nn.weighted_ce(net, [(x, y_onehot, 1), mixed_term], _buffers=_buffers)
+    return nn._two_term_ce(net, mixed_term, (x, y_onehot, 1), *_runs, _buffers=_buffers)

@@ -1,3 +1,4 @@
+import os
 import re
 from pathlib import Path
 
@@ -299,6 +300,33 @@ class TestDeterminism:
         for ckpt in sorted((dir_s / "checkpoints").iterdir()):
             assert (dir_p / "checkpoints" / ckpt.name).read_bytes() == ckpt.read_bytes()
         assert len(list((dir_p / "checkpoints").iterdir())) == 4
+
+    def test_large_batch_replays_across_blas_threads(self, tmp_path):
+        # a batch of 1,024 rows: the weight gradient's inner dimension is long
+        # enough for OpenBLAS to split it across threads.  The thread count is
+        # read when numpy loads, so each run is a process of its own.
+        import subprocess
+        import sys
+
+        manifest = (Path(__file__).resolve().parent.parent / "configs" / "demo.cfg").read_text()
+        for key, value in (("data.n", 6000), ("seeds", 0), ("train.epochs", 1),
+                           ("train.batch_size", 1024)):
+            manifest = manifest.replace(*_setting(manifest, key, value))
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text(manifest)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "VRL_DETERMINISTIC": "1",
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            subprocess.run([sys.executable, "-m", "vrlkit.cli", "train", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            run_dir = next(out.iterdir())
+            trees.append({p.relative_to(run_dir): p.read_bytes()
+                          for p in sorted(run_dir.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 7  # manifest, 3 records, 3 checkpoints
+        assert trees[0] == trees[1]
 
 
 class TestImagePipeline:

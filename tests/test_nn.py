@@ -310,47 +310,44 @@ class TestStacked:
 
 
 class TestTermRuns:
-    """Weighted terms over slices of a stacked network's runs."""
+    """The lockstep step: a mixed term over the runs [0, m) of a stacked
+    network and a clean term over the runs [c, R), c <= m."""
 
-    def _fixture(self):
+    ETAS = (1.0, 0.4, 2.5)  # run r's mixed-term weight when it has both terms
+
+    def _step(self, c, m, buffers=None):
+        """The step's (loss, grads) on three runs, and each run's terms alone."""
         nets, xs, ys = stacked_runs()
         x_m = [x[::-1] * 0.5 for x in xs]
         y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
-        return nets, xs, ys, x_m, y_m
-
-    @pytest.mark.parametrize("mixed_first", [False, True])
-    def test_overlapping_slices_equal_runs_alone_bitwise(self, mixed_first):
-        # run 0: mixed term only, run 1: both (eta 0.4), run 2: clean only
-        nets, xs, ys, x_m, y_m = self._fixture()
-        clean = (np.concatenate(xs[1:]), np.concatenate(ys[1:]), 1, slice(1, 3))
-        mixed = (np.concatenate(x_m[:2]), np.concatenate(y_m[:2]), np.array([1.0, 0.4]), slice(0, 2))
-        terms = [mixed, clean] if mixed_first else [clean, mixed]
-        loss, grads = weighted_ce(Network.stack(nets), terms)
+        etas = np.array([1.0 if r < c else self.ETAS[r] for r in range(m)])
+        mixed = (np.concatenate(x_m[:m]), np.concatenate(y_m[:m]), etas) if m else None
+        clean = (np.stack(xs)[c:].reshape(-1, 3), np.stack(ys)[c:].reshape(-1, 4), 1)
+        got = nn._two_term_ce(Network.stack(nets), mixed, clean, c, m, _buffers=buffers)
         alone = [
-            [(x_m[0], y_m[0], 1)],
-            [(xs[1], ys[1], 1), (x_m[1], y_m[1], 0.4)],
-            [(xs[2], ys[2], 1)],
+            ([(xs[r], ys[r], 1)] if r >= c else []) + ([(x_m[r], y_m[r], etas[r])] if r < m else [])
+            for r in range(len(nets))
         ]
-        for r, (net, run_terms) in enumerate(zip(nets, alone)):
-            want_loss, want = weighted_ce(net, run_terms)
-            assert loss[r] == want_loss
-            for got, ref in zip([*grads.d_weights, *grads.d_biases],
-                                [*want.d_weights, *want.d_biases]):
-                assert np.array_equal(got[r], ref)
+        return got, [weighted_ce(net, terms) for net, terms in zip(nets, alone)]
 
-    def test_lent_buffers_give_the_same_bits_and_are_reused(self):
-        nets, xs, ys, x_m, y_m = self._fixture()
-        stacked = Network.stack(nets)
-        terms = [
-            (np.concatenate(x_m[:2]), np.concatenate(y_m[:2]), 1, slice(0, 2)),
-            (xs[2], ys[2], 1, slice(2, 3)),
-        ]
-        want_loss, want = weighted_ce(stacked, terms)
+    @pytest.mark.parametrize("c, m", [(0, 0), (3, 3), (1, 1), (1, 2), (0, 3), (1, 3)])
+    def test_step_equals_runs_alone_bitwise(self, c, m):
+        for buffers in (None, StepBuffers()):
+            (loss, grads), alone = self._step(c, m, buffers)
+            for r, (want_loss, want) in enumerate(alone):
+                assert loss[r] == want_loss
+                for got, ref in zip([*grads.d_weights, *grads.d_biases],
+                                    [*want.d_weights, *want.d_biases]):
+                    assert np.array_equal(got[r], ref)
+
+    def test_lent_arrays_give_the_same_bits_and_are_reused(self):
+        (want_loss, want), _ = self._step(1, 2)
         buffers = StepBuffers()
         for step in range(2):
-            loss, grads = weighted_ce(stacked, terms, _buffers=buffers)
+            (loss, grads), _ = self._step(1, 2, buffers)
             if step == 0:
                 kept = dict(buffers._arrays)
+                assert any(role[0] == "term" for role in kept)
             assert np.array_equal(loss, want_loss)
             for got, ref in zip([*grads.d_weights, *grads.d_biases],
                                 [*want.d_weights, *want.d_biases]):
@@ -374,21 +371,54 @@ class TestTermRuns:
         for a, b in zip([*got.d_weights, *got.d_biases], [*want.d_weights, *want.d_biases]):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("runs", [
-        [slice(0, 1), slice(2, 3)],  # a gap
-        [slice(0, 2)],  # run 2 has no term
-        [slice(0, 3, 2)],  # not one slice
-    ])
-    def test_runs_must_join_and_cover_every_run(self, runs):
-        nets, xs, ys, _, _ = self._fixture()
-        terms = [(np.concatenate(xs[s]), np.concatenate(ys[s]), 1, s) for s in runs]
-        with pytest.raises(ValueError):
-            weighted_ce(Network.stack(nets), terms)
 
-    def test_plain_network_picks_no_runs(self):
-        nets, xs, ys, _, _ = self._fixture()
-        with pytest.raises(ValueError):
-            weighted_ce(nets[0], [(xs[0], ys[0], 1, slice(0, 1))])
+
+def chunk_oracle(inp, delta):
+    """inp^T @ delta as the sum of 256-row chunks' GEMMs, first to last."""
+    total = None
+    for lo in range(0, inp.shape[-2], 256):
+        part = inp[..., lo:lo + 256, :].swapaxes(-1, -2) @ delta[..., lo:lo + 256, :]
+        total = part if total is None else total + part
+    return total
+
+
+class TestWeightGradChunks:
+    """The weight gradient sums its batch in 256-row chunks, in a fixed order."""
+
+    def _operands(self, rows, stacked):
+        rng = RngState(rows)
+        lead = (2,) if stacked else ()
+        return rng.normal((*lead, rows, 33)), rng.normal((*lead, rows, 65))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("rows", [64, 256])
+    def test_one_chunk_is_the_plain_gemm_bitwise(self, rows, stacked):
+        inp, delta = self._operands(rows, stacked)
+        want = np.matmul(inp.swapaxes(-1, -2), delta)
+        assert np.array_equal(nn._weight_grad(inp, delta, None), want)
+        out = np.empty_like(want)
+        assert nn._weight_grad(inp, delta, out) is out and np.array_equal(out, want)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("rows", [257, 1024, 1025])
+    def test_longer_batches_sum_their_chunks_in_order_bitwise(self, rows, stacked):
+        inp, delta = self._operands(rows, stacked)
+        assert np.array_equal(nn._weight_grad(inp, delta, None), chunk_oracle(inp, delta))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_backward_takes_the_chunked_sum(self, stacked):
+        # one identity layer: d_W = x^T @ (softmax(x W + b) - t) / rows
+        nets = [random_net([33, 5], "identity", RngState(90 + r)) for r in range(2)]
+        net = Network.stack(nets) if stacked else nets[0]
+        runs = 2 if stacked else 1
+        rng = RngState(91)
+        x = rng.normal((runs * 1025, 33))
+        t = np.eye(5)[np.asarray(rng.integers(0, 5, size=runs * 1025))]
+        logits, _, cache = forward(net, x)
+        grads = backward(net, cache, t)
+        delta = (softmax(logits) - t.reshape(logits.shape)) / 1025
+        want = chunk_oracle(x.reshape(*logits.shape[:-1], 33), delta)
+        assert np.array_equal(grads.d_weights[0], want)
 
 
 class TestSgdStep:

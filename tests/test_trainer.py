@@ -31,7 +31,7 @@ from vrlkit.trainer import (
     train,
     train_ensemble,
 )
-from vrlkit.vicinal import BetaParams, cutmix_batch, mixup_batch
+from vrlkit.vicinal import BetaParams, cutmix_batch, mixup_batch, regmix_loss
 
 
 def normalized_moons(n=300, noise=0.15, seed=0):
@@ -74,6 +74,41 @@ class TestConfigValidation:
     def test_unknown_lambda_mode(self):
         with pytest.raises(ValueError, match="lambda_mode"):
             TrainConfig(strategy="mixup", alpha=1.0, lambda_mode="per_sample")
+
+
+def _regmix_with_eta(eta):
+    """regmix_loss on one run per value of eta, three rows each."""
+    runs = np.size(eta)
+    x = np.tile([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (runs, 1))
+    y = np.tile(np.eye(2)[[0, 1, 1]], (runs, 1))
+    net = trainer.build_network(TrainConfig(strategy="erm", hidden_dims=(3,)), 2, 2, RngState(0))
+    net = nn.Network.stack([net] * runs) if runs > 1 else net
+    return regmix_loss(net, x, y, mixup_batch(x, y, BetaParams(1.0), lam=0.5, rng=RngState(1)), eta)
+
+
+# Each hyperparameter check, given one value; a non-finite one must raise at
+# construction, before a run trains into a non-finite loss.
+HYPERPARAMETER_CHECKS = {
+    "train-eta": lambda v: TrainConfig(strategy="regmixup", alpha=1.0, eta=v),
+    "train-alpha": lambda v: TrainConfig(strategy="mixup", alpha=v),
+    "train-erm-alpha": lambda v: TrainConfig(strategy="erm", alpha=v),
+    "train-force-lambda": lambda v: TrainConfig(strategy="mixup", alpha=1.0, force_lambda=v),
+    "train-lr": lambda v: TrainConfig(strategy="erm", learning_rate=v),
+    "train-momentum": lambda v: TrainConfig(strategy="erm", momentum=v),
+    "train-wd": lambda v: TrainConfig(strategy="erm", weight_decay=v),
+    "optim-lr": lambda v: OptimState(learning_rate=v),
+    "optim-wd": lambda v: OptimState(learning_rate=0.1, weight_decay=v),
+    "beta-alpha": BetaParams,
+    "regmix-eta": _regmix_with_eta,
+    "regmix-eta-per-run": lambda v: _regmix_with_eta(np.array([0.5, v])),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("check", HYPERPARAMETER_CHECKS)
+def test_non_finite_hyperparameter_rejected(check, value):
+    with pytest.raises(ValueError):
+        HYPERPARAMETER_CHECKS[check](value)
 
 
 class TestDegeneracies:
