@@ -2,12 +2,15 @@
 ensembles and accuracy-driven grid search.
 
 Every run derives all of its randomness from TrainConfig.seed through
-labelled RngState streams (init / shuffle / mixing / coin), so two runs with
-the same config produce byte-identical ExperimentRecords, and strategies that
-degenerate to ERM (eta=0, forced lambda=1) replay the exact same batches.
-Runs that differ only in strategy, seed, alpha, eta, lambda_mode or
-force_lambda train in lockstep on one stacked network, each on its own
-streams and rows, with the same bits as alone.
+labelled RngState streams: one init stream, and per epoch one shuffle
+stream, one mix stream (mixing strategies) and one coin stream (two-op
+strategies).  A mixing run draws its epoch's pairings, lambdas, CutMix boxes
+and coins up front (vicinal._draw_plan).  So two runs with the same config
+produce byte-identical ExperimentRecords, and strategies that degenerate to
+ERM (eta=0, forced lambda=1) replay the exact same batches.  Runs that
+differ only in strategy, seed, alpha, eta, lambda_mode or force_lambda train
+in lockstep on one stacked network, each on its own streams and rows, with
+the same bits as alone.
 """
 
 import os
@@ -19,14 +22,7 @@ import numpy as np
 from . import nn
 from .datagen import Dataset, split
 from .tensor import RngState
-from .vicinal import (
-    LAMBDA_MODES,
-    BetaParams,
-    cutmix_batch,
-    mixup_batch,
-    regmix_loss,
-    stack_batches,
-)
+from .vicinal import LAMBDA_MODES, BetaParams, _draw_plan, _mix_step, regmix_loss
 
 # strategy -> (mixing ops, regularized).  With two ops a per-batch coin picks
 # one, mixup when coin < 0.5.  A regularized strategy keeps the clean CE term
@@ -51,7 +47,7 @@ def _step_role(config) -> int:
 
 
 # RngState stream labels; keeping them distinct makes shuffling independent
-# of how many draws the mixing ops consume.
+# of how many draws the mixing ops consume.  All but _S_INIT take the epoch.
 _S_INIT, _S_SHUFFLE, _S_MIX, _S_COIN = 0, 1, 2, 3
 
 # Hyperparameter grids used for cross-validation presets.
@@ -90,6 +86,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value}")
+        if self.force_lambda is not None and not 0 <= self.force_lambda <= 1:
+            raise ValueError(f"force_lambda must lie in [0, 1], not {self.force_lambda}")
         if ops and (self.alpha is None or self.alpha <= 0):
             raise ValueError(f"strategy {self.strategy} requires alpha > 0")
         if regularized and (self.eta is None or self.eta < 0):
@@ -244,10 +242,10 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
 
     The runs of each lockstep group train together: their weights sit on one
     stacked network, so each step is one forward, backward and SGD update
-    per loss term for the whole group.  Each run still draws its init,
-    shuffle, mixing and coin streams from its own seed and mixes its own
-    rows, and its result is bit for bit what it would be alone.  In a group,
-    wall_clock_s is the group's wall time.
+    per loss term for the whole group, and one mixing call per op.  Each
+    run still draws its init, shuffle, mixing and coin streams from its own
+    seed and mixes its own rows, and its result is bit for bit what it
+    would be alone.  In a group, wall_clock_s is the group's wall time.
 
     Raises DivergedError, naming the first bad run, when a batch loss or a
     trained weight is not finite.
@@ -268,7 +266,8 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
 
     Each step is one regmix_loss call: a mixed term over the runs of roles 0
     and 1 and a clean term over those of roles 1 and 2; the runs of role 1
-    sum both.
+    sum both.  The mixed rows come from one plan per epoch, drawn for every
+    mixing run at its start, and one vicinal._mix_step per step.
     """
     first = configs[0]
     if train_ds.n < 2:
@@ -300,12 +299,25 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     n = train_ds.n
     bounds = _batch_bounds(n, first.batch_size)
     total_steps = first.epochs * len(bounds)
+    sizes = [hi - lo for lo, hi in bounds]
+    mixing = [(_RECIPES[c.strategy][0], BetaParams(c.alpha), c.lambda_mode, c.force_lambda)
+              for c in configs[:n_mixed]]
     epoch_losses = []
     step = 0
     # Diverging runs stop at the isfinite checks below, not in numpy warnings.
     with np.errstate(all="ignore"):
         for epoch in range(first.epochs):
             orders = [root.split(_S_SHUFFLE, epoch).permutation(n) for root in roots]
+            plan = None
+            if n_mixed:  # one mix stream per mixing run, and a coin stream with two ops
+                draws = [(*mix, root.split(_S_MIX, epoch),
+                          root.split(_S_COIN, epoch) if len(mix[0]) > 1 else None)
+                         for mix, root in zip(mixing, roots)]
+                try:
+                    plan = _draw_plan(draws, sizes, train_ds.image_shape)
+                except FloatingPointError as err:
+                    raise _diverged(configs, np.arange(runs) == err.args[0],
+                                    f"lambda at epoch {epoch}") from None
             loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
                 idx = np.concatenate([order[lo:hi] for order in orders])
@@ -317,13 +329,9 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
                 rows = hi - lo
                 clean = slice(n_mixed_only * rows, None)  # the rows of roles 1 and 2
                 mixed = None
-                if n_mixed:  # each mixing run mixes its own block of rows
-                    blocks = zip(configs[:n_mixed], roots, xb.reshape(runs, rows, -1),
-                                 yb.reshape(runs, rows, -1))
-                    mixed = stack_batches([
-                        _mix(config, root, x, y, train_ds.image_shape, epoch, b)
-                        for config, root, x, y in blocks
-                    ])
+                if plan is not None:  # each mixing run mixes its own block of rows
+                    mixed = _mix_step(plan, b, lo, hi, xb[:n_mixed * rows], yb[:n_mixed * rows],
+                                      buffers)
                 loss, grads = regmix_loss(net, xb[clean], yb[clean], mixed, etas,
                                           _buffers=buffers, _runs=(n_mixed_only, n_mixed))
                 if not np.isfinite(loss).all():
@@ -361,17 +369,6 @@ def _diverged(configs, bad, what: str) -> DivergedError:
     return DivergedError(
         f"training diverged: {config.strategy} seed {config.seed}: non-finite {what}"
     )
-
-
-def _mix(config, root, xb, yb, image_shape, epoch, b):
-    """One run's mixed batch; with two ops a coin picks mixup when < 0.5."""
-    ops = _RECIPES[config.strategy][0]
-    op = ops[0] if len(ops) == 1 or root.split(_S_COIN, epoch, b).uniform(1)[0] < 0.5 else ops[1]
-    params = BetaParams(config.alpha)
-    mix_rng = root.split(_S_MIX, epoch, b)
-    if op == "mixup":
-        return mixup_batch(xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda)
-    return cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
 
 
 def accuracy_from_logits(logits, labels) -> float:

@@ -4,6 +4,10 @@ CutMix batch construction, and the regularized two-term loss.
 The mixing weight lambda is drawn from a symmetric Beta(alpha, alpha) built
 from two Gamma variates.  Pairing inside a batch is a random cyclic shift of
 a shuffled index list, which guarantees pair(i) != i without rejection.
+
+The trainer draws each mixing run's epoch at once (_draw_plan) and builds a
+lockstep group's mixed rows with one mixup_batch or cutmix_batch call per op
+and step (_mix_step), into arrays lent by nn.StepBuffers.
 """
 
 from dataclasses import dataclass
@@ -38,22 +42,8 @@ def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
 class MixedBatch:
     x_mixed: np.ndarray
     y_mixed: np.ndarray
-    lambda_used: float | np.ndarray | list
-    pairing: np.ndarray | list  # pairing[i] != i for all i
-
-
-def stack_batches(batches: list) -> MixedBatch:
-    """Several runs' batches as one row block per run, run-major, for a
-    stacked network; lambda_used and pairing become one entry per run.
-    A single batch is its own block and comes back as it is."""
-    if len(batches) == 1:
-        return batches[0]
-    return MixedBatch(
-        np.concatenate([m.x_mixed for m in batches]),
-        np.concatenate([m.y_mixed for m in batches]),
-        [m.lambda_used for m in batches],
-        [m.pairing for m in batches],
-    )
+    lambda_used: float | np.ndarray | None = None  # None for a lockstep group's block
+    pairing: np.ndarray | None = None  # pairing[i] != i for all i
 
 
 def sample_pairing(n: int, rng: RngState) -> np.ndarray:
@@ -64,6 +54,32 @@ def sample_pairing(n: int, rng: RngState) -> np.ndarray:
     return pairing
 
 
+def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
+    """The rows as matrices and lam checked, before anything is drawn."""
+    x, y = as_matrix(x), as_matrix(y_onehot)
+    if x.shape[0] < 2:
+        raise ValueError(f"{what} needs a batch of at least 2")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError("x and y_onehot row counts differ")
+    if lam is not None:
+        lam = np.asarray(lam, dtype=np.float64)
+        if not (lam.min() >= 0 and lam.max() <= 1):  # NaN fails too
+            raise ValueError(f"{what} lam must lie in [0, 1]")
+    if rng is None and not drawn:
+        raise ValueError(f"{what} needs an RngState to draw its pairing and lambda")
+    return x, y, lam
+
+
+def _convex(a, lam_col, rest_col, pairing, out):
+    """lam * a + (1 - lam) * a[pairing], written into out (or a fresh array);
+    rest_col = 1 - lam_col."""
+    out = np.multiply(lam_col, a, out=out)
+    partner = np.take(a, pairing, axis=0)
+    partner *= rest_col
+    out += partner
+    return out
+
+
 def mixup_batch(
     x,
     y_onehot,
@@ -71,43 +87,55 @@ def mixup_batch(
     lambda_mode: str = "per_batch",
     rng: RngState | None = None,
     lam: float | None = None,
+    *,
+    _pairing: np.ndarray | None = None,
+    _out: tuple | None = None,
 ) -> MixedBatch:
     """Convex combination of each sample with a random in-batch partner.
 
     lambda_mode "per_batch" draws a single lambda for the whole batch;
-    "per_pair" draws one per pair.  `lam` forces a fixed value (test hook).
+    "per_pair" draws one per pair.  `lam` forces a fixed value in [0, 1]
+    (test hook), or gives one per row.
+
+    ``_pairing`` with a ``lam`` is a drawn plan: nothing is drawn, and a
+    partner may be any row of x, so a lockstep group's block of runs mixes
+    in one call with run-offset partner indices.  ``_out`` = (x_out, y_out)
+    receives the mixed rows.
     """
-    x = as_matrix(x)
-    y = as_matrix(y_onehot)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("mixup needs a batch of at least 2")
-    if y.shape[0] != n:
-        raise ValueError("x and y_onehot row counts differ")
     if lambda_mode not in LAMBDA_MODES:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    pairing = sample_pairing(n, rng)
-    if lam is not None:
-        lam_used = float(lam)
-        lam_col = lam_used
-    elif lambda_mode == "per_batch":
-        lam_used = float(sample_lambdas(params, 1, rng)[0])
-        lam_col = lam_used
-    else:
-        lam_used = sample_lambdas(params, n, rng)
-        lam_col = lam_used[:, None]
-    x_mixed = lam_col * x + (1.0 - lam_col) * x[pairing]
-    y_mixed = lam_col * y + (1.0 - lam_col) * y[pairing]
-    return MixedBatch(x_mixed, y_mixed, lam_used, pairing)
+    x, y, lam = _batch(x, y_onehot, lam, rng, _pairing is not None and lam is not None, "mixup")
+    n = x.shape[0]
+    pairing = sample_pairing(n, rng) if _pairing is None else _pairing
+    if lam is None:
+        lam = sample_lambdas(params, 1 if lambda_mode == "per_batch" else n, rng)
+        lam = lam if lambda_mode == "per_pair" else lam[0]
+    lam_col = lam[:, None] if lam.ndim else lam
+    rest_col = 1.0 - lam_col
+    x_out, y_out = (None, None) if _out is None else _out
+    return MixedBatch(
+        _convex(x, lam_col, rest_col, pairing, x_out), _convex(y, lam_col, rest_col, pairing, y_out),
+        lam if lam.ndim else float(lam), pairing,
+    )
+
+
+def _patch_sides(h: int, w: int, lam):
+    """CutMix box sides H*sqrt(1-lambda) x W*sqrt(1-lambda), rounded to pixels."""
+    ratio = np.sqrt(1.0 - lam)
+    return np.round(h * ratio).astype(np.int64), np.round(w * ratio).astype(np.int64)
 
 
 def cutmix_batch(
     x_img,
     y_onehot,
     params: BetaParams,
-    rng: RngState,
+    rng: RngState | None,
     image_shape: tuple,
     lam: float | None = None,
+    *,
+    _pairing: np.ndarray | None = None,
+    _boxes: np.ndarray | None = None,
+    _out: tuple | None = None,
 ) -> MixedBatch:
     """Paste one rectangular patch from each sample's partner image.
 
@@ -115,12 +143,15 @@ def cutmix_batch(
     H*sqrt(1-lambda) x W*sqrt(1-lambda) (rounded to pixels, kept inside the
     image), and the soft target uses the effective lambda recomputed from the
     realized patch area.
+
+    ``_pairing`` with ``_boxes`` is a drawn plan: nothing is drawn, x is one
+    block of rows per box (y0, y1, x0, x1), pasted into that block only, and
+    a partner may be any row of x.  ``_out`` = (x_out, y_out) receives the
+    mixed rows.
     """
-    x = as_matrix(x_img)
-    y = as_matrix(y_onehot)
+    drawn = _pairing is not None and _boxes is not None
+    x, y, lam = _batch(x_img, y_onehot, lam, rng, drawn, "cutmix")
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("cutmix needs a batch of at least 2")
     if image_shape is None:
         raise ValueError("cutmix requires (H, W, C) image shape metadata")
     h, w, c = image_shape
@@ -128,25 +159,138 @@ def cutmix_batch(
         raise ValueError(
             f"rows of length {x.shape[1]} do not match image shape {image_shape}"
         )
-    pairing = sample_pairing(n, rng)
-    lam_drawn = float(lam if lam is not None else sample_lambdas(params, 1, rng)[0])
-    ratio = np.sqrt(max(0.0, 1.0 - lam_drawn))
-    patch_h = int(round(h * ratio))
-    patch_w = int(round(w * ratio))
-    # Top-left corner uniform over positions keeping the box inside, then a
-    # defensive clip at the borders.
-    y0 = int(rng.integers(0, h - patch_h + 1)) if patch_h < h else 0
-    x0 = int(rng.integers(0, w - patch_w + 1)) if patch_w < w else 0
-    y1 = min(y0 + patch_h, h)
-    x1 = min(x0 + patch_w, w)
-    area = (y1 - y0) * (x1 - x0)
-    lam_eff = 1.0 - area / (h * w)
-    imgs = x.reshape(n, c, h, w).copy()
-    if area > 0:
-        partner = x[pairing].reshape(n, c, h, w)
-        imgs[:, :, y0:y1, x0:x1] = partner[:, :, y0:y1, x0:x1]
-    y_mixed = lam_eff * y + (1.0 - lam_eff) * y[pairing]
-    return MixedBatch(imgs.reshape(n, -1), y_mixed, lam_eff, pairing)
+    pairing = sample_pairing(n, rng) if _pairing is None else _pairing
+    if _boxes is None:
+        lam_drawn = lam if lam is not None else sample_lambdas(params, 1, rng)[0]
+        patch_h, patch_w = _patch_sides(h, w, lam_drawn)
+        # Top-left corner uniform over positions keeping the box inside, then
+        # a defensive clip at the borders.
+        y0 = int(rng.integers(0, h - patch_h + 1)) if patch_h < h else 0
+        x0 = int(rng.integers(0, w - patch_w + 1)) if patch_w < w else 0
+        _boxes = np.array([[y0, min(y0 + patch_h, h), x0, min(x0 + patch_w, w)]])
+    x_out, y_out = (np.empty_like(x), None) if _out is None else _out
+    np.copyto(x_out, x)
+    imgs, src, rows = x_out.reshape(n, c, h, w), x.reshape(n, c, h, w), n // len(_boxes)
+    for r, (y0, y1, x0, x1) in enumerate(_boxes.tolist()):
+        if y1 > y0 and x1 > x0:
+            block = slice(r * rows, (r + 1) * rows)
+            imgs[block, :, y0:y1, x0:x1] = src[pairing[block], :, y0:y1, x0:x1]
+    lam_eff = 1.0 - (_boxes[:, 1] - _boxes[:, 0]) * (_boxes[:, 3] - _boxes[:, 2]) / (h * w)
+    lam_col = np.repeat(lam_eff, rows)[:, None]
+    y_mixed = _convex(y, lam_col, 1.0 - lam_col, pairing, y_out)
+    return MixedBatch(x_out, y_mixed, float(lam_eff[0]) if len(_boxes) == 1 else lam_eff, pairing)
+
+
+@dataclass
+class _Plan:
+    """One epoch's mixing for the mixing runs of a lockstep group.
+
+    cut[r, s] says whether run r mixes step s by CutMix (else by Mixup), and
+    boxes[r, s] is its CutMix box (y0, y1, x0, x1).  pairing and lam hold
+    one entry per row of the epoch's steps in the trainer's row order: step
+    by step, one block of rows per run.  A row's pairing is its partner's
+    index in its step's rows, and its lam is its Mixup lambda.
+    """
+
+    cut: np.ndarray
+    boxes: np.ndarray
+    pairing: np.ndarray
+    lam: np.ndarray
+    image_shape: tuple | None
+
+
+# Bits of each pairing sort key below the step index, which leaves room for
+# 2**23 steps in an int64.
+_KEY_BITS = 40
+
+
+def _draw_plan(runs, sizes, image_shape) -> _Plan:
+    """The plan of one epoch whose steps have the given row counts, for the
+    runs given as (ops, params, lambda_mode, lam, mix_rng, coin_rng).
+
+    A run draws its whole epoch in vectorised calls from its own streams.
+    With two ops, one coin per step from coin_rng picks Mixup when < 0.5.
+    From mix_rng, in order:
+    - one random sort key per row: a step's rows in key order, each paired
+      with the next one, cyclically, so pair(i) != i;
+    - one Beta lambda per step, for per_batch Mixup or for CutMix;
+    - one per row, for per_pair Mixup (a forced lam replaces both);
+    - with CutMix, the top and then the left corner of every step's box.
+
+    Raises FloatingPointError(r) when run r draws a NaN lambda, as a Beta
+    with a tiny alpha can (0 / 0).
+    """
+    sizes = np.asarray(sizes)
+    steps, n = len(sizes), int(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    step_of = np.repeat(np.arange(steps), sizes)
+    start_of = starts[step_of]
+    # where run r's row i sits in the plan's row order: step, run, row
+    run_offsets = np.arange(len(runs))[:, None] * sizes[step_of]
+    slots = (len(runs) - 1) * start_of + np.arange(n) + run_offsets
+    cut, boxes = np.zeros((len(runs), steps), bool), np.zeros((len(runs), steps, 4), np.int64)
+    partner, lams = np.empty((len(runs), n), np.int64), np.empty((len(runs), n))
+    for r, (ops, params, lambda_mode, lam, mix_rng, coin_rng) in enumerate(runs):
+        cut[r] = coin_rng.uniform(steps) >= 0.5 if len(ops) > 1 else ops == ("cutmix",)
+        keys = (step_of << _KEY_BITS) | mix_rng.integers(0, 1 << _KEY_BITS, size=n)
+        order = np.argsort(keys, kind="stable")
+        following = np.roll(order, -1)
+        following[starts + sizes - 1] = order[starts]
+        partner[r, order] = following - start_of
+        per_row = lambda_mode == "per_pair" and "mixup" in ops
+        if lam is not None:
+            lam_step = np.full(steps, lam)
+            lams[r] = lam
+        else:
+            lam_step = sample_lambdas(params, steps, mix_rng) if "cutmix" in ops or not per_row else None
+            lams[r] = sample_lambdas(params, n, mix_rng) if per_row else np.repeat(lam_step, sizes)
+        if np.isnan(lams[r]).any() or "cutmix" in ops and np.isnan(lam_step).any():
+            raise FloatingPointError(r)  # both Gamma draws of a lambda underflowed to 0
+        if "cutmix" in ops:
+            h, w, _ = image_shape
+            patch_h, patch_w = _patch_sides(h, w, lam_step)
+            y0 = mix_rng.integers(0, h - patch_h + 1)
+            x0 = mix_rng.integers(0, w - patch_w + 1)
+            boxes[r] = np.stack([y0, np.minimum(y0 + patch_h, h), x0, np.minimum(x0 + patch_w, w)], 1)
+    pairing, lam = np.empty(partner.size, np.int64), np.empty(lams.size)
+    pairing[slots], lam[slots] = partner + run_offsets, lams
+    return _Plan(cut, boxes, pairing, lam, image_shape)
+
+
+def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y, buffers: nn.StepBuffers) -> MixedBatch:
+    """The mixed rows of step b, rows [lo, hi) of each run's epoch, into the
+    block ``buffers`` lends for the role "mixed".
+
+    x and y hold one block of rows per mixing run, run-major.  The runs of
+    each op mix in one mixup_batch or cutmix_batch call: in place when they
+    sit next to each other, else on gathered rows that are then written back.
+    """
+    rows, cut = hi - lo, plan.cut[:, b]
+    step = slice(len(cut) * lo, len(cut) * hi)
+    pairing, lam = plan.pairing[step], plan.lam[step]
+    out = buffers.take(("mixed", "x"), x.shape), buffers.take(("mixed", "y"), y.shape)
+    for op_cuts in (False, True):
+        runs = np.flatnonzero(cut == op_cuts)
+        if not runs.size:
+            continue
+        first, adjacent = runs[0], runs[-1] - runs[0] + 1 == runs.size
+        if adjacent:
+            block = slice(first * rows, (first + runs.size) * rows)
+            op_pairing = pairing[block] - first * rows
+            to = out[0][block], out[1][block]
+        else:
+            block = (runs[:, None] * rows + np.arange(rows)).ravel()
+            op_pairing = pairing[block] + np.repeat((np.arange(runs.size) - runs) * rows, rows)
+            to = None
+        if op_cuts:
+            mixed = cutmix_batch(x[block], y[block], None, None, plan.image_shape,
+                                 _pairing=op_pairing, _boxes=plan.boxes[runs, b], _out=to)
+        else:
+            mixed = mixup_batch(x[block], y[block], None, lam=lam[block],
+                                _pairing=op_pairing, _out=to)
+        if not adjacent:
+            out[0][block], out[1][block] = mixed.x_mixed, mixed.y_mixed
+    return MixedBatch(*out)
 
 
 def regmix_loss(
@@ -157,13 +301,13 @@ def regmix_loss(
 
     The weighted-term list [(x, y, 1), (x_mixed, y_mixed, eta)] for
     nn.weighted_ce: one forward/backward per term, gradients g_c + eta * g_m.
-    For a stacked network (rows and ``stack_batches`` blocks run-major) eta
-    may be one value per run.
+    For a stacked network (clean and mixed rows one block per run,
+    run-major) eta may be one value per run.
 
     ``_runs`` = (c, m) is a lockstep group's step on its stacked network:
     the mixed rows are those of the runs [0, m), with one eta per run (1 for
-    a mixed-only run), and the clean rows x those of the runs [c, R), c <= m
-    (nn._two_term_ce).  mixed is None when m = 0.
+    a mixed-only run), as _mix_step lends them, and the clean rows x those
+    of the runs [c, R), c <= m (nn._two_term_ce).  mixed is None when m = 0.
     ``_buffers`` is the training step's (nn.StepBuffers).
     """
     eta = np.asarray(eta, dtype=np.float64)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -31,7 +32,7 @@ from vrlkit.trainer import (
     train,
     train_ensemble,
 )
-from vrlkit.vicinal import BetaParams, cutmix_batch, mixup_batch, regmix_loss
+from vrlkit.vicinal import BetaParams, cutmix_batch, mixup_batch, regmix_loss, sample_lambdas
 
 
 def normalized_moons(n=300, noise=0.15, seed=0):
@@ -74,6 +75,11 @@ class TestConfigValidation:
     def test_unknown_lambda_mode(self):
         with pytest.raises(ValueError, match="lambda_mode"):
             TrainConfig(strategy="mixup", alpha=1.0, lambda_mode="per_sample")
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5])
+    def test_force_lambda_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"force_lambda must lie in \[0, 1\]"):
+            TrainConfig(strategy="mixup", alpha=1.0, force_lambda=value)
 
 
 def _regmix_with_eta(eta):
@@ -207,7 +213,7 @@ class TestTrainBehaviour:
         assert mids["regmixup"] >= 2.0 * mids["erm"]
 
 
-def three_branch_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
+def three_branch_step(config, net, xb, yb, mixed):
     """The per-strategy step before the weighted-term list, kept as an oracle:
     ERM, one mixed pass, or two passes merged as g_c + eta * g_m."""
     strategy = config.strategy
@@ -215,17 +221,6 @@ def three_branch_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
         logits, _, cache = forward(net, xb)
         loss = cross_entropy_soft(softmax(logits), yb)
         return loss, backward(net, cache, yb)
-    if strategy in ("mixup_plus_cutmix", "reg_mixup_plus_regcutmix"):
-        op = "mixup" if coin_rng.uniform(1)[0] < 0.5 else "cutmix"
-    else:
-        op = "cutmix" if strategy in ("cutmix", "regcutmix") else "mixup"
-    params = BetaParams(config.alpha)
-    if op == "mixup":
-        mixed = mixup_batch(
-            xb, yb, params, config.lambda_mode, mix_rng, lam=config.force_lambda
-        )
-    else:
-        mixed = cutmix_batch(xb, yb, params, mix_rng, image_shape, lam=config.force_lambda)
     if strategy in ("regmixup", "regcutmix", "reg_mixup_plus_regcutmix"):
         eta = config.eta
         logits_c, _, cache_c = forward(net, xb)
@@ -243,6 +238,47 @@ def three_branch_step(config, net, xb, yb, image_shape, mix_rng, coin_rng):
     return loss, backward(net, cache, mixed.y_mixed)
 
 
+def reference_mixer(config, root, epoch, bounds, image_shape):
+    """One run's mixing for one epoch, drawn in the trainer's stream layout
+    and written out step by step: a function (b, xb, yb) -> the mixed batch
+    of step b from the single-batch mixers, or None for ERM."""
+    ops = trainer._RECIPES[config.strategy][0]
+    if not ops:
+        return lambda b, xb, yb: None
+    steps, n = len(bounds), bounds[-1][1]
+    params, lam = BetaParams(config.alpha), config.force_lambda
+    coins = root.split(trainer._S_COIN, epoch).uniform(steps) if len(ops) > 1 else None
+    mix = root.split(trainer._S_MIX, epoch)
+    keys = mix.integers(0, 1 << 40, size=n)
+    per_row = config.lambda_mode == "per_pair" and "mixup" in ops
+    lam_step = np.full(steps, lam) if lam is not None else None
+    lam_row = np.full(n, lam) if lam is not None else None
+    if lam is None and ("cutmix" in ops or not per_row):
+        lam_step = sample_lambdas(params, steps, mix)
+    if lam is None and per_row:
+        lam_row = sample_lambdas(params, n, mix)
+    if "cutmix" in ops:
+        h, w, _ = image_shape
+        sides = [(round(h * math.sqrt(1.0 - l)), round(w * math.sqrt(1.0 - l))) for l in lam_step]
+        tops = mix.integers(0, [h - ph + 1 for ph, _ in sides])
+        lefts = mix.integers(0, [w - pw + 1 for _, pw in sides])
+
+    def mixed_batch(b, xb, yb):
+        lo, hi = bounds[b]
+        perm = np.argsort(keys[lo:hi], kind="stable")  # the step's slots in key order
+        pairing = np.empty(hi - lo, dtype=np.int64)
+        pairing[perm] = np.roll(perm, -1)
+        cut = coins[b] >= 0.5 if coins is not None else ops == ("cutmix",)
+        if not cut:
+            lam_b = lam_row[lo:hi] if per_row else lam_step[b]
+            return mixup_batch(xb, yb, params, lam=lam_b, _pairing=pairing)
+        (ph, pw), y0, x0 = sides[b], int(tops[b]), int(lefts[b])
+        box = np.array([[y0, min(y0 + ph, h), x0, min(x0 + pw, w)]])
+        return cutmix_batch(xb, yb, params, None, image_shape, _pairing=pairing, _boxes=box)
+
+    return mixed_batch
+
+
 def reference_train(config, train_ds, val_ds):
     """One run alone as a plain 2-D loop over three_branch_step: the oracle
     for the lockstep trainer.  Returns (net, epoch losses, val metrics)."""
@@ -258,13 +294,12 @@ def reference_train(config, train_ds, val_ds):
     losses, step = [], 0
     for epoch in range(config.epochs):
         order = root.split(trainer._S_SHUFFLE, epoch).permutation(train_ds.n)
+        mixer = reference_mixer(config, root, epoch, bounds, train_ds.image_shape)
         loss_sum = 0.0
         for b, (lo, hi) in enumerate(bounds):
             idx = order[lo:hi]
-            loss, grads = three_branch_step(
-                config, net, train_ds.x[idx], y[idx], train_ds.image_shape,
-                root.split(trainer._S_MIX, epoch, b), root.split(trainer._S_COIN, epoch, b),
-            )
+            xb, yb = train_ds.x[idx], y[idx]
+            loss, grads = three_branch_step(config, net, xb, yb, mixer(b, xb, yb))
             sgd_step(net, grads, opt, step / total_steps)
             loss_sum += loss * idx.size
             step += 1
@@ -403,6 +438,30 @@ class TestLockstep:
             values = [*record.epoch_losses, *record.metrics.values(), record.wall_clock_s]
             assert all(type(v) is float for v in values)
 
+    def test_streams_per_run_and_epoch(self, monkeypatch):
+        # per run: its root and init streams, and per epoch a shuffle stream,
+        # a mix stream when it mixes and a coin stream when it has two ops
+        ds = tiny_image_dataset(n=14)
+        configs = [step_test_config(s, seed=seed) for seed, s in enumerate(
+            ("erm", "mixup", "reg_mixup_plus_regcutmix", "cutmix", "mixup_plus_cutmix"))]
+        made, init = [], RngState.__init__
+
+        def recorded(self, seed, _path=()):
+            init(self, seed, _path)
+            made.append((self.seed, self.path))
+
+        monkeypatch.setattr(RngState, "__init__", recorded)
+        train(configs, ds, None)
+        want = []
+        for config in configs:
+            ops = trainer._RECIPES[config.strategy][0]
+            want += [(config.seed, ()), (config.seed, (trainer._S_INIT,))]
+            for epoch in range(config.epochs):
+                want.append((config.seed, (trainer._S_SHUFFLE, epoch)))
+                want += [(config.seed, (trainer._S_MIX, epoch))] * (len(ops) > 0)
+                want += [(config.seed, (trainer._S_COIN, epoch))] * (len(ops) > 1)
+        assert sorted(made) == sorted(want)
+
     def test_list_of_one_equals_single_config(self, monkeypatch):
         monkeypatch.setenv("VRL_DETERMINISTIC", "1")
         tr, val = normalized_moons()
@@ -444,6 +503,14 @@ class TestDivergence:
         ]
         with pytest.raises(trainer.DivergedError, match="regmixup seed 8: non-finite loss"):
             self._train_quietly(configs, tr)
+
+    @pytest.mark.parametrize("strategy", ["mixup", "reg_mixup_plus_regcutmix"])
+    def test_nan_lambda_names_run_and_epoch(self, strategy):
+        # a Beta with alpha 1e-5 draws lambda = 0 / 0 when both Gammas underflow
+        configs = [step_test_config(strategy), step_test_config(strategy, seed=2, alpha=1e-5)]
+        with pytest.raises(trainer.DivergedError,
+                           match=f"{strategy} seed 2: non-finite lambda at epoch 0$"):
+            self._train_quietly(configs, tiny_image_dataset(n=14))
 
     def test_non_finite_final_weights(self):
         # one full-batch step: its loss is finite, the update overflows

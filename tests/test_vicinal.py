@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from vrlkit.nn import cross_entropy_soft, forward, softmax
+from vrlkit import vicinal
+from vrlkit.nn import StepBuffers, cross_entropy_soft, forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.vicinal import (
     BetaParams,
@@ -180,6 +182,134 @@ class TestCutmixBatch:
             cutmix_batch(np.zeros((3, 10)), np.eye(3), BetaParams(1.0), RngState(0), (4, 6, 2))
         with pytest.raises(ValueError):
             cutmix_batch(np.zeros((3, 48)), np.eye(3), BetaParams(1.0), RngState(0), None)
+
+
+class TestLambdaAndRngChecks:
+    @pytest.mark.parametrize("lam", [-0.5, 1.5, 2.0, float("nan")])
+    def test_lam_outside_unit_interval_rejected(self, lam):
+        x, y = np.zeros((4, 12)), np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+            mixup_batch(x, y, BetaParams(1.0), rng=RngState(0), lam=lam)
+        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+            cutmix_batch(x, y, BetaParams(1.0), RngState(0), (2, 2, 3), lam=lam)
+        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+            mixup_batch(x, y, BetaParams(1.0), rng=RngState(0), lam=np.array([0.5, 0.5, lam, 0.5]))
+
+    def test_missing_rng_names_rngstate(self):
+        x, y = np.zeros((4, 12)), np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(ValueError, match="RngState"):
+            mixup_batch(x, y, BetaParams(1.0))
+        with pytest.raises(ValueError, match="RngState"):
+            mixup_batch(x, y, BetaParams(1.0), lam=0.5)
+        with pytest.raises(ValueError, match="RngState"):
+            cutmix_batch(x, y, BetaParams(1.0), None, (2, 2, 3))
+
+
+def _single_batch_digest(case: str) -> str:
+    """sha256 over 20 seeded single-batch calls of one case: mixed rows,
+    targets, lambdas and pairings."""
+    h = hashlib.sha256()
+    for seed in range(20):
+        data = RngState(seed).split(1)
+        x = data.normal((9, 48))
+        y = np.eye(3)[np.asarray(data.integers(0, 3, size=9))]
+        rng = RngState(seed).split(2)
+        if case == "mixup-lam":
+            m = mixup_batch(x, y, BetaParams(0.4), rng=rng, lam=0.6)
+        elif case == "cutmix-lam":
+            m = cutmix_batch(x, y, BetaParams(1.0), rng, (4, 4, 3), lam=0.6)
+        elif case.startswith("mixup"):
+            m = mixup_batch(x, y, BetaParams(0.4), case.split("-")[1], rng)
+        else:
+            m = cutmix_batch(x, y, BetaParams(float(case.split("-")[1])), rng, (4, 4, 3))
+        for a in (m.x_mixed, m.y_mixed, np.asarray(m.lambda_used, dtype=np.float64), m.pairing):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSingleBatchBits:
+    # Written by the single-batch mixers that drew each training step from
+    # streams of its own; a call given an RngState keeps their draw order.
+    GOLDEN = {
+        "mixup-per_batch": "603fa1bfb2ec87ce7558cb695d6ea9ca394fdc1eea72752a42b1ceb59dda9d14",
+        "mixup-per_pair": "c63cb4f217e87bcb289fe2007110d3ce151997bfdb38183db42bb56acc3cf653",
+        "cutmix-0.3": "9fc92aef884b10eb2d095f2cdfc5d133ed585948a6cb41f12b54d381ec15a96e",
+        "cutmix-2.0": "d8d2cd680c54b62e911d6613ac18ad842d82721124c4e1eacdc4a8b31f7af1e2",
+        "mixup-lam": "973729bf153f719bdab1c6e6e2f244cf824d2f142a2176382e8fefab01e8bbae",
+        "cutmix-lam": "6b26bd6b3e1fada1e5dfe8035da1f17d4222379722f84871509782b821a50783",
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_digest(self, case):
+        assert _single_batch_digest(case) == self.GOLDEN[case]
+
+
+class TestGroupMixer:
+    shape = (4, 4, 2)  # H, W, C
+
+    def _plan(self, recipes, sizes, seed=0):
+        runs = [
+            (ops, BetaParams(alpha), mode, lam, RngState(seed + r).split(2, 0),
+             RngState(seed + r).split(3, 0) if len(ops) > 1 else None)
+            for r, (ops, alpha, mode, lam) in enumerate(recipes)
+        ]
+        return vicinal._draw_plan(runs, sizes, self.shape)
+
+    def _check(self, recipes, sizes=(5, 5, 5, 6)):
+        """Every step of the group mixer against one single-batch call per
+        run, fed that run's part of the same plan; returns the ops used."""
+        plan = self._plan(recipes, sizes)
+        runs, d = len(recipes), int(np.prod(self.shape))
+        buffers, used, lo = StepBuffers(), set(), 0
+        for b, rows in enumerate(sizes):
+            hi = lo + rows
+            data = RngState(100 + b)
+            x = data.normal((runs * rows, d))
+            y = np.eye(3)[np.asarray(data.integers(0, 3, size=runs * rows))]
+            got = vicinal._mix_step(plan, b, lo, hi, x, y, buffers)
+            step = slice(runs * lo, runs * hi)
+            for r in range(runs):
+                block = slice(r * rows, (r + 1) * rows)
+                pairing = plan.pairing[step][block] - r * rows
+                assert np.all(pairing != np.arange(rows))
+                assert sorted(pairing) == list(range(rows))
+                if plan.cut[r, b]:
+                    want = cutmix_batch(x[block], y[block], None, None, self.shape,
+                                        _pairing=pairing, _boxes=plan.boxes[r, b][None])
+                else:
+                    want = mixup_batch(x[block], y[block], None, lam=plan.lam[step][block],
+                                       _pairing=pairing)
+                assert np.array_equal(got.x_mixed[block], want.x_mixed)
+                assert np.array_equal(got.y_mixed[block], want.y_mixed)
+                used.add("cutmix" if plan.cut[r, b] else "mixup")
+            lo = hi
+        return used
+
+    def test_mixup_per_batch(self):
+        recipes = [(("mixup",), alpha, "per_batch", None) for alpha in (0.3, 1.0, 8.0)]
+        assert self._check(recipes) == {"mixup"}
+        plan = self._plan(recipes, (5, 5, 5, 6))
+        lam = plan.lam[:15].reshape(3, 5)  # step 0: one lambda per run
+        assert np.all(lam == lam[:, :1]) and len(set(lam[:, 0])) == 3
+
+    def test_mixup_per_pair_and_forced(self):
+        recipes = [(("mixup",), 0.5, "per_pair", None), (("mixup",), 2.0, "per_batch", None),
+                   (("mixup",), 1.0, "per_pair", 0.25)]
+        assert self._check(recipes) == {"mixup"}
+
+    def test_cutmix(self):
+        recipes = [(("cutmix",), 1.0, "per_batch", None), (("cutmix",), 0.3, "per_pair", None)]
+        assert self._check(recipes) == {"cutmix"}
+
+    def test_two_op_coins_with_runs_apart(self):
+        # the runs of one op are not always next to each other
+        two = ("mixup", "cutmix")
+        recipes = [(two, 1.0, "per_batch", None), (("mixup",), 0.4, "per_pair", None),
+                   (two, 0.7, "per_pair", None), (("cutmix",), 2.0, "per_batch", None),
+                   (two, 3.0, "per_batch", None)]
+        assert self._check(recipes, sizes=(4,) * 8 + (5,)) == {"mixup", "cutmix"}
+        plan = self._plan(recipes, (4,) * 8 + (5,))
+        assert plan.cut[[0, 2, 4]].any() and not plan.cut[[0, 2, 4]].all()
 
 
 class TestRegmixLoss:
