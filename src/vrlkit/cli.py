@@ -659,6 +659,12 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
     source_name, n_pairs = _heatmap_keys(manifest.config)
     pipe = build_pipeline(manifest, parts=())
     source = pipe.train if source_name == "train" else pipe.test
+    classes = np.unique(source.labels).size
+    if classes < 2:
+        raise ManifestError(
+            f"heatmap needs >= 2 classes in the {source_name} split "
+            f"(heatmap.source), found {classes} in its {source.n} rows"
+        )
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):

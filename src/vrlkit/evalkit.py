@@ -160,6 +160,11 @@ TEMPERATURE_GRID = np.arange(100, 10001) / 1000.0  # 0.100 .. 10.000 step 0.001
 # buffer holds about this many doubles.
 _TEMPERATURE_CHUNK_FLOATS = 65536
 
+# fit_temperature skips a chunk whose ECE lower bound exceeds the best ECE by
+# more than this: room for the rounding of the mean confidence and of the bin
+# sums, and for an exp that is not monotone at the last ulp.
+_PRUNE_MARGIN = 1e-9
+
 
 def apply_temperature(logits, temp: Temperature) -> np.ndarray:
     return nn.softmax(as_matrix(logits) / temp.T)
@@ -196,6 +201,20 @@ def _class_sum(planes: np.ndarray) -> np.ndarray:
     return total
 
 
+def _max_confidence(shifted: np.ndarray, ts: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The (ts.size, n) max-softmax confidences 1 / sum_c exp(D_c / T), in buf.
+
+    `shifted` is the class-major (k, 1, n) D; the k planes of buf[:, :ts.size]
+    are overwritten and the result is a view of the first.
+    """
+    planes = buf[:, : ts.size]
+    np.divide(shifted, ts[:, None], out=planes)
+    np.exp(planes, out=planes)
+    conf = _class_sum(planes)
+    np.divide(1.0, conf, out=conf)
+    return conf
+
+
 def fit_temperature(
     logits_val, labels_val, spec: BinningSpec = BinningSpec()
 ) -> Temperature:
@@ -211,6 +230,16 @@ def fit_temperature(
     so each chunk fills one (k, chunk, n) buffer and sums its class planes
     with whole-array adds (`_class_sum`), bitwise equal to summing the
     class-last (chunk, n, k) array over its last axis.
+
+    Chunks that cannot hold the minimum are never binned.  Whatever the
+    binning, ECE(T) >= |acc - mc(T)|, mc being the mean confidence, and as
+    D <= 0 every confidence falls as T grows.  So no T of a chunk [Ta, Tb]
+    has an ECE below max(0, mc(Tb) - acc, acc - mc(Ta)).  The search
+    computes mc at both ends of every chunk, bins the chunks in increasing
+    order of that bound, and stops at the first chunk whose bound exceeds
+    the best ECE so far by more than `_PRUNE_MARGIN`.  A temperature's ECE
+    does not depend on the chunk it is binned in, and the best (ECE, T) pair
+    wins, so the returned T is the exhaustive scan's, bit for bit.
     """
     s, labels = _checked(logits_val, labels_val, spec, "logits")
     correct = s.argmax(axis=1) == labels
@@ -218,19 +247,26 @@ def fit_temperature(
     shifted = np.ascontiguousarray((s - s.max(axis=1, keepdims=True)).T)[:, None, :]
     chunk = min(max(1, _TEMPERATURE_CHUNK_FLOATS // (n * k)), TEMPERATURE_GRID.size)
     buf = np.empty((k, chunk, n))
-    best_t, best_ece = None, math.inf
-    for start in range(0, TEMPERATURE_GRID.size, chunk):
-        ts = TEMPERATURE_GRID[start : start + chunk]
-        planes = buf[:, : ts.size]
-        np.divide(shifted, ts[:, None], out=planes)
-        np.exp(planes, out=planes)
-        conf = _class_sum(planes)
-        np.divide(1.0, conf, out=conf)
-        errs = _binned_ece(conf, correct, spec)
+    starts = np.arange(0, TEMPERATURE_GRID.size, chunk)
+    stops = np.minimum(starts + chunk, TEMPERATURE_GRID.size)
+    ends = np.concatenate([TEMPERATURE_GRID[starts], TEMPERATURE_GRID[stops - 1]])
+    mean_conf = np.concatenate([
+        _max_confidence(shifted, ends[i : i + chunk], buf).mean(axis=1)
+        for i in range(0, ends.size, chunk)
+    ])
+    acc = correct.mean()
+    first, last = np.split(mean_conf, 2)
+    bound = np.maximum(np.maximum(last - acc, acc - first), 0.0)
+    best_ece, best_t = math.inf, math.inf
+    for c in np.argsort(bound, kind="stable"):
+        if bound[c] > best_ece + _PRUNE_MARGIN:
+            break
+        ts = TEMPERATURE_GRID[starts[c] : stops[c]]
+        errs = _binned_ece(_max_confidence(shifted, ts, buf), correct, spec)
         i = int(np.argmin(errs))  # the first minimum: the smallest T
-        if errs[i] < best_ece:
-            best_ece, best_t = errs[i], float(ts[i])
-    return Temperature(best_t)
+        if (errs[i], ts[i]) < (best_ece, best_t):
+            best_ece, best_t = errs[i], ts[i]
+    return Temperature(float(best_t))
 
 
 def fisher_criterion(features, labels, epsilon: float = 0.0) -> float:

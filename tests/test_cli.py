@@ -474,6 +474,16 @@ class TestBadManifestValues:
         assert "class 0 with 1 row" in err and "3 test" in err
         assert not list(tmp_path.rglob("fisher.csv"))
 
+    @pytest.mark.parametrize("source", ["train", "test"])
+    def test_heatmap_on_a_one_class_split(self, tmp_path, capsys, source):
+        # data.k = 1: train, eval, ood and calibrate run; heatmap stops up front
+        replace = ("data.k = 3\n", "data.k = 1\n")
+        manifest = MANIFEST.replace(*_setting(MANIFEST, "heatmap.source", source))
+        err = self._run(tmp_path, capsys, replace, ["train", "eval", "heatmap"], manifest)
+        assert f"in the {source} split" in err and "found 1 " in err
+        assert not list(tmp_path.rglob("heatmap_*.svg"))
+        assert not list(tmp_path.rglob("barrier.csv"))
+
     @pytest.mark.parametrize(
         "key,value",
         [

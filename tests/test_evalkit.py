@@ -275,12 +275,13 @@ def fit_temperature_oracle(logits, labels, spec):
     return float(TEMPERATURE_GRID[np.argmin(err)])
 
 
-def temperature_fixture(rng, trial, k=None):
+def temperature_fixture(rng, trial, k=None, rows=(5, 25)):
     """Random validation logits; every third fixture is tie-heavy.
 
-    Without `k`, the class count is drawn from 2..4.
+    Without `k`, the class count is drawn from 2..4; the row count is drawn
+    from the half-open range `rows`.
     """
-    n = int(rng.integers(5, 25))
+    n = int(rng.integers(*rows))
     if k is None:
         k = int(rng.integers(2, 5))
     logits = rng.normal(size=(n, k)) * rng.uniform(0.3, 6.0)
@@ -354,26 +355,156 @@ class TestClassMajorConfidence:
 
     @pytest.mark.parametrize("k", CLASS_COUNTS)
     def test_confidences_bitwise_equal_to_class_last_expression(self, k, monkeypatch):
+        # every confidence the search computes, at the chunk ends and in the
+        # chunks it bins, at exactly the temperatures it was computed for
         rng = np.random.default_rng(200 + k)
         n = int(rng.integers(5, 40))
         logits = rng.normal(size=(n, k)) * rng.uniform(0.3, 6.0)
         labels = rng.integers(0, k, size=n)
-        seen = []
+        computed, binned = [], []
+        max_confidence, binned_ece = evalkit._max_confidence, evalkit._binned_ece
+
+        def confidence_spy(shifted, ts, buf):
+            conf = max_confidence(shifted, ts, buf)
+            computed.append((ts.copy(), conf.copy()))
+            return conf
+
+        def binning_spy(conf, correct, spec):
+            binned.append((computed[-1][0], conf.copy()))
+            return binned_ece(conf, correct, spec)
+
+        monkeypatch.setattr(evalkit, "_max_confidence", confidence_spy)
+        monkeypatch.setattr(evalkit, "_binned_ece", binning_spy)
+        fit_temperature(logits, labels)
+        assert binned and len(computed) > len(binned)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        for ts, conf in computed + binned:
+            expected = 1.0 / np.exp(shifted[None] / ts[:, None, None]).sum(axis=2)
+            assert conf.tobytes() == expected.tobytes()
+
+
+def fit_temperature_exhaustive(logits_val, labels_val, spec=BinningSpec()):
+    """The exhaustive chunked scan: every chunk of the grid binned, in grid order.
+
+    This is `fit_temperature` as it was before it skipped chunks, kept
+    verbatim; the pruned search must return its T bit for bit.
+    """
+    import math
+
+    from vrlkit.evalkit import (
+        _TEMPERATURE_CHUNK_FLOATS,
+        TEMPERATURE_GRID,
+        _binned_ece,
+        _checked,
+        _class_sum,
+    )
+
+    s, labels = _checked(logits_val, labels_val, spec, "logits")
+    correct = s.argmax(axis=1) == labels
+    n, k = s.shape
+    shifted = np.ascontiguousarray((s - s.max(axis=1, keepdims=True)).T)[:, None, :]
+    chunk = min(max(1, _TEMPERATURE_CHUNK_FLOATS // (n * k)), TEMPERATURE_GRID.size)
+    buf = np.empty((k, chunk, n))
+    best_t, best_ece = None, math.inf
+    for start in range(0, TEMPERATURE_GRID.size, chunk):
+        ts = TEMPERATURE_GRID[start : start + chunk]
+        planes = buf[:, : ts.size]
+        np.divide(shifted, ts[:, None], out=planes)
+        np.exp(planes, out=planes)
+        conf = _class_sum(planes)
+        np.divide(1.0, conf, out=conf)
+        errs = _binned_ece(conf, correct, spec)
+        i = int(np.argmin(errs))  # the first minimum: the smallest T
+        if errs[i] < best_ece:
+            best_ece, best_t = errs[i], float(ts[i])
+    return Temperature(best_t)
+
+
+class TestPrunedSearch:
+    """The search skips chunks that cannot beat the best ECE, yet returns the
+    exhaustive scan's T: on 300-1,200 rows a chunk holds a few to a few
+    hundred temperatures, so most chunks are skipped."""
+
+    @staticmethod
+    def _specs(rng):
+        return (
+            BinningSpec("equal_width", 15),
+            BinningSpec("equal_mass", int(rng.integers(1, 16))),
+        )
+
+    def _assert_exhaustive_t(self, logits, labels, spec, expected=None):
+        t = fit_temperature(logits, labels, spec).T
+        assert t == fit_temperature_exhaustive(logits, labels, spec).T
+        if expected is not None:
+            assert t == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 10])
+    def test_many_chunks_match_exhaustive(self, k):
+        # trial 0 is tie-heavy: integer logits, duplicated and saturated rows
+        rng = np.random.default_rng(300 + k)
+        for trial in range(2):
+            logits, labels = temperature_fixture(rng, trial, k, rows=(300, 1201))
+            for spec in self._specs(rng):
+                self._assert_exhaustive_t(logits, labels, spec)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_all_correct_minimum_at_first_t(self, k):
+        # ECE = mean(1 - conf), least where confidence is highest: T = 0.1
+        rng = np.random.default_rng(320 + k)
+        logits = rng.normal(size=(500, k)) * 3.0
+        for spec in self._specs(rng):
+            self._assert_exhaustive_t(logits, logits.argmax(axis=1), spec, 0.1)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_all_wrong_minimum_at_last_t(self, k):
+        # ECE = mean(conf), least at T = 10, in the grid's last chunk
+        rng = np.random.default_rng(330 + k)
+        logits = rng.normal(size=(500, k)) * 3.0
+        labels = (logits.argmax(axis=1) + 1) % k
+        for spec in self._specs(rng):
+            self._assert_exhaustive_t(logits, labels, spec, 10.0)
+
+    def test_constant_logits_tie_at_every_t(self):
+        # confidence 1/k at every T: every T ties, so the first one wins
+        rng = np.random.default_rng(340)
+        logits = np.repeat(rng.normal(size=(400, 1)), 3, axis=1)
+        labels = rng.integers(0, 3, size=400)
+        for spec in self._specs(rng):
+            self._assert_exhaustive_t(logits, labels, spec, 0.1)
+
+    def test_tie_at_a_bound_equal_to_the_best_ece(self):
+        # 256 rows of equal logits (confidence exactly 1/2, 64 right) and 256
+        # right rows of gap 40 (confidence exactly 1 up to T ~ 1.09, lower
+        # after): ECE is exactly 1/8 up to T ~ 1.09 and higher after.  The
+        # chunk across T ~ 1.09 has the smaller bound and is binned first,
+        # finding ECE 1/8 at its first T; every chunk before it has a bound of
+        # exactly 1/8, so only binning those too finds the tie at T = 0.1.
+        logits = np.zeros((512, 2))
+        logits[256:, 0] = 40.0
+        labels = np.ones(512, dtype=int)
+        labels[192:] = 0
+        for spec in (BinningSpec("equal_width", 15), BinningSpec("equal_mass", 2)):
+            self._assert_exhaustive_t(logits, labels, spec, 0.1)
+
+    def test_bins_under_a_tenth_of_the_grid(self, monkeypatch):
+        # 800 rows of 10 classes whose logits are twice as sharp as the
+        # distribution their labels are drawn from: an overconfident net
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(800, 10)) * 3.0
+        cumulative = softmax(logits / 2.0).cumsum(axis=1)
+        labels = (cumulative > rng.random((800, 1))).argmax(axis=1)
+        binned = []
         binned_ece = evalkit._binned_ece
 
         def spy(conf, correct, spec):
-            seen.append(conf.copy())
+            binned.append(conf.shape[0])
             return binned_ece(conf, correct, spec)
 
         monkeypatch.setattr(evalkit, "_binned_ece", spy)
-        fit_temperature(logits, labels)
-        grid = evalkit.TEMPERATURE_GRID
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expected = np.concatenate([
-            1.0 / np.exp(shifted[None] / grid[i : i + 512, None, None]).sum(axis=2)
-            for i in range(0, grid.size, 512)
-        ])
-        assert np.concatenate(seen).tobytes() == expected.tobytes()
+        for spec in (BinningSpec("equal_width", 15), BinningSpec("equal_mass", 15)):
+            binned.clear()
+            fit_temperature(logits, labels, spec)
+            assert 0 < sum(binned) < 0.1 * evalkit.TEMPERATURE_GRID.size
 
 
 class TestCalibrationInputsRejected:
