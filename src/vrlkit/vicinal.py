@@ -2,12 +2,14 @@
 CutMix batch construction, and the regularized two-term loss.
 
 The mixing weight lambda is drawn from a symmetric Beta(alpha, alpha) built
-from two Gamma variates.  Pairing inside a batch is a random cyclic shift of
-a shuffled index list, which guarantees pair(i) != i without rejection.
+from two Gamma variates.  A batch's rows are paired by sorting them on random
+keys, each with the next one, cyclically, so pair(i) != i without rejection.
 
-The trainer draws each mixing run's epoch at once (_draw_plan) and builds a
-lockstep group's mixed rows with one mixup_batch or cutmix_batch call per op
-and step (_mix_step), into arrays lent by nn.StepBuffers.
+Only _draw_plan draws pairings, lambdas and boxes: a whole epoch for each of
+a lockstep group's mixing runs, or one step for a single mixup_batch or
+cutmix_batch call given an RngState.  _mix_step builds a group's mixed rows
+with one such call per stretch of neighbouring runs that share an op, into
+arrays lent by nn.StepBuffers.
 """
 
 from dataclasses import dataclass
@@ -46,14 +48,6 @@ class MixedBatch:
     pairing: np.ndarray | None = None  # pairing[i] != i for all i
 
 
-def sample_pairing(n: int, rng: RngState) -> np.ndarray:
-    """Random in-batch partner assignment with no fixed points (n >= 2)."""
-    perm = rng.permutation(n)
-    pairing = np.empty(n, dtype=np.int64)
-    pairing[perm] = np.concatenate((perm[1:], perm[:1]))
-    return pairing
-
-
 def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
     """The rows as matrices and lam checked, before anything is drawn."""
     x, y = as_matrix(x), as_matrix(y_onehot)
@@ -70,12 +64,20 @@ def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
     return x, y, lam
 
 
-def _convex(a, lam_col, rest_col, pairing, out):
-    """lam * a + (1 - lam) * a[pairing], written into out (or a fresh array);
-    rest_col = 1 - lam_col."""
+def _draw_batch(op: str, params, lambda_mode, lam, rng, n: int, image_shape):
+    """The plan of one run and one step of n rows, drawn from rng."""
+    try:
+        with np.errstate(invalid="ignore"):  # a NaN lambda raises below instead
+            return _draw_plan([((op,), params, lambda_mode, lam, rng, None)], [n], image_shape)
+    except FloatingPointError:
+        raise ValueError(f"{op} drew a NaN lambda: alpha={params.alpha} is too small") from None
+
+
+def _convex(a, lam_col, pairing, out):
+    """lam * a + (1 - lam) * a[pairing], written into out (or a fresh array)."""
     out = np.multiply(lam_col, a, out=out)
     partner = np.take(a, pairing, axis=0)
-    partner *= rest_col
+    partner *= 1.0 - lam_col
     out += partner
     return out
 
@@ -94,8 +96,9 @@ def mixup_batch(
     """Convex combination of each sample with a random in-batch partner.
 
     lambda_mode "per_batch" draws a single lambda for the whole batch;
-    "per_pair" draws one per pair.  `lam` forces a fixed value in [0, 1]
-    (test hook), or gives one per row.
+    "per_pair" draws one per pair, both as a plan of one step (_draw_plan).
+    `lam` forces a fixed value in [0, 1] (test hook), or gives one per row.
+    A NaN lambda, as a tiny alpha can draw, raises ValueError.
 
     ``_pairing`` with a ``lam`` is a drawn plan: nothing is drawn, and a
     partner may be any row of x, so a lockstep group's block of runs mixes
@@ -104,25 +107,17 @@ def mixup_batch(
     """
     if lambda_mode not in LAMBDA_MODES:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    x, y, lam = _batch(x, y_onehot, lam, rng, _pairing is not None and lam is not None, "mixup")
-    n = x.shape[0]
-    pairing = sample_pairing(n, rng) if _pairing is None else _pairing
-    if lam is None:
-        lam = sample_lambdas(params, 1 if lambda_mode == "per_batch" else n, rng)
-        lam = lam if lambda_mode == "per_pair" else lam[0]
+    drawn = _pairing is not None and lam is not None
+    x, y, lam = _batch(x, y_onehot, lam, rng, drawn, "mixup")
+    scalar = lam.ndim == 0 if lam is not None else lambda_mode == "per_batch"
+    if not drawn:
+        plan = _draw_batch("mixup", params, lambda_mode, lam, rng, x.shape[0], None)
+        _pairing, lam = plan.pairing, plan.lam
     lam_col = lam[:, None] if lam.ndim else lam
-    rest_col = 1.0 - lam_col
     x_out, y_out = (None, None) if _out is None else _out
-    return MixedBatch(
-        _convex(x, lam_col, rest_col, pairing, x_out), _convex(y, lam_col, rest_col, pairing, y_out),
-        lam if lam.ndim else float(lam), pairing,
-    )
-
-
-def _patch_sides(h: int, w: int, lam):
-    """CutMix box sides H*sqrt(1-lambda) x W*sqrt(1-lambda), rounded to pixels."""
-    ratio = np.sqrt(1.0 - lam)
-    return np.round(h * ratio).astype(np.int64), np.round(w * ratio).astype(np.int64)
+    x_mixed = _convex(x, lam_col, _pairing, x_out)
+    y_mixed = _convex(y, lam_col, _pairing, y_out)
+    return MixedBatch(x_mixed, y_mixed, float(lam.flat[0]) if scalar else lam, _pairing)
 
 
 def cutmix_batch(
@@ -139,10 +134,11 @@ def cutmix_batch(
 ) -> MixedBatch:
     """Paste one rectangular patch from each sample's partner image.
 
-    A single lambda and box are drawn per batch; box side lengths are
-    H*sqrt(1-lambda) x W*sqrt(1-lambda) (rounded to pixels, kept inside the
-    image), and the soft target uses the effective lambda recomputed from the
-    realized patch area.
+    A single lambda and box are drawn per batch, as a plan of one step
+    (_draw_plan); box side lengths are H*sqrt(1-lambda) x W*sqrt(1-lambda)
+    (rounded to pixels, kept inside the image), and the soft target uses the
+    effective lambda recomputed from the realized patch area.  A NaN lambda,
+    as a tiny alpha can draw, raises ValueError.
 
     ``_pairing`` with ``_boxes`` is a drawn plan: nothing is drawn, x is one
     block of rows per box (y0, y1, x0, x1), pasted into that block only, and
@@ -156,29 +152,21 @@ def cutmix_batch(
         raise ValueError("cutmix requires (H, W, C) image shape metadata")
     h, w, c = image_shape
     if h * w * c != x.shape[1]:
-        raise ValueError(
-            f"rows of length {x.shape[1]} do not match image shape {image_shape}"
-        )
-    pairing = sample_pairing(n, rng) if _pairing is None else _pairing
-    if _boxes is None:
-        lam_drawn = lam if lam is not None else sample_lambdas(params, 1, rng)[0]
-        patch_h, patch_w = _patch_sides(h, w, lam_drawn)
-        # Top-left corner uniform over positions keeping the box inside, then
-        # a defensive clip at the borders.
-        y0 = int(rng.integers(0, h - patch_h + 1)) if patch_h < h else 0
-        x0 = int(rng.integers(0, w - patch_w + 1)) if patch_w < w else 0
-        _boxes = np.array([[y0, min(y0 + patch_h, h), x0, min(x0 + patch_w, w)]])
+        raise ValueError(f"rows of length {x.shape[1]} do not match image shape {image_shape}")
+    if not drawn:
+        plan = _draw_batch("cutmix", params, "per_batch", lam, rng, n, image_shape)
+        _pairing, _boxes = plan.pairing, plan.boxes[0]
     x_out, y_out = (np.empty_like(x), None) if _out is None else _out
     np.copyto(x_out, x)
     imgs, src, rows = x_out.reshape(n, c, h, w), x.reshape(n, c, h, w), n // len(_boxes)
     for r, (y0, y1, x0, x1) in enumerate(_boxes.tolist()):
         if y1 > y0 and x1 > x0:
             block = slice(r * rows, (r + 1) * rows)
-            imgs[block, :, y0:y1, x0:x1] = src[pairing[block], :, y0:y1, x0:x1]
+            imgs[block, :, y0:y1, x0:x1] = src[_pairing[block], :, y0:y1, x0:x1]
     lam_eff = 1.0 - (_boxes[:, 1] - _boxes[:, 0]) * (_boxes[:, 3] - _boxes[:, 2]) / (h * w)
     lam_col = np.repeat(lam_eff, rows)[:, None]
-    y_mixed = _convex(y, lam_col, 1.0 - lam_col, pairing, y_out)
-    return MixedBatch(x_out, y_mixed, float(lam_eff[0]) if len(_boxes) == 1 else lam_eff, pairing)
+    y_mixed = _convex(y, lam_col, _pairing, y_out)
+    return MixedBatch(x_out, y_mixed, float(lam_eff[0]) if len(_boxes) == 1 else lam_eff, _pairing)
 
 
 @dataclass
@@ -214,7 +202,8 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
     - one random sort key per row: a step's rows in key order, each paired
       with the next one, cyclically, so pair(i) != i;
     - one Beta lambda per step, for per_batch Mixup or for CutMix;
-    - one per row, for per_pair Mixup (a forced lam replaces both);
+    - one per row, for per_pair Mixup (a forced lam, one value or one per
+      row, replaces both; CutMix takes a step's from its first row);
     - with CutMix, the top and then the left corner of every step's box.
 
     Raises FloatingPointError(r) when run r draws a NaN lambda, as a Beta
@@ -239,16 +228,19 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
         partner[r, order] = following - start_of
         per_row = lambda_mode == "per_pair" and "mixup" in ops
         if lam is not None:
-            lam_step = np.full(steps, lam)
             lams[r] = lam
-        else:
-            lam_step = sample_lambdas(params, steps, mix_rng) if "cutmix" in ops or not per_row else None
-            lams[r] = sample_lambdas(params, n, mix_rng) if per_row else np.repeat(lam_step, sizes)
+        elif "cutmix" in ops or not per_row:
+            lams[r] = np.repeat(sample_lambdas(params, steps, mix_rng), sizes)
+        lam_step = lams[r, starts]  # unset, and unused, for per_pair Mixup alone
+        if lam is None and per_row:
+            lams[r] = sample_lambdas(params, n, mix_rng)
         if np.isnan(lams[r]).any() or "cutmix" in ops and np.isnan(lam_step).any():
             raise FloatingPointError(r)  # both Gamma draws of a lambda underflowed to 0
         if "cutmix" in ops:
             h, w, _ = image_shape
-            patch_h, patch_w = _patch_sides(h, w, lam_step)
+            ratio = np.sqrt(1.0 - lam_step)  # box sides rounded to pixels
+            patch_h = np.round(h * ratio).astype(np.int64)
+            patch_w = np.round(w * ratio).astype(np.int64)
             y0 = mix_rng.integers(0, h - patch_h + 1)
             x0 = mix_rng.integers(0, w - patch_w + 1)
             boxes[r] = np.stack([y0, np.minimum(y0 + patch_h, h), x0, np.minimum(x0 + patch_w, w)], 1)
@@ -261,35 +253,23 @@ def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y, buffers: nn.StepBuffe
     """The mixed rows of step b, rows [lo, hi) of each run's epoch, into the
     block ``buffers`` lends for the role "mixed".
 
-    x and y hold one block of rows per mixing run, run-major.  The runs of
-    each op mix in one mixup_batch or cutmix_batch call: in place when they
-    sit next to each other, else on gathered rows that are then written back.
+    x and y hold one block of rows per mixing run, run-major.  Each stretch
+    of neighbouring runs that use the same op mixes in one mixup_batch or
+    cutmix_batch call, in place on its rows of x, y and the lent block.
     """
     rows, cut = hi - lo, plan.cut[:, b]
     step = slice(len(cut) * lo, len(cut) * hi)
     pairing, lam = plan.pairing[step], plan.lam[step]
     out = buffers.take(("mixed", "x"), x.shape), buffers.take(("mixed", "y"), y.shape)
-    for op_cuts in (False, True):
-        runs = np.flatnonzero(cut == op_cuts)
-        if not runs.size:
-            continue
-        first, adjacent = runs[0], runs[-1] - runs[0] + 1 == runs.size
-        if adjacent:
-            block = slice(first * rows, (first + runs.size) * rows)
-            op_pairing = pairing[block] - first * rows
-            to = out[0][block], out[1][block]
+    ends = [*(np.flatnonzero(cut[1:] != cut[:-1]) + 1), len(cut)]
+    for first, last in zip([0, *ends], ends):
+        block = slice(first * rows, last * rows)
+        partners, to = pairing[block] - first * rows, (out[0][block], out[1][block])
+        if cut[first]:
+            cutmix_batch(x[block], y[block], None, None, plan.image_shape,
+                         _pairing=partners, _boxes=plan.boxes[first:last, b], _out=to)
         else:
-            block = (runs[:, None] * rows + np.arange(rows)).ravel()
-            op_pairing = pairing[block] + np.repeat((np.arange(runs.size) - runs) * rows, rows)
-            to = None
-        if op_cuts:
-            mixed = cutmix_batch(x[block], y[block], None, None, plan.image_shape,
-                                 _pairing=op_pairing, _boxes=plan.boxes[runs, b], _out=to)
-        else:
-            mixed = mixup_batch(x[block], y[block], None, lam=lam[block],
-                                _pairing=op_pairing, _out=to)
-        if not adjacent:
-            out[0][block], out[1][block] = mixed.x_mixed, mixed.y_mixed
+            mixup_batch(x[block], y[block], None, lam=lam[block], _pairing=partners, _out=to)
     return MixedBatch(*out)
 
 

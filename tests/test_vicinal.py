@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from vrlkit.vicinal import (
     mixup_batch,
     regmix_loss,
     sample_lambdas,
-    sample_pairing,
 )
 
 from test_nn import assert_grads_close, finite_diff_grads, random_net
@@ -93,7 +91,8 @@ class TestSampleLambda:
 class TestMixupBatch:
     def test_pairing_has_no_fixed_points(self):
         for n in (2, 3, 17, 64):
-            pairing = sample_pairing(n, RngState(n))
+            x, y = np.zeros((n, 2)), np.eye(2)[np.arange(n) % 2]
+            pairing = mixup_batch(x, y, BetaParams(1.0), rng=RngState(n)).pairing
             assert np.all(pairing != np.arange(n))
             assert sorted(pairing) == list(range(n))
 
@@ -205,43 +204,82 @@ class TestLambdaAndRngChecks:
             cutmix_batch(x, y, BetaParams(1.0), None, (2, 2, 3))
 
 
-def _single_batch_digest(case: str) -> str:
-    """sha256 over 20 seeded single-batch calls of one case: mixed rows,
-    targets, lambdas and pairings."""
-    h = hashlib.sha256()
-    for seed in range(20):
-        data = RngState(seed).split(1)
-        x = data.normal((9, 48))
-        y = np.eye(3)[np.asarray(data.integers(0, 3, size=9))]
-        rng = RngState(seed).split(2)
-        if case == "mixup-lam":
-            m = mixup_batch(x, y, BetaParams(0.4), rng=rng, lam=0.6)
-        elif case == "cutmix-lam":
-            m = cutmix_batch(x, y, BetaParams(1.0), rng, (4, 4, 3), lam=0.6)
-        elif case.startswith("mixup"):
-            m = mixup_batch(x, y, BetaParams(0.4), case.split("-")[1], rng)
-        else:
-            m = cutmix_batch(x, y, BetaParams(float(case.split("-")[1])), rng, (4, 4, 3))
-        for a in (m.x_mixed, m.y_mixed, np.asarray(m.lambda_used, dtype=np.float64), m.pairing):
-            h.update(a.tobytes())
-    return h.hexdigest()
+def single_batch_oracle(case, x, y, rng, image_shape=(4, 4, 3)):
+    """One single-batch call of `case`, drawn from rng in the mix stream's
+    order (README) and mixed with plain expressions: one sort key per row
+    (each row paired with the next one in key order, cyclically), the Beta
+    lambda(s), then the CutMix box's top and left corner.  Returns the mixed
+    rows, targets, lambda_used and pairing."""
+    op, arg = case.split("-")
+    n = len(x)
+    order = np.argsort(rng.integers(0, 1 << 40, size=n), kind="stable")
+    pairing = np.empty(n, dtype=np.int64)
+    pairing[order] = np.roll(order, -1)
+    if op == "mixup":
+        lam = 0.6 if arg == "lam" else sample_lambdas(BetaParams(0.4), n if arg == "per_pair" else 1, rng)
+        lam_row = np.broadcast_to(lam, (n,))[:, None]
+        lam_used = lam if arg == "per_pair" else float(lam_row[0, 0])
+        return (lam_row * x + (1.0 - lam_row) * x[pairing],
+                lam_row * y + (1.0 - lam_row) * y[pairing], lam_used, pairing)
+    lam = 0.6 if arg == "lam" else sample_lambdas(BetaParams(float(arg)), 1, rng)[0]
+    h, w, c = image_shape
+    ph, pw = round(h * math.sqrt(1.0 - lam)), round(w * math.sqrt(1.0 - lam))
+    y0, x0 = rng.integers(0, [h - ph + 1])[0], rng.integers(0, [w - pw + 1])[0]
+    imgs, partner = x.reshape(n, c, h, w).copy(), x[pairing].reshape(n, c, h, w)
+    imgs[:, :, y0:y0 + ph, x0:x0 + pw] = partner[:, :, y0:y0 + ph, x0:x0 + pw]
+    lam_eff = 1.0 - ph * pw / (h * w)
+    return imgs.reshape(n, -1), lam_eff * y + (1.0 - lam_eff) * y[pairing], lam_eff, pairing
 
 
 class TestSingleBatchBits:
-    # Written by the single-batch mixers that drew each training step from
-    # streams of its own; a call given an RngState keeps their draw order.
-    GOLDEN = {
-        "mixup-per_batch": "603fa1bfb2ec87ce7558cb695d6ea9ca394fdc1eea72752a42b1ceb59dda9d14",
-        "mixup-per_pair": "c63cb4f217e87bcb289fe2007110d3ce151997bfdb38183db42bb56acc3cf653",
-        "cutmix-0.3": "9fc92aef884b10eb2d095f2cdfc5d133ed585948a6cb41f12b54d381ec15a96e",
-        "cutmix-2.0": "d8d2cd680c54b62e911d6613ac18ad842d82721124c4e1eacdc4a8b31f7af1e2",
-        "mixup-lam": "973729bf153f719bdab1c6e6e2f244cf824d2f142a2176382e8fefab01e8bbae",
-        "cutmix-lam": "6b26bd6b3e1fada1e5dfe8035da1f17d4222379722f84871509782b821a50783",
-    }
+    # A single-batch call given an RngState draws a plan of one run and one
+    # step: the same draws, in the same order, as a training step's.
+    CASES = ("mixup-per_batch", "mixup-per_pair", "cutmix-0.3", "cutmix-2.0", "mixup-lam", "cutmix-lam")
 
-    @pytest.mark.parametrize("case", GOLDEN)
-    def test_digest(self, case):
-        assert _single_batch_digest(case) == self.GOLDEN[case]
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_oracle(self, case):
+        for seed in range(20):
+            data = RngState(seed).split(1)
+            x = data.normal((9, 48))
+            y = np.eye(3)[np.asarray(data.integers(0, 3, size=9))]
+            rng, ref = RngState(seed).split(2), RngState(seed).split(2)
+            op, arg = case.split("-")
+            if case == "mixup-lam":
+                m = mixup_batch(x, y, BetaParams(0.4), rng=rng, lam=0.6)
+            elif case == "cutmix-lam":
+                m = cutmix_batch(x, y, BetaParams(1.0), rng, (4, 4, 3), lam=0.6)
+            elif op == "mixup":
+                m = mixup_batch(x, y, BetaParams(0.4), arg, rng)
+            else:
+                m = cutmix_batch(x, y, BetaParams(float(arg)), rng, (4, 4, 3))
+            x_want, y_want, lam_want, pairing_want = single_batch_oracle(case, x, y, ref)
+            assert np.array_equal(m.x_mixed, x_want)
+            assert np.array_equal(m.y_mixed, y_want)
+            assert np.ndim(m.lambda_used) == np.ndim(lam_want)
+            assert np.array_equal(m.lambda_used, lam_want)
+            assert np.array_equal(m.pairing, pairing_want)
+            assert rng.integers(0, 1 << 40) == ref.integers(0, 1 << 40)  # nothing more drawn
+
+
+class TestTinyAlpha:
+    def test_nan_lambda_raises(self):
+        # Beta(0.001, 0.001) draws both Gammas as 0 for about one lambda in
+        # five: a call that drew one must raise, never mix NaN rows.
+        x, y = RngState(0).normal((8, 12)), np.eye(2)[np.arange(8) % 2]
+        raised = {"mixup": 0, "cutmix": 0}
+        for seed in range(200):
+            for op in raised:
+                try:
+                    if op == "mixup":
+                        m = mixup_batch(x, y, BetaParams(0.001), rng=RngState(seed))
+                    else:
+                        m = cutmix_batch(x, y, BetaParams(0.001), RngState(seed), (2, 2, 3))
+                except ValueError as err:
+                    assert "NaN lambda" in str(err) and "alpha=0.001" in str(err)
+                    raised[op] += 1
+                    continue
+                assert np.isfinite(m.x_mixed).all() and np.isfinite(m.y_mixed).all()
+        assert raised["mixup"] > 0 and raised["cutmix"] > 0
 
 
 class TestGroupMixer:
@@ -300,6 +338,28 @@ class TestGroupMixer:
     def test_cutmix(self):
         recipes = [(("cutmix",), 1.0, "per_batch", None), (("cutmix",), 0.3, "per_pair", None)]
         assert self._check(recipes) == {"cutmix"}
+
+    def test_stretches_mix_in_place(self, monkeypatch):
+        # cutmix | mixup | cutmix: one call per stretch, each on a view of the
+        # step's rows and writing into the lent block
+        recipes = [(("cutmix",), 1.0, "per_batch", None), (("mixup",), 0.4, "per_pair", None),
+                   (("cutmix",), 2.0, "per_batch", None)]
+        assert self._check(recipes) == {"mixup", "cutmix"}
+        calls = []
+        for name in ("mixup_batch", "cutmix_batch"):
+            def spy(x, y, *args, _mixer=getattr(vicinal, name), **hooks):
+                calls.append((_mixer.__name__, x, hooks["_out"]))
+                return _mixer(x, y, *args, **hooks)
+            monkeypatch.setattr(vicinal, name, spy)
+        rows, d = 5, int(np.prod(self.shape))
+        data = RngState(7)
+        x = data.normal((3 * rows, d))
+        y = np.eye(3)[np.asarray(data.integers(0, 3, size=3 * rows))]
+        got = vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, x, y, StepBuffers())
+        assert [name for name, _, _ in calls] == ["cutmix_batch", "mixup_batch", "cutmix_batch"]
+        for r, (_, x_in, (x_out, y_out)) in enumerate(calls):
+            assert np.shares_memory(x_in, x) and np.array_equal(x_in, x[r * rows:(r + 1) * rows])
+            assert np.shares_memory(x_out, got.x_mixed) and np.shares_memory(y_out, got.y_mixed)
 
     def test_two_op_coins_with_runs_apart(self):
         # the runs of one op are not always next to each other
