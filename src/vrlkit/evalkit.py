@@ -170,37 +170,6 @@ def apply_temperature(logits, temp: Temperature) -> np.ndarray:
     return nn.softmax(as_matrix(logits) / temp.T)
 
 
-def _class_sum(planes: np.ndarray) -> np.ndarray:
-    """Add the k planes of `planes` (k, ...) into planes[0], in place.
-
-    The whole-plane additions run in the order of numpy's pairwise sum over
-    a contiguous axis of length k, so planes[0] ends bitwise equal to
-    `x.sum(axis=-1)` of the same values laid out class-last: sequential for
-    k < 8; up to 128, eight accumulators combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)) and then the remaining planes in turn; above
-    128, the two halves split at k // 2 rounded down to a multiple of 8.
-    The other planes are overwritten.
-    """
-    k = planes.shape[0]
-    total = planes[0]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        _class_sum(planes[:half])
-        total += _class_sum(planes[half:])
-        return total
-    rest = range(1, k)
-    if k >= 8:
-        acc = planes[:8]
-        for i in range(8, k - k % 8, 8):
-            acc += planes[i : i + 8]
-        for step in (1, 2, 4):
-            acc[:: 2 * step] += acc[step :: 2 * step]
-        rest = range(k - k % 8, k)
-    for c in rest:
-        total += planes[c]
-    return total
-
-
 def _max_confidence(shifted: np.ndarray, ts: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The (ts.size, n) max-softmax confidences 1 / sum_c exp(D_c / T), in buf.
 
@@ -210,7 +179,7 @@ def _max_confidence(shifted: np.ndarray, ts: np.ndarray, buf: np.ndarray) -> np.
     planes = buf[:, : ts.size]
     np.divide(shifted, ts[:, None], out=planes)
     np.exp(planes, out=planes)
-    conf = _class_sum(planes)
+    conf = nn._class_sum(planes)
     np.divide(1.0, conf, out=conf)
     return conf
 
@@ -228,18 +197,20 @@ def fit_temperature(
     The max-softmax confidence at temperature T is 1 / sum_c exp(D_c / T),
     with D the logits minus their row maximum.  D is laid out class-major,
     so each chunk fills one (k, chunk, n) buffer and sums its class planes
-    with whole-array adds (`_class_sum`), bitwise equal to summing the
+    with whole-array adds (`nn._class_sum`), bitwise equal to summing the
     class-last (chunk, n, k) array over its last axis.
 
     Chunks that cannot hold the minimum are never binned.  Whatever the
     binning, ECE(T) >= |acc - mc(T)|, mc being the mean confidence, and as
     D <= 0 every confidence falls as T grows.  So no T of a chunk [Ta, Tb]
-    has an ECE below max(0, mc(Tb) - acc, acc - mc(Ta)).  The search
-    computes mc at both ends of every chunk, bins the chunks in increasing
-    order of that bound, and stops at the first chunk whose bound exceeds
-    the best ECE so far by more than `_PRUNE_MARGIN`.  A temperature's ECE
-    does not depend on the chunk it is binned in, and the best (ECE, T) pair
-    wins, so the returned T is the exhaustive scan's, bit for bit.
+    has an ECE below max(0, mc(Tn) - acc, acc - mc(Ta)), Tn being the next
+    chunk's first T (the last grid T for the last chunk), as mc(Tn) <=
+    mc(Tb).  The search computes mc at every chunk start and at the last
+    grid T, bins the chunks in increasing order of that bound, and stops at
+    the first chunk whose bound exceeds the best ECE so far by more than
+    `_PRUNE_MARGIN`.  A temperature's ECE does not depend on the chunk it is
+    binned in, and the best (ECE, T) pair wins, so the returned T is the
+    exhaustive scan's, bit for bit.
     """
     s, labels = _checked(logits_val, labels_val, spec, "logits")
     correct = s.argmax(axis=1) == labels
@@ -248,20 +219,18 @@ def fit_temperature(
     chunk = min(max(1, _TEMPERATURE_CHUNK_FLOATS // (n * k)), TEMPERATURE_GRID.size)
     buf = np.empty((k, chunk, n))
     starts = np.arange(0, TEMPERATURE_GRID.size, chunk)
-    stops = np.minimum(starts + chunk, TEMPERATURE_GRID.size)
-    ends = np.concatenate([TEMPERATURE_GRID[starts], TEMPERATURE_GRID[stops - 1]])
+    ends = np.append(TEMPERATURE_GRID[starts], TEMPERATURE_GRID[-1])
     mean_conf = np.concatenate([
         _max_confidence(shifted, ends[i : i + chunk], buf).mean(axis=1)
         for i in range(0, ends.size, chunk)
     ])
     acc = correct.mean()
-    first, last = np.split(mean_conf, 2)
-    bound = np.maximum(np.maximum(last - acc, acc - first), 0.0)
+    bound = np.maximum(np.maximum(mean_conf[1:] - acc, acc - mean_conf[:-1]), 0.0)
     best_ece, best_t = math.inf, math.inf
     for c in np.argsort(bound, kind="stable"):
         if bound[c] > best_ece + _PRUNE_MARGIN:
             break
-        ts = TEMPERATURE_GRID[starts[c] : stops[c]]
+        ts = TEMPERATURE_GRID[starts[c] : starts[c] + chunk]
         errs = _binned_ece(_max_confidence(shifted, ts, buf), correct, spec)
         i = int(np.argmin(errs))  # the first minimum: the smallest T
         if (errs[i], ts[i]) < (best_ece, best_t):

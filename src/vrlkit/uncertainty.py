@@ -251,7 +251,9 @@ def mc_predictive(
     eigendecomposition with eigenvalues clipped at zero, so a vanishing
     covariance reproduces softmax(s) exactly.  Rows are sampled in chunks of
     about _MC_CHUNK_FLOATS draws; the draws, products and sums run in the
-    same order as one (m, K) draw per row would.
+    same order as one (m, K) draw per row would.  The softmax runs on
+    (K, m, rows) class planes and writes (m, rows, K), so the sum over m is
+    over the outer axis: sequential, where a contiguous axis sums pairwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -267,8 +269,10 @@ def mc_predictive(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         z = rng.normal((hi - lo, m, k))
-        samples = s[lo:hi, None, :] + z @ factor_t[lo:hi]
-        out[lo:hi] = nn.softmax(samples.reshape(-1, k)).reshape(hi - lo, m, k).mean(axis=1)
+        planes, p = np.empty((k + min(k, 8), m, hi - lo)), np.empty((m, hi - lo, k))
+        np.add(s[lo:hi].T[:, None], (z @ factor_t[lo:hi]).transpose(2, 1, 0), out=planes[:k])
+        nn._softmax_planes(planes, k, out=p.transpose(2, 0, 1))
+        np.divide(np.add.reduce(p, axis=0), m, out=out[lo:hi])
     return out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vrlkit import evalkit
+from vrlkit import evalkit, nn
 from vrlkit.datagen import Dataset, apply_normalizer, fit_normalizer, split
 from vrlkit.evalkit import (
     BinningSpec,
@@ -350,7 +350,7 @@ class TestClassMajorConfidence:
     def test_class_sum_bitwise_equal_to_numpy_sum(self, k):
         rng = np.random.default_rng(k)
         x = np.exp(rng.normal(size=(6, 11, k)) * 6.0)  # magnitudes 1e-16..1e16
-        total = evalkit._class_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
+        total = nn._class_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
         assert total.tobytes() == x.sum(axis=-1).tobytes()
 
     @pytest.mark.parametrize("k", CLASS_COUNTS)
@@ -396,8 +396,8 @@ def fit_temperature_exhaustive(logits_val, labels_val, spec=BinningSpec()):
         TEMPERATURE_GRID,
         _binned_ece,
         _checked,
-        _class_sum,
     )
+    from vrlkit.nn import _class_sum
 
     s, labels = _checked(logits_val, labels_val, spec, "logits")
     correct = s.argmax(axis=1) == labels
@@ -505,6 +505,34 @@ class TestPrunedSearch:
             binned.clear()
             fit_temperature(logits, labels, spec)
             assert 0 < sum(binned) < 0.1 * evalkit.TEMPERATURE_GRID.size
+
+    def test_end_pass_takes_chunk_starts_and_the_last_t(self, monkeypatch):
+        # 1,000 rows of 10 classes: 6 temperatures a chunk, 1,651 chunks; the
+        # bounds need mc at each chunk start and at the last grid T only
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(1000, 10)) * 3.0
+        labels = rng.integers(0, 10, size=1000)
+        chunk = evalkit._TEMPERATURE_CHUNK_FLOATS // logits.size
+        chunks = -(-evalkit.TEMPERATURE_GRID.size // chunk)
+        computed, binned_at = [], []
+        max_confidence, binned_ece = evalkit._max_confidence, evalkit._binned_ece
+
+        def confidence_spy(shifted, ts, buf):
+            computed.append(ts.copy())
+            return max_confidence(shifted, ts, buf)
+
+        def binning_spy(conf, correct, spec):
+            binned_at.append(len(computed))
+            return binned_ece(conf, correct, spec)
+
+        monkeypatch.setattr(evalkit, "_max_confidence", confidence_spy)
+        monkeypatch.setattr(evalkit, "_binned_ece", binning_spy)
+        fit_temperature(logits, labels)
+        # every call before the first binned chunk's is the end pass
+        ts = np.concatenate(computed[: binned_at[0] - 1])
+        assert ts.size == chunks + 1
+        grid = evalkit.TEMPERATURE_GRID
+        assert ts.tobytes() == np.append(grid[::chunk], grid[-1]).tobytes()
 
 
 class TestCalibrationInputsRejected:

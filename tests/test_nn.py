@@ -121,6 +121,75 @@ class TestSoftmax:
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
 
+def softmax_class_last(logits):
+    """The row softmax as numpy writes it, reducing over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def hard_logits(rng, k):
+    """(22, k) logits with tied rows, +-0.0, magnitudes near 1e300 and -inf."""
+    rows = [
+        rng.normal(size=(6, k)) * 8.0,
+        np.full((2, k), 3.0),  # one value: every class ties
+        rng.choice([0.0, -0.0], size=(3, k)),  # +-0.0 only
+        np.where(rng.random((3, k)) < 0.5, -0.0, -rng.random((3, k))),  # ties at -0.0
+        rng.choice([-1e300, 1e300], size=(2, k)) * (1 + rng.normal(size=(2, k)) * 1e-15),
+        1e300 * (1 + rng.normal(size=(2, k)) * 1e-15),  # near-ties at 1e300
+        -1e300 * rng.random((1, k)),
+        rng.normal(size=(1, k)),  # one -inf entry below
+        np.full((1, k), -np.inf),  # every entry -inf: NaN
+        np.full((1, k), 2.0),  # a -inf below every other entry
+    ]
+    logits = np.concatenate(rows)
+    logits[-3, 0] = -np.inf
+    logits[-1, -1] = -np.inf
+    return logits
+
+
+class TestClassMajorSoftmax:
+    """softmax works on class planes, yet equals the class-last expression byte
+    for byte: numpy's pairwise sum order, every class count, odd values."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 100, 130])
+    def test_bitwise_equal_to_class_last(self, k):
+        rng = np.random.default_rng(k)
+        plain = hard_logits(rng, k)
+        stacked = np.stack([plain, rng.permutation(plain), hard_logits(rng, k)])
+        with np.errstate(invalid="ignore"):
+            for logits in (plain, stacked, plain[:0], stacked[:, :0]):
+                got, want = softmax(logits), softmax_class_last(logits)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+            assert np.isnan(softmax(plain)[-2]).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 100, 130])
+    def test_class_sum_leaves_planes_intact_with_scratch(self, k):
+        rng = np.random.default_rng(50 + k)
+        x = np.exp(rng.normal(size=(5, 7, k)) * 6.0)  # class-last
+        planes = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        before = planes.copy()
+        total = nn._class_sum(planes, np.empty((min(k, 8), 5, 7)))
+        assert planes.tobytes() == before.tobytes()
+        assert total.tobytes() == x.sum(axis=-1).tobytes()
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError):
+            softmax(np.empty((4, 0)))
+        with pytest.raises(ValueError):
+            softmax(np.empty((2, 4, 0)))
+
+    def test_input_untouched_and_any_layout(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(12, 5))
+        before = logits.copy()
+        view = np.asfortranarray(logits)[::2]
+        assert softmax(view).tobytes() == softmax_class_last(before[::2]).tobytes()
+        assert softmax(logits.tolist()).tobytes() == softmax_class_last(before).tobytes()
+        assert logits.tobytes() == before.tobytes()
+
+
 class TestCrossEntropySoft:
     def test_uniform_is_log_k(self):
         p = np.full((4, 10), 0.1)
