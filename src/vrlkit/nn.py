@@ -135,7 +135,7 @@ class StepBuffers:
     """Arrays lent to one training step and taken back by the next.
 
     The trainer keeps one per lockstep group and passes it as ``_buffers`` to
-    weighted_ce, which hands it on to forward and backward.  Every big array
+    _two_term_ce, which hands it on to forward and backward.  Every big array
     of a step (the gathered rows, pre-activations, activations, deltas,
     activation gradients and the gradient sums) is then written with
     ``out=`` into the array kept for its role, so a step maps no fresh
@@ -375,54 +375,43 @@ def _weight_grad(inp: np.ndarray, delta: np.ndarray, out) -> np.ndarray:
 
 
 def weighted_ce(
-    net: Network, terms, *, _buffers: StepBuffers | None = None,
+    net: Network, x, targets, weight=1, *, _buffers: StepBuffers | None = None,
     _out: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
-    """Weighted sum of batch-mean cross-entropies and its gradient.
+    """``weight`` times the batch-mean cross-entropy, and its gradient.
 
-    ``terms`` is a list of (inputs, soft_targets, weight); each term gets one
-    forward/backward pass, and the terms are summed in list order.  A weight
-    of 1 is never multiplied in, so a one-term call returns forward + backward
-    bit for bit.  For a stacked network a weight may be one value per run,
-    and the loss comes back as one value per run.
-
-    ``_buffers`` (see StepBuffers) lends every big array of the step, the
-    returned gradient included, unless ``_out`` holds the arrays for it.
+    One forward, one softmax and one backward pass; a weight of 1 is never
+    multiplied in.  For a stacked network the weight may be one value per
+    run, and the loss comes back as one value per run.  ``_buffers`` (see
+    StepBuffers) lends the step's big arrays and ``_out`` holds the
+    gradient's; without them every array is fresh.
     """
-    if not terms:
-        raise ValueError("weighted_ce needs at least one term")
-    total_loss, total = None, _out if _out is not None else _gradient_arrays(net, _buffers, "sum")
-    for x, targets, weight in terms:
-        out = total if total_loss is None else _gradient_arrays(net, _buffers, "term")
-        logits, _, cache = forward(net, x, _buffers=_buffers)
-        probs = softmax(logits)
-        loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
-        grads = backward(net, cache, targets, probs, _buffers=_buffers, _out=out)
-        arrays = grads.d_weights + grads.d_biases
-        w = np.asarray(weight, dtype=np.float64)
-        if (w != 1).any():
-            # one weight per run scales that run's slice of every gradient
-            loss = w * loss
-            for g in arrays:
-                g *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
-        if total_loss is None:
-            total_loss, total = loss, grads
-        else:
-            total_loss = total_loss + loss
-            for acc, g in zip(total.d_weights + total.d_biases, arrays):
-                acc += g
-    return total_loss, total
+    logits, _, cache = forward(net, x, _buffers=_buffers)
+    probs = softmax(logits)
+    loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
+    grads = backward(net, cache, targets, probs, _buffers=_buffers, _out=_out)
+    w = np.asarray(weight, dtype=np.float64)
+    if (w != 1).any():
+        # one weight per run scales that run's slice of every gradient
+        loss = w * loss
+        for g in grads.d_weights + grads.d_biases:
+            g *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
+    return loss, grads
 
 
 def _two_term_ce(net: Network, mixed, clean, c: int, m: int, *, _buffers=None):
-    """The lockstep step's loss and gradient on a stacked network of R runs.
+    """Clean CE plus weighted mixed CE, and its gradient, per run.
 
-    ``mixed`` is a term over the runs [0, m) and ``clean`` one over the runs
-    [c, R), c <= m, each as a weighted_ce term holding only its own runs'
-    rows; a term over no run is skipped.  The runs in [c, m) sum both, the
-    mixed term first.  Returns one loss per run and the gradient sums, which
-    ``_buffers`` lends with every other big array of the step.
+    ``mixed`` is a weighted_ce (inputs, targets, weight) term over the runs
+    [0, m) and ``clean`` one over the runs [c, R), c <= m, each holding only
+    its own runs' rows; a term over no run is skipped.  The runs in [c, m)
+    sum both, the mixed term first.  ``_buffers`` lends the gradient sums
+    with every other big array of the step.  A plain network is one run on
+    a run axis of views, and gets a scalar loss and its own shapes back.
     """
+    plain = net.weights[0].ndim == 2
+    if plain:
+        net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
     runs = net.weights[0].shape[0]
     loss, sums = np.empty(runs), _gradient_arrays(net, _buffers, "sum")
 
@@ -432,18 +421,20 @@ def _two_term_ce(net: Network, mixed, clean, c: int, m: int, *, _buffers=None):
 
     if m:
         part, out = runs_of(0, m)
-        loss[:m], _ = weighted_ce(part, [mixed], _buffers=_buffers, _out=out)
+        loss[:m], _ = weighted_ce(part, *mixed, _buffers=_buffers, _out=out)
     if c < runs:
         part, out = runs_of(c, runs)
         if c < m:  # the mixed term's sums are there already: go apart, then add
             out = _gradient_arrays(part, _buffers, "term")
-        clean_loss, grads = weighted_ce(part, [clean], _buffers=_buffers, _out=out)
+        clean_loss, grads = weighted_ce(part, *clean, _buffers=_buffers, _out=out)
         pairs = [(loss, clean_loss)]
         if c < m:
             pairs += zip(sums.d_weights + sums.d_biases, grads.d_weights + grads.d_biases)
         for total, values in pairs:
             total[c:m] += values[:m - c]
             total[m:] = values[m - c:]
+    if plain:
+        return loss[0], GradientSet([g[0] for g in sums.d_weights], [g[0] for g in sums.d_biases])
     return loss, sums
 
 

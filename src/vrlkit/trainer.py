@@ -157,6 +157,8 @@ class ExperimentRecord:
         missing = [key for key in ("seed", "wall_clock_s") if key not in meta]
         if missing:
             raise ValueError(f"record has no [meta] {', '.join(missing)}")
+        if losses.keys() != set(map(str, range(len(losses)))):
+            raise ValueError("[epoch_losses] keys are not 0, 1, 2, ... without a gap")
         return cls(
             config={k: _parse(v) for k, v in config.items()},
             epoch_losses=[float(losses[str(i)]) for i in range(len(losses))],

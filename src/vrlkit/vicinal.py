@@ -12,6 +12,7 @@ with one such call per stretch of neighbouring runs that share an op, into
 arrays lent by nn.StepBuffers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,21 +280,17 @@ def regmix_loss(
 ) -> tuple[float, nn.GradientSet]:
     """Two-term objective: clean-batch CE plus eta times mixed-batch CE.
 
-    The weighted-term list [(x, y, 1), (x_mixed, y_mixed, eta)] for
-    nn.weighted_ce: one forward/backward per term, gradients g_c + eta * g_m.
-    For a stacked network (clean and mixed rows one block per run,
-    run-major) eta may be one value per run.
-
-    ``_runs`` = (c, m) is a lockstep group's step on its stacked network:
-    the mixed rows are those of the runs [0, m), with one eta per run (1 for
-    a mixed-only run), as _mix_step lends them, and the clean rows x those
-    of the runs [c, R), c <= m (nn._two_term_ce).  mixed is None when m = 0.
-    ``_buffers`` is the training step's (nn.StepBuffers).
+    One nn._two_term_ce call over every run (a stacked network takes its
+    rows one block per run, run-major, and eta one value per run or one for
+    all), with the clean term alone when mixed is None.  ``_runs`` = (c, m)
+    is a lockstep group's step: mixed rows for the runs [0, m), one eta
+    each (1 for a mixed-only run), as _mix_step lends them, and clean rows
+    for the runs [c, R), c <= m.  ``_buffers`` is the step's nn.StepBuffers.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if not np.all(np.isfinite(eta) & (eta >= 0)):
         raise ValueError("eta must be finite and >= 0")
+    if _runs is None:  # every run, a plain network being one
+        _runs = 0, 0 if mixed is None else math.prod(net.weights[0].shape[:-2])
     mixed_term = None if mixed is None else (mixed.x_mixed, mixed.y_mixed, eta)
-    if _runs is None:
-        return nn.weighted_ce(net, [(x, y_onehot, 1), mixed_term], _buffers=_buffers)
     return nn._two_term_ce(net, mixed_term, (x, y_onehot, 1), *_runs, _buffers=_buffers)

@@ -570,6 +570,10 @@ def _corrupt_artifact(run_dir, case):
     if case == "garbage_record":
         record.write_text("vrlkit-record v1\nstray line\n[meta]\nseed = 0\n")
         return record
+    if case == "epoch_gap_record":
+        lines = record.read_text().splitlines(keepends=True)
+        record.write_text("".join(line for line in lines if not line.startswith("1 = ")))
+        return record
     raw = ckpt.read_bytes()
     if case == "truncated_checkpoint":
         ckpt.write_bytes(raw[:-5])
@@ -583,7 +587,7 @@ def _corrupt_artifact(run_dir, case):
 @pytest.mark.parametrize(
     "case",
     ["truncated_checkpoint", "checkpoint_header", "checkpoint_magic",
-     "truncated_record", "garbage_record"],
+     "truncated_record", "garbage_record", "epoch_gap_record"],
 )
 def test_corrupt_artifact_exits_schema(manifest_file, tmp_path, capsys, case):
     out = tmp_path / "runs"

@@ -280,6 +280,14 @@ class TestBackward:
             backward(other, cache, np.eye(3)[:2])
 
 
+def ce_oracle(net, x, y):
+    """One plain network's batch-mean CE and its gradient arrays, from
+    forward, backward and cross_entropy_soft alone."""
+    logits, _, cache = forward(net, x)
+    grads = backward(net, cache, y)
+    return cross_entropy_soft(softmax(logits), y), [*grads.d_weights, *grads.d_biases]
+
+
 class TestWeightedCe:
     def _fixture(self, seed):
         rng = RngState(seed)
@@ -292,34 +300,32 @@ class TestWeightedCe:
 
     def test_one_term_equals_forward_backward_bitwise(self):
         net, x, y, _, _ = self._fixture(31)
-        loss, grads = weighted_ce(net, [(x, y, 1)])
-        logits, _, cache = forward(net, x)
-        want = backward(net, cache, y)
-        assert loss == cross_entropy_soft(softmax(logits), y)
-        for a, b in zip([*grads.d_weights, *grads.d_biases],
-                        [*want.d_weights, *want.d_biases]):
+        loss, grads = weighted_ce(net, x, y)
+        want_loss, want = ce_oracle(net, x, y)
+        assert loss == want_loss
+        for a, b in zip([*grads.d_weights, *grads.d_biases], want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 2.5])
+    def test_weight_scales_loss_and_gradient_bitwise(self, eta):
+        net, _, _, x_m, y_m = self._fixture(32)
+        loss, grads = weighted_ce(net, x_m, y_m, eta)
+        b, g_m = ce_oracle(net, x_m, y_m)
+        assert loss == eta * b
+        for got, ref in zip([*grads.d_weights, *grads.d_biases], g_m):
+            assert np.array_equal(got, eta * ref)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 2.5])
     def test_two_terms_equal_weighted_sum_bitwise(self, eta):
         net, x, y, x_m, y_m = self._fixture(32)
-        loss, grads = weighted_ce(net, [(x, y, 1), (x_m, y_m, eta)])
-        logits_c, _, cache_c = forward(net, x)
-        logits_m, _, cache_m = forward(net, x_m)
-        g_c = backward(net, cache_c, y)
-        g_m = backward(net, cache_m, y_m)
-        loss_c = cross_entropy_soft(softmax(logits_c), y)
-        loss_m = cross_entropy_soft(softmax(logits_m), y_m)
-        assert loss == loss_c + eta * loss_m
-        for got, a, b in zip([*grads.d_weights, *grads.d_biases],
-                             [*g_c.d_weights, *g_c.d_biases],
-                             [*g_m.d_weights, *g_m.d_biases]):
-            assert np.array_equal(got, a + eta * b)
-
-    def test_empty_term_list_rejected(self):
-        net, _, _, _, _ = self._fixture(33)
-        with pytest.raises(ValueError):
-            weighted_ce(net, [])
+        loss, grads = nn._two_term_ce(net, (x_m, y_m, eta), (x, y, 1), 0, 1)
+        a, g_c = ce_oracle(net, x, y)
+        b, g_m = ce_oracle(net, x_m, y_m)
+        assert loss == a + eta * b and np.ndim(loss) == 0
+        for got, gc, gm, param in zip([*grads.d_weights, *grads.d_biases], g_c, g_m,
+                                      [*net.weights, *net.biases]):
+            assert got.shape == param.shape
+            assert np.array_equal(got, gc + eta * gm)
 
 
 def stacked_runs(n_runs=3, rows=7):
@@ -360,19 +366,18 @@ class TestStacked:
         y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
         etas = [0.4, 1.0, 0.0]
         stacked = Network.stack(nets)
-        loss, grads = weighted_ce(stacked, [
-            (np.concatenate(xs), np.concatenate(ys), 1),
-            (np.concatenate(x_m), np.concatenate(y_m), np.array(etas)),
-        ])
+        loss, grads = weighted_ce(stacked, np.concatenate(x_m), np.concatenate(y_m), np.array(etas))
         opt = OptimState(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step(stacked, grads, opt, 0.25)
         for r, net in enumerate(nets):
-            want_loss, want = weighted_ce(net, [(xs[r], ys[r], 1), (x_m[r], y_m[r], etas[r])])
-            assert loss[r] == want_loss
-            for got, ref in zip([*grads.d_weights, *grads.d_biases],
-                                [*want.d_weights, *want.d_biases]):
+            b, g_m = ce_oracle(net, x_m[r], y_m[r])
+            want = [etas[r] * g for g in g_m]
+            assert loss[r] == etas[r] * b
+            for got, ref in zip([*grads.d_weights, *grads.d_biases], want):
                 assert np.array_equal(got[r], ref)
-            sgd_step(net, want, OptimState(learning_rate=0.1, momentum=0.9, weight_decay=0.01), 0.25)
+            half = len(want) // 2
+            sgd_step(net, GradientSet(want[:half], want[half:]),
+                     OptimState(learning_rate=0.1, momentum=0.9, weight_decay=0.01), 0.25)
         for net, back in zip(nets, stacked.unstack()):
             for a, b in zip([*net.weights, *net.biases], [*back.weights, *back.biases]):
                 assert np.array_equal(a, b)
@@ -385,7 +390,9 @@ class TestTermRuns:
     ETAS = (1.0, 0.4, 2.5)  # run r's mixed-term weight when it has both terms
 
     def _step(self, c, m, buffers=None):
-        """The step's (loss, grads) on three runs, and each run's terms alone."""
+        """The step's (loss, grads) on three runs, and each run's expected
+        (loss, gradient arrays): a for the clean term, eta * b for the mixed
+        one and a + eta * b for both."""
         nets, xs, ys = stacked_runs()
         x_m = [x[::-1] * 0.5 for x in xs]
         y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
@@ -393,20 +400,26 @@ class TestTermRuns:
         mixed = (np.concatenate(x_m[:m]), np.concatenate(y_m[:m]), etas) if m else None
         clean = (np.stack(xs)[c:].reshape(-1, 3), np.stack(ys)[c:].reshape(-1, 4), 1)
         got = nn._two_term_ce(Network.stack(nets), mixed, clean, c, m, _buffers=buffers)
-        alone = [
-            ([(xs[r], ys[r], 1)] if r >= c else []) + ([(x_m[r], y_m[r], etas[r])] if r < m else [])
-            for r in range(len(nets))
-        ]
-        return got, [weighted_ce(net, terms) for net, terms in zip(nets, alone)]
+        want = []
+        for r, net in enumerate(nets):
+            a, g_c = ce_oracle(net, xs[r], ys[r])
+            if r < m:
+                b, g_m = ce_oracle(net, x_m[r], y_m[r])
+                eta = etas[r]
+                if r < c:
+                    a, g_c = eta * b, [eta * g for g in g_m]
+                else:
+                    a, g_c = a + eta * b, [gc + eta * gm for gc, gm in zip(g_c, g_m)]
+            want.append((a, g_c))
+        return got, want
 
     @pytest.mark.parametrize("c, m", [(0, 0), (3, 3), (1, 1), (1, 2), (0, 3), (1, 3)])
     def test_step_equals_runs_alone_bitwise(self, c, m):
         for buffers in (None, StepBuffers()):
-            (loss, grads), alone = self._step(c, m, buffers)
-            for r, (want_loss, want) in enumerate(alone):
+            (loss, grads), want = self._step(c, m, buffers)
+            for r, (want_loss, want_arrays) in enumerate(want):
                 assert loss[r] == want_loss
-                for got, ref in zip([*grads.d_weights, *grads.d_biases],
-                                    [*want.d_weights, *want.d_biases]):
+                for got, ref in zip([*grads.d_weights, *grads.d_biases], want_arrays):
                     assert np.array_equal(got[r], ref)
 
     def test_lent_arrays_give_the_same_bits_and_are_reused(self):

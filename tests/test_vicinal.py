@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from vrlkit import vicinal
-from vrlkit.nn import StepBuffers, cross_entropy_soft, forward, softmax
+from vrlkit.nn import Network, StepBuffers, backward, cross_entropy_soft, forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.vicinal import (
     BetaParams,
@@ -386,8 +386,6 @@ class TestRegmixLoss:
         loss, grads = regmix_loss(net, x, y, mixed, eta=0.0)
         logits, _, cache = forward(net, x)
         want_loss = cross_entropy_soft(softmax(logits), y)
-        from vrlkit.nn import backward
-
         want = backward(net, cache, y)
         assert loss == want_loss
         for a, b in zip(grads.d_weights, want.d_weights):
@@ -427,6 +425,38 @@ class TestRegmixLoss:
 
         numeric = finite_diff_grads(loss_fn, net)
         assert_grads_close([*grads.d_weights, *grads.d_biases], numeric)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    def test_without_mixed_batch_is_clean_ce_bitwise(self, eta):
+        net, x, y, _ = self._fixture(20)
+        loss, grads = regmix_loss(net, x, y, None, eta)
+        logits, _, cache = forward(net, x)
+        want = backward(net, cache, y)
+        assert loss == cross_entropy_soft(softmax(logits), y)
+        for a, b in zip([*grads.d_weights, *grads.d_biases], [*want.d_weights, *want.d_biases]):
+            assert np.array_equal(a, b)
+
+    def test_stacked_without_mixed_batch_equals_each_run_alone_bitwise(self):
+        rng = RngState(21)
+        nets = [random_net([3, 6, 4], "tanh", rng.split(r)) for r in range(3)]
+        xs = [rng.split(10 + r).normal((5, 3)) for r in range(3)]
+        ys = [np.eye(4)[np.asarray(rng.split(20 + r).integers(0, 4, size=5))] for r in range(3)]
+        loss, grads = regmix_loss(Network.stack(nets), np.concatenate(xs), np.concatenate(ys),
+                                  None, np.array([0.5, 1.0, 2.0]))
+        for r, net in enumerate(nets):
+            logits, _, cache = forward(net, xs[r])
+            want = backward(net, cache, ys[r])
+            assert loss[r] == cross_entropy_soft(softmax(logits), ys[r])
+            for a, b in zip([*grads.d_weights, *grads.d_biases], [*want.d_weights, *want.d_biases]):
+                assert np.array_equal(a[r], b)
+
+    def test_plain_network_gives_scalar_loss_and_parameter_shaped_grads(self):
+        net, x, y, mixed = self._fixture(22)
+        for batch in (mixed, None):
+            loss, grads = regmix_loss(net, x, y, batch, 0.5)
+            assert np.ndim(loss) == 0
+            assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
+            assert [g.shape for g in grads.d_biases] == [b.shape for b in net.biases]
 
     def test_negative_eta_rejected(self):
         net, x, y, mixed = self._fixture(19)
