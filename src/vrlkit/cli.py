@@ -337,9 +337,12 @@ def parse_corruptions(value: str) -> list:
             raise ManifestError(f"corruption {part!r}: level range runs backwards")
         for level in range(first, last + 1):
             try:
-                specs.append(CorruptionSpec(kind, level))
+                spec = CorruptionSpec(kind, level)
             except ValueError as err:
                 raise ManifestError(str(err))
+            if spec in specs:  # two sets of one name would pool as two seeds in compare
+                raise ManifestError(f"corruptions lists {kind}:{level} more than once")
+            specs.append(spec)
     return specs
 
 
@@ -600,6 +603,14 @@ def cmd_ood(manifest: RunManifest) -> Path:
     pipe = build_pipeline(manifest, parts=("ood",))
     if pipe.ood is None:
         raise ManifestError("manifest has no ood.* section")
+    # the Mahalanobis score fits one covariance per train class
+    classes, counts = np.unique(pipe.train.labels, return_counts=True)
+    if counts.min() < 2:
+        raise ManifestError(
+            f"ood needs >= 2 train rows of each class, found class "
+            f"{classes[counts.argmin()]} with {counts.min()} row; "
+            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
+        )
 
     def run_rows(strategy, seed, net):
         logits_in, feat_in, _ = nn.forward(net, pipe.test.x)

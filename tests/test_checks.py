@@ -1,0 +1,90 @@
+"""The pure parts of tools/checks.py, the runner of the replay checks."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from vrlkit.cli import load_manifest
+
+_spec = importlib.util.spec_from_file_location(
+    "checks", Path(__file__).resolve().parent.parent / "tools" / "checks.py"
+)
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+# The large-batch manifest written out in full: the oracle of large_batch_manifest().
+LARGE_BATCH_CFG = """\
+# configs/demo.cfg on 6,000 points, one seed, 64,64 units, 2 epochs of 2,048-row batches
+data.kind = blobs
+data.n = 6000
+data.k = 3
+data.separation = 8.0
+data.noise_sd = 1.0
+data.seed = 5
+data.test_frac = 0.25
+data.val_frac = 0.1
+ood.kind = blob
+ood.center = 10,10
+ood.n = 300
+corruptions = gaussian_noise:1-5
+strategies = erm,mixup,regmixup
+seeds = 0
+train.hidden = 64,64
+train.activation = tanh
+train.epochs = 2
+train.batch_size = 2048
+train.lr = 0.1
+train.momentum = 0.9
+train.weight_decay = 0.0005
+train.schedule = cosine
+mixup.alpha = 1.0
+regmixup.alpha = 10
+regmixup.eta = 1
+heatmap.pairs = 1000
+heatmap.source = train
+"""
+
+
+def test_large_batch_manifest_hashes_as_written_out(tmp_path):
+    hashes = []
+    for name, text in (("built", checks.large_batch_manifest()), ("oracle", LARGE_BATCH_CFG)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        hashes.append(load_manifest(path, tmp_path).content_hash())
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize(
+    "change,expected",
+    [
+        (lambda a, b: (b / "run" / "x.csv").write_bytes(b"1,3\r\n"), "run/x.csv differs"),
+        (lambda a, b: (b / "y.svg").unlink(), "only in {a}: y.svg"),
+        (lambda a, b: (b / "run" / "z.ckpt").write_bytes(b""), "only in {b}: run/z.ckpt"),
+    ],
+    ids=["changed-byte", "missing-file", "extra-file"],
+)
+def test_tree_difference_names_the_first_difference(tmp_path, change, expected):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "x.csv").write_bytes(b"1,2\r\n")
+        (root / "y.svg").write_bytes(b"<svg/>")
+    assert checks.tree_difference(a, b) is None
+    change(a, b)
+    assert checks.tree_difference(a, b) == expected.format(a=a, b=b)
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"]])
+def test_unknown_check_exits_2_with_usage(capsys, argv):
+    assert checks.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all\n"
+    )
+
+
+def test_failing_variant_exits_with_one_line_naming_the_check():
+    code = "import sys; print('trace', file=sys.stderr); sys.exit('boom')"
+    with pytest.raises(SystemExit) as exit_info:
+        checks._run("replay", ["-c", code], 2)
+    assert exit_info.value.code == "replay: exited with 1 at OPENBLAS_NUM_THREADS=2: boom"

@@ -104,6 +104,10 @@ class TestParseConfig:
         with pytest.raises(ManifestError):
             parse_corruptions("fog:1")
 
+    def test_repeated_corruption_level(self):
+        with pytest.raises(ManifestError, match="lists gaussian_noise:2 more than once"):
+            parse_corruptions("gaussian_noise:1-2,gaussian_noise:2")
+
 
 class TestManifest:
     def test_hash_stable_under_reordering(self, tmp_path):
@@ -410,6 +414,12 @@ class TestBadManifestValues:
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert "gaussian_noise:5-1" in err
 
+    def test_repeated_corruption_level(self, tmp_path, capsys):
+        replace = ("gaussian_noise:1-2", "gaussian_noise:1-2,gaussian_noise:2")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert "corruptions lists gaussian_noise:2 more than once" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_ood_n(self, tmp_path, capsys, command, n):
@@ -473,6 +483,20 @@ class TestBadManifestValues:
         err = self._run(tmp_path, capsys, replace, ["train", "eval", "fisher"])
         assert "class 0 with 1 row" in err and "3 test" in err
         assert not list(tmp_path.rglob("fisher.csv"))
+
+    def test_ood_on_a_train_class_of_one_row(self, tmp_path, capsys):
+        # class 2 has 3 rows, so the train split keeps 1: too few for its covariance
+        rng = np.random.default_rng(0)
+        data = tmp_path / "points.csv"
+        data.write_text("".join(
+            f"{x},{y},{label}\n"
+            for label, n in ((0, 40), (1, 40), (2, 3)) for x, y in rng.normal(4 * label, 1, (n, 2))
+        ))
+        replace = ("data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n")
+        commands = ["train", "eval", "calibrate", "heatmap", "ood"]
+        err = self._run(tmp_path, capsys, replace, commands, manifest=MOONS_MANIFEST)
+        assert "class 2 with 1 row" in err
+        assert not list(tmp_path.rglob("ood.csv"))
 
     @pytest.mark.parametrize("source", ["train", "test"])
     def test_heatmap_on_a_one_class_split(self, tmp_path, capsys, source):

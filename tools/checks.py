@@ -1,26 +1,48 @@
-"""One local runner for the replay checks of CI.
+"""The replay checks of CI, each defined once.
 
-Usage: python3 tools/checks.py CHECK
+Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all
 
-Checks:
+- counts: one traced perfbench pass per workload at seed 5 gives COUNTS.
+- digest: the library-uq results at seed 5 hash alike at 1 and at 2 BLAS
+  threads, but for the exact-Laplace predictives, which replay only at a
+  fixed thread count. Prints the digest.
+- replay: tools/artifact_tree.py writes the same 86-file tree twice at 1 BLAS
+  thread and once at 2.
+- jobs: `vrl train --jobs 2` on configs/demo.cfg, outside deterministic mode,
+  writes the checkpoints of a deterministic single-worker train.
+- large-batch: train and the five metric commands on large_batch_manifest()
+  write the same tree at 1 and at 2 BLAS threads: nn's 256-row gradient chunks
+  keep OpenBLAS from splitting its 2,048-row batches across threads.
+- all: each check above, in turn.
 
-- digest: the library-uq workload at seed 5, once at 1 and once at 2 BLAS
-  threads, each in a fresh interpreter with OPENBLAS_NUM_THREADS set before
-  numpy loads and VRL_DETERMINISTIC=1. Each side hashes every result but
-  mc_exact and meanfield_exact (the two exact-Laplace predictives, which
-  replay only at a fixed thread count), key by key in sorted order. Prints
-  the digest; if the two sides differ, exits 1 with one line giving both.
-
-The vrlkit that runs is this checkout's src/. A failing check exits
-non-zero with one line naming it.
+Each variant is a fresh interpreter with OPENBLAS_NUM_THREADS set before numpy
+loads, this checkout's src/ and perfbench/ on PYTHONPATH and VRL_DETERMINISTIC=1
+unless said otherwise. Output goes to a temporary directory. A failing check
+exits non-zero with one line naming it and the first differing file or count.
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "configs" / "demo.cfg"
+PYTHONPATH = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
+
+# The seed-5 traced counts of each workload, one per COUNTED metric.
+COUNTED = ("nn.forward_calls", "nn.backward_calls", "nn.sgd_steps",
+           "vicinal.regmix_calls", "tensor.rng_streams", "vicinal.mix_calls")
+COUNTS = {
+    "demo-blobs": (860, 800, 400, 400, 270, 400),
+    "cifar-shaped": (268, 208, 104, 104, 126, 220),
+    "library-uq": (995, 964, 574, 574, 222, 574),
+}
+
+LARGE_BATCH = {"data.n": "6000", "seeds": "0", "train.hidden": "64,64",
+               "train.epochs": "2", "train.batch_size": "2048"}
 
 _DIGEST = """
 import hashlib
@@ -37,11 +59,11 @@ print(h.hexdigest())
 """
 
 
-def _run(check: str, code: str, threads: int) -> str:
-    """The stdout of ``code`` in a fresh interpreter at ``threads`` BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), VRL_DETERMINISTIC="1",
-               PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+def _run(check: str, args: list, threads: int = 1, deterministic: bool = True) -> str:
+    """The stdout of ``python *args`` in a fresh interpreter at ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               VRL_DETERMINISTIC=str(int(deterministic)), PYTHONPATH=PYTHONPATH)
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     if done.returncode:
         last = (done.stderr.strip().splitlines() or ["no output"])[-1]
@@ -49,21 +71,94 @@ def _run(check: str, code: str, threads: int) -> str:
     return done.stdout.strip()
 
 
-def digest():
-    one, two = (_run("digest", _DIGEST, threads) for threads in (1, 2))
+def _vrl(check, command, cfg, out, *extra, threads=1, deterministic=True):
+    args = ["-m", "vrlkit.cli", command, "--config", str(cfg), "--out", str(out), *extra]
+    _run(f"{check}: vrl {command}", args, threads, deterministic)
+
+
+def tree_difference(a: Path, b: Path):
+    """The first path, in sorted order, where trees ``a`` and ``b`` differ, or None."""
+    trees = [{p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+             for root in (a, b)]
+    for name in sorted(trees[0].keys() | trees[1].keys()):
+        x, y = (tree.get(name) for tree in trees)
+        if x is None or y is None:
+            return f"only in {b if x is None else a}: {name}"
+        if x != y:
+            return f"{name} differs"
+
+
+def _same(check, a, b):
+    difference = tree_difference(a, b)
+    if difference:
+        sys.exit(f"{check}: {difference}")
+
+
+def large_batch_manifest() -> str:
+    """The text of configs/demo.cfg with LARGE_BATCH's values in place of its own."""
+    lines = DEMO.read_text().splitlines(keepends=True)
+    keys = [line.partition("=")[0].strip() for line in lines]
+    for key, value in LARGE_BATCH.items():
+        lines[keys.index(key)] = f"{key} = {value}\n"
+    return "".join(lines)
+
+
+def counts(tmp):
+    for workload, want in COUNTS.items():
+        out = _run("counts", ["perfbench/run.py", "--workload", workload,
+                              "--seed", "5", "--seconds", "1", "--trace", "1"])
+        metrics = json.loads(out.splitlines()[-1])["metrics"]
+        for name, value in zip(COUNTED, want):
+            if metrics[name]["value"] != value:
+                sys.exit(f"counts: {workload} {name} is {metrics[name]['value']:g}, want {value}")
+        print(f"counts: {workload} matches")
+
+
+def digest(tmp):
+    one, two = (_run("digest", ["-c", _DIGEST], threads) for threads in (1, 2))
     if one != two:
         sys.exit(f"digest: library-uq results {one} at 1 BLAS thread, {two} at 2")
-    print(one)
+    print(f"digest: {one}")
 
 
-CHECKS = {"digest": digest}
+def replay(tmp):
+    trees = [tmp / name for name in "abc"]
+    for tree, threads in zip(trees, (1, 1, 2)):
+        print("replay:", _run("replay", ["tools/artifact_tree.py", str(tree)], threads))
+    for tree in trees[1:]:
+        _same("replay", trees[0], tree)
+
+
+def jobs(tmp):
+    _vrl("jobs", "train", DEMO, tmp / "one")
+    _vrl("jobs", "train", DEMO, tmp / "two", "--jobs", "2", deterministic=False)
+    # records hold wall-clock fields outside deterministic mode; checkpoints do not
+    (one,), (two,) = ((tmp / side).iterdir() for side in ("one", "two"))
+    _same("jobs", one / "checkpoints", two / "checkpoints")
+    print("jobs: checkpoints match")
+
+
+def large_batch(tmp):
+    cfg = tmp / "batch-2048.cfg"
+    cfg.write_text(large_batch_manifest())
+    for threads in (1, 2):
+        for command in ("train", "eval", "ood", "calibrate", "heatmap", "fisher"):
+            _vrl("large-batch", command, cfg, tmp / f"threads-{threads}", threads=threads)
+    _same("large-batch", tmp / "threads-1", tmp / "threads-2")
+    print("large-batch: trees match")
+
+
+CHECKS = {"counts": counts, "digest": digest, "replay": replay, "jobs": jobs,
+          "large-batch": large_batch}
 
 
 def main(argv) -> int:
-    if len(argv) != 1 or argv[0] not in CHECKS:
+    if len(argv) != 1 or argv[0] not in (*CHECKS, "all"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    CHECKS[argv[0]]()
+    for name in CHECKS if argv[0] == "all" else argv:
+        with tempfile.TemporaryDirectory(prefix=f"vrl-{name}-") as tmp:
+            CHECKS[name](Path(tmp))
     return 0
 
 
