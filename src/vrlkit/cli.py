@@ -25,8 +25,8 @@ from . import nn
 from .datagen import (
     CorruptionSpec,
     Dataset,
-    apply_normalizer,
-    corrupt,
+    _corrupt,
+    _normalize_in_place,
     fit_normalizer,
     load_cifar_binary,
     load_csv,
@@ -34,6 +34,7 @@ from .datagen import (
     make_gaussian_blobs,
     make_two_moons,
     make_uniform_box,
+    pooled_feature_sd,
     split,
 )
 from .evalkit import (
@@ -99,8 +100,8 @@ _EXIT_CODES = (
 
 
 def parse_config(text: str) -> dict:
-    """Parse `key = value` lines; `#` starts a comment."""
-    cfg = {}
+    """Parse `key = value` lines; `#` starts a comment. A key may be set once."""
+    cfg, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,7 +112,12 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ManifestError(f"line {lineno}: empty key")
+        if key in cfg:
+            raise ManifestError(
+                f"line {lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
         cfg[key] = value.strip()
+        first_line[key] = lineno
     return cfg
 
 
@@ -170,7 +176,14 @@ def _get_list(cfg, key, default=_REQUIRED, cast=str):
     """The comma-separated items of ``cfg[key]``, each read as by ``_get``."""
     if key not in cfg:
         return _get(cfg, key, default)
-    return [_cast(cast, key, item.strip()) for item in cfg[key].split(",") if item.strip()]
+    items = [item for item in map(str.strip, cfg[key].split(",")) if item]
+    try:  # one pass for the good list; a bad item is found and named item by item
+        values = list(map(cast, items))
+        if cast is not float or all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return [_cast(cast, key, item) for item in items]
 
 
 def _cast(cast, key, text):
@@ -393,20 +406,24 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         )
     except ValueError as err:
         raise ManifestError(f"cannot split the data: {err}")
+    # Every set below is a fresh array that only this call holds, so each is
+    # normalized in place; the corrupted copies read the raw test split, so
+    # it is normalized last.
     stats = fit_normalizer(train_raw)
     ood = None
     if "ood" in parts and ood_recipe is not None:
         make, args, name = ood_recipe
-        ood = apply_normalizer(make(*args, RngState(seed).split(200), name=name), stats)
+        ood = _normalize_in_place(make(*args, RngState(seed).split(200), name=name), stats)
     corrupted = []
-    if "corrupted" in parts:
+    if "corrupted" in parts and specs:
+        scale = pooled_feature_sd(test_raw)
         for i, spec in enumerate(specs):
-            raw = corrupt(test_raw, spec, RngState(seed).split(103, i))
-            corrupted.append((spec, apply_normalizer(raw, stats)))
+            raw = _corrupt(test_raw, spec, RngState(seed).split(103, i), scale)
+            corrupted.append((spec, _normalize_in_place(raw, stats)))
     return Pipeline(
-        train=apply_normalizer(train_raw, stats),
-        val=apply_normalizer(val_raw, stats),
-        test=apply_normalizer(test_raw, stats),
+        train=_normalize_in_place(train_raw, stats),
+        val=_normalize_in_place(val_raw, stats),
+        test=_normalize_in_place(test_raw, stats),
         ood=ood,
         corrupted=corrupted,
     )

@@ -150,7 +150,8 @@ def load_cifar_binary(path, max_per_class: int | None = None) -> Dataset:
         seen = np.cumsum(labels[:, None] == np.arange(10), axis=0)
         keep = seen[np.arange(labels.size), labels] <= max_per_class
         records, labels = records[keep], labels[keep]
-    x = records[:, 1:].astype(np.float64) / 255.0
+    x = records[:, 1:].astype(np.float64)
+    x /= 255.0
     return Dataset(x, labels, k=10, name="cifar", image_shape=(32, 32, 3))
 
 
@@ -163,8 +164,18 @@ def fit_normalizer(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_normalizer(ds: Dataset, stats) -> Dataset:
     """Standardize with the given (mean, sd) stats, as fit by fit_normalizer."""
+    return _normalize_in_place(replace(ds, x=ds.x.copy()), stats)
+
+
+def _normalize_in_place(ds: Dataset, stats) -> Dataset:
+    """apply_normalizer without the copy: ``ds.x`` itself is standardized.
+
+    For a caller that owns ``ds`` and has no further use for its raw rows.
+    """
     mean, sd = stats
-    return replace(ds, x=(ds.x - mean) / sd)
+    ds.x -= mean
+    ds.x /= sd
+    return ds
 
 
 CORRUPTION_KINDS = ("gaussian_noise", "feature_shift", "feature_scale", "rotation2d")
@@ -196,8 +207,13 @@ def pooled_feature_sd(ds: Dataset) -> float:
 
 def corrupt(ds: Dataset, spec: CorruptionSpec, rng: RngState) -> Dataset:
     """Covariate-shift corruption: perturb x, keep labels."""
+    return _corrupt(ds, spec, rng, pooled_feature_sd(ds))
+
+
+def _corrupt(ds: Dataset, spec: CorruptionSpec, rng: RngState, scale: float) -> Dataset:
+    """corrupt with ``scale`` = pooled_feature_sd(ds) given, so that several
+    corruptions of one set compute it once. The result owns a fresh ``x``."""
     level = spec.intensity - 1
-    scale = pooled_feature_sd(ds)
     if spec.kind == "gaussian_noise":
         x = rng.normal(ds.x.shape)
         x *= GAUSS_NOISE_FACTORS[level] * scale

@@ -1,6 +1,7 @@
 """The pure parts of tools/checks.py, the runner of the replay checks."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,12 @@ def test_failing_variant_exits_with_one_line_naming_the_check():
     with pytest.raises(SystemExit) as exit_info:
         checks._run("replay", ["-c", code], 2)
     assert exit_info.value.code == "replay: exited with 1 at OPENBLAS_NUM_THREADS=2: boom"
+
+
+def test_counts_table_pins_a_count_metric_per_column():
+    benchmark = json.loads((checks.ROOT / "BENCHMARK.json").read_text())
+    units = {metric["name"]: metric["unit"] for metric in benchmark["per_layer"]}
+    assert all(units[name] == "count" for name in checks.COUNTED)
+    assert {"cli.build_pipeline_calls", "datagen.calls"} <= set(checks.COUNTED)
+    assert set(checks.COUNTS) == {w["name"] for w in benchmark["workloads"]}
+    assert all(len(row) == len(checks.COUNTED) for row in checks.COUNTS.values())

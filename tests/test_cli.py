@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -19,6 +20,8 @@ from vrlkit.cli import (
     parse_config,
     parse_corruptions,
 )
+from vrlkit.datagen import CORRUPTION_KINDS, Dataset, corrupt, fit_normalizer, save_csv, split
+from vrlkit.tensor import RngState
 
 MANIFEST = """\
 # tiny smoke experiment
@@ -71,14 +74,23 @@ def write_cifar_manifest(tmp_path, extra=""):
         records.append(bytes([label]) + pixels.tobytes())
     data_path = tmp_path / "images.bin"
     data_path.write_bytes(b"".join(records))
+    lines = [
+        "data.kind = cifar\n", f"data.path = {data_path}\n", "data.seed = 2\n",
+        "data.test_frac = 0.3\n", "data.val_frac = 0.2\n",
+        "strategies = cutmix,reg_mixup_plus_regcutmix\n", "seeds = 0\n",
+        "train.hidden = 8\n", "train.epochs = 2\n", "train.batch_size = 16\n",
+        "train.lr = 0.05\n", "train.alpha = 1.0\n", "train.eta = 1.0\n",
+    ]
+    # a key of `extra` replaces the line that sets it, as a manifest sets a key once
+    for line in extra.splitlines(keepends=True):
+        keys = [old.partition("=")[0].strip() for old in lines]
+        key = line.partition("=")[0].strip()
+        if key in keys:
+            lines[keys.index(key)] = line
+        else:
+            lines.append(line)
     cfg = tmp_path / "img.cfg"
-    cfg.write_text(
-        f"data.kind = cifar\ndata.path = {data_path}\ndata.seed = 2\n"
-        "data.test_frac = 0.3\ndata.val_frac = 0.2\n"
-        "strategies = cutmix,reg_mixup_plus_regcutmix\nseeds = 0\n"
-        "train.hidden = 8\ntrain.epochs = 2\ntrain.batch_size = 16\n"
-        "train.lr = 0.05\ntrain.alpha = 1.0\ntrain.eta = 1.0\n" + extra
-    )
+    cfg.write_text("".join(lines))
     return cfg
 
 
@@ -90,6 +102,12 @@ class TestParseConfig:
     def test_malformed_line(self):
         with pytest.raises(ManifestError):
             parse_config("no equals sign here")
+
+    def test_repeated_key_names_both_lines(self):
+        text = "train.epochs = 40\nstrategies = erm\n# comment\ntrain.epochs = 40\n"
+        with pytest.raises(ManifestError) as err:
+            parse_config(text)
+        assert str(err.value) == "line 4: key 'train.epochs' is already set on line 1"
 
     def test_corruption_ranges(self):
         specs = parse_corruptions("gaussian_noise:1-3,rotation2d:5")
@@ -107,6 +125,16 @@ class TestParseConfig:
     def test_repeated_corruption_level(self):
         with pytest.raises(ManifestError, match="lists gaussian_noise:2 more than once"):
             parse_corruptions("gaussian_noise:1-2,gaussian_noise:2")
+
+
+class TestGetList:
+    def test_long_float_list_equals_per_item_float(self):
+        values = np.random.default_rng(4).normal(scale=1e3, size=3072)
+        texts = [repr(float(v)) for v in values[:1024]]
+        texts += [f"{v:.3e}" for v in values[1024:2048]] + [str(-i) for i in range(1024)]
+        got = cli._get_list({"ood.low": " , ".join(texts) + ","}, "ood.low", cast=float)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 class TestManifest:
@@ -402,6 +430,25 @@ class TestBadManifestValues:
         replace = ("ood.kind = blob\nood.center = 10,10", f"ood.kind = {kind}\n{key} = {value}")
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert key in err
+        assert not (tmp_path / "o").exists()
+
+    # 3,072 items, as a cifar ood.low: the bad one is found behind 1,500 good ones
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "1e400"])
+    def test_bad_item_of_a_long_float_list(self, tmp_path, capsys, bad):
+        items = ["-20"] * 3072
+        items[1500] = bad
+        replace = ("ood.kind = blob\nood.center = 10,10",
+                   f"ood.kind = uniform_box\nood.low = {','.join(items)}")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert err == f"error: key 'ood.low': expected a finite number, got {bad!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_key(self, tmp_path, capsys):
+        replace = ("heatmap.pairs = 40", "heatmap.pairs = 40\ntrain.epochs = 2")
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        first = MANIFEST.splitlines().index("train.epochs = 4") + 1
+        last = MANIFEST.splitlines().index("heatmap.pairs = 40") + 2
+        assert err == f"error: line {last}: key 'train.epochs' is already set on line {first}\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_integer_corruption_level(self, tmp_path, capsys):
@@ -763,8 +810,8 @@ class TestPipelineParts:
             ("train", []),
             ("calibrate", []),
             ("heatmap", []),
-            ("eval", ["corrupt", "corrupt"]),
-            ("fisher", ["corrupt", "corrupt"]),
+            ("eval", ["_corrupt", "_corrupt"]),
+            ("fisher", ["_corrupt", "_corrupt"]),
             ("ood", ["make_blob"]),
         ],
     )
@@ -775,7 +822,7 @@ class TestPipelineParts:
         if command != "train":
             assert run_cli("train", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
         calls = []
-        for name in ("corrupt", "make_blob", "make_uniform_box"):
+        for name in ("_corrupt", "make_blob", "make_uniform_box"):
             _spy(monkeypatch, name, calls)
         assert run_cli(command, "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
         assert calls == expected  # MANIFEST: gaussian_noise:1-2 and an ood blob
@@ -813,6 +860,85 @@ class TestPipelineParts:
         manifest = load_manifest(manifest_file, tmp_path / "o")
         with pytest.raises(ValueError, match="unknown pipeline parts"):
             build_pipeline(manifest, parts="ood")
+
+
+def reference_pipeline(manifest, parts) -> cli.Pipeline:
+    """build_pipeline by the public, copying functions: the oracle of its in-place build.
+
+    Two splits, the (x - mean) / sd formula on a copy of each set, and
+    ``corrupt`` with its own pooled SD for each spec.
+    """
+    cfg = manifest.config
+    seed = cli._get(cfg, "data.seed", 12345, int)
+    base = cli._base_dataset(cfg, seed)
+    test_frac, val_frac = cli._split_fracs(cfg)
+    pool, test = split(base, 1.0 - test_frac, True, RngState(seed).split(101))
+    train, val = split(pool, 1.0 - val_frac, True, RngState(seed).split(102))
+    mean, sd = fit_normalizer(train)
+
+    def normalized(ds):
+        return dataclasses.replace(ds, x=(ds.x - mean) / sd)
+
+    ood = None
+    if "ood" in parts:
+        make, args, name = cli._ood_dataset(cfg, base.d)
+        ood = normalized(make(*args, RngState(seed).split(200), name=name))
+    corrupted = []
+    if "corrupted" in parts:
+        for i, spec in enumerate(parse_corruptions(cfg["corruptions"])):
+            corrupted.append((spec, normalized(corrupt(test, spec, RngState(seed).split(103, i)))))
+    return cli.Pipeline(normalized(train), normalized(val), normalized(test), ood, corrupted)
+
+
+def assert_same_sets(a, b):
+    assert (a.name, a.k, a.image_shape, a.x.shape) == (b.name, b.k, b.image_shape, b.x.shape)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+
+
+class TestBuildPipelineOracle:
+    """build_pipeline writes each set once, in place, and every set equals the
+    reference build bit for bit: every data kind, corruption kind and OOD kind."""
+
+    @staticmethod
+    def manifest(tmp_path, kind, ood_kind):
+        corruptions = "gaussian_noise:1-2,feature_shift:3,feature_scale:2"
+        ood = f"ood.kind = {ood_kind}\nood.n = 25\n"
+        if kind == "cifar":
+            return write_cifar_manifest(tmp_path, f"corruptions = {corruptions}\n{ood}")
+        if kind == "csv":  # 3 features: no rotation2d
+            rng = np.random.default_rng(8)
+            labels = np.arange(90) % 3
+            x = rng.normal(size=(90, 3)) + 4.0 * labels[:, None]
+            save_csv(Dataset(x, labels, k=3, name="csv"), tmp_path / "data.csv")
+            data = f"data.kind = csv\ndata.path = {tmp_path / 'data.csv'}\n"
+        else:
+            corruptions += ",rotation2d:1-5"
+            data = {"blobs": "data.kind = blobs\ndata.n = 150\ndata.k = 3\n",
+                    "moons": "data.kind = moons\ndata.n = 120\n"}[kind]
+        path = tmp_path / "oracle.cfg"
+        path.write_text(f"{data}data.seed = 7\ncorruptions = {corruptions}\n{ood}"
+                        "strategies = erm\nseeds = 0\n")
+        return path
+
+    @pytest.mark.parametrize("parts", [(), ("corrupted",), ("ood",), ("corrupted", "ood")])
+    @pytest.mark.parametrize("ood_kind", ["blob", "uniform_box"])
+    @pytest.mark.parametrize("kind", ["blobs", "moons", "csv", "cifar"])
+    def test_equals_reference_bitwise(self, tmp_path, kind, ood_kind, parts):
+        manifest = load_manifest(self.manifest(tmp_path, kind, ood_kind), tmp_path / "o")
+        got = build_pipeline(manifest, parts=parts)
+        want = reference_pipeline(manifest, parts)
+        for name in ("train", "val", "test"):
+            assert_same_sets(getattr(got, name), getattr(want, name))
+        assert (got.ood is None) == (want.ood is None) == ("ood" not in parts)
+        if got.ood is not None:
+            assert_same_sets(got.ood, want.ood)
+        assert [s for s, _ in got.corrupted] == [s for s, _ in want.corrupted]
+        for (_, a), (_, b) in zip(got.corrupted, want.corrupted):
+            assert_same_sets(a, b)
+        if "corrupted" in parts:  # the fixture has every kind; rotation2d needs 2-D rows
+            allowed = set(CORRUPTION_KINDS) - (set() if got.test.d == 2 else {"rotation2d"})
+            assert {spec.kind for spec, _ in got.corrupted} == allowed
 
 
 class TestConsoleScript:

@@ -5,7 +5,9 @@ import pytest
 
 from vrlkit.datagen import (
     CIFAR_RECORD_BYTES,
+    CORRUPTION_KINDS,
     CorruptionSpec,
+    Dataset,
     GAUSS_NOISE_FACTORS,
     apply_normalizer,
     blob_centers,
@@ -261,3 +263,58 @@ class TestNormalizerAndCsv:
         back = load_csv(path)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.labels, ds.labels)
+
+
+class TestPublicFunctionsKeepTheirInput:
+    """build_pipeline works in place on sets it owns; the public functions
+    never do, and their results equal the plain formulas bit for bit."""
+
+    @staticmethod
+    def image_set():
+        rng = np.random.default_rng(3)
+        return Dataset(rng.normal(size=(24, 48)), np.arange(24) % 3, k=3, name="img",
+                       image_shape=(4, 4, 3))
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    def test_corrupt(self, kind):
+        ds = make_two_moons(60, 0.2, RngState(40))
+        before = ds.x.copy()
+        corrupt(ds, CorruptionSpec(kind, 4), RngState(41))
+        assert ds.x.tobytes() == before.tobytes()
+
+    def test_apply_normalizer(self):
+        ds = self.image_set()
+        before = ds.x.copy()
+        stats = fit_normalizer(ds.take(np.arange(12)))
+        out = apply_normalizer(ds, stats)
+        assert ds.x.tobytes() == before.tobytes()
+        assert out.x.tobytes() == ((before - stats[0]) / stats[1]).tobytes()
+        assert (out.name, out.image_shape) == (ds.name, ds.image_shape)
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_split(self, stratified):
+        ds = self.image_set()
+        before = ds.x.copy()
+        train, rest = split(ds, 0.5, stratified, RngState(43))
+        train.x += 1.0  # the splits own their rows
+        rest.x += 1.0
+        assert ds.x.tobytes() == before.tobytes()
+
+    def test_ood_makers_equal_their_formulas(self):
+        center, low, high = np.array([3.0, -1.5, 0.25]), np.array([-2.0, 0.5, 1.0]), 7.5
+        blob = make_blob(50, center, 0.7, RngState(44))
+        assert blob.x.tobytes() == (center + 0.7 * RngState(44).normal((50, 3))).tobytes()
+        box = make_uniform_box(50, low, [high] * 3, RngState(45))
+        u = RngState(45).uniform(150).reshape(50, 3)
+        assert box.x.tobytes() == (low + u * (high - low)).tobytes()
+
+    def test_cifar_loader_equals_astype_over_255_for_every_byte(self, tmp_path):
+        pixels = np.arange(3 * 3072) % 256
+        records = np.zeros((3, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 1:] = pixels.reshape(3, 3072)
+        path = tmp_path / "bytes.bin"
+        path.write_bytes(records.tobytes())
+        ds = load_cifar_binary(path)
+        expected = records[:, 1:].astype(np.float64) / 255.0
+        assert ds.x.tobytes() == expected.tobytes()
+        assert set(np.unique(records[:, 1:])) == set(range(256))

@@ -32,13 +32,16 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "configs" / "demo.cfg"
 PYTHONPATH = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
 
-# The seed-5 traced counts of each workload, one per COUNTED metric.
+# The seed-5 traced counts of each workload, one per COUNTED metric. The last
+# two pin the dataset builds: a CLI pass builds six times, and each build makes
+# 4 datagen calls (base set, two splits, normalizer fit), plus `vrl ood`'s draw.
 COUNTED = ("nn.forward_calls", "nn.backward_calls", "nn.sgd_steps",
-           "vicinal.regmix_calls", "tensor.rng_streams", "vicinal.mix_calls")
+           "vicinal.regmix_calls", "tensor.rng_streams", "vicinal.mix_calls",
+           "cli.build_pipeline_calls", "datagen.calls")
 COUNTS = {
-    "demo-blobs": (860, 800, 400, 400, 270, 400),
-    "cifar-shaped": (268, 208, 104, 104, 126, 220),
-    "library-uq": (995, 964, 574, 574, 222, 574),
+    "demo-blobs": (860, 800, 400, 400, 270, 400, 6, 25),
+    "cifar-shaped": (268, 208, 104, 104, 126, 220, 6, 25),
+    "library-uq": (995, 964, 574, 574, 222, 574, 0, 1),
 }
 
 LARGE_BATCH = {"data.n": "6000", "seeds": "0", "train.hidden": "64,64",
