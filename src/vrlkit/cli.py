@@ -611,6 +611,13 @@ def cmd_eval(manifest: RunManifest) -> Path:
     )
 
 
+def _too_small(pipe: Pipeline, need: str) -> ManifestError:
+    """The exit-3 error of a command whose splits are too small for it."""
+    return ManifestError(
+        f"{need}; the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
+    )
+
+
 _LOGIT_MEASURES = (ds_score, energy_score)
 _PROB_MEASURES = (entropy_score, mps_score)
 
@@ -623,11 +630,8 @@ def cmd_ood(manifest: RunManifest) -> Path:
     # the Mahalanobis score fits one covariance per train class
     classes, counts = np.unique(pipe.train.labels, return_counts=True)
     if counts.min() < 2:
-        raise ManifestError(
-            f"ood needs >= 2 train rows of each class, found class "
-            f"{classes[counts.argmin()]} with {counts.min()} row; "
-            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
-        )
+        raise _too_small(pipe, f"ood needs >= 2 train rows of each class, found class "
+                               f"{classes[counts.argmin()]} with {counts.min()} row")
 
     def run_rows(strategy, seed, net):
         logits_in, feat_in, _ = nn.forward(net, pipe.test.x)
@@ -652,10 +656,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
     ew = BinningSpec("equal_width", 15)
     em = BinningSpec("equal_mass", 15)
     if pipe.test.n < em.n_bins:
-        raise ManifestError(
-            f"calibrate needs >= {em.n_bins} test rows for its {em.n_bins}-bin AdaECE; "
-            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
-        )
+        raise _too_small(pipe, f"calibrate needs >= {em.n_bins} test rows "
+                               f"for its {em.n_bins}-bin AdaECE")
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):
@@ -689,10 +691,8 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
     source = pipe.train if source_name == "train" else pipe.test
     classes = np.unique(source.labels).size
     if classes < 2:
-        raise ManifestError(
-            f"heatmap needs >= 2 classes in the {source_name} split "
-            f"(heatmap.source), found {classes} in its {source.n} rows"
-        )
+        raise _too_small(pipe, f"heatmap needs >= 2 classes in the {source_name} split "
+                               f"(heatmap.source), found {classes} in its {source.n} rows")
     run_dir = manifest.run_dir()
 
     def run_rows(strategy, seed, net):
@@ -713,10 +713,7 @@ def cmd_fisher(manifest: RunManifest) -> Path:
     if classes.size < 2 or counts.min() < 2:
         found = (f"{classes.size} class" if classes.size < 2
                  else f"class {classes[counts.argmin()]} with {counts.min()} row")
-        raise ManifestError(
-            f"fisher needs >= 2 test classes of >= 2 rows each, found {found}; "
-            f"the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
-        )
+        raise _too_small(pipe, f"fisher needs >= 2 test classes of >= 2 rows each, found {found}")
     return _write_per_test_set_csv(
         manifest, pipe, "fisher.csv", "fisher",
         lambda logits, features, labels: fisher_criterion(features, labels, epsilon=1e-9),
@@ -756,6 +753,19 @@ def cmd_compare(manifests: list) -> Path:
     return path
 
 
+def _distinct_manifests(config_paths, out, seeds) -> list:
+    """The manifest of each config file, in order; one given twice is an error."""
+    manifests = {}
+    for path in config_paths:
+        manifest = load_manifest(path, out, seeds)
+        digest = manifest.content_hash()
+        if digest in manifests:
+            raise ManifestError(f"compare lists manifest {digest} twice: "
+                                f"{manifests[digest][0]} and {path}")
+        manifests[digest] = path, manifest
+    return [manifest for _, manifest in manifests.values()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vrl",
@@ -772,7 +782,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "compare":
-            print(cmd_compare([load_manifest(c, args.out, args.seeds) for c in args.config]))
+            print(cmd_compare(_distinct_manifests(args.config, args.out, args.seeds)))
             return EXIT_OK
         manifest = load_manifest(args.config, args.out, args.seeds)
         handler = {

@@ -105,3 +105,12 @@ class RngState:
         if shape <= 0:
             raise ValueError(f"gamma shape must be > 0, got {shape}")
         return self._gen.gamma(shape, size=size)
+
+    def beta(self, a: float, size=None):
+        """Symmetric Beta(a, a) draws from numpy's ``Generator.beta``.
+
+        Returns a float when size is None, else an array of length ``size``.
+        """
+        if a <= 0:
+            raise ValueError(f"beta parameter must be > 0, got {a}")
+        return self._gen.beta(a, a, size=size)

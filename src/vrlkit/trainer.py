@@ -315,11 +315,7 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
                 draws = [(*mix, root.split(_S_MIX, epoch),
                           root.split(_S_COIN, epoch) if len(mix[0]) > 1 else None)
                          for mix, root in zip(mixing, roots)]
-                try:
-                    plan = _draw_plan(draws, sizes, train_ds.image_shape)
-                except FloatingPointError as err:
-                    raise _diverged(configs, np.arange(runs) == err.args[0],
-                                    f"lambda at epoch {epoch}") from None
+                plan = _draw_plan(draws, sizes, train_ds.image_shape)
             loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
                 idx = np.concatenate([order[lo:hi] for order in orders])
@@ -399,19 +395,6 @@ def cross_validate(grid: list, train_ds: Dataset) -> TrainConfig:
         if score > best_score:
             best_config, best_score = config, score
     return best_config
-
-
-def default_search_grid(base: TrainConfig) -> list:
-    """Strategy-appropriate hyperparameter grid around a base config."""
-    if base.strategy == "mixup":
-        return [replace(base, alpha=a) for a in MIXUP_ALPHA_GRID]
-    if base.strategy == "regmixup":
-        return [
-            replace(base, alpha=a, eta=e)
-            for a in REGMIXUP_ALPHA_GRID
-            for e in REGMIXUP_ETA_GRID
-        ]
-    return [base]
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Vicinal-distribution machinery: Beta interpolation factors, Mixup and
 CutMix batch construction, and the regularized two-term loss.
 
-The mixing weight lambda is drawn from a symmetric Beta(alpha, alpha) built
-from two Gamma variates.  A batch's rows are paired by sorting them on random
-keys, each with the next one, cyclically, so pair(i) != i without rejection.
+The mixing weight lambda is drawn from a symmetric Beta(alpha, alpha).  A
+batch's rows are paired by sorting them on random keys, each with the next
+one, cyclically, so pair(i) != i without rejection.
 
 Only _draw_plan draws pairings, lambdas and boxes: a whole epoch for each of
 a lockstep group's mixing runs, or one step for a single mixup_batch or
@@ -35,10 +35,8 @@ class BetaParams:
 
 
 def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
-    """n Beta(alpha, alpha) draws (vectorized two-Gamma construction)."""
-    g1 = rng.gamma(params.alpha, size=n)
-    g2 = rng.gamma(params.alpha, size=n)
-    return g1 / (g1 + g2)
+    """n Beta(alpha, alpha) draws, in one RngState.beta call."""
+    return rng.beta(params.alpha, size=n)
 
 
 @dataclass
@@ -63,15 +61,6 @@ def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
     if rng is None and not drawn:
         raise ValueError(f"{what} needs an RngState to draw its pairing and lambda")
     return x, y, lam
-
-
-def _draw_batch(op: str, params, lambda_mode, lam, rng, n: int, image_shape):
-    """The plan of one run and one step of n rows, drawn from rng."""
-    try:
-        with np.errstate(invalid="ignore"):  # a NaN lambda raises below instead
-            return _draw_plan([((op,), params, lambda_mode, lam, rng, None)], [n], image_shape)
-    except FloatingPointError:
-        raise ValueError(f"{op} drew a NaN lambda: alpha={params.alpha} is too small") from None
 
 
 def _convex(a, lam_col, pairing, out):
@@ -99,7 +88,6 @@ def mixup_batch(
     lambda_mode "per_batch" draws a single lambda for the whole batch;
     "per_pair" draws one per pair, both as a plan of one step (_draw_plan).
     `lam` forces a fixed value in [0, 1] (test hook), or gives one per row.
-    A NaN lambda, as a tiny alpha can draw, raises ValueError.
 
     ``_pairing`` with a ``lam`` is a drawn plan: nothing is drawn, and a
     partner may be any row of x, so a lockstep group's block of runs mixes
@@ -112,7 +100,7 @@ def mixup_batch(
     x, y, lam = _batch(x, y_onehot, lam, rng, drawn, "mixup")
     scalar = lam.ndim == 0 if lam is not None else lambda_mode == "per_batch"
     if not drawn:
-        plan = _draw_batch("mixup", params, lambda_mode, lam, rng, x.shape[0], None)
+        plan = _draw_plan([(("mixup",), params, lambda_mode, lam, rng, None)], [x.shape[0]], None)
         _pairing, lam = plan.pairing, plan.lam
     lam_col = lam[:, None] if lam.ndim else lam
     x_out, y_out = (None, None) if _out is None else _out
@@ -138,8 +126,7 @@ def cutmix_batch(
     A single lambda and box are drawn per batch, as a plan of one step
     (_draw_plan); box side lengths are H*sqrt(1-lambda) x W*sqrt(1-lambda)
     (rounded to pixels, kept inside the image), and the soft target uses the
-    effective lambda recomputed from the realized patch area.  A NaN lambda,
-    as a tiny alpha can draw, raises ValueError.
+    effective lambda recomputed from the realized patch area.
 
     ``_pairing`` with ``_boxes`` is a drawn plan: nothing is drawn, x is one
     block of rows per box (y0, y1, x0, x1), pasted into that block only, and
@@ -155,7 +142,7 @@ def cutmix_batch(
     if h * w * c != x.shape[1]:
         raise ValueError(f"rows of length {x.shape[1]} do not match image shape {image_shape}")
     if not drawn:
-        plan = _draw_batch("cutmix", params, "per_batch", lam, rng, n, image_shape)
+        plan = _draw_plan([(("cutmix",), params, "per_batch", lam, rng, None)], [n], image_shape)
         _pairing, _boxes = plan.pairing, plan.boxes[0]
     x_out, y_out = (np.empty_like(x), None) if _out is None else _out
     np.copyto(x_out, x)
@@ -206,9 +193,6 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
     - one per row, for per_pair Mixup (a forced lam, one value or one per
       row, replaces both; CutMix takes a step's from its first row);
     - with CutMix, the top and then the left corner of every step's box.
-
-    Raises FloatingPointError(r) when run r draws a NaN lambda, as a Beta
-    with a tiny alpha can (0 / 0).
     """
     sizes = np.asarray(sizes)
     steps, n = len(sizes), int(sizes.sum())
@@ -235,8 +219,6 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
         lam_step = lams[r, starts]  # unset, and unused, for per_pair Mixup alone
         if lam is None and per_row:
             lams[r] = sample_lambdas(params, n, mix_rng)
-        if np.isnan(lams[r]).any() or "cutmix" in ops and np.isnan(lam_step).any():
-            raise FloatingPointError(r)  # both Gamma draws of a lambda underflowed to 0
         if "cutmix" in ops:
             h, w, _ = image_shape
             ratio = np.sqrt(1.0 - lam_step)  # box sides rounded to pixels

@@ -552,6 +552,7 @@ class TestBadManifestValues:
         manifest = MANIFEST.replace(*_setting(MANIFEST, "heatmap.source", source))
         err = self._run(tmp_path, capsys, replace, ["train", "eval", "heatmap"], manifest)
         assert f"in the {source} split" in err and "found 1 " in err
+        assert "the splits hold" in err
         assert not list(tmp_path.rglob("heatmap_*.svg"))
         assert not list(tmp_path.rglob("barrier.csv"))
 
@@ -774,6 +775,31 @@ def test_diverged_training_exits_numeric(tmp_path, capsys, monkeypatch, jobs):
     assert err.startswith("error: training diverged: ") and err.count("\n") == 1
     assert "seed 0: non-finite" in err
     assert not list(tmp_path.rglob("*.record")) and not list(tmp_path.rglob("*.ckpt"))
+
+
+def test_tiny_alpha_trains(manifest_file, tmp_path):
+    # Beta(0.001, 0.001) draws lambdas at 0 or 1 to rounding, and never NaN
+    manifest_file.write_text(MANIFEST.replace(*_setting(MANIFEST, "regmixup.alpha", "0.001")))
+    out = tmp_path / "o"
+    assert run_cli("train", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
+    assert len(list(out.rglob("regmixup_seed*.ckpt"))) == 2
+
+
+def test_compare_rejects_one_manifest_given_twice(manifest_file, tmp_path, capsys):
+    # comments and out do not enter the content hash
+    twin = tmp_path / "twin.cfg"
+    twin.write_text("# the same runs\nout = elsewhere\n" + MANIFEST)
+    out = tmp_path / "o"
+    assert run_cli("train", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
+    assert run_cli("eval", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
+    for second in (manifest_file, twin):
+        capsys.readouterr()
+        assert run_cli("compare", "--config", str(manifest_file), str(second),
+                       "--out", str(out)) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{manifest_file} and {second}" in err
+    assert not list(out.glob("compare_*.csv"))
 
 
 def test_calibrate_rejects_small_test_split(tmp_path, capsys):

@@ -75,6 +75,18 @@ class TestRngGamma:
         assert a == b
 
 
+class TestRngBeta:
+    def test_support_shape_and_domain(self):
+        state = RngState(15)
+        for a in (1e-5, 0.2, 1.0, 20.0):
+            draws = state.beta(a, size=2000)
+            assert draws.shape == (2000,) and draws.min() >= 0.0 and draws.max() <= 1.0
+        assert type(RngState(16).beta(0.5)) is float
+        for a in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                RngState(0).beta(a)
+
+
 class _Unprintable:
     def __str__(self):
         raise RuntimeError("cell fails")

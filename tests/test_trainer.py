@@ -27,7 +27,6 @@ from vrlkit.trainer import (
     TrainConfig,
     accuracy,
     cross_validate,
-    default_search_grid,
     ensemble_predict,
     train,
     train_ensemble,
@@ -505,12 +504,15 @@ class TestDivergence:
             self._train_quietly(configs, tr)
 
     @pytest.mark.parametrize("strategy", ["mixup", "reg_mixup_plus_regcutmix"])
-    def test_nan_lambda_names_run_and_epoch(self, strategy):
-        # a Beta with alpha 1e-5 draws lambda = 0 / 0 when both Gammas underflow
+    def test_tiny_alpha_run_trains_beside_its_group(self, strategy):
+        # alpha 1e-5 draws every lambda at 0 or 1 to rounding
+        ds = tiny_image_dataset(n=14)
         configs = [step_test_config(strategy), step_test_config(strategy, seed=2, alpha=1e-5)]
-        with pytest.raises(trainer.DivergedError,
-                           match=f"{strategy} seed 2: non-finite lambda at epoch 0$"):
-            self._train_quietly(configs, tiny_image_dataset(n=14))
+        (net, record), (tiny, _) = self._train_quietly(configs, ds)
+        assert all(np.isfinite(a).all() for a in (*tiny.weights, *tiny.biases))
+        solo_net, solo_record = self._train_quietly(configs[0], ds)
+        assert nets_equal(net, solo_net)
+        assert record.epoch_losses == solo_record.epoch_losses
 
     def test_non_finite_final_weights(self):
         # one full-batch step: its loss is finite, the update overflows
@@ -577,10 +579,6 @@ class TestCrossValidate:
             0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 5.0, 10.0, 15.0, 20.0, 30.0
         )
         assert REGMIXUP_ETA_GRID == (0.1, 1.0, 2.0)
-        base = TrainConfig(strategy="regmixup", alpha=1.0, eta=1.0, **FAST)
-        grid = default_search_grid(base)
-        assert len(grid) == len(REGMIXUP_ALPHA_GRID) * len(REGMIXUP_ETA_GRID)
-        assert {c.alpha for c in grid} == set(REGMIXUP_ALPHA_GRID)
 
 
 class TestEnsemble:
