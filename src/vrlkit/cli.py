@@ -200,7 +200,10 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     path = Path(config_path)
     if not path.exists():
         raise MissingInputError(f"config file not found: {path}")
-    cfg = parse_config(path.read_text())
+    try:
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"{path}: not UTF-8 text (byte {err.start})") from None
     out_dir = Path(out_override) if out_override else Path(_get(cfg, "out", "runs"))
     cfg.pop("out", None)  # output location never participates in the hash
     if seeds_override is not None:
@@ -211,8 +214,7 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     _heatmap_keys(cfg)
     _split_fracs(cfg)
     manifest = RunManifest(cfg, out_dir, seeds, strategies)
-    for strategy in strategies:
-        train_config_for(manifest, strategy, seeds[0])
+    runs(manifest)
     return manifest
 
 
@@ -231,7 +233,7 @@ def _split_fracs(cfg) -> tuple[float, float]:
 def _heatmap_keys(cfg) -> tuple[str, int]:
     """The checked (heatmap.source, heatmap.pairs).
 
-    load_manifest checks them (and the split fractions and every strategy's
+    load_manifest checks them (and the split fractions and every run's
     TrainConfig), so a bad value stops every command before any work, not
     only the command that reads it.
     """
@@ -273,6 +275,18 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
         )
     except ValueError as err:
         raise ManifestError(str(err))
+
+
+def runs(manifest: RunManifest) -> list:
+    """The (name, TrainConfig) of every run, ordered by strategy and then seed.
+
+    ``name`` is ``<strategy>_seed<seed>``: the stem of the run's record,
+    checkpoint and SVGs.
+    """
+    return [
+        (f"{strategy}_seed{seed}", train_config_for(manifest, strategy, seed))
+        for strategy in sorted(manifest.strategies) for seed in sorted(manifest.seeds)
+    ]
 
 
 def _base_dataset(cfg, seed: int) -> Dataset:
@@ -320,7 +334,10 @@ def _ood_dataset(cfg, d: int):
         center = _get_list(cfg, "ood.center", [30.0] * d, float)
         if len(center) != d:
             raise ManifestError("ood.center dimension does not match the data")
-        return make_blob, (n, center, _get(cfg, "ood.noise_sd", 1.0, float)), "ood_blob"
+        noise_sd = _get(cfg, "ood.noise_sd", 1.0, float)
+        if noise_sd < 0:
+            raise ManifestError(f"ood.noise_sd must be >= 0, got {noise_sd}")
+        return make_blob, (n, center, noise_sd), "ood_blob"
     if kind == "uniform_box":
         low = _get_list(cfg, "ood.low", [-20.0] * d, float)
         high = _get_list(cfg, "ood.high", [20.0] * d, float)
@@ -429,35 +446,23 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     )
 
 
-def _record_path(run_dir: Path, strategy: str, seed: int) -> Path:
-    return run_dir / "records" / f"{strategy}_seed{seed}.record"
-
-
-def _ckpt_path(run_dir: Path, strategy: str, seed: int) -> Path:
-    return run_dir / "checkpoints" / f"{strategy}_seed{seed}.ckpt"
-
-
 def load_records(manifest: RunManifest) -> list:
-    """All (strategy, seed, record) triples for the manifest, sorted."""
-    run_dir = manifest.run_dir()
+    """The (name, config, record) of every run of the manifest, in run order."""
     out = []
-    for strategy in sorted(manifest.strategies):
-        for seed in sorted(manifest.seeds):
-            path = _record_path(run_dir, strategy, seed)
-            if not path.exists():
-                raise MissingInputError(
-                    f"record not found (run `vrl train` first): {path}"
-                )
-            try:
-                record = ExperimentRecord.from_text(path.read_text())
-            except ValueError as err:
-                raise ManifestError(f"unreadable record {path}: {err}")
-            out.append((strategy, seed, record))
+    for name, config in runs(manifest):
+        path = manifest.run_dir() / "records" / f"{name}.record"
+        if not path.exists():
+            raise MissingInputError(f"record not found (run `vrl train` first): {path}")
+        try:
+            record = ExperimentRecord.from_text(path.read_text())
+        except ValueError as err:
+            raise ManifestError(f"unreadable record {path}: {err}")
+        out.append((name, config, record))
     return out
 
 
-def _load_net(manifest: RunManifest, strategy: str, seed: int, expect_dim: int) -> nn.Network:
-    path = _ckpt_path(manifest.run_dir(), strategy, seed)
+def _load_net(manifest: RunManifest, name: str, expect_dim: int) -> nn.Network:
+    path = manifest.run_dir() / "checkpoints" / f"{name}.ckpt"
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
     try:
@@ -500,52 +505,46 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     trains its share in lockstep groups of its own.
     """
     pipe = build_pipeline(manifest, parts=())
-    configs = [
-        train_config_for(manifest, s, seed)
-        for s in sorted(manifest.strategies) for seed in sorted(manifest.seeds)
-    ]
-    if deterministic_mode() or jobs <= 1:
+    grid = runs(manifest)
+    configs = [config for _, config in grid]
+    n = min(jobs, len(configs))
+    if deterministic_mode() or n <= 1:
         results = train(configs, pipe.train, pipe.val)
     else:
-        n = min(jobs, len(configs))
         shares = [configs[i::n] for i in range(n)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
             trained = list(pool.map(train, shares, [pipe.train] * n, [pipe.val] * n))
-        configs = [config for share in shares for config in share]
-        results = [result for share in trained for result in share]
+        results = [trained[i % n][i // n] for i in range(len(configs))]
     run_dir = manifest.run_dir()
     (run_dir / "records").mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with atomic_open(run_dir / "manifest.txt") as f:
         f.write(manifest.canonical_text())
-    for config, (net, record) in zip(configs, results):
-        ckpt = _ckpt_path(run_dir, config.strategy, config.seed)
-        nn.save_checkpoint(net, ckpt)
-        record.checkpoint = str(ckpt.relative_to(run_dir))
-        with atomic_open(_record_path(run_dir, config.strategy, config.seed)) as f:
+    for (name, _), (net, record) in zip(grid, results):
+        record.checkpoint = str(Path("checkpoints", f"{name}.ckpt"))
+        nn.save_checkpoint(net, run_dir / record.checkpoint)
+        with atomic_open(run_dir / "records" / f"{name}.record") as f:
             f.write(record.to_text())
     return run_dir
 
 
-def _write_per_run_csv(
-    manifest: RunManifest, name: str, expect_dim: int, run_rows
-) -> Path:
+def _write_per_run_csv(manifest: RunManifest, csv_name: str, expect_dim: int, run_rows) -> Path:
     """Load every trained run's net and write the (strategy, seed, *row) CSV.
 
-    ``run_rows(strategy, seed, net)`` returns the run's (dataset, metric,
+    ``run_rows(name, config, net)`` returns the run's (dataset, metric,
     measure, value) rows; the CSV is sorted on its first five columns.  All
     nets load before the first ``run_rows`` call, so a damaged checkpoint
     stops the command before it writes any SVG.
     """
-    runs = [
-        (strategy, seed, _load_net(manifest, strategy, seed, expect_dim))
-        for strategy, seed, _ in load_records(manifest)
+    nets = [
+        (name, config, _load_net(manifest, name, expect_dim))
+        for name, config, _ in load_records(manifest)
     ]
     rows = []
-    for strategy, seed, net in runs:
-        rows += [(strategy, seed, *row) for row in run_rows(strategy, seed, net)]
+    for name, config, net in nets:
+        rows += [(config.strategy, config.seed, *row) for row in run_rows(name, config, net)]
     rows.sort(key=lambda r: r[:5])
-    path = manifest.run_dir() / name
+    path = manifest.run_dir() / csv_name
     write_csv(path, list(_METRIC_HEADER), rows)
     return path
 
@@ -585,7 +584,7 @@ def _read_metric_csv(path: Path):
 
 
 def _write_per_test_set_csv(
-    manifest: RunManifest, pipe: Pipeline, name: str, metric: str, value
+    manifest: RunManifest, pipe: Pipeline, csv_name: str, metric: str, value
 ) -> Path:
     """One ``metric`` row per run and set: the test split and each corrupted copy.
 
@@ -594,13 +593,13 @@ def _write_per_test_set_csv(
     """
     sets = [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
 
-    def run_rows(strategy, seed, net):
+    def run_rows(name, config, net):
         return [
             (set_name, metric, "-", value(*nn.forward(net, ds.x)[:2], ds.labels))
             for set_name, ds in sets
         ]
 
-    return _write_per_run_csv(manifest, name, pipe.test.d, run_rows)
+    return _write_per_run_csv(manifest, csv_name, pipe.test.d, run_rows)
 
 
 def cmd_eval(manifest: RunManifest) -> Path:
@@ -633,7 +632,7 @@ def cmd_ood(manifest: RunManifest) -> Path:
         raise _too_small(pipe, f"ood needs >= 2 train rows of each class, found class "
                                f"{classes[counts.argmin()]} with {counts.min()} row")
 
-    def run_rows(strategy, seed, net):
+    def run_rows(name, config, net):
         logits_in, feat_in, _ = nn.forward(net, pipe.test.x)
         logits_out, feat_out, _ = nn.forward(net, pipe.ood.x)
         probs_in, probs_out = nn.softmax(logits_in), nn.softmax(logits_out)
@@ -660,16 +659,13 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
                                f"for its {em.n_bins}-bin AdaECE")
     run_dir = manifest.run_dir()
 
-    def run_rows(strategy, seed, net):
+    def run_rows(name, config, net):
         logits_val, _, _ = nn.forward(net, pipe.val.x)
         logits_test, _, _ = nn.forward(net, pipe.test.x)
         temp = fit_temperature(logits_val, pipe.val.labels, ew)
         pre = nn.softmax(logits_test)
         post = apply_temperature(logits_test, temp)
-        reliability_svg(
-            post, pipe.test.labels, ew,
-            run_dir / f"reliability_{strategy}_seed{seed}.svg",
-        )
+        reliability_svg(post, pipe.test.labels, ew, run_dir / f"reliability_{name}.svg")
         return [
             ("test", metric, "-", value)
             for metric, value in (
@@ -695,11 +691,10 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
                                f"(heatmap.source), found {classes} in its {source.n} rows")
     run_dir = manifest.run_dir()
 
-    def run_rows(strategy, seed, net):
-        profile = entropy_profile(
-            net, source, n_pairs=n_pairs, rng=RngState(seed).split(300)
-        )
-        heatmap_svg(profile, run_dir / f"heatmap_{strategy}_seed{seed}.svg")
+    def run_rows(name, config, net):
+        rng = RngState(config.seed).split(300)
+        profile = entropy_profile(net, source, n_pairs=n_pairs, rng=rng)
+        heatmap_svg(profile, run_dir / f"heatmap_{name}.svg")
         return [(source.name, "barrier", "-", barrier_statistic(profile))]
 
     return _write_per_run_csv(manifest, "barrier.csv", source.d, run_rows)

@@ -93,6 +93,8 @@ def make_gaussian_blobs(
         raise ValueError(f"need k >= 1 blobs, got k={k}")
     if n < 2 * k:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    if noise_sd < 0:
+        raise ValueError("noise_sd must be >= 0")
     centers = blob_centers(k, separation)
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
     xs, ys = [], []
@@ -109,6 +111,8 @@ def make_blob(
     n: int, center, noise_sd: float, rng: RngState, name: str = "blob"
 ) -> Dataset:
     """One Gaussian blob at an arbitrary center; handy as a far-away OOD set."""
+    if noise_sd < 0:
+        raise ValueError("noise_sd must be >= 0")
     center = np.asarray(center, dtype=np.float64)
     x = center + noise_sd * rng.normal((n, center.size))
     return Dataset(x, np.zeros(n, dtype=np.int64), k=1, name=name)
@@ -280,14 +284,16 @@ def save_csv(ds: Dataset, path):
 
 
 def load_csv(path, k: int | None = None, name: str = "csv") -> Dataset:
-    """Read the save_csv format; the last column is the integer label."""
+    """Read the save_csv format: one or more feature columns, then the integer label."""
     rows, labels = [], []
     with open(path, "r", encoding="ascii") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: no feature column before the label")
             rows.append([float(v) for v in parts[:-1]])
             labels.append(int(parts[-1]))
     labels = np.asarray(labels, dtype=np.int64)

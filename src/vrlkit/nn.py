@@ -69,9 +69,6 @@ class Network:
     def n_classes(self) -> int:
         return self.layers[-1].out_dim
 
-    def copy(self) -> "Network":
-        return self._with([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def _with(self, weights, biases) -> "Network":
         other = Network.__new__(Network)
         other.layers = list(self.layers)

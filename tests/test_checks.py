@@ -76,6 +76,19 @@ def test_tree_difference_names_the_first_difference(tmp_path, change, expected):
     assert checks.tree_difference(a, b) == expected.format(a=a, b=b)
 
 
+@pytest.mark.parametrize(
+    "want,expected",
+    [(2, None), (3, "{tree} holds 2 artifacts, want 3"), (1, "{tree} holds 2 artifacts, want 1")],
+    ids=["exact", "missing", "extra"],
+)
+def test_artifact_count_skips_inputs(tmp_path, want, expected):
+    for name in ("inputs/cifar.bin", "demo/h/eval.csv", "cifar-shaped/h/ood.csv"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(b"")
+    difference = checks.artifact_count_difference(tmp_path, want)
+    assert difference == (expected and expected.format(tree=tmp_path))
+
+
 @pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"]])
 def test_unknown_check_exits_2_with_usage(capsys, argv):
     assert checks.main(argv) == 2

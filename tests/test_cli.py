@@ -274,6 +274,14 @@ class TestPipeline:
         lines = (run_dir / "eval.csv").read_text().splitlines()
         assert lines == ["strategy,seed,dataset,metric,measure,value"]
 
+    def test_empty_strategy_list_trains_with_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VRL_DETERMINISTIC", raising=False)
+        p = tmp_path / "empty.cfg"
+        p.write_text("data.kind = blobs\ndata.n = 120\ndata.seed = 1\nstrategies =\nseeds = 0\n")
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(p), "--out", str(out), "--jobs", "2") == EXIT_OK
+        assert list(next(out.iterdir()).rglob("*.ckpt")) == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("image", [False, True], ids=["blobs", "cifar"])
@@ -332,6 +340,45 @@ class TestDeterminism:
         for ckpt in sorted((dir_s / "checkpoints").iterdir()):
             assert (dir_p / "checkpoints" / ckpt.name).read_bytes() == ckpt.read_bytes()
         assert len(list((dir_p / "checkpoints").iterdir())) == 4
+
+    def test_uneven_jobs_shares_keep_each_run_in_its_files(self, tmp_path, monkeypatch):
+        # 4 runs and --jobs 3: shares of 2, 1 and 1 runs, put back in run order
+        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text(MANIFEST.replace(*_setting(MANIFEST, "train.epochs", "2")))
+        seq = tmp_path / "seq"
+        assert run_cli("train", "--config", str(cfg), "--out", str(seq)) == EXIT_OK
+        monkeypatch.delenv("VRL_DETERMINISTIC")
+        import concurrent.futures
+
+        shares = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, configs, *rest):
+                shares.extend(configs)
+                return super().map(fn, configs, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        par = tmp_path / "par"
+        assert run_cli(
+            "train", "--config", str(cfg), "--out", str(par), "--jobs", "3"
+        ) == EXIT_OK
+        assert [[(c.strategy, c.seed) for c in share] for share in shares] == [
+            [("erm", 0), ("regmixup", 1)], [("erm", 1)], [("regmixup", 0)],
+        ]
+        dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
+        names = sorted(p.name for p in (dir_s / "checkpoints").iterdir())
+        assert names == sorted(p.name for p in (dir_p / "checkpoints").iterdir())
+        assert len(names) == 4
+        for name in names:
+            ckpt = dir_p / "checkpoints" / name
+            assert ckpt.read_bytes() == (dir_s / "checkpoints" / name).read_bytes()
+            stem = name.removesuffix(".ckpt")
+            record = cli.ExperimentRecord.from_text(
+                (dir_p / "records" / f"{stem}.record").read_text()
+            )
+            assert record.checkpoint == f"checkpoints/{name}"
+            assert f"{record.config['strategy']}_seed{record.seed}" == stem
 
     def test_large_batch_replays_across_blas_threads(self, tmp_path):
         # a batch of 1,024 rows: the weight gradient's inner dimension is long
@@ -519,6 +566,28 @@ class TestBadManifestValues:
         self._run(tmp_path, capsys, replace, ["train"], manifest=MOONS_MANIFEST)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "replace,key",
+        [
+            (("data.noise_sd = 1.0", "data.noise_sd = -1"), "data.kind = blobs: noise_sd"),
+            (("ood.n = 60", "ood.n = 60\nood.noise_sd = -2"), "ood.noise_sd"),
+        ],
+        ids=["blobs", "ood-blob"],
+    )
+    def test_negative_noise_sd(self, tmp_path, capsys, replace, key):
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        assert f"{key} must be >= 0" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_not_utf8_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(MANIFEST.replace("# tiny smoke", "# tiny café smoke").encode("latin-1"))
+        code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_zero_blobs(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, ("data.k = 3", "data.k = 0"), ["train"])
         assert "k >= 1" in err
@@ -598,7 +667,9 @@ class TestBadManifestValues:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "case", ["singleton_class", "cifar_size", "csv_cell", "max_per_class_0", "max_per_class_-1"]
+        "case",
+        ["singleton_class", "cifar_size", "csv_cell", "csv_label_only",
+         "max_per_class_0", "max_per_class_-1"],
     )
     def test_unreadable_or_unsplittable_data(self, tmp_path, capsys, case):
         cfg = write_cifar_manifest(tmp_path)
@@ -616,11 +687,11 @@ class TestBadManifestValues:
             expected = f"data.kind = cifar: max_per_class must be >= 1, got {n}"
         else:
             data = tmp_path / "points.csv"
-            data.write_text("0.5,0.25,0\n0.5,abc,1\n")
+            data.write_text("0.5,0.25,0\n0.5,abc,1\n" if case == "csv_cell" else "0\n1\n0\n")
             cfg.write_text(MOONS_MANIFEST.replace(
                 "data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n"
             ))
-            expected = "abc"
+            expected = "abc" if case == "csv_cell" else "line 1: no feature column"
         code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_SCHEMA
         err = capsys.readouterr().err

@@ -85,6 +85,19 @@ class TestBlobs:
         box = make_uniform_box(40, (-2, -2), (2, 2), RngState(5))
         assert box.x.min() >= -2 and box.x.max() <= 2
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda sd: make_gaussian_blobs(10, 2, 4.0, RngState(0), noise_sd=sd),
+            lambda sd: make_blob(10, (0.0, 0.0), sd, RngState(0)),
+        ],
+        ids=["blobs", "blob"],
+    )
+    def test_negative_noise_sd_rejected(self, make):
+        make(0.0)
+        with pytest.raises(ValueError, match="noise_sd must be >= 0"):
+            make(-1.0)
+
 
 def write_cifar_file(path, labels, pixel_value=255):
     records = []
@@ -263,6 +276,12 @@ class TestNormalizerAndCsv:
         back = load_csv(path)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.labels, ds.labels)
+
+    def test_csv_row_without_features_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0.5,1\n\n2\n")
+        with pytest.raises(ValueError, match="line 3: no feature column"):
+            load_csv(path)
 
 
 class TestPublicFunctionsKeepTheirInput:

@@ -596,7 +596,7 @@ class TestEnsemble:
         tr, val = normalized_moons()
         cfg = TrainConfig(strategy="erm", seed=2, **FAST)
         net, _ = train(cfg, tr, val)
-        ens = EnsembleModel([net, net.copy()])
+        ens = EnsembleModel(nn.Network.stack([net, net]).unstack())
         p_prob, _ = ensemble_predict(ens, val.x, "mean_prob")
         p_logit, _ = ensemble_predict(ens, val.x, "mean_logit")
         from vrlkit.nn import softmax

@@ -6,8 +6,8 @@ Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all
 - digest: the library-uq results at seed 5 hash alike at 1 and at 2 BLAS
   threads, but for the exact-Laplace predictives, which replay only at a
   fixed thread count. Prints the digest.
-- replay: tools/artifact_tree.py writes the same 86-file tree twice at 1 BLAS
-  thread and once at 2.
+- replay: tools/artifact_tree.py writes the same tree of TREE_ARTIFACTS (86)
+  artifacts twice at 1 BLAS thread and once at 2.
 - jobs: `vrl train --jobs 2` on configs/demo.cfg, outside deterministic mode,
   writes the checkpoints of a deterministic single-worker train.
 - large-batch: train and the five metric commands on large_batch_manifest()
@@ -43,6 +43,10 @@ COUNTS = {
     "cifar-shaped": (268, 208, 104, 104, 126, 220, 6, 25),
     "library-uq": (995, 964, 574, 574, 222, 574, 0, 1),
 }
+
+# The artifacts of a replay tree: every file that tools/artifact_tree.py writes
+# outside inputs/. A tree that lost or gained one fails replay on both sides.
+TREE_ARTIFACTS = 86
 
 LARGE_BATCH = {"data.n": "6000", "seeds": "0", "train.hidden": "64,64",
                "train.epochs": "2", "train.batch_size": "2048"}
@@ -91,6 +95,13 @@ def tree_difference(a: Path, b: Path):
             return f"{name} differs"
 
 
+def artifact_count_difference(tree: Path, want: int = TREE_ARTIFACTS):
+    """How many artifacts replay tree ``tree`` holds, if not ``want``, else None."""
+    n = sum(p.is_file() and p.relative_to(tree).parts[0] != "inputs" for p in tree.rglob("*"))
+    if n != want:
+        return f"{tree} holds {n} artifacts, want {want}"
+
+
 def _same(check, a, b):
     difference = tree_difference(a, b)
     if difference:
@@ -128,6 +139,9 @@ def replay(tmp):
     trees = [tmp / name for name in "abc"]
     for tree, threads in zip(trees, (1, 1, 2)):
         print("replay:", _run("replay", ["tools/artifact_tree.py", str(tree)], threads))
+        difference = artifact_count_difference(tree)
+        if difference:
+            sys.exit(f"replay: {difference}")
     for tree in trees[1:]:
         _same("replay", trees[0], tree)
 
