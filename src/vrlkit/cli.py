@@ -27,6 +27,7 @@ from .datagen import (
     Dataset,
     _corrupt,
     _normalize_in_place,
+    _split_indices,
     fit_normalizer,
     load_cifar_binary,
     load_csv,
@@ -35,7 +36,6 @@ from .datagen import (
     make_two_moons,
     make_uniform_box,
     pooled_feature_sd,
-    split,
 )
 from .evalkit import (
     BinningSpec,
@@ -414,18 +414,23 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
     ood_recipe = _ood_dataset(cfg, base.d)
     test_frac, val_frac = _split_fracs(cfg)
-    try:
-        pool, test_raw = split(
-            base, 1.0 - test_frac, stratified=True, rng=RngState(seed).split(101)
+    try:  # split's draws: test from the loaded set, then val from the rest
+        pool_idx, test_idx = _split_indices(
+            base.labels, base.k, 1.0 - test_frac, True, RngState(seed).split(101)
         )
-        train_raw, val_raw = split(
-            pool, 1.0 - val_frac, stratified=True, rng=RngState(seed).split(102)
+        train_pos, val_pos = _split_indices(
+            base.labels[pool_idx], base.k, 1.0 - val_frac, True, RngState(seed).split(102)
         )
     except ValueError as err:
         raise ManifestError(f"cannot split the data: {err}")
-    # Every set below is a fresh array that only this call holds, so each is
-    # normalized in place; the corrupted copies read the raw test split, so
-    # it is normalized last.
+    # Each split is taken straight from the loaded set, which is then dropped,
+    # so a build holds at most the set and its splits. Every set below is a
+    # fresh array that only this call holds, so each is normalized in place;
+    # the corrupted copies read the raw test split, so it is normalized last.
+    test_raw = base.take(test_idx, name=f"{base.name}/rest")
+    train_raw = base.take(pool_idx[train_pos], name=f"{base.name}/train/train")
+    val_raw = base.take(pool_idx[val_pos], name=f"{base.name}/train/rest")
+    del base
     stats = fit_normalizer(train_raw)
     ood = None
     if "ood" in parts and ood_recipe is not None:

@@ -154,16 +154,18 @@ def load_cifar_binary(path, max_per_class: int | None = None) -> Dataset:
         seen = np.cumsum(labels[:, None] == np.arange(10), axis=0)
         keep = seen[np.arange(labels.size), labels] <= max_per_class
         records, labels = records[keep], labels[keep]
-    x = records[:, 1:].astype(np.float64)
-    x /= 255.0
+    x = np.divide(records[:, 1:], 255.0, dtype=np.float64)
     return Dataset(x, labels, k=10, name="cifar", image_shape=(32, 32, 3))
 
 
 def fit_normalizer(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean/sd from this dataset (intended: the train split)."""
     mean = ds.x.mean(axis=0)
-    sd = np.maximum(ds.x.std(axis=0), 1e-8)
-    return mean, sd
+    # ds.x.std(axis=0) bit for bit, without computing the mean a second time
+    dev = ds.x - mean
+    dev *= dev
+    sd = np.sqrt(np.add.reduce(dev, axis=0) / ds.n)
+    return mean, np.maximum(sd, 1e-8)
 
 
 def apply_normalizer(ds: Dataset, stats) -> Dataset:
@@ -244,12 +246,23 @@ def split(
     ds: Dataset, train_frac: float, stratified: bool, rng: RngState
 ) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive split; stratified keeps per-class counts within one."""
+    train_idx, rest_idx = _split_indices(ds.labels, ds.k, train_frac, stratified, rng)
+    return (
+        ds.take(train_idx, name=f"{ds.name}/train"),
+        ds.take(rest_idx, name=f"{ds.name}/rest"),
+    )
+
+
+def _split_indices(
+    labels: np.ndarray, k: int, train_frac: float, stratified: bool, rng: RngState
+) -> tuple[np.ndarray, np.ndarray]:
+    """split's (train, rest) row indices into ``labels``, each sorted."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     if stratified:
         train_idx, rest_idx = [], []
-        for label in range(ds.k):
-            members = np.flatnonzero(ds.labels == label)
+        for label in range(k):
+            members = np.flatnonzero(labels == label)
             if members.size == 0:
                 continue  # label id absent from this dataset
             if members.size < 2:
@@ -261,18 +274,11 @@ def split(
             cut = min(max(cut, 1), members.size - 1)
             train_idx.append(members[:cut])
             rest_idx.append(members[cut:])
-        train_idx = np.sort(np.concatenate(train_idx))
-        rest_idx = np.sort(np.concatenate(rest_idx))
-    else:
-        order = rng.permutation(ds.n)
-        cut = int(round(train_frac * ds.n))
-        cut = min(max(cut, 1), ds.n - 1)
-        train_idx = np.sort(order[:cut])
-        rest_idx = np.sort(order[cut:])
-    return (
-        ds.take(train_idx, name=f"{ds.name}/train"),
-        ds.take(rest_idx, name=f"{ds.name}/rest"),
-    )
+        return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(rest_idx))
+    order = rng.permutation(labels.size)
+    cut = int(round(train_frac * labels.size))
+    cut = min(max(cut, 1), labels.size - 1)
+    return np.sort(order[:cut]), np.sort(order[cut:])
 
 
 def save_csv(ds: Dataset, path):
@@ -294,6 +300,8 @@ def load_csv(path, k: int | None = None, name: str = "csv") -> Dataset:
             parts = line.split(",")
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: no feature column before the label")
+            if rows and len(parts) != len(rows[0]) + 1:  # the first data line's count
+                raise ValueError(f"line {lineno}: {len(parts)} cells, expected {len(rows[0]) + 1}")
             rows.append([float(v) for v in parts[:-1]])
             labels.append(int(parts[-1]))
     labels = np.asarray(labels, dtype=np.int64)

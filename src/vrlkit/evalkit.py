@@ -291,8 +291,8 @@ def entropy_profile(
 
     The first layer is affine and the two weights sum to 1, so x_bar's
     first-layer pre-activation is lambda * z_i + (1 - lambda) * z_j, with
-    z = x @ W_0 + b_0.  Each endpoint set is forwarded once, and each lambda
-    interpolates the (n_pairs, width) pre-activations and runs only the
+    z = x @ W_0 + b_0.  Each distinct endpoint row is forwarded once, and each
+    lambda interpolates the (n_pairs, width) pre-activations and runs only the
     layers after the first, never building an interpolated input batch.
     """
     if rng is None:
@@ -309,9 +309,10 @@ def entropy_profile(
             break
         j_idx[same] = rng.integers(0, ds.n, size=int(same.sum()))
     grid = np.linspace(0.0, 1.0, lambda_points)
-    # keep only layer 0's pre-activation, so neither endpoint cache outlives its call
-    zi = nn.forward(net, ds.x[i_idx])[2].pre[0]
-    zj = nn.forward(net, ds.x[j_idx])[2].pre[0]
+    # one forward of the distinct endpoint rows; keep only layer 0's pre-activation
+    rows, inverse = np.unique(np.concatenate([i_idx, j_idx]), return_inverse=True)
+    z = nn.forward(net, ds.x[rows])[2].pre[0]
+    zi, zj = z[inverse[:n_pairs]], z[inverse[n_pairs:]]
     entropies = np.empty((n_pairs, lambda_points))
     zbar = np.empty_like(zi)  # reused: a fresh array per lambda costs page faults
     for li, lam in enumerate(grid):

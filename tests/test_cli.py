@@ -668,7 +668,7 @@ class TestBadManifestValues:
 
     @pytest.mark.parametrize(
         "case",
-        ["singleton_class", "cifar_size", "csv_cell", "csv_label_only",
+        ["singleton_class", "cifar_size", "csv_cell", "csv_label_only", "csv_ragged",
          "max_per_class_0", "max_per_class_-1"],
     )
     def test_unreadable_or_unsplittable_data(self, tmp_path, capsys, case):
@@ -687,11 +687,13 @@ class TestBadManifestValues:
             expected = f"data.kind = cifar: max_per_class must be >= 1, got {n}"
         else:
             data = tmp_path / "points.csv"
-            data.write_text("0.5,0.25,0\n0.5,abc,1\n" if case == "csv_cell" else "0\n1\n0\n")
+            data.write_text({"csv_cell": "0.5,0.25,0\n0.5,abc,1\n", "csv_label_only": "0\n1\n0\n",
+                             "csv_ragged": "0.5,0.25,0\n0.5,1\n0.5,0.25,1\n"}[case])
             cfg.write_text(MOONS_MANIFEST.replace(
                 "data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n"
             ))
-            expected = "abc" if case == "csv_cell" else "line 1: no feature column"
+            expected = {"csv_cell": "abc", "csv_label_only": "line 1: no feature column",
+                        "csv_ragged": "line 2: 2 cells, expected 3"}[case]
         code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_SCHEMA
         err = capsys.readouterr().err
@@ -1036,6 +1038,32 @@ class TestBuildPipelineOracle:
         if "corrupted" in parts:  # the fixture has every kind; rotation2d needs 2-D rows
             allowed = set(CORRUPTION_KINDS) - (set() if got.test.d == 2 else {"rotation2d"})
             assert {spec.kind for spec, _ in got.corrupted} == allowed
+
+
+class TestBuildPipelineMemory:
+    """A build holds the loaded set and its splits at most: no pool copy, and
+    the loaded set is gone before the normalizer fit's full-size temporary."""
+
+    @pytest.mark.parametrize("n", [300, 1200])
+    def test_peak_under_2_25x_the_loaded_set(self, tmp_path, n):
+        import tracemalloc
+
+        from vrlkit.datagen import CIFAR_RECORD_BYTES
+
+        rng = np.random.default_rng(n)
+        records = rng.integers(0, 256, (n, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] = np.arange(n) % 10
+        manifest = load_manifest(write_cifar_manifest(tmp_path), tmp_path / "o")
+        (tmp_path / "images.bin").write_bytes(records.tobytes())  # over the 40-record fixture
+        loaded = n * (CIFAR_RECORD_BYTES - 1) * 8
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            pipe = build_pipeline(manifest, parts=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pipe.train.n + pipe.val.n + pipe.test.n == n
+        assert peak < 2.25 * loaded, f"peak {peak / loaded:.2f}x the loaded set"
 
 
 class TestConsoleScript:

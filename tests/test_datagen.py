@@ -283,6 +283,26 @@ class TestNormalizerAndCsv:
         with pytest.raises(ValueError, match="line 3: no feature column"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("0.5,0.25,1\n\n0.5,1\n", "line 3: 2 cells, expected 3"),
+        ("0.5,1\n0.25,0\n0.5,0.25,1\n", "line 3: 3 cells, expected 2"),
+    ])
+    def test_ragged_csv_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (7, 5), (64, 48), (301, 17)])
+    def test_fit_normalizer_equals_mean_and_std(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = 1e3 + rng.normal(size=shape) * rng.uniform(0.1, 50.0, size=shape[1])
+        x[:, 0] = 2.5  # a constant column: its sd is the 1e-8 floor
+        mean, sd = fit_normalizer(Dataset(x, np.zeros(shape[0]), k=1, name="x"))
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert sd.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
+        assert sd[0] == 1e-8
+
 
 class TestPublicFunctionsKeepTheirInput:
     """build_pipeline works in place on sets it owns; the public functions

@@ -741,6 +741,23 @@ class TestEntropyProfile:
         assert profile.histogram.sum() == 150 * profile.lambda_grid.size
         assert (profile.histogram.sum(axis=1) == 150).all()
 
+    @pytest.mark.parametrize("name", ["relu", "image-3072"])
+    def test_one_forward_of_the_distinct_endpoint_rows(self, monkeypatch, name):
+        net, ds = random_profile_case(name)
+        i_idx, j_idx, _ = input_space_profile(net, ds, 150, RngState(8).split(0))
+        rows = np.unique(np.concatenate([i_idx, j_idx]))
+        assert rows.size < 2 * 150  # the draws repeat rows, so the check has teeth
+        seen = []
+
+        def spy(net_, x, *args, **kwargs):
+            seen.append(np.array(x))
+            return forward(net_, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        entropy_profile(net, ds, n_pairs=150, rng=RngState(8).split(0))
+        assert len(seen) == 1
+        assert seen[0].tobytes() == ds.x[rows].tobytes()
+
     def test_rng_required(self):
         net, ds = random_profile_case("relu")
         with pytest.raises(ValueError, match="RngState"):

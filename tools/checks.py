@@ -34,14 +34,14 @@ PYTHONPATH = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
 
 # The seed-5 traced counts of each workload, one per COUNTED metric. The last
 # two pin the dataset builds: a CLI pass builds six times, and each build makes
-# 4 datagen calls (base set, two splits, normalizer fit), plus `vrl ood`'s draw.
+# 2 datagen calls (base set and normalizer fit), plus `vrl ood`'s draw.
 COUNTED = ("nn.forward_calls", "nn.backward_calls", "nn.sgd_steps",
            "vicinal.regmix_calls", "tensor.rng_streams", "vicinal.mix_calls",
            "cli.build_pipeline_calls", "datagen.calls")
 COUNTS = {
-    "demo-blobs": (860, 800, 400, 400, 270, 400, 6, 25),
-    "cifar-shaped": (268, 208, 104, 104, 126, 220, 6, 25),
-    "library-uq": (995, 964, 574, 574, 222, 574, 0, 1),
+    "demo-blobs": (857, 800, 400, 400, 270, 400, 6, 13),
+    "cifar-shaped": (265, 208, 104, 104, 126, 220, 6, 13),
+    "library-uq": (994, 964, 574, 574, 222, 574, 0, 1),
 }
 
 # The artifacts of a replay tree: every file that tools/artifact_tree.py writes
