@@ -8,6 +8,7 @@ smoothed labels with a single code path.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +79,16 @@ class Network:
 
     @staticmethod
     def stack(nets) -> "Network":
-        """One stacked network holding ``nets`` (one architecture) in order."""
+        """One stacked network holding ``nets`` (one architecture) in order;
+        its arrays tile one block, all weights and then all biases."""
         first = nets[0]
         if any(net.layers != first.layers for net in nets):
             raise ValueError("stacked networks must share an architecture")
-        return first._with(
-            [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
-            [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
-        )
+        per_param = list(zip(*([*net.weights, *net.biases] for net in nets)))
+        tiles = _tiles([(len(nets), *arrays[0].shape) for arrays in per_param])
+        for tile, arrays in zip(tiles, per_param):
+            np.stack(arrays, out=tile)
+        return first._with(tiles[:len(first.layers)], tiles[len(first.layers):])
 
     def unstack(self) -> list:
         """The runs of a stacked network as plain networks (copies)."""
@@ -93,6 +96,13 @@ class Network:
             self._with([w[r].copy() for w in self.weights], [b[r].copy() for b in self.biases])
             for r in range(self.weights[0].shape[0])
         ]
+
+
+def _tiles(shapes, new=np.empty) -> list:
+    """Arrays of the given shapes, back to back in the 1-D block new(size)."""
+    ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+    flat = new(ends[-1])
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
 
 def _init_weight(spec: LayerSpec, rng: RngState | None) -> np.ndarray:
@@ -131,13 +141,14 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray, buffers=None, role=N
 class StepBuffers:
     """Arrays lent to one training step and taken back by the next.
 
-    The trainer keeps one per lockstep group and passes it as ``_buffers`` to
-    _two_term_ce, which hands it on to forward and backward.  Every big array
-    of a step (the gathered rows, pre-activations, activations, deltas,
-    activation gradients and the gradient sums) is then written with
-    ``out=`` into the array kept for its role, so a step maps no fresh
-    memory.  A lent array holds its values only until its role is lent
-    again; a role whose array must grow gets a new one.
+    The trainer keeps one per lockstep group for its rows (each run's
+    gathered rows, then each mixing run's mixed rows) and passes it as
+    ``_buffers`` to _two_term_ce, which hands it on to forward and backward.
+    Every big array of a step (the rows, pre-activations, activations,
+    deltas, activation gradients and the gradient sums, one tiled block) is
+    then written with ``out=`` into the array kept for its role, so a step
+    maps no fresh memory.  A lent array holds its values only until its role
+    is lent again; a role whose array must grow gets a new one.
     """
 
     def __init__(self):
@@ -156,70 +167,91 @@ class StepBuffers:
             view = self._views[role, shape] = kept[:size].reshape(shape)
         return view
 
+    def tiles(self, role, shapes) -> list:
+        """Arrays of the given shapes, back to back in the block kept for ``role``."""
+        views = self._views.get((role, shapes))
+        if views is None:
+            views = self._views[role, shapes] = _tiles(shapes, lambda n: self.take(role, (n,)))
+        return views
+
 
 def _lend(buffers: StepBuffers | None, role, shape, dtype=np.float64):
-    """The array ``buffers`` keeps for ``role``, or None: numpy allocates."""
-    return None if buffers is None else buffers.take(role, shape, dtype)
+    """The array ``buffers`` keeps for ``role``, or a fresh one."""
+    return np.empty(shape, dtype) if buffers is None else buffers.take(role, shape, dtype)
 
 
 class ForwardCache:
     """Per-layer pre-activations and activations from one forward pass."""
 
-    def __init__(self, net, x, pre, act):
+    def __init__(self, net, x, pre, act, run_map):
         self.net = net
         self.x = x  # the input rows as passed, (rows, in_dim)
         self.pre = pre  # pre[l] = act[l-1] @ W[l] + b[l]
         self.act = act  # act[l] = activation(pre[l]); act[-1] = logits
+        self.run_map = run_map  # (lead, stretches), as forward sets them out
 
 
-def _per_run(net: Network, rows: np.ndarray) -> np.ndarray:
-    """View a (runs * n, c) row block as (runs, n, c) for a stacked network.
+_WHOLE = ((..., ...),)  # one stretch: every block of rows, on its own run
 
-    Run r owns rows r*n .. (r+1)*n - 1.  A plain network keeps (n, c).
-    """
-    runs = net.weights[0].shape[:-2]
-    if runs and rows.shape[0] % runs[0]:
-        raise ShapeError(f"{rows.shape[0]} rows do not split into {runs[0]} runs")
-    return rows.reshape(*runs, -1, rows.shape[1])
+
+def _per_run(rows: np.ndarray, lead: tuple) -> np.ndarray:
+    """View a (blocks * n, c) row block as (blocks, n, c) given lead = (blocks,):
+    block v owns rows v*n .. (v+1)*n - 1.  lead = () keeps (n, c)."""
+    if lead and rows.shape[0] % lead[0]:
+        raise ShapeError(f"{rows.shape[0]} rows do not split into {lead[0]} runs")
+    return rows.reshape(*lead, -1, rows.shape[1])
 
 
 def forward(
-    net: Network, x_batch, *, _buffers: StepBuffers | None = None
+    net: Network, x_batch, *, _buffers: StepBuffers | None = None, _runs=None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a batch.
 
     Returns (logits, features, cache) where features are the penultimate
     activations (the inputs themselves for a single-layer net).  A stacked
     network takes one block of rows per run, stacked run-major, and returns
-    logits and features as (runs, rows per run, width).  ``_buffers`` is the
-    training step's (see StepBuffers); without it every array is fresh.
+    logits and features as (runs, rows per run, width).  A run map ``_runs``
+    lists (lo, hi) run ranges, each a stretch of blocks for the runs lo ..
+    hi - 1 in turn; each matmul then runs once per stretch, on views of the
+    weights.  ``_buffers`` is the training step's (see StepBuffers); without
+    it every array is fresh.
     """
     x = as_matrix(x_batch)
     if x.shape[1] != net.in_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
-    h = _per_run(net, x)
-    pre, act = _forward_from_first_pre(net, _dense(net, 0, h, _buffers), _buffers)
+    if _runs is None:  # block r of a stacked network is run r
+        run_map = lead, stretches = net.weights[0].shape[:-2], _WHOLE
+    else:
+        ends = np.cumsum([hi - lo for lo, hi in _runs]).tolist()
+        run_map = lead, stretches = (ends[-1],), [
+            (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, _runs)]
+    h = _per_run(x, lead)
+    pre, act = _forward_from_first_pre(net, _dense(net, 0, h, _buffers, stretches), _buffers,
+                                       stretches)
     logits = act[-1]
     features = act[-2] if len(act) > 1 else h
-    return logits, features, ForwardCache(net, x, pre, act)
+    return logits, features, ForwardCache(net, x, pre, act, run_map)
 
 
-def _dense(net: Network, l: int, h: np.ndarray, buffers) -> np.ndarray:
-    """Layer l's pre-activation h @ W[l] + b[l]."""
-    w = net.weights[l]
-    z = np.matmul(h, w, out=_lend(buffers, ("pre", l), (*h.shape[:-1], w.shape[-1])))
-    z += net.biases[l][..., None, :]
+def _dense(net: Network, l: int, h: np.ndarray, buffers, stretches=_WHOLE) -> np.ndarray:
+    """Layer l's pre-activation h @ W[l] + b[l], one matmul per stretch."""
+    w, b = net.weights[l], net.biases[l]
+    z = _lend(buffers, ("pre", l), (*h.shape[:-1], w.shape[-1]))
+    for blocks, runs in stretches:
+        np.matmul(h[blocks], w[runs], out=z[blocks])
+        z[blocks] += b[runs][..., None, :]
     return z
 
 
-def _forward_from_first_pre(net: Network, z0: np.ndarray, buffers=None) -> tuple[list, list]:
+def _forward_from_first_pre(net: Network, z0: np.ndarray, buffers=None,
+                            stretches=_WHOLE) -> tuple[list, list]:
     """Apply the network from layer 0's pre-activation on: (pre, act) per layer."""
     pre, act = [z0], []
     for l, spec in enumerate(net.layers):
         if l:
-            pre.append(_dense(net, l, act[-1], buffers))
+            pre.append(_dense(net, l, act[-1], buffers, stretches))
         act.append(_activate(spec.activation, pre[-1], buffers, ("act", l)))
     return pre, act
 
@@ -323,13 +355,16 @@ def backward(
 
     ``soft_targets`` are rows laid out like the forward inputs; ``probs`` is
     softmax(logits) when the caller already has it.  A stacked network gets
-    each run's gradient of its own batch-mean loss.  For the training step,
-    ``_buffers`` lends the deltas (see StepBuffers) and the gradient is
-    written into the arrays of ``_out``; without them every array is fresh.
+    each block's gradient of its own batch-mean loss; after a forward with a
+    run map, one GradientSet per stretch.  For the training step,
+    ``_buffers`` lends the deltas (see StepBuffers) and the gradients are
+    written into the arrays of ``_out``, one GradientSet per stretch;
+    without them every array is fresh.
     """
     if cache.net is not net:
         raise ValueError("cache does not belong to this network")
-    t = _per_run(net, as_matrix(soft_targets))
+    lead, stretches = cache.run_map
+    t = _per_run(as_matrix(soft_targets), lead)
     logits = cache.act[-1]
     if t.shape != logits.shape:
         raise ShapeError(f"targets {t.shape} vs logits {logits.shape}")
@@ -338,19 +373,21 @@ def backward(
     n_layers = len(net.layers)
     delta = np.subtract(probs, t, out=_lend(_buffers, ("delta", n_layers - 1), t.shape))
     delta /= logits.shape[-2]  # dL/dlogits for mean CE
-    grads = _out if _out is not None else GradientSet([None] * n_layers, [None] * n_layers)
+    outs = _out or [GradientSet([None] * n_layers, [None] * n_layers) for _ in stretches]
     for l in range(n_layers - 1, -1, -1):
-        inp = cache.act[l - 1] if l > 0 else _per_run(net, cache.x)
-        grads.d_weights[l] = _weight_grad(inp, delta, grads.d_weights[l])
-        grads.d_biases[l] = np.add.reduce(delta, axis=-2, out=grads.d_biases[l])
+        inp = cache.act[l - 1] if l > 0 else _per_run(cache.x, lead)
+        for (part, _), grads in zip(stretches, outs):
+            grads.d_weights[l] = _weight_grad(inp[part], delta[part], grads.d_weights[l])
+            grads.d_biases[l] = np.add.reduce(delta[part], axis=-2, out=grads.d_biases[l])
         if l > 0:
             spec, z = net.layers[l - 1], cache.pre[l - 1]
-            back = np.matmul(delta, net.weights[l].swapaxes(-1, -2),
-                             out=_lend(_buffers, ("delta", l - 1), z.shape))
+            back = _lend(_buffers, ("delta", l - 1), z.shape)
+            for part, runs in stretches:
+                np.matmul(delta[part], net.weights[l][runs].swapaxes(-1, -2), out=back[part])
             delta = np.multiply(back, _activate_grad(
                 spec.activation, z, cache.act[l - 1], _buffers, ("dact", l - 1)
             ), out=back)
-    return grads
+    return outs if stretches is not _WHOLE else outs[0]
 
 
 def _weight_grad(inp: np.ndarray, delta: np.ndarray, out) -> np.ndarray:
@@ -371,78 +408,59 @@ def _weight_grad(inp: np.ndarray, delta: np.ndarray, out) -> np.ndarray:
     return out
 
 
-def weighted_ce(
-    net: Network, x, targets, weight=1, *, _buffers: StepBuffers | None = None,
-    _out: GradientSet | None = None,
-) -> tuple[float, GradientSet]:
-    """``weight`` times the batch-mean cross-entropy, and its gradient.
-
-    One forward, one softmax and one backward pass; a weight of 1 is never
-    multiplied in.  For a stacked network the weight may be one value per
-    run, and the loss comes back as one value per run.  ``_buffers`` (see
-    StepBuffers) lends the step's big arrays and ``_out`` holds the
-    gradient's; without them every array is fresh.
-    """
-    logits, _, cache = forward(net, x, _buffers=_buffers)
-    probs = softmax(logits)
-    loss = _mean_ce(probs, _per_run(net, as_matrix(targets)))
-    grads = backward(net, cache, targets, probs, _buffers=_buffers, _out=_out)
-    w = np.asarray(weight, dtype=np.float64)
-    if (w != 1).any():
-        # one weight per run scales that run's slice of every gradient
-        loss = w * loss
-        for g in grads.d_weights + grads.d_biases:
-            g *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
-    return loss, grads
+def weighted_ce(net: Network, x, targets, weight=1) -> tuple[float, GradientSet]:
+    """``weight`` times the batch-mean cross-entropy, and its gradient: a
+    _two_term_ce mixed term over every run.  For a stacked network the weight
+    may be one value per run, and the loss comes back as one per run."""
+    runs = net.weights[0].shape[0] if net.weights[0].ndim == 3 else 1
+    return _two_term_ce(net, x, targets, runs, runs, weight)
 
 
-def _two_term_ce(net: Network, mixed, clean, c: int, m: int, *, _buffers=None):
-    """Clean CE plus weighted mixed CE, and its gradient, per run.
+def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _buffers=None):
+    """Clean CE plus eta times mixed CE, and its gradient, per run, in one pass.
 
-    ``mixed`` is a weighted_ce (inputs, targets, weight) term over the runs
-    [0, m) and ``clean`` one over the runs [c, R), c <= m, each holding only
-    its own runs' rows; a term over no run is skipped.  The runs in [c, m)
-    sum both, the mixed term first.  ``_buffers`` lends the gradient sums
-    with every other big array of the step.  A plain network is one run on
-    a run axis of views, and gets a scalar loss and its own shapes back.
+    x and t are V = (R - c) + m blocks of rows: the clean rows of the runs
+    [c, R), then the mixed rows of the runs [0, m), c <= m.  One forward,
+    softmax, CE and backward take all V through the run map ((c, R), (0, m)).
+    eta (one value, or one per mixed run; 1 is never multiplied in) scales
+    the mixed losses and gradients, and the runs [c, m) add their two slices.
+    ``_buffers`` lends the step's arrays; the gradient sums, and the clean
+    slices when c < m, tile one block (weights, then biases).  A plain network
+    is one run on a run axis of views, and gets a scalar loss and its own
+    shapes back.
     """
     plain = net.weights[0].ndim == 2
     if plain:
         net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
     runs = net.weights[0].shape[0]
-    loss, sums = np.empty(runs), _gradient_arrays(net, _buffers, "sum")
-
-    def runs_of(lo, hi):  # views of the runs [lo, hi): their network and sums
-        return (net._with([w[lo:hi] for w in net.weights], [b[lo:hi] for b in net.biases]),
-                GradientSet([g[lo:hi] for g in sums.d_weights], [g[lo:hi] for g in sums.d_biases]))
-
-    if m:
-        part, out = runs_of(0, m)
-        loss[:m], _ = weighted_ce(part, *mixed, _buffers=_buffers, _out=out)
-    if c < runs:
-        part, out = runs_of(c, runs)
-        if c < m:  # the mixed term's sums are there already: go apart, then add
-            out = _gradient_arrays(part, _buffers, "term")
-        clean_loss, grads = weighted_ce(part, *clean, _buffers=_buffers, _out=out)
-        pairs = [(loss, clean_loss)]
-        if c < m:
-            pairs += zip(sums.d_weights + sums.d_biases, grads.d_weights + grads.d_biases)
-        for total, values in pairs:
-            total[c:m] += values[:m - c]
-            total[m:] = values[m - c:]
+    logits, _, cache = forward(net, x, _buffers=_buffers,
+                               _runs=[(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi])
+    probs = softmax(logits)
+    ce = _mean_ce(probs, _per_run(as_matrix(t), logits.shape[:1]))
+    n_layers = len(net.layers)
+    shapes = tuple(p.shape for p in [*net.weights, *net.biases])
+    shapes += tuple((runs - c, *shape[1:]) for shape in shapes) * (c < m)
+    arrays = _tiles(shapes) if _buffers is None else _buffers.tiles("grad", shapes)
+    # the mixed stretch writes the sums of [0, m), the clean one those of
+    # [c, R), or arrays of its own when the two overlap
+    sums = arrays[:2 * n_layers]
+    clean = arrays[2 * n_layers:] or [g[c:] for g in sums]
+    outs = [clean] * (c < runs) + [[g[:m] for g in sums]] * (m > 0)
+    backward(net, cache, t, probs, _buffers=_buffers,
+             _out=[GradientSet(a[:n_layers], a[n_layers:]) for a in outs])
+    loss = np.empty(runs)
+    loss[:m] = ce[runs - c:]
+    w = np.asarray(eta, dtype=np.float64)
+    if m and (w != 1).any():  # one weight per run scales that run's slice
+        loss[:m] *= w
+        for g in sums:
+            g[:m] *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
+    for total, values in [(loss, ce[:runs - c]), *(zip(sums, clean) if c < m else ())]:
+        total[c:m] += values[:m - c]  # the runs [c, m) add their two slices
+        total[m:] = values[m - c:]
     if plain:
-        return loss[0], GradientSet([g[0] for g in sums.d_weights], [g[0] for g in sums.d_biases])
-    return loss, sums
-
-
-def _gradient_arrays(net: Network, buffers, role: str) -> GradientSet:
-    """Arrays shaped like ``net``'s parameters: lent for ``role``, or fresh."""
-    def array(kind, l, shape):
-        return np.empty(shape) if buffers is None else buffers.take((role, kind, l), shape)
-    return GradientSet(
-        [array("w", l, w.shape) for l, w in enumerate(net.weights)],
-        [array("b", l, b.shape) for l, b in enumerate(net.biases)],
-    )
+        sums = [g[0] for g in sums]
+    return loss[0] if plain else loss, GradientSet(sums[:n_layers], sums[n_layers:])
 
 
 @dataclass
@@ -453,9 +471,9 @@ class OptimState:
     momentum: float = 0.0
     weight_decay: float = 0.0
     schedule: str = "constant"  # constant | cosine
-    _vel_w: list = field(default_factory=list, repr=False)
-    _vel_b: list = field(default_factory=list, repr=False)
+    _vel: list = field(default_factory=list, repr=False)  # weights', then biases': one block
     _scratch: list = field(default_factory=list, repr=False)  # sgd_step's two chunk buffers
+    _joined: tuple = field(default=((), ()), repr=False)  # sgd_step's arrays, (p, g, v) triples
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
@@ -484,27 +502,51 @@ def sgd_step(net: Network, grads: GradientSet, opt: OptimState, epoch_frac: floa
     Per parameter, bit for bit: g = grad + wd * param; vel = mu * vel + g;
     param -= lr * (g + mu * vel), or lr * g without momentum.  It runs in
     chunks of _SGD_CHUNK values through two scratch arrays kept in ``opt``,
-    so a step allocates nothing.
+    so a step allocates nothing.  When the params, the grads and the
+    velocities each tile one block in the order W[0], W[1], ..., b[0], b[1],
+    ... (see _span), as in a lockstep step, all of them update in one pass.
     """
     if not 0.0 <= epoch_frac <= 1.0:
         raise ValueError("epoch_frac must be in [0, 1]")
-    if not opt._vel_w:
-        opt._vel_w = [np.zeros(w.shape) for w in net.weights]
-        opt._vel_b = [np.zeros(b.shape) for b in net.biases]
+    params, grad_list = [*net.weights, *net.biases], [*grads.d_weights, *grads.d_biases]
+    for param, grad in zip(params, grad_list):
+        if grad.shape != param.shape:
+            raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
+    if not opt._vel:
+        opt._vel = _tiles([p.shape for p in params], np.zeros)
         opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
     lr = opt.lr_at(epoch_frac)
-    for i in range(len(net.layers)):
-        for param, grad, vel in (
-            (net.weights[i], grads.d_weights[i], opt._vel_w[i]),
-            (net.biases[i], grads.d_biases[i], opt._vel_b[i]),
-        ):
-            if grad.shape != param.shape:
-                raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
-            flat = np.ascontiguousarray(param)
-            _sgd_chunks(flat.reshape(-1), np.ascontiguousarray(grad).reshape(-1),
-                        vel.reshape(-1), lr, opt)
-            if flat is not param:  # a strided parameter: write the update back
-                param[...] = flat
+    kept, arrays = opt._joined[0], params + grad_list + opt._vel
+    if len(kept) != len(arrays) or not all(map(operator.is_, kept, arrays)):
+        # data pointers cost microseconds to read: keep the triples while the
+        # same arrays come back
+        spans = [_span(a) for a in (params, grad_list, opt._vel)]
+        triples = [spans] if all(s is not None for s in spans) else zip(params, grad_list, opt._vel)
+        opt._joined = arrays, list(triples)
+    for param, grad, vel in opt._joined[1]:
+        flat = np.ascontiguousarray(param)
+        _sgd_chunks(flat.reshape(-1), np.ascontiguousarray(grad).reshape(-1),
+                    vel.reshape(-1), lr, opt)
+        if flat is not param:  # a strided parameter: write the update back
+            param[...] = flat
+
+
+def _span(arrays: list) -> np.ndarray | None:
+    """The 1-D view of their C-contiguous base array that the C-contiguous
+    ``arrays`` tile back to back, in order, or None."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+    base = arrays[0].base
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return None
+    start = end = address(arrays[0])
+    for a in arrays:
+        if (a.base is not base or not a.flags.c_contiguous or a.dtype != base.dtype
+                or address(a) != end):
+            return None
+        end += a.nbytes
+    lo = (start - address(base)) // base.itemsize
+    return base.reshape(-1)[lo:lo + (end - start) // base.itemsize]
 
 
 def _sgd_chunks(param, grad, vel, lr: float, opt: OptimState):

@@ -243,11 +243,11 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
     list, returns one such pair per config, in input order.
 
     The runs of each lockstep group train together: their weights sit on one
-    stacked network, so each step is one forward, backward and SGD update
-    per loss term for the whole group, and one mixing call per op.  Each
-    run still draws its init, shuffle, mixing and coin streams from its own
-    seed and mixes its own rows, and its result is bit for bit what it
-    would be alone.  In a group, wall_clock_s is the group's wall time.
+    stacked network, so each step is one forward, one backward and one SGD
+    update for the whole group, both loss terms included, and one mixing
+    call per op.  Each run still draws its init, shuffle, mixing and coin
+    streams from its own seed and mixes its own rows, and its result is bit
+    for bit what it would be alone.  In a group, wall_clock_s is the group's wall time.
 
     Raises DivergedError, naming the first bad run, when a batch loss or a
     trained weight is not finite.
@@ -268,8 +268,9 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
 
     Each step is one regmix_loss call: a mixed term over the runs of roles 0
     and 1 and a clean term over those of roles 1 and 2; the runs of role 1
-    sum both.  The mixed rows come from one plan per epoch, drawn for every
-    mixing run at its start, and one vicinal._mix_step per step.
+    sum both.  The step's rows are one lent buffer: each run's gathered rows,
+    then the mixed rows, which one vicinal._mix_step per step writes from
+    one plan per epoch, drawn for every mixing run at its start.
     """
     first = configs[0]
     if train_ds.n < 2:
@@ -319,18 +320,16 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
             loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
                 idx = np.concatenate([order[lo:hi] for order in orders])
-                # "wrap" mode takes no private copy; the indices are in range
-                xb = np.take(train_ds.x, idx, axis=0, mode="wrap",
-                             out=buffers.take("x", (idx.size, train_ds.d)))
-                yb = np.take(y_onehot, idx, axis=0, mode="wrap",
-                             out=buffers.take("y", (idx.size, train_ds.k)))
                 rows = hi - lo
-                clean = slice(n_mixed_only * rows, None)  # the rows of roles 1 and 2
-                mixed = None
+                xb = buffers.take("x", ((runs + n_mixed) * rows, train_ds.d))
+                yb = buffers.take("y", ((runs + n_mixed) * rows, train_ds.k))
+                # "wrap" mode takes no private copy; the indices are in range
+                np.take(train_ds.x, idx, axis=0, mode="wrap", out=xb[:idx.size])
+                np.take(y_onehot, idx, axis=0, mode="wrap", out=yb[:idx.size])
                 if plan is not None:  # each mixing run mixes its own block of rows
-                    mixed = _mix_step(plan, b, lo, hi, xb[:n_mixed * rows], yb[:n_mixed * rows],
-                                      buffers)
-                loss, grads = regmix_loss(net, xb[clean], yb[clean], mixed, etas,
+                    _mix_step(plan, b, lo, hi, xb, yb)
+                step_rows = slice(n_mixed_only * rows, None)  # roles 1 and 2, then the mixed
+                loss, grads = regmix_loss(net, xb[step_rows], yb[step_rows], None, etas,
                                           _buffers=buffers, _runs=(n_mixed_only, n_mixed))
                 if not np.isfinite(loss).all():
                     raise _diverged(configs, ~np.isfinite(loss), f"loss at epoch {epoch}, step {step}")

@@ -9,7 +9,7 @@ Only _draw_plan draws pairings, lambdas and boxes: a whole epoch for each of
 a lockstep group's mixing runs, or one step for a single mixup_batch or
 cutmix_batch call given an RngState.  _mix_step builds a group's mixed rows
 with one such call per stretch of neighbouring runs that share an op, into
-arrays lent by nn.StepBuffers.
+the tail of the rows lent by nn.StepBuffers.
 """
 
 import math
@@ -232,18 +232,19 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
     return _Plan(cut, boxes, pairing, lam, image_shape)
 
 
-def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y, buffers: nn.StepBuffers) -> MixedBatch:
-    """The mixed rows of step b, rows [lo, hi) of each run's epoch, into the
-    block ``buffers`` lends for the role "mixed".
+def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
+    """The mixed rows of step b, rows [lo, hi) of each run's epoch, written
+    into the tail of x and y and returned as views of it.
 
-    x and y hold one block of rows per mixing run, run-major.  Each stretch
-    of neighbouring runs that use the same op mixes in one mixup_batch or
-    cutmix_batch call, in place on its rows of x, y and the lent block.
+    x and y are a step's rows: one block per run of the group, the m mixing
+    runs first, then m blocks for the mixed rows.  Each stretch of
+    neighbouring runs that use the same op mixes in one mixup_batch or
+    cutmix_batch call, in place on its rows of x and y.
     """
     rows, cut = hi - lo, plan.cut[:, b]
     step = slice(len(cut) * lo, len(cut) * hi)
     pairing, lam = plan.pairing[step], plan.lam[step]
-    out = buffers.take(("mixed", "x"), x.shape), buffers.take(("mixed", "y"), y.shape)
+    out = x[len(x) - len(cut) * rows:], y[len(y) - len(cut) * rows:]
     ends = [*(np.flatnonzero(cut[1:] != cut[:-1]) + 1), len(cut)]
     for first, last in zip([0, *ends], ends):
         block = slice(first * rows, last * rows)
@@ -265,14 +266,17 @@ def regmix_loss(
     One nn._two_term_ce call over every run (a stacked network takes its
     rows one block per run, run-major, and eta one value per run or one for
     all), with the clean term alone when mixed is None.  ``_runs`` = (c, m)
-    is a lockstep group's step: mixed rows for the runs [0, m), one eta
-    each (1 for a mixed-only run), as _mix_step lends them, and clean rows
-    for the runs [c, R), c <= m.  ``_buffers`` is the step's nn.StepBuffers.
+    is a lockstep group's step as the trainer lends it: x and y_onehot hold
+    the clean rows of the runs [c, R), then the mixed rows of the runs
+    [0, m), c <= m, and eta one value per mixed run (1 for a mixed-only
+    run).  ``_buffers`` is the step's nn.StepBuffers.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if not np.all(np.isfinite(eta) & (eta >= 0)):
         raise ValueError("eta must be finite and >= 0")
-    if _runs is None:  # every run, a plain network being one
-        _runs = 0, 0 if mixed is None else math.prod(net.weights[0].shape[:-2])
-    mixed_term = None if mixed is None else (mixed.x_mixed, mixed.y_mixed, eta)
-    return nn._two_term_ce(net, mixed_term, (x, y_onehot, 1), *_runs, _buffers=_buffers)
+    if _runs is None and mixed is not None:  # every run, a plain network being one
+        if len(mixed.x_mixed) != len(x):
+            raise nn.ShapeError(f"{len(mixed.x_mixed)} mixed rows vs {len(x)} clean rows")
+        x, y_onehot = np.concatenate([x, mixed.x_mixed]), np.concatenate([y_onehot, mixed.y_mixed])
+        _runs = 0, math.prod(net.weights[0].shape[:-2])
+    return nn._two_term_ce(net, x, y_onehot, *(_runs or (0, 0)), eta, _buffers=_buffers)

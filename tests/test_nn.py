@@ -318,7 +318,8 @@ class TestWeightedCe:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 2.5])
     def test_two_terms_equal_weighted_sum_bitwise(self, eta):
         net, x, y, x_m, y_m = self._fixture(32)
-        loss, grads = nn._two_term_ce(net, (x_m, y_m, eta), (x, y, 1), 0, 1)
+        loss, grads = nn._two_term_ce(net, np.concatenate([x, x_m]), np.concatenate([y, y_m]),
+                                      0, 1, eta)
         a, g_c = ce_oracle(net, x, y)
         b, g_m = ce_oracle(net, x_m, y_m)
         assert loss == a + eta * b and np.ndim(loss) == 0
@@ -385,7 +386,8 @@ class TestStacked:
 
 class TestTermRuns:
     """The lockstep step: a mixed term over the runs [0, m) of a stacked
-    network and a clean term over the runs [c, R), c <= m."""
+    network and a clean term over the runs [c, R), c <= m, in one pass over
+    the clean rows of the runs [c, R) and then the mixed rows."""
 
     ETAS = (1.0, 0.4, 2.5)  # run r's mixed-term weight when it has both terms
 
@@ -397,9 +399,9 @@ class TestTermRuns:
         x_m = [x[::-1] * 0.5 for x in xs]
         y_m = [0.3 * y + 0.7 * y[::-1] for y in ys]
         etas = np.array([1.0 if r < c else self.ETAS[r] for r in range(m)])
-        mixed = (np.concatenate(x_m[:m]), np.concatenate(y_m[:m]), etas) if m else None
-        clean = (np.stack(xs)[c:].reshape(-1, 3), np.stack(ys)[c:].reshape(-1, 4), 1)
-        got = nn._two_term_ce(Network.stack(nets), mixed, clean, c, m, _buffers=buffers)
+        x = np.concatenate([*xs[c:], *x_m[:m]])
+        t = np.concatenate([*ys[c:], *y_m[:m]])
+        got = nn._two_term_ce(Network.stack(nets), x, t, c, m, etas, _buffers=buffers)
         want = []
         for r, net in enumerate(nets):
             a, g_c = ce_oracle(net, xs[r], ys[r])
@@ -429,7 +431,7 @@ class TestTermRuns:
             (loss, grads), _ = self._step(1, 2, buffers)
             if step == 0:
                 kept = dict(buffers._arrays)
-                assert any(role[0] == "term" for role in kept)
+                assert "grad" in kept  # the sums and the mixed slices: one block
             assert np.array_equal(loss, want_loss)
             for got, ref in zip([*grads.d_weights, *grads.d_biases],
                                 [*want.d_weights, *want.d_biases]):
@@ -529,6 +531,78 @@ class TestSgdStep:
                 p -= lr * step
         for got, ref in zip(params, want):
             assert np.array_equal(got, ref)
+
+    def _step_and_formula(self, net, grads, opt, monkeypatch, steps=2):
+        """sgd_step ``steps`` times against the per-array formula, bit for
+        bit; returns the sizes of the flat arrays each call updated."""
+        params, passes = [*net.weights, *net.biases], []
+        grad_list = [*grads.d_weights, *grads.d_biases]
+        want = [p.copy() for p in params]
+        vels = [np.zeros_like(p) for p in params]
+        chunks = nn._sgd_chunks
+        monkeypatch.setattr(nn, "_sgd_chunks", lambda p, *a: (passes.append(p.size), chunks(p, *a)))
+        for frac in (0.1, 0.6)[:steps]:
+            sgd_step(net, grads, opt, frac)
+            lr = opt.lr_at(frac)
+            for p, g, vel in zip(want, grad_list, vels):
+                g = g + opt.weight_decay * p
+                vel *= opt.momentum
+                vel += g
+                p -= lr * (g + opt.momentum * vel)
+        for got, ref in zip(params, want):
+            assert np.array_equal(got, ref)
+        return passes
+
+    def test_lockstep_arrays_tile_one_block_and_update_in_one_pass_bitwise(self, monkeypatch):
+        # a mixed-only, a regularized and a clean-only run: c = 1, m = 2, R = 3
+        nets, xs, ys = stacked_runs()
+        net = Network.stack(nets)
+        x = np.concatenate([*xs[1:], *(x[::-1] * 0.5 for x in xs[:2])])
+        t = np.concatenate([*ys[1:], *(0.3 * y + 0.7 * y[::-1] for y in ys[:2])])
+        _, grads = nn._two_term_ce(net, x, t, 1, 2, np.array([1.0, 0.4]), _buffers=StepBuffers())
+        opt = OptimState(learning_rate=0.2, momentum=0.9, weight_decay=0.01)
+        passes = self._step_and_formula(net, grads, opt, monkeypatch)
+        params = [*net.weights, *net.biases]
+        assert passes == [sum(p.size for p in params)] * 2
+        for arrays in (params, [*grads.d_weights, *grads.d_biases], opt._vel):
+            start = [a.__array_interface__["data"][0] for a in arrays]
+            assert all(a.flags.c_contiguous for a in arrays)
+            assert [s + a.nbytes for s, a in zip(start, arrays)][:-1] == start[1:]
+            assert [a.shape for a in arrays] == [p.shape for p in params]
+
+    def test_reassigned_arrays_update_array_by_array_bitwise(self, monkeypatch):
+        nets, xs, ys = stacked_runs()
+        net = Network.stack(nets)
+        net.weights[1] = net.weights[1].copy()  # no longer in the stacked block
+        _, grads = weighted_ce(net, np.concatenate(xs), np.concatenate(ys))
+        opt = OptimState(learning_rate=0.2, momentum=0.9, weight_decay=0.01)
+        passes = self._step_and_formula(net, grads, opt, monkeypatch, steps=1)
+        assert passes == [p.size for p in [*net.weights, *net.biases]]
+
+    def test_grads_of_one_block_out_of_parameter_order_update_array_by_array(self, monkeypatch):
+        net = Network.stack(stacked_runs()[0])
+        shapes = [p.shape for p in [*net.weights, *net.biases]]
+        flat = RngState(82).normal((sum(int(np.prod(shape)) for shape in shapes),))
+        grads = nn._tiles(shapes[::-1], lambda n: flat[:n])[::-1]  # the last parameter's first
+        opt = OptimState(learning_rate=0.2, momentum=0.9, weight_decay=0.01)
+        passes = self._step_and_formula(net, GradientSet(grads[:3], grads[3:]), opt,
+                                        monkeypatch, steps=1)
+        assert passes == [int(np.prod(shape)) for shape in shapes]
+
+    def test_arrays_over_one_byte_buffer_update_array_by_array(self, monkeypatch):
+        # views of one bytearray share a base that is not an ndarray
+        net = Network([LayerSpec(3, 2, "identity")])
+        raw = bytearray(8 * 8)
+        net.weights[0] = np.ndarray((3, 2), buffer=raw)
+        net.biases[0] = np.ndarray((2,), buffer=raw, offset=48)
+        assert net.weights[0].base is raw and net.biases[0].base is raw
+        net.weights[0][...] = np.arange(6.0).reshape(3, 2)
+        grads = np.frombuffer(bytearray(8 * 8))
+        grads[...] = RngState(83).normal((8,))
+        opt = OptimState(learning_rate=0.2, momentum=0.9, weight_decay=0.01)
+        passes = self._step_and_formula(
+            net, GradientSet([grads[:6].reshape(3, 2)], [grads[6:]]), opt, monkeypatch)
+        assert passes == [6, 2] * 2
 
     def test_strided_parameter_is_updated_in_place(self):
         net = Network([LayerSpec(3, 2, "identity")])

@@ -475,6 +475,34 @@ class TestLockstep:
         assert train([], tr, val) == []
 
 
+class TestOnePassStep:
+    def test_one_forward_backward_and_sgd_step_on_the_lent_rows(self, monkeypatch):
+        # one step of a mixed-only, a regularized and an ERM run: c = 1, m = 2, R = 3
+        configs = [step_test_config(s, epochs=1, batch_size=14)
+                   for s in ("erm", "regmixup", "mixup")]
+        lent, calls = [], []
+
+        class Recorded(nn.StepBuffers):
+            def __init__(self):
+                super().__init__()
+                lent.append(self)
+
+        monkeypatch.setattr(nn, "StepBuffers", Recorded)
+        for name in ("forward", "backward", "sgd_step"):
+            def spy(*args, _name=name, _call=getattr(nn, name), **kwargs):
+                calls.append((_name, args, kwargs))
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(nn, name, spy)
+        results = train(configs, tiny_image_dataset(n=14), None)
+        assert [name for name, _, _ in calls] == ["forward", "backward", "sgd_step"]
+        _, (_, rows), kwargs = calls[0]
+        assert kwargs["_runs"] == [(1, 3), (0, 2)]
+        assert rows.shape == ((3 - 1 + 2) * 14, 4)  # clean rows of runs 1, 2; mixed of 0, 1
+        assert len(lent) == 1 and np.shares_memory(rows, lent[0]._arrays["x"])
+        for config, (net, _) in zip(configs, results):
+            assert nets_equal(net, reference_train(config, tiny_image_dataset(n=14), None)[0])
+
+
 class TestDivergence:
     def _train_quietly(self, configs, ds):
         # numpy's overflow warnings must stay off stderr: any warning fails

@@ -5,10 +5,11 @@ import pytest
 from scipy import stats
 
 from vrlkit import vicinal
-from vrlkit.nn import Network, StepBuffers, backward, cross_entropy_soft, forward, softmax
-from vrlkit.tensor import RngState
+from vrlkit.nn import Network, backward, cross_entropy_soft, forward, softmax
+from vrlkit.tensor import RngState, ShapeError
 from vrlkit.vicinal import (
     BetaParams,
+    MixedBatch,
     cutmix_batch,
     mixup_batch,
     regmix_loss,
@@ -275,6 +276,15 @@ class TestTinyAlpha:
                 assert 0.0 <= m.lambda_used <= 1.0
 
 
+def step_rows(x, y, clean_rows=0):
+    """A step's row buffers as the trainer lends them: the mixing runs'
+    blocks x and y, a clean-only run's block of ``clean_rows`` after them,
+    and as many empty rows as x has for the mixed rows."""
+    extra = RngState(99).normal((clean_rows, x.shape[1]))
+    return (np.concatenate([x, extra, np.empty_like(x)]),
+            np.concatenate([y, np.zeros((len(extra), y.shape[1])), np.empty_like(y)]))
+
+
 class TestGroupMixer:
     shape = (4, 4, 2)  # H, W, C
 
@@ -291,13 +301,16 @@ class TestGroupMixer:
         run, fed that run's part of the same plan; returns the ops used."""
         plan = self._plan(recipes, sizes)
         runs, d = len(recipes), int(np.prod(self.shape))
-        buffers, used, lo = StepBuffers(), set(), 0
+        used, lo = set(), 0
         for b, rows in enumerate(sizes):
             hi = lo + rows
             data = RngState(100 + b)
             x = data.normal((runs * rows, d))
             y = np.eye(3)[np.asarray(data.integers(0, 3, size=runs * rows))]
-            got = vicinal._mix_step(plan, b, lo, hi, x, y, buffers)
+            xb, yb = step_rows(x, y, rows * (b % 2))
+            got = vicinal._mix_step(plan, b, lo, hi, xb, yb)
+            assert np.shares_memory(got.x_mixed, xb[-len(x):]) and len(got.x_mixed) == len(x)
+            assert np.array_equal(xb[:len(x)], x)  # the sources are left as they were
             step = slice(runs * lo, runs * hi)
             for r in range(runs):
                 block = slice(r * rows, (r + 1) * rows)
@@ -334,7 +347,7 @@ class TestGroupMixer:
 
     def test_stretches_mix_in_place(self, monkeypatch):
         # cutmix | mixup | cutmix: one call per stretch, each on a view of the
-        # step's rows and writing into the lent block
+        # step's rows and writing into their tail
         recipes = [(("cutmix",), 1.0, "per_batch", None), (("mixup",), 0.4, "per_pair", None),
                    (("cutmix",), 2.0, "per_batch", None)]
         assert self._check(recipes) == {"mixup", "cutmix"}
@@ -348,10 +361,11 @@ class TestGroupMixer:
         data = RngState(7)
         x = data.normal((3 * rows, d))
         y = np.eye(3)[np.asarray(data.integers(0, 3, size=3 * rows))]
-        got = vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, x, y, StepBuffers())
+        xb, yb = step_rows(x, y)
+        got = vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, xb, yb)
         assert [name for name, _, _ in calls] == ["cutmix_batch", "mixup_batch", "cutmix_batch"]
         for r, (_, x_in, (x_out, y_out)) in enumerate(calls):
-            assert np.shares_memory(x_in, x) and np.array_equal(x_in, x[r * rows:(r + 1) * rows])
+            assert np.shares_memory(x_in, xb) and np.array_equal(x_in, x[r * rows:(r + 1) * rows])
             assert np.shares_memory(x_out, got.x_mixed) and np.shares_memory(y_out, got.y_mixed)
 
     def test_two_op_coins_with_runs_apart(self):
@@ -450,6 +464,12 @@ class TestRegmixLoss:
             assert np.ndim(loss) == 0
             assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
             assert [g.shape for g in grads.d_biases] == [b.shape for b in net.biases]
+
+    def test_mixed_rows_must_match_clean_rows(self):
+        net, x, y, mixed = self._fixture(23)
+        short = MixedBatch(mixed.x_mixed[:6], mixed.y_mixed[:6])
+        with pytest.raises(ShapeError, match="6 mixed rows vs 8 clean rows"):
+            regmix_loss(net, x, y, short, 0.5)
 
     def test_negative_eta_rejected(self):
         net, x, y, mixed = self._fixture(19)

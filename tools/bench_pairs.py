@@ -13,10 +13,14 @@ have the same length, as the timings move with the path length alone.
 The JSON written to FILE (stdout without --out) holds:
 
 - workloads: per workload, one entry per pair: the seed, which side ran
-  first, and each side's result line;
+  first, and each side's result line, with that run's `report` line under
+  the key "report";
 - summary: per workload and end-to-end metric, both medians, the change's
   relative move, both (q1, q3), the parent's IQR, and in how many pairs the
-  change was better;
+  change was better; and under "raw_cpu", each side's median of its runs'
+  median `pipeline_cpu_s` and `scale` samples (raw CPU seconds of one
+  pipeline, and the clock's scaled-over-raw factor), with the number of
+  pairs in which the change spent less raw CPU;
 - claimed (with --claim): that metric's summary, and whether the claim is
   met: better in at least nine pairs of ten, and medians further apart than
   the parent's IQR.
@@ -51,7 +55,8 @@ def parse_args(argv):
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float):
-    """One benchmark run in `checkout`: its result line and its env line, parsed."""
+    """One benchmark run in `checkout`: its result line, with its report line
+    under "report", and its env line, parsed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -66,6 +71,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float):
             f"(exit {proc.returncode}): {proc.stderr.strip()[-500:]}"
         )
     env = next((line[4:] for line in lines if line.startswith("env ")), None)
+    report = next((line[7:] for line in lines if line.startswith("report ")), None)
+    result["report"] = json.loads(report) if report else None
     return result, json.loads(env) if env else None
 
 
@@ -94,7 +101,32 @@ def summarise(pairs, better: dict) -> dict:
             "change_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+    raw = {side: {key: [statistics.median(p[side]["report"]["samples"][key]) for p in pairs]
+                  for key in ("pipeline_cpu_s", "scale")} for side in ("parent", "change")}
+    summary["raw_cpu"] = {
+        **{f"{side}_{key}": statistics.median(values)
+           for side, samples in raw.items() for key, values in samples.items()},
+        "change_less_cpu": sum(c < p for p, c in zip(raw["parent"]["pipeline_cpu_s"],
+                                                     raw["change"]["pipeline_cpu_s"])),
+        "pairs": len(pairs),
+    }
     return summary
+
+
+def claim(summary: dict, workload: str, metric: str, direction: str) -> dict:
+    """The claim that the change improves ``metric`` of ``workload``: its
+    summary, and whether it is met (better in at least nine pairs of ten,
+    and medians further apart than the parent's IQR)."""
+    s = summary[workload][metric]
+    gap = s["parent_median"] - s["change_median"]
+    if direction != "lower":
+        gap = -gap
+    return {
+        "workload": workload, "metric": metric,
+        **{k: s[k] for k in ("parent_median", "change_median", "change_rel",
+                             "parent_iqr", "change_wins", "pairs")},
+        "met": s["change_wins"] >= math.ceil(0.9 * s["pairs"]) and gap > s["parent_iqr"],
+    }
 
 
 def main(argv=None) -> int:
@@ -136,16 +168,7 @@ def main(argv=None) -> int:
         report["summary"][workload] = summarise(pairs, better)
     if args.claim:
         workload, _, metric = args.claim.partition(":")
-        s = report["summary"][workload][metric]
-        gap = s["parent_median"] - s["change_median"]
-        if better[metric] != "lower":
-            gap = -gap
-        report["claimed"] = {
-            "workload": workload, "metric": metric,
-            **{k: s[k] for k in ("parent_median", "change_median", "change_rel",
-                                 "parent_iqr", "change_wins", "pairs")},
-            "met": s["change_wins"] >= math.ceil(0.9 * s["pairs"]) and gap > s["parent_iqr"],
-        }
+        report["claimed"] = claim(report["summary"], workload, metric, better[metric])
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         args.out.write_text(text)

@@ -39,9 +39,9 @@ COUNTED = ("nn.forward_calls", "nn.backward_calls", "nn.sgd_steps",
            "vicinal.regmix_calls", "tensor.rng_streams", "vicinal.mix_calls",
            "cli.build_pipeline_calls", "datagen.calls")
 COUNTS = {
-    "demo-blobs": (857, 800, 400, 400, 270, 400, 6, 13),
-    "cifar-shaped": (265, 208, 104, 104, 126, 220, 6, 13),
-    "library-uq": (994, 964, 574, 574, 222, 574, 0, 1),
+    "demo-blobs": (457, 400, 400, 400, 270, 400, 6, 13),
+    "cifar-shaped": (161, 104, 104, 104, 126, 220, 6, 13),
+    "library-uq": (604, 574, 574, 574, 222, 574, 0, 1),
 }
 
 # The artifacts of a replay tree: every file that tools/artifact_tree.py writes
