@@ -244,6 +244,8 @@ def fisher_criterion(features, labels, epsilon: float = 0.0) -> float:
     S_W sums per-class scatter matrices; S_B weights squared class-mean
     offsets from the global mean by class size.  Larger is better.
     """
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     phi = as_matrix(features)
     labels = np.asarray(labels)
     classes = np.unique(labels)

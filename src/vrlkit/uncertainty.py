@@ -11,6 +11,7 @@ factored form (feature-side V, output-side U) or, for small layers, as the
 exact dense GGN-plus-prior inverse.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ from .tensor import RngState, as_matrix
 
 MEASURES = ("entropy", "ds", "energy", "mps_uncertainty", "mahalanobis")
 
-# Logit draws per mc_predictive chunk: one draw of all n rows at once was
-# slower than the per-row loop, its temporaries being megabytes in size.
+# Floats per chunk of mc_predictive's logit draws and of the exact logit
+# covariances' (rows, K*K, D) product: whole-n temporaries run to megabytes,
+# and one draw of all n rows at once was slower than the per-row loop.
 _MC_CHUNK_FLOATS = 64 * 1024
 
 
@@ -109,8 +111,8 @@ def fit_class_gaussians(features, labels, epsilon: float | None = None) -> Class
         covs[i] = centered.T @ centered / (members.shape[0] - 1)
     if epsilon is None:
         epsilon = 1e-3 * float(np.mean([np.trace(c) / d for c in covs]))
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and > 0")
     return ClassGaussians(means, covs, float(epsilon))
 
 
@@ -170,11 +172,13 @@ def fit_laplace_last_layer(
     diag(p) - p p'; each factor then gains 1/sigma0 on its diagonal so the
     Kronecker product carries the full prior precision 1/sigma0^2.  With
     exact=True the dense GGN + prior is formed and inverted as well (small
-    layers only).
+    layers only), one GEMM per class pair with that pair's row weights
+    built as it is needed.  Only logits and features of the forward are
+    kept, not its cache.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be > 0")
-    logits, features, _ = nn.forward(net, train_ds.x)
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be finite and > 0")
+    logits, features = nn.forward(net, train_ds.x)[:2]
     probs = nn.softmax(logits)
     phi = _augment(features, include_bias)
     n, d = phi.shape
@@ -199,11 +203,11 @@ def fit_laplace_last_layer(
         # sum_n kron(Lambda_n, phi_n phi_n') with Lambda_n = diag(p_n) - p_n p_n':
         # block (a, b) is phi' (Lambda[:, a, b] * phi); the a > b blocks are
         # mirrored so the GGN is exactly symmetric
-        lam = probs[:, :, None] * (np.eye(k) - probs[:, None, :])
         ggn = np.empty((k * d, k * d))
         for a in range(k):
             for b in range(a, k):
-                block = phi.T @ (lam[:, a, b, None] * phi)
+                lam_ab = probs[:, a] * (float(a == b) - probs[:, b])
+                block = phi.T @ (lam_ab[:, None] * phi)
                 ggn[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
                 ggn[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
         ggn += (1.0 / sigma0**2) * np.eye(k * d)
@@ -223,7 +227,10 @@ def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
     """(n, K, K) logit covariance per sample.
 
     Factored form: (phi' V^-1 phi) * sym(U^-1).  With exact=True, J Cov J'
-    from the dense covariance instead.
+    from the dense covariance instead, in equal row chunks whose (rows, K*K,
+    D) product holds at most _MC_CHUNK_FLOATS values (and at least one row),
+    so no n*K*K*D array is held.  A one-row product is a GEMV, whose bits
+    differ from a GEMM's; equal chunks of three or more rows leave no such tail.
     """
     n = phi.shape[0]
     k = post.n_classes
@@ -233,8 +240,13 @@ def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
         d = phi.shape[1]
         # Cov[x, a, y, b] -> (a, x*y*b), contract a with phi, then b per row
         blocks = post.exact_cov.reshape(k, d, k, d).transpose(1, 0, 2, 3).reshape(d, k * k * d)
-        half = (phi @ blocks).reshape(n, k * k, d)
-        return (half @ phi[:, :, None]).reshape(n, k, k)
+        out = np.empty((n, k, k))
+        chunks = -(-n // max(1, _MC_CHUNK_FLOATS // (k * k * d)))
+        for i in range(chunks):
+            lo, hi = i * n // chunks, (i + 1) * n // chunks
+            half = (phi[lo:hi] @ blocks).reshape(hi - lo, k * k, d)
+            out[lo:hi] = (half @ phi[lo:hi, :, None]).reshape(hi - lo, k, k)
+        return out
     q = (phi * np.linalg.solve(post.V, phi.T).T).sum(axis=1)
     u_inv = np.linalg.inv(post.U)
     u_inv = 0.5 * (u_inv + u_inv.T)
@@ -280,8 +292,8 @@ def meanfield_predictive(
     post: LaplacePosterior, features, mf_lambda: float, exact: bool = False
 ) -> np.ndarray:
     """Mean-field predictive: softmax of s_k / sqrt(1 + lambda * var_k)."""
-    if mf_lambda < 0:
-        raise ValueError("mf_lambda must be >= 0")
+    if not 0 <= mf_lambda < math.inf:
+        raise ValueError("mf_lambda must be finite and >= 0")
     phi = _augment(features, post.include_bias)
     s = phi @ post.map_weights.T
     var = laplace_logit_variance(post, features, exact=exact)

@@ -22,6 +22,8 @@ def test_one_demo_iteration_reports_every_stage():
     assert list(result["stages"]) == ["train", "eval", "ood", "calibrate", "heatmap",
                                       "fisher", "compare"]
     for stage in result["stages"].values():
-        assert set(stage) == {"cpu_s", "scaled_s", "minflt"}
+        assert set(stage) == {"cpu_s", "scaled_s", "minflt", "maxrss_mb"}
         assert stage["cpu_s"] > 0 and stage["scaled_s"] > 0 and stage["minflt"] >= 0
-    assert result["peak_rss_mb"] > 0
+    maxrss = [stage["maxrss_mb"] for stage in result["stages"].values()]
+    assert maxrss[0] > 0 and maxrss == sorted(maxrss)  # ru_maxrss never falls
+    assert maxrss[-1] <= result["peak_rss_mb"]

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from vrlkit.datagen import apply_normalizer, fit_normalizer, make_gaussian_blobs, split
-from vrlkit.evalkit import auroc
+from vrlkit.evalkit import auroc, fisher_criterion
 from vrlkit.nn import forward, softmax
 from vrlkit.tensor import RngState
 from vrlkit.trainer import TrainConfig, train
@@ -354,6 +355,32 @@ def _einsum_cov_oracle(post, phi):
     return np.stack([np.einsum("a,xayb,b->xy", phi[i], blocks, phi[i]) for i in range(n)])
 
 
+def _one_contraction_cov_oracle(post, phi):
+    """Exact logit covariances as one (n, K*K, D) contraction over all rows."""
+    n, d = phi.shape
+    k = post.n_classes
+    blocks = post.exact_cov.reshape(k, d, k, d).transpose(1, 0, 2, 3).reshape(d, k * k * d)
+    half = (phi @ blocks).reshape(n, k * k, d)
+    return (half @ phi[:, :, None]).reshape(n, k, k)
+
+
+def _lam_array_exact_cov_oracle(net, ds, sigma0):
+    """Dense GGN + prior inverse, from one (n, K, K) array of Lambda_n."""
+    logits, feats, _ = forward(net, ds.x)
+    probs = softmax(logits)
+    phi = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    d, k = phi.shape[1], probs.shape[1]
+    lam = probs[:, :, None] * (np.eye(k) - probs[:, None, :])
+    ggn = np.empty((k * d, k * d))
+    for a in range(k):
+        for b in range(a, k):
+            block = phi.T @ (lam[:, a, b, None] * phi)
+            ggn[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+            ggn[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
+    ggn += (1.0 / sigma0**2) * np.eye(k * d)
+    return np.linalg.inv(ggn)
+
+
 def _mc_loop_oracle(s, covs, m, rng):
     """One eigh, one (m, K) draw and one softmax per sample."""
     n, k = s.shape
@@ -391,6 +418,45 @@ class TestExactLaplaceOracles:
         got = uncertainty._logit_covariances(post, phi, exact=True)
         assert _rel_err(got, _einsum_cov_oracle(post, phi)) < 1e-12
 
+    def test_exact_cov_equals_lam_array_assembly_bitwise(self, exact_posterior):
+        net, tr, _, post = exact_posterior
+        want = _lam_array_exact_cov_oracle(net, tr, sigma0=1.0)
+        assert post.exact_cov.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["one", "rows_minus_1", "rows", "rows_plus_1",
+                                      "two_chunks_plus_3"])
+    def test_chunked_logit_covariances_equal_one_contraction_bitwise(
+        self, exact_posterior, case
+    ):
+        net, _, te, post = exact_posterior
+        k, d = post.n_classes, post.map_weights.shape[1]
+        rows = max(1, uncertainty._MC_CHUNK_FLOATS // (k * k * d))  # rows per chunk
+        n = {"one": 1, "rows_minus_1": rows - 1, "rows": rows, "rows_plus_1": rows + 1,
+             "two_chunks_plus_3": 2 * rows + 3}[case]
+        _, feats, _ = forward(net, te.x)
+        phi = np.hstack([np.resize(feats, (n, feats.shape[1])), np.ones((n, 1))])
+        got = uncertainty._logit_covariances(post, phi, exact=True)
+        assert got.tobytes() == _one_contraction_cov_oracle(post, phi).tobytes()
+
+    def test_exact_logit_variance_peak_memory_is_bounded(self):
+        # the whole (n, K*K, D) product of one contraction is n*K*K*D*8 bytes
+        n, k, d = 4000, 4, 17
+        rng = np.random.default_rng(3)
+        root = rng.normal(size=(k * d, k * d))
+        post = LaplacePosterior(
+            rng.normal(size=(k, d)), np.eye(d), np.eye(k), 1.0,
+            exact_cov=root @ root.T / (k * d),
+        )
+        feats = rng.normal(size=(n, d - 1))
+        tracemalloc.start()
+        try:
+            var = laplace_logit_variance(post, feats, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert var.shape == (n, k)
+        assert peak < n * k * k * d * 8 / 3
+
     @pytest.mark.parametrize("exact", [False, True], ids=["factored", "exact"])
     @pytest.mark.parametrize(
         "case,n,m", [("one_row", 1, 50), ("ragged", 47, 1000), ("row_per_chunk", 3, 40000)]
@@ -409,3 +475,29 @@ class TestExactLaplaceOracles:
         want = _mc_loop_oracle(phi @ post.map_weights.T, covs, m, rng_want)
         assert got.tobytes() == want.tobytes()
         assert rng_got.normal(3).tobytes() == rng_want.normal(3).tobytes()
+
+
+def _hyperparameter_call(name, value):
+    rng = np.random.default_rng(0)
+    feats, labels = rng.normal(size=(20, 3)), np.repeat([0, 1], 10)
+    if name == "sigma0":
+        net, tr, _ = trained_blob_fixture(epochs=1)
+        return fit_laplace_last_layer(net, tr, sigma0=value)
+    if name == "mf_lambda":
+        post = LaplacePosterior(rng.normal(size=(2, 4)), np.eye(4), np.eye(2), 1.0)
+        return meanfield_predictive(post, feats, mf_lambda=value)
+    if name == "gaussians_epsilon":
+        return fit_class_gaussians(feats, labels, epsilon=value)
+    return fisher_criterion(feats, labels, epsilon=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name,message", [
+    ("sigma0", "sigma0 must be finite and > 0"),
+    ("mf_lambda", "mf_lambda must be finite and >= 0"),
+    ("gaussians_epsilon", "epsilon must be finite and > 0"),
+    ("fisher_epsilon", "epsilon must be finite and >= 0"),
+])
+def test_hyperparameter_must_be_finite_and_in_range(name, message, value):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _hyperparameter_call(name, value)
