@@ -6,6 +6,7 @@ which is linear in the target and therefore covers one-hot, mixed, and
 smoothed labels with a single code path.
 """
 
+import functools
 import json
 import math
 import operator
@@ -154,6 +155,7 @@ class StepBuffers:
     def __init__(self):
         self._arrays = {}  # role -> the flat array kept for it
         self._views = {}  # (role, shape) -> its view, as a step asks again and again
+        self._ce_layout = None  # _two_term_ce's (net, (c, m), eta, _ce_layout(...))
 
     def take(self, role, shape, dtype=np.float64) -> np.ndarray:
         """A C-contiguous ``shape`` array kept for ``role`` (contents undefined)."""
@@ -224,15 +226,22 @@ def forward(
     if _runs is None:  # block r of a stacked network is run r
         run_map = lead, stretches = net.weights[0].shape[:-2], _WHOLE
     else:
-        ends = np.cumsum([hi - lo for lo, hi in _runs]).tolist()
-        run_map = lead, stretches = (ends[-1],), [
-            (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, _runs)]
+        run_map = lead, stretches = _run_map(tuple(_runs))
     h = _per_run(x, lead)
     pre, act = _forward_from_first_pre(net, _dense(net, 0, h, _buffers, stretches), _buffers,
                                        stretches)
     logits = act[-1]
     features = act[-2] if len(act) > 1 else h
     return logits, features, ForwardCache(net, x, pre, act, run_map)
+
+
+@functools.lru_cache(maxsize=64)
+def _run_map(runs: tuple) -> tuple:
+    """forward's (lead, stretches) for the run map ``runs``: worked out once
+    per map, as a training step passes the same one again and again."""
+    ends = np.cumsum([hi - lo for lo, hi in runs]).tolist()
+    return (ends[-1],), tuple(
+        (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, runs))
 
 
 def _dense(net: Network, l: int, h: np.ndarray, buffers, stretches=_WHOLE) -> np.ndarray:
@@ -322,15 +331,27 @@ def _class_sum(planes: np.ndarray, out=None) -> np.ndarray:
 
 def cross_entropy_soft(probs, soft_targets) -> float:
     """Batch-mean cross-entropy -sum_k t_k log p_k against soft targets."""
-    return float(_mean_ce(as_matrix(probs), as_matrix(soft_targets)))
+    t = as_matrix(soft_targets)
+    _check_targets(t)
+    return float(_mean_ce(as_matrix(probs), t))
+
+
+def _check_targets(t: np.ndarray):
+    """The soft-target check of every public CE entry point."""
+    if (t < 0).any():
+        raise ValueError("target entries must be >= 0")
 
 
 def _mean_ce(p: np.ndarray, t: np.ndarray):
-    """Mean soft-target CE over the rows axis (-2): a scalar, or one per run."""
+    """Mean soft-target CE over the rows axis (-2): a scalar, or one per run.
+
+    The targets are not scanned here: cross_entropy_soft, weighted_ce and
+    vicinal.regmix_loss (without ``_runs``) check them (_check_targets), and
+    a training step's targets are one-hot rows of checked labels or convex
+    mixes of them with lambda in [0, 1].
+    """
     if p.shape != t.shape:
         raise ShapeError(f"probs {p.shape} vs targets {t.shape}")
-    if (t < 0).any():
-        raise ValueError("target entries must be >= 0")
     # sum / rows is numpy's mean, bit for bit, without its Python wrapper
     return -(t * np.log(np.maximum(p, EPS_LOG))).sum(axis=-1).sum(axis=-1) / t.shape[-2]
 
@@ -397,8 +418,11 @@ def _weight_grad(inp: np.ndarray, delta: np.ndarray, out) -> np.ndarray:
     is written, each later one added in place.  A longer inner dimension
     lets OpenBLAS split the sum across threads, and its bits would then
     depend on the thread count; a batch of _GRAD_ROWS rows or fewer is one
-    GEMM, as before.
+    GEMM, the first chunk's call alone.
     """
+    if inp.shape[-2] <= _GRAD_ROWS:
+        return np.matmul(inp.swapaxes(-1, -2), delta, out=out)
+
     def chunk(lo):
         return inp[..., lo:lo + _GRAD_ROWS, :].swapaxes(-1, -2), delta[..., lo:lo + _GRAD_ROWS, :]
 
@@ -413,6 +437,8 @@ def weighted_ce(net: Network, x, targets, weight=1) -> tuple[float, GradientSet]
     _two_term_ce mixed term over every run.  For a stacked network the weight
     may be one value per run, and the loss comes back as one per run."""
     runs = net.weights[0].shape[0] if net.weights[0].ndim == 3 else 1
+    targets = as_matrix(targets)
+    _check_targets(targets)
     return _two_term_ce(net, x, targets, runs, runs, weight)
 
 
@@ -428,39 +454,61 @@ def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _buffers=None):
     slices when c < m, tile one block (weights, then biases).  A plain network
     is one run on a run axis of views, and gets a scalar loss and its own
     shapes back.
+
+    With ``_buffers``, what the pass writes into and whether eta weighs are
+    worked out on the first call (_ce_layout) and kept in ``_buffers`` while
+    net, c, m and the eta object stay the same, as on every step of a
+    lockstep group; eta is then not changed in place.
     """
     plain = net.weights[0].ndim == 2
     if plain:
         net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
-    runs = net.weights[0].shape[0]
-    logits, _, cache = forward(net, x, _buffers=_buffers,
-                               _runs=[(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi])
+    kept = None if _buffers is None else _buffers._ce_layout
+    if kept is None or kept[0] is not net or kept[1] != (c, m) or kept[2] is not eta:
+        kept = net, (c, m), eta, _ce_layout(net, c, m, eta, _buffers)
+        if _buffers is not None:
+            _buffers._ce_layout = kept
+    run_list, sums, clean, outs, scales = kept[3]
+    logits, _, cache = forward(net, x, _buffers=_buffers, _runs=run_list)
     probs = softmax(logits)
     ce = _mean_ce(probs, _per_run(as_matrix(t), logits.shape[:1]))
+    backward(net, cache, t, probs, _buffers=_buffers, _out=outs)
+    runs = net.weights[0].shape[0]
+    loss = np.empty(runs)
+    loss[:m] = ce[runs - c:]
+    if scales is not None:  # one weight per run scales that run's slice
+        loss[:m] *= scales[0]
+        for g, w in zip(sums, scales[1]):
+            g[:m] *= w
+    for total, values in [(loss, ce[:runs - c]), *(zip(sums, clean) if c < m else ())]:
+        total[c:m] += values[:m - c]  # the runs [c, m) add their two slices
+        total[m:] = values[m - c:]
     n_layers = len(net.layers)
+    if plain:
+        sums = [g[0] for g in sums]
+    return loss[0] if plain else loss, GradientSet(sums[:n_layers], sums[n_layers:])
+
+
+def _ce_layout(net: Network, c: int, m: int, eta, buffers) -> tuple:
+    """What a _two_term_ce pass of ``net`` writes into, from its run list
+    on: (run list, gradient sums, clean slices, one GradientSet per stretch,
+    scales), scales being eta and its view per gradient sum, or None when
+    every eta is 1."""
+    runs, n_layers = net.weights[0].shape[0], len(net.layers)
     shapes = tuple(p.shape for p in [*net.weights, *net.biases])
     shapes += tuple((runs - c, *shape[1:]) for shape in shapes) * (c < m)
-    arrays = _tiles(shapes) if _buffers is None else _buffers.tiles("grad", shapes)
+    arrays = _tiles(shapes) if buffers is None else buffers.tiles("grad", shapes)
     # the mixed stretch writes the sums of [0, m), the clean one those of
     # [c, R), or arrays of its own when the two overlap
     sums = arrays[:2 * n_layers]
     clean = arrays[2 * n_layers:] or [g[c:] for g in sums]
     outs = [clean] * (c < runs) + [[g[:m] for g in sums]] * (m > 0)
-    backward(net, cache, t, probs, _buffers=_buffers,
-             _out=[GradientSet(a[:n_layers], a[n_layers:]) for a in outs])
-    loss = np.empty(runs)
-    loss[:m] = ce[runs - c:]
     w = np.asarray(eta, dtype=np.float64)
-    if m and (w != 1).any():  # one weight per run scales that run's slice
-        loss[:m] *= w
-        for g in sums:
-            g[:m] *= w.reshape(w.shape + (1,) * (g.ndim - w.ndim))
-    for total, values in [(loss, ce[:runs - c]), *(zip(sums, clean) if c < m else ())]:
-        total[c:m] += values[:m - c]  # the runs [c, m) add their two slices
-        total[m:] = values[m - c:]
-    if plain:
-        sums = [g[0] for g in sums]
-    return loss[0] if plain else loss, GradientSet(sums[:n_layers], sums[n_layers:])
+    scales = None
+    if m and (w != 1).any():
+        scales = w, [w.reshape(w.shape + (1,) * (g.ndim - w.ndim)) for g in sums]
+    return ([(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi], sums, clean,
+            [GradientSet(a[:n_layers], a[n_layers:]) for a in outs], scales)
 
 
 @dataclass
@@ -505,24 +553,28 @@ def sgd_step(net: Network, grads: GradientSet, opt: OptimState, epoch_frac: floa
     so a step allocates nothing.  When the params, the grads and the
     velocities each tile one block in the order W[0], W[1], ..., b[0], b[1],
     ... (see _span), as in a lockstep step, all of them update in one pass.
+
+    The gradient shapes are checked when the arrays differ from the last
+    call's: the same array objects as a call that passed the check pass it.
     """
     if not 0.0 <= epoch_frac <= 1.0:
         raise ValueError("epoch_frac must be in [0, 1]")
     params, grad_list = [*net.weights, *net.biases], [*grads.d_weights, *grads.d_biases]
-    for param, grad in zip(params, grad_list):
-        if grad.shape != param.shape:
-            raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
-    if not opt._vel:
-        opt._vel = _tiles([p.shape for p in params], np.zeros)
-        opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
-    lr = opt.lr_at(epoch_frac)
     kept, arrays = opt._joined[0], params + grad_list + opt._vel
     if len(kept) != len(arrays) or not all(map(operator.is_, kept, arrays)):
+        for param, grad in zip(params, grad_list):
+            if grad.shape != param.shape:
+                raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
+        if not opt._vel:
+            opt._vel = _tiles([p.shape for p in params], np.zeros)
+            opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
+            arrays = params + grad_list + opt._vel
         # data pointers cost microseconds to read: keep the triples while the
         # same arrays come back
         spans = [_span(a) for a in (params, grad_list, opt._vel)]
         triples = [spans] if all(s is not None for s in spans) else zip(params, grad_list, opt._vel)
         opt._joined = arrays, list(triples)
+    lr = opt.lr_at(epoch_frac)
     for param, grad, vel in opt._joined[1]:
         flat = np.ascontiguousarray(param)
         _sgd_chunks(flat.reshape(-1), np.ascontiguousarray(grad).reshape(-1),

@@ -13,6 +13,7 @@ in lockstep on one stacked network, each on its own streams and rows, with
 the same bits as alone.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -92,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"strategy {self.strategy} requires alpha > 0")
         if regularized and (self.eta is None or self.eta < 0):
             raise ValueError(f"strategy {self.strategy} requires eta >= 0")
+        if self.eta is not None and self.eta < 0:  # training scans no eta
+            raise ValueError(f"eta must be >= 0, not {self.eta} (strategy {self.strategy})")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
         if self.lambda_mode not in LAMBDA_MODES:
@@ -271,6 +274,14 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     sum both.  The step's rows are one lent buffer: each run's gathered rows,
     then the mixed rows, which one vicinal._mix_step per step writes from
     one plan per epoch, drawn for every mixing run at its start.
+
+    A step runs only its arithmetic.  What it reads was checked once: the
+    configs (each eta and force_lambda by TrainConfig), the data here, and
+    each epoch's plan as _draw_plan makes it; so regmix_loss, mixup_batch,
+    nn._mean_ce and sgd_step skip their checks on a step (see each).  The
+    row views, the run map and the gradient layout are worked out once, and
+    a step's losses are scanned element by element only when their sum is
+    not finite.
     """
     first = configs[0]
     if train_ds.n < 2:
@@ -284,6 +295,7 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     roles = [_step_role(config) for config in configs]
     runs = len(configs)
     n_mixed_only, n_mixed = roles.count(0), runs - roles.count(2)
+    step_runs = n_mixed_only, n_mixed  # regmix_loss's (c, m)
     # per mixed run: eta for the regularized ones, 1 for the mixed-only ones
     etas = np.array([c.eta if role else 1.0 for c, role in zip(configs[:n_mixed], roles)])
     roots = [RngState(config.seed) for config in configs]
@@ -305,12 +317,25 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     sizes = [hi - lo for lo, hi in bounds]
     mixing = [(_RECIPES[c.strategy][0], BetaParams(c.alpha), c.lambda_mode, c.force_lambda)
               for c in configs[:n_mixed]]
+    # One set of row views per batch size, the largest taken first so that
+    # every view lies in the one array lent per role: each run's gathered
+    # rows (runs, rows, width), and the rows regmix_loss reads, those of the
+    # roles 1 and 2 and then the mixed ones.
+    views = {}
+    for rows in sorted(set(sizes), reverse=True):
+        xb = buffers.take("x", ((runs + n_mixed) * rows, train_ds.d))
+        yb = buffers.take("y", ((runs + n_mixed) * rows, train_ds.k))
+        views[rows] = (xb, yb, xb[:runs * rows].reshape(runs, rows, -1),
+                       yb[:runs * rows].reshape(runs, rows, -1),
+                       xb[n_mixed_only * rows:], yb[n_mixed_only * rows:])
+    orders = np.empty((runs, n), np.int64)  # each run's shuffle of the epoch
     epoch_losses = []
     step = 0
     # Diverging runs stop at the isfinite checks below, not in numpy warnings.
     with np.errstate(all="ignore"):
         for epoch in range(first.epochs):
-            orders = [root.split(_S_SHUFFLE, epoch).permutation(n) for root in roots]
+            for order, root in zip(orders, roots):
+                order[:] = root.split(_S_SHUFFLE, epoch).permutation(n)
             plan = None
             if n_mixed:  # one mix stream per mixing run, and a coin stream with two ops
                 draws = [(*mix, root.split(_S_MIX, epoch),
@@ -319,22 +344,21 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
                 plan = _draw_plan(draws, sizes, train_ds.image_shape)
             loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
-                idx = np.concatenate([order[lo:hi] for order in orders])
-                rows = hi - lo
-                xb = buffers.take("x", ((runs + n_mixed) * rows, train_ds.d))
-                yb = buffers.take("y", ((runs + n_mixed) * rows, train_ds.k))
+                xb, yb, x_runs, y_runs, x_step, y_step = views[hi - lo]
+                idx = orders[:, lo:hi]
                 # "wrap" mode takes no private copy; the indices are in range
-                np.take(train_ds.x, idx, axis=0, mode="wrap", out=xb[:idx.size])
-                np.take(y_onehot, idx, axis=0, mode="wrap", out=yb[:idx.size])
+                train_ds.x.take(idx, axis=0, mode="wrap", out=x_runs)
+                y_onehot.take(idx, axis=0, mode="wrap", out=y_runs)
                 if plan is not None:  # each mixing run mixes its own block of rows
                     _mix_step(plan, b, lo, hi, xb, yb)
-                step_rows = slice(n_mixed_only * rows, None)  # roles 1 and 2, then the mixed
-                loss, grads = regmix_loss(net, xb[step_rows], yb[step_rows], None, etas,
-                                          _buffers=buffers, _runs=(n_mixed_only, n_mixed))
-                if not np.isfinite(loss).all():
-                    raise _diverged(configs, ~np.isfinite(loss), f"loss at epoch {epoch}, step {step}")
+                loss, grads = regmix_loss(net, x_step, y_step, None, etas,
+                                          _buffers=buffers, _runs=step_runs)
+                if not math.isfinite(loss.sum()):
+                    bad = ~np.isfinite(loss)
+                    if bad.any():
+                        raise _diverged(configs, bad, f"loss at epoch {epoch}, step {step}")
                 nn.sgd_step(net, grads, opt, step / total_steps)
-                loss_sum += loss * rows
+                loss_sum += loss * (hi - lo)
                 step += 1
             epoch_losses.append(loss_sum / n)
     nets = net.unstack()

@@ -63,11 +63,12 @@ def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
     return x, y, lam
 
 
-def _convex(a, lam_col, pairing, out):
-    """lam * a + (1 - lam) * a[pairing], written into out (or a fresh array)."""
+def _convex(a, lam_col, rest_col, pairing, out):
+    """lam * a + (1 - lam) * a[pairing], written into out (or a fresh array),
+    given rest_col = 1 - lam_col."""
     out = np.multiply(lam_col, a, out=out)
     partner = np.take(a, pairing, axis=0)
-    partner *= 1.0 - lam_col
+    partner *= rest_col
     out += partner
     return out
 
@@ -91,21 +92,26 @@ def mixup_batch(
 
     ``_pairing`` with a ``lam`` is a drawn plan: nothing is drawn, and a
     partner may be any row of x, so a lockstep group's block of runs mixes
-    in one call with run-offset partner indices.  ``_out`` = (x_out, y_out)
-    receives the mixed rows.
+    in one call with run-offset partner indices.  Nothing is checked either:
+    x and y_onehot are float64 matrices and lam an array of values in
+    [0, 1], one or one per row, as vicinal._draw_plan gives them (from
+    sample_lambdas, or a force_lambda that TrainConfig checked).  ``_out`` =
+    (x_out, y_out) receives the mixed rows.
     """
-    if lambda_mode not in LAMBDA_MODES:
-        raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    drawn = _pairing is not None and lam is not None
-    x, y, lam = _batch(x, y_onehot, lam, rng, drawn, "mixup")
-    scalar = lam.ndim == 0 if lam is not None else lambda_mode == "per_batch"
-    if not drawn:
+    if _pairing is None or lam is None:
+        if lambda_mode not in LAMBDA_MODES:
+            raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
+        x, y_onehot, lam = _batch(x, y_onehot, lam, rng, False, "mixup")
+        scalar = lam.ndim == 0 if lam is not None else lambda_mode == "per_batch"
         plan = _draw_plan([(("mixup",), params, lambda_mode, lam, rng, None)], [x.shape[0]], None)
         _pairing, lam = plan.pairing, plan.lam
+    else:
+        scalar = lam.ndim == 0
     lam_col = lam[:, None] if lam.ndim else lam
+    rest_col = 1.0 - lam_col  # shared by the x and the y mix
     x_out, y_out = (None, None) if _out is None else _out
-    x_mixed = _convex(x, lam_col, _pairing, x_out)
-    y_mixed = _convex(y, lam_col, _pairing, y_out)
+    x_mixed = _convex(x, lam_col, rest_col, _pairing, x_out)
+    y_mixed = _convex(y_onehot, lam_col, rest_col, _pairing, y_out)
     return MixedBatch(x_mixed, y_mixed, float(lam.flat[0]) if scalar else lam, _pairing)
 
 
@@ -153,7 +159,7 @@ def cutmix_batch(
             imgs[block, :, y0:y1, x0:x1] = src[_pairing[block], :, y0:y1, x0:x1]
     lam_eff = 1.0 - (_boxes[:, 1] - _boxes[:, 0]) * (_boxes[:, 3] - _boxes[:, 2]) / (h * w)
     lam_col = np.repeat(lam_eff, rows)[:, None]
-    y_mixed = _convex(y, lam_col, _pairing, y_out)
+    y_mixed = _convex(y, lam_col, 1.0 - lam_col, _pairing, y_out)
     return MixedBatch(x_out, y_mixed, float(lam_eff[0]) if len(_boxes) == 1 else lam_eff, _pairing)
 
 
@@ -165,7 +171,9 @@ class _Plan:
     boxes[r, s] is its CutMix box (y0, y1, x0, x1).  pairing and lam hold
     one entry per row of the epoch's steps in the trainer's row order: step
     by step, one block of rows per run.  A row's pairing is its partner's
-    index in its step's rows, and its lam is its Mixup lambda.
+    index in its step's rows, and its lam is its Mixup lambda.  stretches[s]
+    lists step s's stretches of neighbouring runs that share an op, as
+    (first run, last run + 1, whether by CutMix).
     """
 
     cut: np.ndarray
@@ -173,6 +181,7 @@ class _Plan:
     pairing: np.ndarray
     lam: np.ndarray
     image_shape: tuple | None
+    stretches: list
 
 
 # Bits of each pairing sort key below the step index, which leaves room for
@@ -229,7 +238,20 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
             boxes[r] = np.stack([y0, np.minimum(y0 + patch_h, h), x0, np.minimum(x0 + patch_w, w)], 1)
     pairing, lam = np.empty(partner.size, np.int64), np.empty(lams.size)
     pairing[slots], lam[slots] = partner + run_offsets, lams
-    return _Plan(cut, boxes, pairing, lam, image_shape)
+    return _Plan(cut, boxes, pairing, lam, image_shape, _stretches(cut))
+
+
+def _stretches(cut: np.ndarray) -> list:
+    """Per step, (first, last, by CutMix) of each stretch of neighbouring runs
+    whose cut[:, step] agree, from one scan of the epoch's op flips."""
+    runs, steps = cut.shape
+    ends = [[] for _ in range(steps)]
+    for step, run in zip(*np.nonzero((cut[1:] != cut[:-1]).T)):
+        ends[step].append(int(run) + 1)
+    return [
+        [(first, last, by_cut[first]) for first, last in zip([0, *step_ends], [*step_ends, runs])]
+        for by_cut, step_ends in zip(cut.T.tolist(), ends)
+    ]
 
 
 def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
@@ -241,15 +263,14 @@ def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
     neighbouring runs that use the same op mixes in one mixup_batch or
     cutmix_batch call, in place on its rows of x and y.
     """
-    rows, cut = hi - lo, plan.cut[:, b]
-    step = slice(len(cut) * lo, len(cut) * hi)
+    rows, runs = hi - lo, len(plan.cut)
+    step = slice(runs * lo, runs * hi)
     pairing, lam = plan.pairing[step], plan.lam[step]
-    out = x[len(x) - len(cut) * rows:], y[len(y) - len(cut) * rows:]
-    ends = [*(np.flatnonzero(cut[1:] != cut[:-1]) + 1), len(cut)]
-    for first, last in zip([0, *ends], ends):
+    out = x[len(x) - runs * rows:], y[len(y) - runs * rows:]
+    for first, last, by_cutmix in plan.stretches[b]:
         block = slice(first * rows, last * rows)
         partners, to = pairing[block] - first * rows, (out[0][block], out[1][block])
-        if cut[first]:
+        if by_cutmix:
             cutmix_batch(x[block], y[block], None, None, plan.image_shape,
                          _pairing=partners, _boxes=plan.boxes[first:last, b], _out=to)
         else:
@@ -270,13 +291,22 @@ def regmix_loss(
     the clean rows of the runs [c, R), then the mixed rows of the runs
     [0, m), c <= m, and eta one value per mixed run (1 for a mixed-only
     run).  ``_buffers`` is the step's nn.StepBuffers.
+
+    Without ``_runs`` eta (finite, >= 0) and the targets (>= 0) are checked
+    here.  With it they are the trainer's: each eta from a TrainConfig, which
+    checks it, and targets that are one-hot rows of checked labels or convex
+    mixes of them, so a step scans neither.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if not np.all(np.isfinite(eta) & (eta >= 0)):
-        raise ValueError("eta must be finite and >= 0")
-    if _runs is None and mixed is not None:  # every run, a plain network being one
-        if len(mixed.x_mixed) != len(x):
-            raise nn.ShapeError(f"{len(mixed.x_mixed)} mixed rows vs {len(x)} clean rows")
-        x, y_onehot = np.concatenate([x, mixed.x_mixed]), np.concatenate([y_onehot, mixed.y_mixed])
-        _runs = 0, math.prod(net.weights[0].shape[:-2])
-    return nn._two_term_ce(net, x, y_onehot, *(_runs or (0, 0)), eta, _buffers=_buffers)
+    if _runs is None:
+        eta = np.asarray(eta, dtype=np.float64)
+        if not np.all(np.isfinite(eta) & (eta >= 0)):
+            raise ValueError("eta must be finite and >= 0")
+        _runs = 0, 0
+        if mixed is not None:  # every run, a plain network being one
+            if len(mixed.x_mixed) != len(x):
+                raise nn.ShapeError(f"{len(mixed.x_mixed)} mixed rows vs {len(x)} clean rows")
+            x, y_onehot = np.concatenate([x, mixed.x_mixed]), np.concatenate([y_onehot, mixed.y_mixed])
+            _runs = 0, math.prod(net.weights[0].shape[:-2])
+        y_onehot = as_matrix(y_onehot)
+        nn._check_targets(y_onehot)
+    return nn._two_term_ce(net, x, y_onehot, *_runs, eta, _buffers=_buffers)

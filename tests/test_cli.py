@@ -653,6 +653,16 @@ class TestBadManifestValues:
         assert repr(key) in err and value in err  # quoted: 'mixup.alpha' is not regmixup.alpha
         assert not (tmp_path / "o").exists()
 
+    def test_negative_eta_of_a_strategy_without_a_mixed_term_weight(self, tmp_path, capsys):
+        manifest = MANIFEST.replace(
+            "strategies = erm,regmixup", "strategies = erm,regmixup,mixup\nmixup.alpha = 1"
+        )
+        err = self._run(
+            tmp_path, capsys, _setting(manifest, "mixup.eta", "-1"), ["train"], manifest=manifest
+        )
+        assert "eta must be >= 0, not -1.0 (strategy mixup)" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "key,value,repeated",
         [

@@ -219,6 +219,11 @@ class TestCrossEntropySoft:
         with pytest.raises(ShapeError):
             cross_entropy_soft(np.full((1, 2), 0.5), np.full((1, 3), 1 / 3))
 
+    def test_weighted_ce_rejects_a_negative_target(self):
+        net = random_net([3, 2], "identity", RngState(3))
+        with pytest.raises(ValueError, match="target entries must be >= 0"):
+            weighted_ce(net, np.zeros((1, 3)), np.array([[1.5, -0.5]]))
+
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(2)
         p = softmax(rng.normal(size=(5, 6)))
@@ -341,6 +346,21 @@ def stacked_runs(n_runs=3, rows=7):
 
 class TestStacked:
     """A stacked network computes each run exactly as the plain network would."""
+
+    def test_run_maps_in_turn_equal_plain_forwards_bitwise(self):
+        # forward keeps each run map it works out: a map used after another
+        # must not read the other's stretches
+        nets, xs, _ = stacked_runs()
+        stacked = Network.stack(nets)
+        for runs in ([(1, 3), (0, 2)], [(0, 3)], [(1, 3), (0, 2)]):
+            order = [r for lo, hi in runs for r in range(lo, hi)]
+            logits, features, _ = forward(stacked, np.concatenate([xs[r] for r in order]),
+                                          _runs=runs)
+            assert logits.shape == (len(order), 7, 4)
+            for block, r in enumerate(order):
+                want_logits, want_features, _ = forward(nets[r], xs[r])
+                assert np.array_equal(logits[block], want_logits)
+                assert np.array_equal(features[block], want_features)
 
     def test_stack_unstack_round_trip(self):
         nets, _, _ = stacked_runs()
@@ -506,6 +526,17 @@ class TestWeightGradChunks:
 
 
 class TestSgdStep:
+    def test_mismatched_gradient_after_a_good_call_with_other_arrays(self):
+        # sgd_step checks shapes only when the arrays differ from the last call's
+        net = random_net([3, 4, 2], "relu", RngState(60))
+        opt = OptimState(learning_rate=0.1, momentum=0.9)
+        good = [np.ones_like(p) for p in [*net.weights, *net.biases]]
+        sgd_step(net, GradientSet(good[:2], good[2:]), opt, 0.0)
+        bad = [np.ones_like(p) for p in [*net.weights, *net.biases]]
+        bad[1] = np.ones((2, 4))
+        with pytest.raises(ShapeError, match=r"gradient \(2, 4\) vs parameter \(4, 2\)"):
+            sgd_step(net, GradientSet(bad[:2], bad[2:]), opt, 0.5)
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_chunked_update_equals_three_temporary_formula_bitwise(self, momentum):
         # two stacked runs of a (4684, 7) weight: 4 chunks and 40 values

@@ -71,6 +71,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(strategy="dropout")
 
+    @pytest.mark.parametrize("strategy", ["erm", "mixup", "cutmix", "mixup_plus_cutmix"])
+    def test_negative_eta_rejected_whatever_the_strategy(self, strategy):
+        # training scans no eta, so an unused one is checked as well
+        alpha = None if strategy == "erm" else 1.0
+        with pytest.raises(ValueError, match=r"eta must be >= 0, not -1\.0"):
+            TrainConfig(strategy=strategy, alpha=alpha, eta=-1.0)
+
     def test_unknown_lambda_mode(self):
         with pytest.raises(ValueError, match="lambda_mode"):
             TrainConfig(strategy="mixup", alpha=1.0, lambda_mode="per_sample")

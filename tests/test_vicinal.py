@@ -475,3 +475,15 @@ class TestRegmixLoss:
         net, x, y, mixed = self._fixture(19)
         with pytest.raises(ValueError):
             regmix_loss(net, x, y, mixed, -0.1)
+
+    @pytest.mark.parametrize("term", ["clean", "mixed", "clean alone"])
+    def test_negative_target_rejected(self, term):
+        net, x, y, mixed = self._fixture(19)
+        bad = y.copy()
+        bad[0] = [1.5, -0.5, 0.0, 0.0]  # sums to 1, as a mix of one-hot rows does
+        if term == "mixed":
+            mixed = MixedBatch(mixed.x_mixed, bad)
+        else:
+            y = bad
+        with pytest.raises(ValueError, match="target entries must be >= 0"):
+            regmix_loss(net, x, y, None if term == "clean alone" else mixed, 0.5)
