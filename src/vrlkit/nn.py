@@ -6,11 +6,10 @@ which is linear in the target and therefore covers one-hot, mixed, and
 smoothed labels with a single code path.
 """
 
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,14 +78,14 @@ class Network:
         return other
 
     @staticmethod
-    def stack(nets) -> "Network":
+    def stack(nets, *, _new=np.empty) -> "Network":
         """One stacked network holding ``nets`` (one architecture) in order;
-        its arrays tile one block, all weights and then all biases."""
+        its arrays tile one block _new(size), all weights and then all biases."""
         first = nets[0]
         if any(net.layers != first.layers for net in nets):
             raise ValueError("stacked networks must share an architecture")
         per_param = list(zip(*([*net.weights, *net.biases] for net in nets)))
-        tiles = _tiles([(len(nets), *arrays[0].shape) for arrays in per_param])
+        tiles = _tiles([(len(nets), *arrays[0].shape) for arrays in per_param], _new)
         for tile, arrays in zip(tiles, per_param):
             np.stack(arrays, out=tile)
         return first._with(tiles[:len(first.layers)], tiles[len(first.layers):])
@@ -118,68 +117,89 @@ def _init_weight(spec: LayerSpec, rng: RngState | None) -> np.ndarray:
     return (2.0 * u - 1.0) * limit
 
 
-def _activate(name: str, z: np.ndarray, buffers=None, role=None) -> np.ndarray:
-    """activation(z), into the array ``buffers`` lends for ``role`` if any."""
+def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    """activation(z), into ``out`` if given."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=_lend(buffers, role, z.shape))
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z, out=_lend(buffers, role, z.shape))
+        return np.tanh(z, out=out)
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray, buffers=None, role=None):
-    """d activation / dz, given a = activation(z), into the array ``buffers``
-    lends for ``role`` if any.  relu gives bools, which a product reads as
-    1.0 and 0.0."""
+def _activate_grad(name: str, z: np.ndarray, a: np.ndarray, out=None):
+    """d activation / dz, given a = activation(z), into ``out`` if given.
+    relu gives bools, which a product reads as 1.0 and 0.0."""
     if name == "relu":
-        return np.greater(z, 0.0, out=_lend(buffers, role, z.shape, bool))
+        return np.greater(z, 0.0, out=out)
     if name == "tanh":
-        g = np.multiply(a, a, out=_lend(buffers, role, z.shape))
+        g = np.multiply(a, a, out=out)
         return np.subtract(1.0, g, out=g)
     return 1.0
 
 
-class StepBuffers:
-    """Arrays lent to one training step and taken back by the next.
+class _Layers(NamedTuple):
+    """The arrays forward and backward write per layer; None is a fresh one."""
 
-    The trainer keeps one per lockstep group for its rows (each run's
-    gathered rows, then each mixing run's mixed rows) and passes it as
-    ``_buffers`` to _two_term_ce, which hands it on to forward and backward.
-    Every big array of a step (the rows, pre-activations, activations,
-    deltas, activation gradients and the gradient sums, one tiled block) is
-    then written with ``out=`` into the array kept for its role, so a step
-    maps no fresh memory.  A lent array holds its values only until its role
-    is lent again; a role whose array must grow gets a new one.
+    pre: list
+    act: list
+    delta: list
+    dact: list
+
+
+def _fresh(n_layers: int) -> _Layers:
+    nones = [None] * n_layers
+    return _Layers(nones, nones, nones, nones)
+
+
+class _StepPlan:
+    """Every array of a lockstep group's training steps, laid out once.
+
+    The trainer builds one per group and passes it as ``_plan`` to
+    vicinal.regmix_loss, which hands it on to _two_term_ce, forward and
+    backward, and to sgd_step.  It holds ``net``, the stacked network of
+    ``nets``; the step's run map and its _ce_layout for (c, m) and eta; and
+    per batch size in ``sizes``, ``rows[size]``, the row views, and
+    ``layers[size]``, the per-layer arrays.  Each role (the rows, the
+    targets, and per layer the pre-activations, activations, deltas and
+    activation gradients) is one array sized for the largest batch, and a
+    smaller batch takes a prefix of it.  ``sgd`` is sgd_step's (params,
+    gradient sums, velocities) triple of flat blocks.  A step's arrays hold
+    its values only until the next step writes them.
     """
 
-    def __init__(self):
-        self._arrays = {}  # role -> the flat array kept for it
-        self._views = {}  # (role, shape) -> its view, as a step asks again and again
-        self._ce_layout = None  # _two_term_ce's (net, (c, m), eta, _ce_layout(...))
+    def __init__(self, nets, c: int, m: int, eta, sizes):
+        first, runs = nets[0], len(nets)
+        size = runs * sum(p.size for p in [*first.weights, *first.biases])
+        params = np.empty(size)
+        self.net = Network.stack(nets, _new=lambda n: params)
+        self.c, self.m = c, m
+        grads, self.layout = _ce_layout(self.net, c, m, eta)
+        self.run_map = _run_map(self.layout[0])
+        self.sgd = params, grads[:size], np.zeros(size)
+        sizes, blocks = sorted(set(sizes)), self.run_map[0][0]
 
-    def take(self, role, shape, dtype=np.float64) -> np.ndarray:
-        """A C-contiguous ``shape`` array kept for ``role`` (contents undefined)."""
-        view = self._views.get((role, shape))
-        if view is None:
-            size = math.prod(shape)
-            kept = self._arrays.get(role)
-            if kept is None or kept.size < size:
-                kept = self._arrays[role] = np.empty(size, dtype)
-                self._views = {key: v for key, v in self._views.items() if key[0] != role}
-            view = self._views[role, shape] = kept[:size].reshape(shape)
-        return view
+        def prefixes(shape, dtype=np.float64) -> dict:
+            """shape(rows) per batch size, as prefix views of one array."""
+            flat = np.empty(math.prod(shape(sizes[-1])), dtype)
+            return {rows: flat[:math.prod(shape(rows))].reshape(shape(rows)) for rows in sizes}
 
-    def tiles(self, role, shapes) -> list:
-        """Arrays of the given shapes, back to back in the block kept for ``role``."""
-        views = self._views.get((role, shapes))
-        if views is None:
-            views = self._views[role, shapes] = _tiles(shapes, lambda n: self.take(role, (n,)))
-        return views
-
-
-def _lend(buffers: StepBuffers | None, role, shape, dtype=np.float64):
-    """The array ``buffers`` keeps for ``role``, or a fresh one."""
-    return np.empty(shape, dtype) if buffers is None else buffers.take(role, shape, dtype)
+        # each run's gathered rows, then the mixed rows of the runs [0, m); a
+        # step reads the clean rows of the runs [c, R) and the mixed ones
+        x, y = (prefixes(lambda rows, w=w: ((runs + m) * rows, w))
+                for w in (first.in_dim, first.n_classes))
+        self.rows = {rows: (x[rows], y[rows], x[rows][:runs * rows].reshape(runs, rows, -1),
+                            y[rows][:runs * rows].reshape(runs, rows, -1),
+                            x[rows][c * rows:], y[rows][c * rows:]) for rows in sizes}
+        per_layer = []  # (pre, act, delta, dact) per layer, each per batch size or None
+        for spec in first.layers:
+            def shape(rows, w=spec.out_dim):
+                return blocks, rows, w
+            active = spec.activation != "identity"
+            dact_type = bool if spec.activation == "relu" else np.float64
+            per_layer.append((prefixes(shape), prefixes(shape) if active else None,
+                              prefixes(shape), prefixes(shape, dact_type) if active else None))
+        self.layers = {rows: _Layers(*([a and a[rows] for a in role] for role in zip(*per_layer)))
+                       for rows in sizes}
 
 
 class ForwardCache:
@@ -205,7 +225,7 @@ def _per_run(rows: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 def forward(
-    net: Network, x_batch, *, _buffers: StepBuffers | None = None, _runs=None,
+    net: Network, x_batch, *, _runs=None, _plan: _StepPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a batch.
 
@@ -215,53 +235,58 @@ def forward(
     logits and features as (runs, rows per run, width).  A run map ``_runs``
     lists (lo, hi) run ranges, each a stretch of blocks for the runs lo ..
     hi - 1 in turn; each matmul then runs once per stretch, on views of the
-    weights.  ``_buffers`` is the training step's (see StepBuffers); without
-    it every array is fresh.
+    weights.  A training step's ``_plan`` gives the run map and the arrays
+    written; without it every array is fresh.
     """
     x = as_matrix(x_batch)
     if x.shape[1] != net.in_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
-    if _runs is None:  # block r of a stacked network is run r
-        run_map = lead, stretches = net.weights[0].shape[:-2], _WHOLE
-    else:
-        run_map = lead, stretches = _run_map(tuple(_runs))
+    if _plan is not None:
+        run_map = _plan.run_map
+    elif _runs is not None:
+        run_map = _run_map(_runs)
+    else:  # block r of a stacked network is run r
+        run_map = net.weights[0].shape[:-2], _WHOLE
+    lead, stretches = run_map
     h = _per_run(x, lead)
-    pre, act = _forward_from_first_pre(net, _dense(net, 0, h, _buffers, stretches), _buffers,
-                                       stretches)
+    arrays = _fresh(len(net.layers)) if _plan is None else _plan.layers[h.shape[-2]]
+    pre, act = _forward_from_first_pre(net, _dense(net, 0, h, stretches, arrays.pre[0]),
+                                       stretches, arrays)
     logits = act[-1]
     features = act[-2] if len(act) > 1 else h
     return logits, features, ForwardCache(net, x, pre, act, run_map)
 
 
-@functools.lru_cache(maxsize=64)
-def _run_map(runs: tuple) -> tuple:
-    """forward's (lead, stretches) for the run map ``runs``: worked out once
-    per map, as a training step passes the same one again and again."""
+def _run_map(runs) -> tuple:
+    """forward's (lead, stretches) for the run map ``runs``."""
     ends = np.cumsum([hi - lo for lo, hi in runs]).tolist()
     return (ends[-1],), tuple(
         (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, runs))
 
 
-def _dense(net: Network, l: int, h: np.ndarray, buffers, stretches=_WHOLE) -> np.ndarray:
-    """Layer l's pre-activation h @ W[l] + b[l], one matmul per stretch."""
+def _dense(net: Network, l: int, h: np.ndarray, stretches=_WHOLE, out=None) -> np.ndarray:
+    """Layer l's pre-activation h @ W[l] + b[l], one matmul per stretch,
+    into ``out`` if given."""
     w, b = net.weights[l], net.biases[l]
-    z = _lend(buffers, ("pre", l), (*h.shape[:-1], w.shape[-1]))
+    z = np.empty((*h.shape[:-1], w.shape[-1])) if out is None else out
     for blocks, runs in stretches:
         np.matmul(h[blocks], w[runs], out=z[blocks])
         z[blocks] += b[runs][..., None, :]
     return z
 
 
-def _forward_from_first_pre(net: Network, z0: np.ndarray, buffers=None,
-                            stretches=_WHOLE) -> tuple[list, list]:
-    """Apply the network from layer 0's pre-activation on: (pre, act) per layer."""
+def _forward_from_first_pre(net: Network, z0: np.ndarray, stretches=_WHOLE,
+                            arrays: _Layers | None = None) -> tuple[list, list]:
+    """Apply the network from layer 0's pre-activation on: (pre, act) per
+    layer, into ``arrays`` if given."""
+    arrays = arrays or _fresh(len(net.layers))
     pre, act = [z0], []
     for l, spec in enumerate(net.layers):
         if l:
-            pre.append(_dense(net, l, act[-1], buffers, stretches))
-        act.append(_activate(spec.activation, pre[-1], buffers, ("act", l)))
+            pre.append(_dense(net, l, act[-1], stretches, arrays.pre[l]))
+        act.append(_activate(spec.activation, pre[-1], arrays.act[l]))
     return pre, act
 
 
@@ -370,17 +395,16 @@ _GRAD_ROWS = 256
 
 def backward(
     net: Network, cache: ForwardCache, soft_targets, probs=None, *,
-    _buffers: StepBuffers | None = None, _out: GradientSet | None = None,
+    _plan: _StepPlan | None = None, _out: list | None = None,
 ) -> GradientSet:
     """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters.
 
     ``soft_targets`` are rows laid out like the forward inputs; ``probs`` is
     softmax(logits) when the caller already has it.  A stacked network gets
     each block's gradient of its own batch-mean loss; after a forward with a
-    run map, one GradientSet per stretch.  For the training step,
-    ``_buffers`` lends the deltas (see StepBuffers) and the gradients are
-    written into the arrays of ``_out``, one GradientSet per stretch;
-    without them every array is fresh.
+    run map, one GradientSet per stretch.  The gradients are written into
+    ``_out``, one GradientSet per stretch, and the deltas into a training
+    step's ``_plan``; without them every array is fresh.
     """
     if cache.net is not net:
         raise ValueError("cache does not belong to this network")
@@ -392,7 +416,8 @@ def backward(
     if probs is None:
         probs = softmax(logits)
     n_layers = len(net.layers)
-    delta = np.subtract(probs, t, out=_lend(_buffers, ("delta", n_layers - 1), t.shape))
+    arrays = _fresh(n_layers) if _plan is None else _plan.layers[t.shape[-2]]
+    delta = np.subtract(probs, t, out=arrays.delta[-1])
     delta /= logits.shape[-2]  # dL/dlogits for mean CE
     outs = _out or [GradientSet([None] * n_layers, [None] * n_layers) for _ in stretches]
     for l in range(n_layers - 1, -1, -1):
@@ -402,11 +427,11 @@ def backward(
             grads.d_biases[l] = np.add.reduce(delta[part], axis=-2, out=grads.d_biases[l])
         if l > 0:
             spec, z = net.layers[l - 1], cache.pre[l - 1]
-            back = _lend(_buffers, ("delta", l - 1), z.shape)
+            back = np.empty(z.shape) if arrays.delta[l - 1] is None else arrays.delta[l - 1]
             for part, runs in stretches:
                 np.matmul(delta[part], net.weights[l][runs].swapaxes(-1, -2), out=back[part])
             delta = np.multiply(back, _activate_grad(
-                spec.activation, z, cache.act[l - 1], _buffers, ("dact", l - 1)
+                spec.activation, z, cache.act[l - 1], arrays.dact[l - 1]
             ), out=back)
     return outs if stretches is not _WHOLE else outs[0]
 
@@ -442,7 +467,7 @@ def weighted_ce(net: Network, x, targets, weight=1) -> tuple[float, GradientSet]
     return _two_term_ce(net, x, targets, runs, runs, weight)
 
 
-def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _buffers=None):
+def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _plan: _StepPlan | None = None):
     """Clean CE plus eta times mixed CE, and its gradient, per run, in one pass.
 
     x and t are V = (R - c) + m blocks of rows: the clean rows of the runs
@@ -450,29 +475,20 @@ def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _buffers=None):
     softmax, CE and backward take all V through the run map ((c, R), (0, m)).
     eta (one value, or one per mixed run; 1 is never multiplied in) scales
     the mixed losses and gradients, and the runs [c, m) add their two slices.
-    ``_buffers`` lends the step's arrays; the gradient sums, and the clean
-    slices when c < m, tile one block (weights, then biases).  A plain network
-    is one run on a run axis of views, and gets a scalar loss and its own
-    shapes back.
-
-    With ``_buffers``, what the pass writes into and whether eta weighs are
-    worked out on the first call (_ce_layout) and kept in ``_buffers`` while
-    net, c, m and the eta object stay the same, as on every step of a
-    lockstep group; eta is then not changed in place.
+    The gradient sums, and the clean slices when c < m, tile one block
+    (weights, then biases).  A plain network is one run on a run axis of
+    views, and gets a scalar loss and its own shapes back.  A training
+    step's ``_plan`` holds that block and the layout for its (c, m) and eta.
     """
     plain = net.weights[0].ndim == 2
     if plain:
         net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
-    kept = None if _buffers is None else _buffers._ce_layout
-    if kept is None or kept[0] is not net or kept[1] != (c, m) or kept[2] is not eta:
-        kept = net, (c, m), eta, _ce_layout(net, c, m, eta, _buffers)
-        if _buffers is not None:
-            _buffers._ce_layout = kept
-    run_list, sums, clean, outs, scales = kept[3]
-    logits, _, cache = forward(net, x, _buffers=_buffers, _runs=run_list)
+    layout = _ce_layout(net, c, m, eta)[1] if _plan is None else _plan.layout
+    run_list, sums, clean, outs, scales = layout
+    logits, _, cache = forward(net, x, _runs=run_list, _plan=_plan)
     probs = softmax(logits)
     ce = _mean_ce(probs, _per_run(as_matrix(t), logits.shape[:1]))
-    backward(net, cache, t, probs, _buffers=_buffers, _out=outs)
+    backward(net, cache, t, probs, _plan=_plan, _out=outs)
     runs = net.weights[0].shape[0]
     loss = np.empty(runs)
     loss[:m] = ce[runs - c:]
@@ -489,15 +505,17 @@ def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _buffers=None):
     return loss[0] if plain else loss, GradientSet(sums[:n_layers], sums[n_layers:])
 
 
-def _ce_layout(net: Network, c: int, m: int, eta, buffers) -> tuple:
-    """What a _two_term_ce pass of ``net`` writes into, from its run list
-    on: (run list, gradient sums, clean slices, one GradientSet per stretch,
-    scales), scales being eta and its view per gradient sum, or None when
-    every eta is 1."""
+def _ce_layout(net: Network, c: int, m: int, eta) -> tuple:
+    """The block a _two_term_ce pass of ``net`` writes its gradients into,
+    the gradient sums first, and what it needs from its run list on: (run
+    list, gradient sums, clean slices, one GradientSet per stretch, scales),
+    scales being eta and its view per gradient sum, or None when every eta
+    is 1."""
     runs, n_layers = net.weights[0].shape[0], len(net.layers)
     shapes = tuple(p.shape for p in [*net.weights, *net.biases])
     shapes += tuple((runs - c, *shape[1:]) for shape in shapes) * (c < m)
-    arrays = _tiles(shapes) if buffers is None else buffers.tiles("grad", shapes)
+    block = np.empty(sum(map(math.prod, shapes)))
+    arrays = _tiles(shapes, lambda n: block)
     # the mixed stretch writes the sums of [0, m), the clean one those of
     # [c, R), or arrays of its own when the two overlap
     sums = arrays[:2 * n_layers]
@@ -507,8 +525,8 @@ def _ce_layout(net: Network, c: int, m: int, eta, buffers) -> tuple:
     scales = None
     if m and (w != 1).any():
         scales = w, [w.reshape(w.shape + (1,) * (g.ndim - w.ndim)) for g in sums]
-    return ([(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi], sums, clean,
-            [GradientSet(a[:n_layers], a[n_layers:]) for a in outs], scales)
+    return block, ([(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi], sums, clean,
+                   [GradientSet(a[:n_layers], a[n_layers:]) for a in outs], scales)
 
 
 @dataclass
@@ -521,7 +539,6 @@ class OptimState:
     schedule: str = "constant"  # constant | cosine
     _vel: list = field(default_factory=list, repr=False)  # weights', then biases': one block
     _scratch: list = field(default_factory=list, repr=False)  # sgd_step's two chunk buffers
-    _joined: tuple = field(default=((), ()), repr=False)  # sgd_step's arrays, (p, g, v) triples
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
@@ -544,61 +561,38 @@ class OptimState:
 _SGD_CHUNK = 16384
 
 
-def sgd_step(net: Network, grads: GradientSet, opt: OptimState, epoch_frac: float):
+def sgd_step(net: Network, grads: GradientSet, opt: OptimState, epoch_frac: float, *,
+             _plan: _StepPlan | None = None):
     """In-place Nesterov update; weight decay enters as an L2 gradient term.
 
     Per parameter, bit for bit: g = grad + wd * param; vel = mu * vel + g;
     param -= lr * (g + mu * vel), or lr * g without momentum.  It runs in
     chunks of _SGD_CHUNK values through two scratch arrays kept in ``opt``,
-    so a step allocates nothing.  When the params, the grads and the
-    velocities each tile one block in the order W[0], W[1], ..., b[0], b[1],
-    ... (see _span), as in a lockstep step, all of them update in one pass.
-
-    The gradient shapes are checked when the arrays differ from the last
-    call's: the same array objects as a call that passed the check pass it.
+    so a step allocates nothing.  A training step's ``_plan`` holds the
+    params, the gradient sums and the velocities as three flat blocks, which
+    update in one pass; otherwise each array updates on its own.
     """
     if not 0.0 <= epoch_frac <= 1.0:
         raise ValueError("epoch_frac must be in [0, 1]")
-    params, grad_list = [*net.weights, *net.biases], [*grads.d_weights, *grads.d_biases]
-    kept, arrays = opt._joined[0], params + grad_list + opt._vel
-    if len(kept) != len(arrays) or not all(map(operator.is_, kept, arrays)):
+    if _plan is None:
+        params, grad_list = [*net.weights, *net.biases], [*grads.d_weights, *grads.d_biases]
         for param, grad in zip(params, grad_list):
             if grad.shape != param.shape:
                 raise ShapeError(f"gradient {grad.shape} vs parameter {param.shape}")
         if not opt._vel:
             opt._vel = _tiles([p.shape for p in params], np.zeros)
-            opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
-            arrays = params + grad_list + opt._vel
-        # data pointers cost microseconds to read: keep the triples while the
-        # same arrays come back
-        spans = [_span(a) for a in (params, grad_list, opt._vel)]
-        triples = [spans] if all(s is not None for s in spans) else zip(params, grad_list, opt._vel)
-        opt._joined = arrays, list(triples)
+        triples = zip(params, grad_list, opt._vel)
+    else:
+        triples = [_plan.sgd]
+    if not opt._scratch:
+        opt._scratch = [np.empty(_SGD_CHUNK), np.empty(_SGD_CHUNK)]
     lr = opt.lr_at(epoch_frac)
-    for param, grad, vel in opt._joined[1]:
+    for param, grad, vel in triples:
         flat = np.ascontiguousarray(param)
         _sgd_chunks(flat.reshape(-1), np.ascontiguousarray(grad).reshape(-1),
                     vel.reshape(-1), lr, opt)
         if flat is not param:  # a strided parameter: write the update back
             param[...] = flat
-
-
-def _span(arrays: list) -> np.ndarray | None:
-    """The 1-D view of their C-contiguous base array that the C-contiguous
-    ``arrays`` tile back to back, in order, or None."""
-    def address(a):
-        return a.__array_interface__["data"][0]
-    base = arrays[0].base
-    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
-        return None
-    start = end = address(arrays[0])
-    for a in arrays:
-        if (a.base is not base or not a.flags.c_contiguous or a.dtype != base.dtype
-                or address(a) != end):
-            return None
-        end += a.nbytes
-    lo = (start - address(base)) // base.itemsize
-    return base.reshape(-1)[lo:lo + (end - start) // base.itemsize]
 
 
 def _sgd_chunks(param, grad, vel, lr: float, opt: OptimState):

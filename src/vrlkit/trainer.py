@@ -271,17 +271,17 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
 
     Each step is one regmix_loss call: a mixed term over the runs of roles 0
     and 1 and a clean term over those of roles 1 and 2; the runs of role 1
-    sum both.  The step's rows are one lent buffer: each run's gathered rows,
-    then the mixed rows, which one vicinal._mix_step per step writes from
-    one plan per epoch, drawn for every mixing run at its start.
+    sum both.  Every array a step writes is laid out once, in one
+    nn._StepPlan: the rows (each run's gathered rows, then the mixed rows,
+    which vicinal._mix_step writes from one mixing plan per epoch), the
+    per-layer arrays, the gradients and the SGD blocks.
 
     A step runs only its arithmetic.  What it reads was checked once: the
     configs (each eta and force_lambda by TrainConfig), the data here, and
-    each epoch's plan as _draw_plan makes it; so regmix_loss, mixup_batch,
-    nn._mean_ce and sgd_step skip their checks on a step (see each).  The
-    row views, the run map and the gradient layout are worked out once, and
-    a step's losses are scanned element by element only when their sum is
-    not finite.
+    each epoch's mixing plan as _draw_plan makes it; so regmix_loss,
+    mixup_batch, nn._mean_ce and sgd_step skip their checks on a step (see
+    each).  A step's losses are scanned element by element only when their
+    sum is not finite.
     """
     first = configs[0]
     if train_ds.n < 2:
@@ -295,39 +295,27 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     roles = [_step_role(config) for config in configs]
     runs = len(configs)
     n_mixed_only, n_mixed = roles.count(0), runs - roles.count(2)
-    step_runs = n_mixed_only, n_mixed  # regmix_loss's (c, m)
     # per mixed run: eta for the regularized ones, 1 for the mixed-only ones
     etas = np.array([c.eta if role else 1.0 for c, role in zip(configs[:n_mixed], roles)])
     roots = [RngState(config.seed) for config in configs]
-    net = nn.Network.stack([
+    n = train_ds.n
+    bounds = _batch_bounds(n, first.batch_size)
+    total_steps = first.epochs * len(bounds)
+    sizes = [hi - lo for lo, hi in bounds]
+    step_plan = nn._StepPlan([
         build_network(config, train_ds.d, train_ds.k, root.split(_S_INIT))
         for config, root in zip(configs, roots)
-    ])
+    ], n_mixed_only, n_mixed, etas, sizes)
+    net = step_plan.net
     opt = nn.OptimState(
         learning_rate=first.learning_rate,
         momentum=first.momentum,
         weight_decay=first.weight_decay,
         schedule=first.schedule,
     )
-    buffers = nn.StepBuffers()
     y_onehot = train_ds.onehot()
-    n = train_ds.n
-    bounds = _batch_bounds(n, first.batch_size)
-    total_steps = first.epochs * len(bounds)
-    sizes = [hi - lo for lo, hi in bounds]
     mixing = [(_RECIPES[c.strategy][0], BetaParams(c.alpha), c.lambda_mode, c.force_lambda)
               for c in configs[:n_mixed]]
-    # One set of row views per batch size, the largest taken first so that
-    # every view lies in the one array lent per role: each run's gathered
-    # rows (runs, rows, width), and the rows regmix_loss reads, those of the
-    # roles 1 and 2 and then the mixed ones.
-    views = {}
-    for rows in sorted(set(sizes), reverse=True):
-        xb = buffers.take("x", ((runs + n_mixed) * rows, train_ds.d))
-        yb = buffers.take("y", ((runs + n_mixed) * rows, train_ds.k))
-        views[rows] = (xb, yb, xb[:runs * rows].reshape(runs, rows, -1),
-                       yb[:runs * rows].reshape(runs, rows, -1),
-                       xb[n_mixed_only * rows:], yb[n_mixed_only * rows:])
     orders = np.empty((runs, n), np.int64)  # each run's shuffle of the epoch
     epoch_losses = []
     step = 0
@@ -336,28 +324,27 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
         for epoch in range(first.epochs):
             for order, root in zip(orders, roots):
                 order[:] = root.split(_S_SHUFFLE, epoch).permutation(n)
-            plan = None
+            mix_plan = None
             if n_mixed:  # one mix stream per mixing run, and a coin stream with two ops
                 draws = [(*mix, root.split(_S_MIX, epoch),
                           root.split(_S_COIN, epoch) if len(mix[0]) > 1 else None)
                          for mix, root in zip(mixing, roots)]
-                plan = _draw_plan(draws, sizes, train_ds.image_shape)
+                mix_plan = _draw_plan(draws, sizes, train_ds.image_shape)
             loss_sum = np.zeros(runs)
             for b, (lo, hi) in enumerate(bounds):
-                xb, yb, x_runs, y_runs, x_step, y_step = views[hi - lo]
+                xb, yb, x_runs, y_runs, x_step, y_step = step_plan.rows[hi - lo]
                 idx = orders[:, lo:hi]
                 # "wrap" mode takes no private copy; the indices are in range
                 train_ds.x.take(idx, axis=0, mode="wrap", out=x_runs)
                 y_onehot.take(idx, axis=0, mode="wrap", out=y_runs)
-                if plan is not None:  # each mixing run mixes its own block of rows
-                    _mix_step(plan, b, lo, hi, xb, yb)
-                loss, grads = regmix_loss(net, x_step, y_step, None, etas,
-                                          _buffers=buffers, _runs=step_runs)
+                if mix_plan is not None:  # each mixing run mixes its own block of rows
+                    _mix_step(mix_plan, b, lo, hi, xb, yb)
+                loss, grads = regmix_loss(net, x_step, y_step, None, etas, _plan=step_plan)
                 if not math.isfinite(loss.sum()):
                     bad = ~np.isfinite(loss)
                     if bad.any():
                         raise _diverged(configs, bad, f"loss at epoch {epoch}, step {step}")
-                nn.sgd_step(net, grads, opt, step / total_steps)
+                nn.sgd_step(net, grads, opt, step / total_steps, _plan=step_plan)
                 loss_sum += loss * (hi - lo)
                 step += 1
             epoch_losses.append(loss_sum / n)

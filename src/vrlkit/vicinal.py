@@ -9,7 +9,7 @@ Only _draw_plan draws pairings, lambdas and boxes: a whole epoch for each of
 a lockstep group's mixing runs, or one step for a single mixup_batch or
 cutmix_batch call given an RngState.  _mix_step builds a group's mixed rows
 with one such call per stretch of neighbouring runs that share an op, into
-the tail of the rows lent by nn.StepBuffers.
+the tail of the step's rows.
 """
 
 import math
@@ -279,34 +279,33 @@ def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
 
 
 def regmix_loss(
-    net, x, y_onehot, mixed: MixedBatch | None, eta, *,
-    _buffers: nn.StepBuffers | None = None, _runs: tuple | None = None,
+    net, x, y_onehot, mixed: MixedBatch | None, eta, *, _plan: nn._StepPlan | None = None,
 ) -> tuple[float, nn.GradientSet]:
     """Two-term objective: clean-batch CE plus eta times mixed-batch CE.
 
     One nn._two_term_ce call over every run (a stacked network takes its
     rows one block per run, run-major, and eta one value per run or one for
-    all), with the clean term alone when mixed is None.  ``_runs`` = (c, m)
-    is a lockstep group's step as the trainer lends it: x and y_onehot hold
-    the clean rows of the runs [c, R), then the mixed rows of the runs
-    [0, m), c <= m, and eta one value per mixed run (1 for a mixed-only
-    run).  ``_buffers`` is the step's nn.StepBuffers.
+    all), with the clean term alone when mixed is None.  A lockstep group's
+    step passes its ``_plan`` (nn._StepPlan) and mixed None: x and y_onehot
+    hold the clean rows of the runs [c, R), then the mixed rows of the runs
+    [0, m), with (c, m) and eta the plan's.
 
-    Without ``_runs`` eta (finite, >= 0) and the targets (>= 0) are checked
+    Without ``_plan`` eta (finite, >= 0) and the targets (>= 0) are checked
     here.  With it they are the trainer's: each eta from a TrainConfig, which
     checks it, and targets that are one-hot rows of checked labels or convex
     mixes of them, so a step scans neither.
     """
-    if _runs is None:
-        eta = np.asarray(eta, dtype=np.float64)
-        if not np.all(np.isfinite(eta) & (eta >= 0)):
-            raise ValueError("eta must be finite and >= 0")
-        _runs = 0, 0
-        if mixed is not None:  # every run, a plain network being one
-            if len(mixed.x_mixed) != len(x):
-                raise nn.ShapeError(f"{len(mixed.x_mixed)} mixed rows vs {len(x)} clean rows")
-            x, y_onehot = np.concatenate([x, mixed.x_mixed]), np.concatenate([y_onehot, mixed.y_mixed])
-            _runs = 0, math.prod(net.weights[0].shape[:-2])
-        y_onehot = as_matrix(y_onehot)
-        nn._check_targets(y_onehot)
-    return nn._two_term_ce(net, x, y_onehot, *_runs, eta, _buffers=_buffers)
+    if _plan is not None:
+        return nn._two_term_ce(net, x, y_onehot, _plan.c, _plan.m, eta, _plan=_plan)
+    eta = np.asarray(eta, dtype=np.float64)
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ValueError("eta must be finite and >= 0")
+    m = 0
+    if mixed is not None:  # every run, a plain network being one
+        if len(mixed.x_mixed) != len(x):
+            raise nn.ShapeError(f"{len(mixed.x_mixed)} mixed rows vs {len(x)} clean rows")
+        x, y_onehot = np.concatenate([x, mixed.x_mixed]), np.concatenate([y_onehot, mixed.y_mixed])
+        m = math.prod(net.weights[0].shape[:-2])
+    y_onehot = as_matrix(y_onehot)
+    nn._check_targets(y_onehot)
+    return nn._two_term_ce(net, x, y_onehot, 0, m, eta)

@@ -10,7 +10,6 @@ from vrlkit.nn import (
     LayerSpec,
     Network,
     OptimState,
-    StepBuffers,
     backward,
     cross_entropy_soft,
     forward,
@@ -411,7 +410,11 @@ class TestTermRuns:
 
     ETAS = (1.0, 0.4, 2.5)  # run r's mixed-term weight when it has both terms
 
-    def _step(self, c, m, buffers=None):
+    def _plan(self, c, m, sizes=(7,)):
+        etas = np.array([1.0 if r < c else self.ETAS[r] for r in range(m)])
+        return nn._StepPlan(stacked_runs()[0], c, m, etas, sizes)
+
+    def _step(self, c, m, plan=None):
         """The step's (loss, grads) on three runs, and each run's expected
         (loss, gradient arrays): a for the clean term, eta * b for the mixed
         one and a + eta * b for both."""
@@ -421,7 +424,8 @@ class TestTermRuns:
         etas = np.array([1.0 if r < c else self.ETAS[r] for r in range(m)])
         x = np.concatenate([*xs[c:], *x_m[:m]])
         t = np.concatenate([*ys[c:], *y_m[:m]])
-        got = nn._two_term_ce(Network.stack(nets), x, t, c, m, etas, _buffers=buffers)
+        net = Network.stack(nets) if plan is None else plan.net
+        got = nn._two_term_ce(net, x, t, c, m, etas, _plan=plan)
         want = []
         for r, net in enumerate(nets):
             a, g_c = ce_oracle(net, xs[r], ys[r])
@@ -435,46 +439,60 @@ class TestTermRuns:
             want.append((a, g_c))
         return got, want
 
+    @pytest.mark.parametrize("planned", [False, True], ids=["fresh", "plan"])
     @pytest.mark.parametrize("c, m", [(0, 0), (3, 3), (1, 1), (1, 2), (0, 3), (1, 3)])
-    def test_step_equals_runs_alone_bitwise(self, c, m):
-        for buffers in (None, StepBuffers()):
-            (loss, grads), want = self._step(c, m, buffers)
-            for r, (want_loss, want_arrays) in enumerate(want):
-                assert loss[r] == want_loss
-                for got, ref in zip([*grads.d_weights, *grads.d_biases], want_arrays):
-                    assert np.array_equal(got[r], ref)
+    def test_step_equals_runs_alone_bitwise(self, c, m, planned):
+        (loss, grads), want = self._step(c, m, self._plan(c, m) if planned else None)
+        for r, (want_loss, want_arrays) in enumerate(want):
+            assert loss[r] == want_loss
+            for got, ref in zip([*grads.d_weights, *grads.d_biases], want_arrays):
+                assert np.array_equal(got[r], ref)
 
-    def test_lent_arrays_give_the_same_bits_and_are_reused(self):
+    def test_plan_arrays_give_the_same_bits_and_are_reused(self):
         (want_loss, want), _ = self._step(1, 2)
-        buffers = StepBuffers()
-        for step in range(2):
-            (loss, grads), _ = self._step(1, 2, buffers)
-            if step == 0:
-                kept = dict(buffers._arrays)
-                assert "grad" in kept  # the sums and the mixed slices: one block
+        plan = self._plan(1, 2)
+        steps = [self._step(1, 2, plan)[0] for _ in range(2)]
+        for loss, grads in steps:
             assert np.array_equal(loss, want_loss)
             for got, ref in zip([*grads.d_weights, *grads.d_biases],
                                 [*want.d_weights, *want.d_biases]):
                 assert np.array_equal(got, ref)
-                assert any(np.shares_memory(got, b) for b in kept.values())
-        assert buffers._arrays.keys() == kept.keys()
-        assert all(buffers._arrays[role] is kept[role] for role in kept)
+                assert np.shares_memory(got, plan.sgd[1])  # the plan's gradient sums
+        (_, first), (_, second) = steps
+        assert all(a is b for a, b in zip([*first.d_weights, *first.d_biases],
+                                          [*second.d_weights, *second.d_biases]))
 
-    def test_forward_and_backward_with_buffers_equal_fresh_bitwise(self):
-        net = random_net([3, 6, 5, 4], "tanh", RngState(60))
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_and_backward_with_a_plan_equal_fresh_bitwise(self, activation):
+        # batch sizes 9 and 5: the 5-row arrays are prefixes of the 9-row ones
+        net = random_net([3, 6, 5, 4], activation, RngState(60))
+        plan = nn._StepPlan([net], 0, 0, np.ones(0), [9, 5, 9])
         rng = RngState(61)
-        x = rng.normal((9, 3))
-        y = np.eye(4)[np.asarray(rng.integers(0, 4, size=9))]
-        logits, features, cache = forward(net, x)
-        want = backward(net, cache, y)
-        buffers = StepBuffers()
-        lent_logits, lent_features, lent_cache = forward(net, x, _buffers=buffers)
-        got = backward(net, lent_cache, y, _buffers=buffers)
-        assert np.array_equal(lent_logits, logits) and np.array_equal(lent_features, features)
-        assert np.shares_memory(lent_features, buffers._arrays["act", 1])
-        for a, b in zip([*got.d_weights, *got.d_biases], [*want.d_weights, *want.d_biases]):
-            assert np.array_equal(a, b)
+        for rows in (9, 5, 9):
+            x = rng.normal((rows, 3))
+            y = np.eye(4)[np.asarray(rng.integers(0, 4, size=rows))]
+            logits, features, cache = forward(net, x)
+            want = backward(net, cache, y)
+            got_logits, got_features, got_cache = forward(plan.net, x, _plan=plan)
+            got, = backward(plan.net, got_cache, y, _plan=plan)
+            assert np.array_equal(got_logits[0], logits) and np.array_equal(got_features[0], features)
+            arrays = plan.layers[rows]
+            assert got_features is arrays.act[1] and got_logits is arrays.pre[2]
+            assert np.shares_memory(arrays.delta[0], plan.layers[9].delta[0])
+            for a, b in zip([*got.d_weights, *got.d_biases], [*want.d_weights, *want.d_biases]):
+                assert np.array_equal(a[0], b)
 
+    def test_plan_row_views(self):
+        # each run's gathered rows, then the mixed rows of the runs [0, m);
+        # the step reads the clean rows of the runs [c, R) and the mixed ones
+        plan = self._plan(1, 2, sizes=(7, 3))
+        for rows in (7, 3):
+            xb, yb, x_runs, y_runs, x_step, y_step = plan.rows[rows]
+            assert xb.shape == ((3 + 2) * rows, 3) and yb.shape == ((3 + 2) * rows, 4)
+            assert x_runs.shape == (3, rows, 3) and y_runs.shape == (3, rows, 4)
+            assert np.shares_memory(x_runs, xb[:3 * rows]) and np.shares_memory(y_runs, yb)
+            assert x_step.shape == ((3 - 1 + 2) * rows, 3) and np.shares_memory(x_step, xb[-1])
+            assert np.shares_memory(xb, plan.rows[7][0])
 
 
 def chunk_oracle(inp, delta):
@@ -527,7 +545,7 @@ class TestWeightGradChunks:
 
 class TestSgdStep:
     def test_mismatched_gradient_after_a_good_call_with_other_arrays(self):
-        # sgd_step checks shapes only when the arrays differ from the last call's
+        # every call without a plan checks the gradient shapes
         net = random_net([3, 4, 2], "relu", RngState(60))
         opt = OptimState(learning_rate=0.1, momentum=0.9)
         good = [np.ones_like(p) for p in [*net.weights, *net.biases]]
@@ -563,7 +581,7 @@ class TestSgdStep:
         for got, ref in zip(params, want):
             assert np.array_equal(got, ref)
 
-    def _step_and_formula(self, net, grads, opt, monkeypatch, steps=2):
+    def _step_and_formula(self, net, grads, opt, monkeypatch, steps=2, plan=None):
         """sgd_step ``steps`` times against the per-array formula, bit for
         bit; returns the sizes of the flat arrays each call updated."""
         params, passes = [*net.weights, *net.biases], []
@@ -573,7 +591,7 @@ class TestSgdStep:
         chunks = nn._sgd_chunks
         monkeypatch.setattr(nn, "_sgd_chunks", lambda p, *a: (passes.append(p.size), chunks(p, *a)))
         for frac in (0.1, 0.6)[:steps]:
-            sgd_step(net, grads, opt, frac)
+            sgd_step(net, grads, opt, frac, _plan=plan)
             lr = opt.lr_at(frac)
             for p, g, vel in zip(want, grad_list, vels):
                 g = g + opt.weight_decay * p
@@ -584,22 +602,24 @@ class TestSgdStep:
             assert np.array_equal(got, ref)
         return passes
 
-    def test_lockstep_arrays_tile_one_block_and_update_in_one_pass_bitwise(self, monkeypatch):
+    def test_plan_blocks_update_in_one_pass_bitwise(self, monkeypatch):
         # a mixed-only, a regularized and a clean-only run: c = 1, m = 2, R = 3
         nets, xs, ys = stacked_runs()
-        net = Network.stack(nets)
+        plan = nn._StepPlan(nets, 1, 2, np.array([1.0, 0.4]), [7])
+        net = plan.net
         x = np.concatenate([*xs[1:], *(x[::-1] * 0.5 for x in xs[:2])])
         t = np.concatenate([*ys[1:], *(0.3 * y + 0.7 * y[::-1] for y in ys[:2])])
-        _, grads = nn._two_term_ce(net, x, t, 1, 2, np.array([1.0, 0.4]), _buffers=StepBuffers())
+        _, grads = nn._two_term_ce(net, x, t, 1, 2, np.array([1.0, 0.4]), _plan=plan)
         opt = OptimState(learning_rate=0.2, momentum=0.9, weight_decay=0.01)
-        passes = self._step_and_formula(net, grads, opt, monkeypatch)
+        passes = self._step_and_formula(net, grads, opt, monkeypatch, plan=plan)
         params = [*net.weights, *net.biases]
         assert passes == [sum(p.size for p in params)] * 2
-        for arrays in (params, [*grads.d_weights, *grads.d_biases], opt._vel):
-            start = [a.__array_interface__["data"][0] for a in arrays]
-            assert all(a.flags.c_contiguous for a in arrays)
-            assert [s + a.nbytes for s, a in zip(start, arrays)][:-1] == start[1:]
+        for arrays, block in ((params, plan.sgd[0]), ([*grads.d_weights, *grads.d_biases],
+                                                      plan.sgd[1])):
             assert [a.shape for a in arrays] == [p.shape for p in params]
+            assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), block)
+            assert all(np.shares_memory(a, block) for a in arrays)
+        assert opt._vel == []  # the plan holds the velocities
 
     def test_reassigned_arrays_update_array_by_array_bitwise(self, monkeypatch):
         nets, xs, ys = stacked_runs()

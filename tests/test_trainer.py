@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,27 +426,46 @@ class TestLockstep:
             assert record.epoch_losses == solo_record.epoch_losses
             assert record.metrics == solo_record.metrics
 
-    def test_results_share_no_memory_with_the_step_buffers(self, monkeypatch):
-        lent = []
-
-        class Recorded(nn.StepBuffers):
-            def __init__(self):
-                super().__init__()
-                lent.append(self)
-
-        monkeypatch.setattr(nn, "StepBuffers", Recorded)
+    def test_results_share_no_memory_with_the_step_plan(self, monkeypatch):
+        plans = recorded_plans(monkeypatch)
         val = tiny_image_dataset(n=10, seed=8)
         configs = [step_test_config(s) for s in ("erm", "regcutmix", "mixup")]
         results = train(configs, tiny_image_dataset(n=14), val)
-        assert len(lent) == 1
-        buffers = list(lent[0]._arrays.values())
-        assert len(buffers) >= 10  # inputs, activations, deltas, gradient sums
+        assert len(plans) == 1
+        arrays = list(arrays_in(vars(plans[0])))
+        assert len(arrays) >= 10  # inputs, activations, deltas, gradient sums
         for net, record in results:
             logits, features, cache = forward(net, val.x)
             for a in (*net.weights, *net.biases, logits, features, *cache.pre, *cache.act):
-                assert not any(np.shares_memory(a, b) for b in buffers)
+                assert not any(np.shares_memory(a, b) for b in arrays)
             values = [*record.epoch_losses, *record.metrics.values(), record.wall_clock_s]
             assert all(type(v) is float for v in values)
+
+    def test_no_state_crosses_train_calls(self, tmp_path):
+        # batch sizes 4, 4, 4 and 2; a group of other shapes trains in between
+        code = """
+import sys
+from vrlkit import nn
+sys.path.insert(0, {tests!r})
+from test_trainer import step_test_config, tiny_image_dataset
+from vrlkit.trainer import train
+configs = [step_test_config(s) for s in ("erm", "regmixup", "mixup")]
+for r, (net, _) in enumerate(train(configs, tiny_image_dataset(n=14), None)):
+    nn.save_checkpoint(net, {out!r} + str(r))
+"""
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-c", code.format(tests=str(Path(__file__).parent),
+                                                          out=str(fresh))],
+                       check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        configs = [step_test_config(s) for s in ("erm", "regmixup", "mixup")]
+        other = [step_test_config(s, hidden_dims=(3,), batch_size=5)
+                 for s in ("cutmix", "regmixup")]
+        for attempt in range(2):
+            if attempt:
+                train(other, tiny_image_dataset(n=11, seed=4), None)
+            for r, (net, _) in enumerate(train(configs, tiny_image_dataset(n=14), None)):
+                nn.save_checkpoint(net, tmp_path / f"here{r}")
+                assert (tmp_path / f"here{r}").read_bytes() == Path(f"{fresh}{r}").read_bytes()
 
     def test_streams_per_run_and_epoch(self, monkeypatch):
         # per run: its root and init streams, and per epoch a shuffle stream,
@@ -482,19 +505,39 @@ class TestLockstep:
         assert train([], tr, val) == []
 
 
+def recorded_plans(monkeypatch) -> list:
+    """The nn._StepPlan of each lockstep group that trains, as it is built."""
+    plans = []
+
+    class Recorded(nn._StepPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(nn, "_StepPlan", Recorded)
+    return plans
+
+
+def arrays_in(value):
+    """Every numpy array reachable from value through containers and objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from arrays_in(item)
+    elif hasattr(value, "__dict__"):
+        yield from arrays_in(vars(value))
+
+
 class TestOnePassStep:
-    def test_one_forward_backward_and_sgd_step_on_the_lent_rows(self, monkeypatch):
+    def test_one_forward_backward_and_sgd_step_on_the_plan_rows(self, monkeypatch):
         # one step of a mixed-only, a regularized and an ERM run: c = 1, m = 2, R = 3
         configs = [step_test_config(s, epochs=1, batch_size=14)
                    for s in ("erm", "regmixup", "mixup")]
-        lent, calls = [], []
-
-        class Recorded(nn.StepBuffers):
-            def __init__(self):
-                super().__init__()
-                lent.append(self)
-
-        monkeypatch.setattr(nn, "StepBuffers", Recorded)
+        plans, calls = recorded_plans(monkeypatch), []
         for name in ("forward", "backward", "sgd_step"):
             def spy(*args, _name=name, _call=getattr(nn, name), **kwargs):
                 calls.append((_name, args, kwargs))
@@ -502,10 +545,11 @@ class TestOnePassStep:
             monkeypatch.setattr(nn, name, spy)
         results = train(configs, tiny_image_dataset(n=14), None)
         assert [name for name, _, _ in calls] == ["forward", "backward", "sgd_step"]
-        _, (_, rows), kwargs = calls[0]
-        assert kwargs["_runs"] == [(1, 3), (0, 2)]
+        assert len(plans) == 1 and all(kwargs["_plan"] is plans[0] for _, _, kwargs in calls)
+        assert plans[0].run_map[0] == (4,) and plans[0].layout[0] == [(1, 3), (0, 2)]
+        _, (_, rows), _ = calls[0]
         assert rows.shape == ((3 - 1 + 2) * 14, 4)  # clean rows of runs 1, 2; mixed of 0, 1
-        assert len(lent) == 1 and np.shares_memory(rows, lent[0]._arrays["x"])
+        assert np.shares_memory(rows, plans[0].rows[14][0])
         for config, (net, _) in zip(configs, results):
             assert nets_equal(net, reference_train(config, tiny_image_dataset(n=14), None)[0])
 
