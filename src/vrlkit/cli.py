@@ -16,7 +16,7 @@ import hashlib
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -246,8 +246,17 @@ def _heatmap_keys(cfg) -> tuple[str, int]:
     return source, n_pairs
 
 
+# The manifest key of a TrainConfig field, where the two names differ.
+_TRAIN_KEYS = {"hidden_dims": "hidden", "learning_rate": "lr"}
+
+
 def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainConfig:
-    """Resolve train.* defaults with per-strategy overrides (mixup.alpha etc.)."""
+    """Resolve train.* defaults with per-strategy overrides (mixup.alpha etc.).
+
+    A value that TrainConfig rejects raises ManifestError naming the key
+    that set it, with TrainConfig's reason: the first value, in field order,
+    that it rejects among values it accepts.
+    """
     cfg = manifest.config
 
     def key(name):
@@ -257,24 +266,31 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
     def maybe_float(name):  # alpha and eta: empty or "none" means unset
         return None if cfg.get(key(name), "") in ("", "none") else _get(cfg, key(name), cast=float)
 
+    values = dict(
+        hidden_dims=tuple(_get_list(cfg, key("hidden"), [32, 32], int)),
+        activation=_get(cfg, key("activation"), "relu"),
+        alpha=maybe_float("alpha"),
+        eta=maybe_float("eta"),
+        epochs=_get(cfg, key("epochs"), 40, int),
+        batch_size=_get(cfg, key("batch_size"), 64, int),
+        learning_rate=_get(cfg, key("lr"), 0.1, float),
+        momentum=_get(cfg, key("momentum"), 0.9, float),
+        weight_decay=_get(cfg, key("weight_decay"), 5e-4, float),
+        schedule=_get(cfg, key("schedule"), "cosine"),
+        lambda_mode=_get(cfg, key("lambda_mode"), "per_batch"),
+    )
     try:
-        return TrainConfig(
-            strategy=strategy,
-            hidden_dims=tuple(_get_list(cfg, key("hidden"), [32, 32], int)),
-            activation=_get(cfg, key("activation"), "relu"),
-            alpha=maybe_float("alpha"),
-            eta=maybe_float("eta"),
-            epochs=_get(cfg, key("epochs"), 40, int),
-            batch_size=_get(cfg, key("batch_size"), 64, int),
-            learning_rate=_get(cfg, key("lr"), 0.1, float),
-            momentum=_get(cfg, key("momentum"), 0.9, float),
-            weight_decay=_get(cfg, key("weight_decay"), 5e-4, float),
-            schedule=_get(cfg, key("schedule"), "cosine"),
-            seed=seed,
-            lambda_mode=_get(cfg, key("lambda_mode"), "per_batch"),
-        )
+        return TrainConfig(strategy=strategy, seed=seed, **values)
     except ValueError as err:
-        raise ManifestError(str(err))
+        reason = str(err)
+    if strategy in STRATEGIES:
+        accepted = TrainConfig(strategy, alpha=1.0, eta=1.0)
+        for field, value in values.items():
+            try:
+                replace(accepted, **{field: value})
+            except ValueError as err:
+                raise ManifestError(f"key {key(_TRAIN_KEYS.get(field, field))!r}: {err}")
+    raise ManifestError(reason)
 
 
 def runs(manifest: RunManifest) -> list:
@@ -380,28 +396,32 @@ def parse_corruptions(value: str) -> list:
 class Pipeline:
     """Datasets of one experiment, normalized by train-split statistics.
 
-    ``ood`` and ``corrupted`` are None and [] unless build_pipeline was asked
-    for them (and the manifest defines them).
+    A set that build_pipeline was not asked for is None (``corrupted``: []),
+    as is ``ood`` when the manifest defines none. ``_sizes`` holds the
+    (train, val, test) row counts of the split, built or not.
     """
 
-    train: Dataset
-    val: Dataset
-    test: Dataset
+    train: Dataset | None
+    val: Dataset | None
+    test: Dataset | None
     ood: Dataset | None
     corrupted: list  # [(CorruptionSpec, Dataset)]
+    _sizes: tuple = ()
 
 
-PIPELINE_PARTS = ("corrupted", "ood")
+PIPELINE_PARTS = ("train", "val", "test", "corrupted", "ood")
 
 
 def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
-    """The normalized train/val/test splits and the optional sets in ``parts``.
+    """The normalized sets named in ``parts``.
 
-    ``parts`` names any of PIPELINE_PARTS: "corrupted" (the corrupted copies
-    of the test split) and "ood". A set not named is left empty (``[]`` or
-    None). The keys of every part are checked on each call, built or not, and
-    each set draws from its own RngState label, so no set depends on which
-    others are built.
+    ``parts`` names any of PIPELINE_PARTS: the three splits, "corrupted" (the
+    corrupted copies of the test split) and "ood". A set not named is neither
+    drawn nor standardized, and is left empty (None, or ``[]`` for
+    "corrupted"). The normalizer is fit on the train split whether or not it
+    is named. The keys of every part are checked on each call, built or not,
+    and each set draws from its own RngState label, so no set depends on
+    which others are built.
     """
     unknown = set(parts) - set(PIPELINE_PARTS)
     if unknown:
@@ -427,9 +447,13 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     # so a build holds at most the set and its splits. Every set below is a
     # fresh array that only this call holds, so each is normalized in place;
     # the corrupted copies read the raw test split, so it is normalized last.
-    test_raw = base.take(test_idx, name=f"{base.name}/rest")
+    test_raw = None
+    if "test" in parts or "corrupted" in parts:
+        test_raw = base.take(test_idx, name=f"{base.name}/rest")
     train_raw = base.take(pool_idx[train_pos], name=f"{base.name}/train/train")
-    val_raw = base.take(pool_idx[val_pos], name=f"{base.name}/train/rest")
+    val_raw = None
+    if "val" in parts:
+        val_raw = base.take(pool_idx[val_pos], name=f"{base.name}/train/rest")
     del base
     stats = fit_normalizer(train_raw)
     ood = None
@@ -442,12 +466,17 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         for i, spec in enumerate(specs):
             raw = _corrupt(test_raw, spec, RngState(seed).split(103, i), scale)
             corrupted.append((spec, _normalize_in_place(raw, stats)))
+
+    def normalized(part, raw):
+        return _normalize_in_place(raw, stats) if part in parts else None
+
     return Pipeline(
-        train=_normalize_in_place(train_raw, stats),
-        val=_normalize_in_place(val_raw, stats),
-        test=_normalize_in_place(test_raw, stats),
+        train=normalized("train", train_raw),
+        val=normalized("val", val_raw),
+        test=normalized("test", test_raw),
         ood=ood,
         corrupted=corrupted,
+        _sizes=(train_pos.size, val_pos.size, test_idx.size),
     )
 
 
@@ -509,7 +538,7 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     runs are dealt round-robin to min(jobs, runs) workers, and each worker
     trains its share in lockstep groups of its own.
     """
-    pipe = build_pipeline(manifest, parts=())
+    pipe = build_pipeline(manifest, parts=("train", "val"))
     grid = runs(manifest)
     configs = [config for _, config in grid]
     n = min(jobs, len(configs))
@@ -610,16 +639,15 @@ def _write_per_test_set_csv(
 def cmd_eval(manifest: RunManifest) -> Path:
     """Accuracy on the test split and every corrupted variant."""
     return _write_per_test_set_csv(
-        manifest, build_pipeline(manifest, parts=("corrupted",)), "eval.csv", "accuracy",
+        manifest, build_pipeline(manifest, parts=("test", "corrupted")), "eval.csv", "accuracy",
         lambda logits, features, labels: accuracy_from_logits(logits, labels),
     )
 
 
 def _too_small(pipe: Pipeline, need: str) -> ManifestError:
     """The exit-3 error of a command whose splits are too small for it."""
-    return ManifestError(
-        f"{need}; the splits hold {pipe.train.n} train, {pipe.val.n} val, {pipe.test.n} test"
-    )
+    train, val, test = pipe._sizes
+    return ManifestError(f"{need}; the splits hold {train} train, {val} val, {test} test")
 
 
 _LOGIT_MEASURES = (ds_score, energy_score)
@@ -628,7 +656,7 @@ _PROB_MEASURES = (entropy_score, mps_score)
 
 def cmd_ood(manifest: RunManifest) -> Path:
     """AUROC of in-distribution test vs the OOD set, per uncertainty measure."""
-    pipe = build_pipeline(manifest, parts=("ood",))
+    pipe = build_pipeline(manifest, parts=("train", "test", "ood"))
     if pipe.ood is None:
         raise ManifestError("manifest has no ood.* section")
     # the Mahalanobis score fits one covariance per train class
@@ -656,7 +684,7 @@ def cmd_ood(manifest: RunManifest) -> Path:
 
 def cmd_calibrate(manifest: RunManifest) -> Path:
     """Fit the temperature on validation logits; report pre/post calibration."""
-    pipe = build_pipeline(manifest, parts=())
+    pipe = build_pipeline(manifest, parts=("val", "test"))
     ew = BinningSpec("equal_width", 15)
     em = BinningSpec("equal_mass", 15)
     if pipe.test.n < em.n_bins:
@@ -688,8 +716,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
 def cmd_heatmap(manifest: RunManifest) -> Path:
     """Entropy-profile heatmap SVG per run, plus a barrier-statistic CSV."""
     source_name, n_pairs = _heatmap_keys(manifest.config)
-    pipe = build_pipeline(manifest, parts=())
-    source = pipe.train if source_name == "train" else pipe.test
+    pipe = build_pipeline(manifest, parts=(source_name,))
+    source = getattr(pipe, source_name)
     classes = np.unique(source.labels).size
     if classes < 2:
         raise _too_small(pipe, f"heatmap needs >= 2 classes in the {source_name} split "
@@ -707,7 +735,7 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
 
 def cmd_fisher(manifest: RunManifest) -> Path:
     """Fisher criterion of network features per corruption kind x intensity."""
-    pipe = build_pipeline(manifest, parts=("corrupted",))
+    pipe = build_pipeline(manifest, parts=("test", "corrupted"))
     # the corrupted sets share the test labels, so one check covers them all
     classes, counts = np.unique(pipe.test.labels, return_counts=True)
     if classes.size < 2 or counts.min() < 2:

@@ -162,10 +162,36 @@ def fit_normalizer(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean/sd from this dataset (intended: the train split)."""
     mean = ds.x.mean(axis=0)
     # ds.x.std(axis=0) bit for bit, without computing the mean a second time
-    dev = ds.x - mean
-    dev *= dev
-    sd = np.sqrt(np.add.reduce(dev, axis=0) / ds.n)
+    sd = np.sqrt(_sum_sq_dev(ds.x, mean) / ds.n)
     return mean, np.maximum(sd, 1e-8)
+
+
+_SQ_DEV_BLOCK = 32768  # values per row block of _sum_sq_dev: 256 KiB of float64
+
+
+def _sum_sq_dev(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per-column sum of ``(x - mean) ** 2``, in ``x.var(axis=0)``'s order.
+
+    With ``mean = x.mean(axis=0)``, this over ``len(x)`` is ``x.var(axis=0)``
+    bit for bit. numpy sums the rows of a C-ordered (n, d) array in order,
+    one row at a time, so the rows go through one reused block whose first
+    row carries the running sum: each block's reduce continues that sum, and
+    no (n, d) temporary is made. A single column, which numpy sums pairwise
+    like a 1-D array, and an input that fits one block take one whole reduce.
+    """
+    n, d = x.shape
+    rows = max(1, _SQ_DEV_BLOCK // d)
+    if d == 1 or n <= rows or not x.flags.c_contiguous:
+        dev = x - mean
+        dev *= dev
+        return np.add.reduce(dev, axis=0)
+    buf = np.zeros((rows + 1, d))
+    for start in range(0, n, rows):
+        dev = buf[1:1 + min(rows, n - start)]
+        np.subtract(x[start:start + rows], mean, out=dev)
+        dev *= dev
+        np.add.reduce(buf[:1 + dev.shape[0]], axis=0, out=buf[0])
+    return buf[0]
 
 
 def apply_normalizer(ds: Dataset, stats) -> Dataset:
@@ -208,7 +234,8 @@ class CorruptionSpec:
 
 def pooled_feature_sd(ds: Dataset) -> float:
     """RMS of the per-feature standard deviations."""
-    return float(np.sqrt(np.mean(ds.x.var(axis=0))))
+    variance = _sum_sq_dev(ds.x, ds.x.mean(axis=0)) / ds.n  # ds.x.var(axis=0), bit for bit
+    return float(np.sqrt(np.mean(variance)))
 
 
 def corrupt(ds: Dataset, spec: CorruptionSpec, rng: RngState) -> Dataset:

@@ -597,7 +597,9 @@ class TestBadManifestValues:
         # 240 rows, data.test_frac = 0.001: 3 test rows, one per class
         replace = ("data.test_frac = 0.25", "data.test_frac = 0.001")
         err = self._run(tmp_path, capsys, replace, ["train", "eval", "fisher"])
-        assert "class 0 with 1 row" in err and "3 test" in err
+        # the message reports the train and val splits, which fisher does not build
+        assert err == ("error: fisher needs >= 2 test classes of >= 2 rows each, found class 0 "
+                       "with 1 row; the splits hold 213 train, 24 val, 3 test\n")
         assert not list(tmp_path.rglob("fisher.csv"))
 
     def test_ood_on_a_train_class_of_one_row(self, tmp_path, capsys):
@@ -611,7 +613,9 @@ class TestBadManifestValues:
         replace = ("data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n")
         commands = ["train", "eval", "calibrate", "heatmap", "ood"]
         err = self._run(tmp_path, capsys, replace, commands, manifest=MOONS_MANIFEST)
-        assert "class 2 with 1 row" in err
+        # the message reports the val split, which ood does not build
+        assert err == ("error: ood needs >= 2 train rows of each class, found class 2 with "
+                       "1 row; the splits hold 55 train, 7 val, 21 test\n")
         assert not list(tmp_path.rglob("ood.csv"))
 
     @pytest.mark.parametrize("source", ["train", "test"])
@@ -620,8 +624,11 @@ class TestBadManifestValues:
         replace = ("data.k = 3\n", "data.k = 1\n")
         manifest = MANIFEST.replace(*_setting(MANIFEST, "heatmap.source", source))
         err = self._run(tmp_path, capsys, replace, ["train", "eval", "heatmap"], manifest)
-        assert f"in the {source} split" in err and "found 1 " in err
-        assert "the splits hold" in err
+        # the message reports every split, though heatmap builds only its source
+        rows = {"train": 162, "test": 60}[source]
+        assert err == (f"error: heatmap needs >= 2 classes in the {source} split "
+                       f"(heatmap.source), found 1 in its {rows} rows; "
+                       "the splits hold 162 train, 18 val, 60 test\n")
         assert not list(tmp_path.rglob("heatmap_*.svg"))
         assert not list(tmp_path.rglob("barrier.csv"))
 
@@ -661,6 +668,28 @@ class TestBadManifestValues:
             tmp_path, capsys, _setting(manifest, "mixup.eta", "-1"), ["train"], manifest=manifest
         )
         assert "eta must be >= 0, not -1.0 (strategy mixup)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("train.batch_size", "1", "need epochs >= 1 and batch_size >= 2"),
+            ("train.momentum", "1", "momentum must be in [0, 1)"),
+            ("mixup.eta", "-1", "eta must be >= 0, not -1.0 (strategy mixup)"),
+            ("regmixup.batch_size", "1", "need epochs >= 1 and batch_size >= 2"),
+            ("train.hidden", "8,0", "layer dims must be >= 1"),
+        ],
+        ids=["train.batch_size", "train.momentum", "mixup.eta", "regmixup.batch_size",
+             "train.hidden"],
+    )
+    def test_value_train_config_rejects_names_its_key(self, tmp_path, capsys, key, value, reason):
+        manifest = MANIFEST.replace(
+            "strategies = erm,regmixup", "strategies = erm,regmixup,mixup\nmixup.alpha = 1"
+        )
+        err = self._run(
+            tmp_path, capsys, _setting(manifest, key, value), ["train"], manifest=manifest
+        )
+        assert err == f"error: key {key!r}: {reason}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -894,8 +923,9 @@ def test_calibrate_rejects_small_test_split(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("calibrate", *base) == EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "12 test" in err
+    # the message reports the train split, which calibrate does not standardise
+    assert err == ("error: calibrate needs >= 15 test rows for its 15-bin AdaECE; "
+                   "the splits hold 22 train, 6 val, 12 test\n")
     assert not list(out.rglob("*.svg"))
     assert not list(out.rglob("calibrate.csv"))
 
@@ -910,34 +940,67 @@ def _spy(monkeypatch, name, calls):
     monkeypatch.setattr(cli, name, spy)
 
 
+# Sets of pipeline parts: none, each command's (train; eval and fisher; ood;
+# calibrate; heatmap on either source), a lone optional set, and every part.
+PARTS = [(), ("train",), ("test",), ("corrupted",), ("ood",), ("train", "val"),
+         ("val", "test"), ("test", "corrupted"), ("train", "test", "ood"), cli.PIPELINE_PARTS]
+
+
+def parts_id(parts):
+    return "+".join(parts) or "none"
+
+
 class TestPipelineParts:
-    """Each command builds only the optional sets it reads."""
+    """Each command builds and standardises only the sets it reads."""
 
     @pytest.mark.parametrize(
-        "command,expected",
+        "command,source,generated,standardized",
         [
-            ("train", []),
-            ("calibrate", []),
-            ("heatmap", []),
-            ("eval", ["_corrupt", "_corrupt"]),
-            ("fisher", ["_corrupt", "_corrupt"]),
-            ("ood", ["make_blob"]),
+            ("train", "train", [], ["/train/train", "/train/rest"]),
+            ("calibrate", "train", [], ["/train/rest", "/rest"]),
+            ("heatmap", "train", [], ["/train/train"]),
+            ("heatmap", "test", [], ["/rest"]),
+            ("eval", "train", ["_corrupt", "_corrupt"],
+             ["/rest+gaussian_noise1", "/rest+gaussian_noise2", "/rest"]),
+            ("fisher", "train", ["_corrupt", "_corrupt"],
+             ["/rest+gaussian_noise1", "/rest+gaussian_noise2", "/rest"]),
+            ("ood", "train", ["make_blob"], ["ood_blob", "/train/train", "/rest"]),
         ],
+        ids=["train", "calibrate", "heatmap-train", "heatmap-test", "eval", "fisher", "ood"],
     )
     def test_commands_generate_only_what_they_read(
-        self, manifest_file, tmp_path, monkeypatch, command, expected
+        self, tmp_path, monkeypatch, command, source, generated, standardized
     ):
+        manifest_file = tmp_path / "exp.cfg"
+        manifest_file.write_text(MANIFEST + f"heatmap.source = {source}\n")
         out = tmp_path / "o"
         if command != "train":
             assert run_cli("train", "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
-        calls = []
+        calls, taken, sets = [], [], []
         for name in ("_corrupt", "make_blob", "make_uniform_box"):
             _spy(monkeypatch, name, calls)
+        normalize, take = cli._normalize_in_place, Dataset.take
+
+        def spy_normalize(ds, stats):
+            sets.append(ds.name.removeprefix("gaussian_blobs"))
+            return normalize(ds, stats)
+
+        def spy_take(ds, idx, name=None):
+            taken.append(name.removeprefix("gaussian_blobs"))
+            return take(ds, idx, name)
+
+        monkeypatch.setattr(cli, "_normalize_in_place", spy_normalize)
+        monkeypatch.setattr(Dataset, "take", spy_take)
         assert run_cli(command, "--config", str(manifest_file), "--out", str(out)) == EXIT_OK
-        assert calls == expected  # MANIFEST: gaussian_noise:1-2 and an ood blob
+        assert calls == generated  # MANIFEST: gaussian_noise:1-2 and an ood blob
+        # train /train/train, val /train/rest, test /rest and their corrupted copies
+        assert sets == standardized
+        # each split taken is standardised, but the train split, which the normalizer reads
+        splits = {"/train/train", "/train/rest", "/rest"}
+        assert sorted(taken) == sorted({"/train/train"} | splits.intersection(standardized))
 
     @pytest.mark.parametrize("image", [False, True], ids=["blobs", "cifar"])
-    @pytest.mark.parametrize("parts", [(), ("corrupted",), ("ood",), ("corrupted", "ood")])
+    @pytest.mark.parametrize("parts", PARTS, ids=parts_id)
     def test_parts_equal_full_build_bitwise(self, manifest_file, tmp_path, image, parts):
         if image:
             path = write_cifar_manifest(
@@ -951,7 +1014,11 @@ class TestPipelineParts:
         part = build_pipeline(manifest, parts=parts)
         for name in ("train", "val", "test"):
             a, b = getattr(full, name), getattr(part, name)
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+            if name in parts:
+                assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+            else:
+                assert b is None
+        assert part._sizes == full._sizes == (full.train.n, full.val.n, full.test.n)
         if "ood" in parts:
             assert part.ood.name == full.ood.name
             assert np.array_equal(part.ood.x, full.ood.x)
@@ -974,8 +1041,8 @@ class TestPipelineParts:
 def reference_pipeline(manifest, parts) -> cli.Pipeline:
     """build_pipeline by the public, copying functions: the oracle of its in-place build.
 
-    Two splits, the (x - mean) / sd formula on a copy of each set, and
-    ``corrupt`` with its own pooled SD for each spec.
+    Two splits, the (x - mean) / sd formula on a copy of each set named in
+    ``parts``, and ``corrupt`` with its own pooled SD for each spec.
     """
     cfg = manifest.config
     seed = cli._get(cfg, "data.seed", 12345, int)
@@ -988,6 +1055,9 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
     def normalized(ds):
         return dataclasses.replace(ds, x=(ds.x - mean) / sd)
 
+    def split_set(name, ds):
+        return normalized(ds) if name in parts else None
+
     ood = None
     if "ood" in parts:
         make, args, name = cli._ood_dataset(cfg, base.d)
@@ -996,7 +1066,8 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
     if "corrupted" in parts:
         for i, spec in enumerate(parse_corruptions(cfg["corruptions"])):
             corrupted.append((spec, normalized(corrupt(test, spec, RngState(seed).split(103, i)))))
-    return cli.Pipeline(normalized(train), normalized(val), normalized(test), ood, corrupted)
+    return cli.Pipeline(split_set("train", train), split_set("val", val),
+                        split_set("test", test), ood, corrupted)
 
 
 def assert_same_sets(a, b):
@@ -1030,7 +1101,7 @@ class TestBuildPipelineOracle:
                         "strategies = erm\nseeds = 0\n")
         return path
 
-    @pytest.mark.parametrize("parts", [(), ("corrupted",), ("ood",), ("corrupted", "ood")])
+    @pytest.mark.parametrize("parts", PARTS, ids=parts_id)
     @pytest.mark.parametrize("ood_kind", ["blob", "uniform_box"])
     @pytest.mark.parametrize("kind", ["blobs", "moons", "csv", "cifar"])
     def test_equals_reference_bitwise(self, tmp_path, kind, ood_kind, parts):
@@ -1038,7 +1109,10 @@ class TestBuildPipelineOracle:
         got = build_pipeline(manifest, parts=parts)
         want = reference_pipeline(manifest, parts)
         for name in ("train", "val", "test"):
-            assert_same_sets(getattr(got, name), getattr(want, name))
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None) == (name not in parts)
+            if a is not None:
+                assert_same_sets(a, b)
         assert (got.ood is None) == (want.ood is None) == ("ood" not in parts)
         if got.ood is not None:
             assert_same_sets(got.ood, want.ood)
@@ -1046,13 +1120,15 @@ class TestBuildPipelineOracle:
         for (_, a), (_, b) in zip(got.corrupted, want.corrupted):
             assert_same_sets(a, b)
         if "corrupted" in parts:  # the fixture has every kind; rotation2d needs 2-D rows
-            allowed = set(CORRUPTION_KINDS) - (set() if got.test.d == 2 else {"rotation2d"})
+            d = got.corrupted[0][1].d
+            allowed = set(CORRUPTION_KINDS) - (set() if d == 2 else {"rotation2d"})
             assert {spec.kind for spec, _ in got.corrupted} == allowed
 
 
 class TestBuildPipelineMemory:
-    """A build holds the loaded set and its splits at most: no pool copy, and
-    the loaded set is gone before the normalizer fit's full-size temporary."""
+    """A build holds the loaded set and its splits at most: no pool copy, the
+    loaded set is gone before the normalizer fit, and the fit sums its
+    variance in row blocks, with no full-size temporary."""
 
     @pytest.mark.parametrize("n", [300, 1200])
     def test_peak_under_2_25x_the_loaded_set(self, tmp_path, n):
@@ -1068,7 +1144,7 @@ class TestBuildPipelineMemory:
         loaded = n * (CIFAR_RECORD_BYTES - 1) * 8
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            pipe = build_pipeline(manifest, parts=())
+            pipe = build_pipeline(manifest, parts=("train", "val", "test"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

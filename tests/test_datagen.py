@@ -23,6 +23,7 @@ from vrlkit.datagen import (
     save_csv,
     split,
 )
+from vrlkit.datagen import _SQ_DEV_BLOCK, _sum_sq_dev
 from vrlkit.tensor import RngState
 
 
@@ -302,6 +303,48 @@ class TestNormalizerAndCsv:
         assert mean.tobytes() == x.mean(axis=0).tobytes()
         assert sd.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
         assert sd[0] == 1e-8
+
+
+class TestSumSqDev:
+    """The normalizer's blocked sum of squared deviations is numpy's own
+    reduction bit for bit: numpy adds the rows of a C-ordered (n, d) array
+    in order, which each row block continues, and sums a single column
+    pairwise, which only one whole reduce repeats."""
+
+    @staticmethod
+    def data(n, d, seed):
+        rng = np.random.default_rng(seed)
+        return 1e3 + rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0, size=d)
+
+    @pytest.mark.parametrize("size", ["1", "block-1", "block", "block+1", "3blocks+2"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 3072])
+    def test_equals_numpy_var_and_std(self, d, size):
+        block = max(1, _SQ_DEV_BLOCK // d)  # rows per block
+        n = {"1": 1, "block-1": max(block - 1, 1), "block": block, "block+1": block + 1,
+             "3blocks+2": 3 * block + 2}[size]
+        x = self.data(n, d, n + d)
+        got = _sum_sq_dev(x, x.mean(axis=0)) / n
+        assert got.tobytes() == x.var(axis=0).tobytes()
+        mean, sd = fit_normalizer(Dataset(x, np.zeros(n), k=1, name="x"))
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert sd.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_long_column_is_summed_pairwise(self, seed):
+        # 40,000 rows of one column span two blocks; summed block by block,
+        # the sum differs from numpy's pairwise one on some of these seeds
+        x = self.data(40_000, 1, seed)
+        assert (_sum_sq_dev(x, x.mean(axis=0)) / 40_000).tobytes() == x.var(axis=0).tobytes()
+
+    def test_column_major_input_equals_numpy(self):
+        x = np.asfortranarray(self.data(3 * _SQ_DEV_BLOCK // 64 + 5, 64, 9))
+        assert (_sum_sq_dev(x, x.mean(axis=0)) / len(x)).tobytes() == x.var(axis=0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 1), (7, 5), (40, 3072), (3 * _SQ_DEV_BLOCK // 3 + 1, 3)])
+    def test_pooled_feature_sd_keeps_its_bits(self, shape):
+        x = self.data(*shape, shape[0])
+        ds = Dataset(x, np.zeros(shape[0]), k=1, name="x")
+        assert pooled_feature_sd(ds) == float(np.sqrt(np.mean(x.var(axis=0))))
 
 
 class TestPublicFunctionsKeepTheirInput:
