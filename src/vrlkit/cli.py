@@ -52,6 +52,7 @@ from .evalkit import (
 )
 from .tensor import RngState, atomic_open
 from .trainer import (
+    _RECIPES,
     STRATEGIES,
     DivergedError,
     ExperimentRecord,
@@ -89,12 +90,17 @@ class IncompatibleError(Exception):
     """Checkpoint and dataset shapes do not line up."""
 
 
+class _SingularError(ArithmeticError):
+    """A run's features have class covariances that are all zero or not finite."""
+
+
 # What `vrl` prints as one `error:` line, and the exit code it returns.
 _EXIT_CODES = (
     (MissingInputError, EXIT_MISSING_INPUT),
     (ManifestError, EXIT_SCHEMA),
     (IncompatibleError, EXIT_INCOMPATIBLE),
     (DivergedError, EXIT_NUMERIC),
+    (_SingularError, EXIT_NUMERIC),
     (OSError, EXIT_ERROR),
 )
 
@@ -541,6 +547,11 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     pipe = build_pipeline(manifest, parts=("train", "val"))
     grid = runs(manifest)
     configs = [config for _, config in grid]
+    for config in configs:
+        if "cutmix" in _RECIPES[config.strategy][0] and pipe.train.image_shape is None:
+            raise ManifestError(
+                f"strategy {config.strategy} needs image-shaped data (data.kind = cifar), "
+                f"not data.kind = {manifest.config['data.kind']}")
     n = min(jobs, len(configs))
     if deterministic_mode() or n <= 1:
         results = train(configs, pipe.train, pipe.val)
@@ -672,7 +683,11 @@ def cmd_ood(manifest: RunManifest) -> Path:
         scored = [(fn(logits_in), fn(logits_out)) for fn in _LOGIT_MEASURES]
         scored += [(fn(probs_in), fn(probs_out)) for fn in _PROB_MEASURES]
         _, feat_tr, _ = nn.forward(net, pipe.train.x)
-        gauss = fit_class_gaussians(feat_tr, pipe.train.labels)
+        try:
+            gauss = fit_class_gaussians(feat_tr, pipe.train.labels)
+        except ValueError:  # each class has >= 2 rows (checked above): only epsilon fails
+            raise _SingularError(f"ood: run {name}: the class covariances of its train "
+                                 "features are all zero or not finite") from None
         scored.append((mahalanobis_score(gauss, feat_in), mahalanobis_score(gauss, feat_out)))
         return [
             (pipe.ood.name, "auroc", s_in.measure, auroc(s_in, s_out))

@@ -152,29 +152,52 @@ def _fresh(n_layers: int) -> _Layers:
 
 
 class _StepPlan:
-    """Every array of a lockstep group's training steps, laid out once.
+    """Every array of a two-term pass (_two_term_ce), laid out once.
 
-    The trainer builds one per group and passes it as ``_plan`` to
+    The trainer builds one per lockstep group and passes it as ``_plan`` to
     vicinal.regmix_loss, which hands it on to _two_term_ce, forward and
-    backward, and to sgd_step.  It holds ``net``, the stacked network of
-    ``nets``; the step's run map and its _ce_layout for (c, m) and eta; and
-    per batch size in ``sizes``, ``rows[size]``, the row views, and
-    ``layers[size]``, the per-layer arrays.  Each role (the rows, the
-    targets, and per layer the pre-activations, activations, deltas and
-    activation gradients) is one array sized for the largest batch, and a
-    smaller batch takes a prefix of it.  ``sgd`` is sgd_step's (params,
-    gradient sums, velocities) triple of flat blocks.  A step's arrays hold
-    its values only until the next step writes them.
+    backward, and to sgd_step; a library call of _two_term_ce builds one for
+    its own nets and batch size.  It holds ``net``, the stacked network of
+    ``nets``, and for (c, m) and eta: ``run_map``, forward's (lead,
+    stretches) for the clean rows of the runs [c, R) and then the mixed rows
+    of the runs [0, m); ``sums``, the gradient sums (weights, then biases);
+    ``clean``, the clean stretch's gradients, the slices [c, R) of the sums
+    or arrays of their own when c < m; ``outs``, backward's GradientSet per
+    stretch; and ``scales``, eta and its view per gradient sum, or None when
+    every eta is 1.  Per batch size in ``sizes`` it holds ``rows[size]``,
+    the row views, and ``layers[size]``, the per-layer arrays.  Each role
+    (the rows, the targets, and per layer the pre-activations, activations,
+    deltas and activation gradients) is one array sized for the largest
+    batch, and a smaller batch takes a prefix of it.  ``sgd`` is sgd_step's
+    (params, gradient sums, velocities) triple of flat blocks.  A pass's
+    arrays hold its values only until the next pass writes them.
     """
 
     def __init__(self, nets, c: int, m: int, eta, sizes):
-        first, runs = nets[0], len(nets)
+        first, runs, n_layers = nets[0], len(nets), len(nets[0].layers)
         size = runs * sum(p.size for p in [*first.weights, *first.biases])
         params = np.empty(size)
         self.net = Network.stack(nets, _new=lambda n: params)
         self.c, self.m = c, m
-        grads, self.layout = _ce_layout(self.net, c, m, eta)
-        self.run_map = _run_map(self.layout[0])
+        shapes = [p.shape for p in [*self.net.weights, *self.net.biases]]
+        shapes += [(runs - c, *shape[1:]) for shape in shapes] * (c < m)
+        grads = np.empty(sum(map(math.prod, shapes)))
+        arrays = _tiles(shapes, lambda n: grads)
+        # the mixed stretch writes the sums of [0, m), the clean one those of
+        # [c, R), or arrays of its own when the two overlap
+        self.sums = arrays[:2 * n_layers]
+        self.clean = arrays[2 * n_layers:] or [g[c:] for g in self.sums]
+        outs = [self.clean] * (c < runs) + [[g[:m] for g in self.sums]] * (m > 0)
+        self.outs = [GradientSet(a[:n_layers], a[n_layers:]) for a in outs]
+        run_list = [(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi]
+        ends = np.cumsum([hi - lo for lo, hi in run_list]).tolist()
+        self.run_map = (ends[-1],), tuple(
+            (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, run_list))
+        eta = np.asarray(eta, dtype=np.float64)
+        self.scales = None
+        if m and (eta != 1).any():
+            self.scales = eta, [eta.reshape(eta.shape + (1,) * (g.ndim - eta.ndim))
+                                for g in self.sums]
         self.sgd = params, grads[:size], np.zeros(size)
         sizes, blocks = sorted(set(sizes)), self.run_map[0][0]
 
@@ -225,30 +248,25 @@ def _per_run(rows: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 def forward(
-    net: Network, x_batch, *, _runs=None, _plan: _StepPlan | None = None,
+    net: Network, x_batch, *, _plan: _StepPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on a batch.
 
     Returns (logits, features, cache) where features are the penultimate
     activations (the inputs themselves for a single-layer net).  A stacked
     network takes one block of rows per run, stacked run-major, and returns
-    logits and features as (runs, rows per run, width).  A run map ``_runs``
-    lists (lo, hi) run ranges, each a stretch of blocks for the runs lo ..
-    hi - 1 in turn; each matmul then runs once per stretch, on views of the
-    weights.  A training step's ``_plan`` gives the run map and the arrays
-    written; without it every array is fresh.
+    logits and features as (runs, rows per run, width).  A two-term pass's
+    ``_plan`` gives the arrays written and the run map: stretches of blocks,
+    each for a range of runs in turn, so each matmul runs once per stretch,
+    on views of the weights.  Without it every array is fresh.
     """
     x = as_matrix(x_batch)
     if x.shape[1] != net.in_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, network expects {net.in_dim}"
         )
-    if _plan is not None:
-        run_map = _plan.run_map
-    elif _runs is not None:
-        run_map = _run_map(_runs)
-    else:  # block r of a stacked network is run r
-        run_map = net.weights[0].shape[:-2], _WHOLE
+    # without a plan, block r of a stacked network is run r
+    run_map = (net.weights[0].shape[:-2], _WHOLE) if _plan is None else _plan.run_map
     lead, stretches = run_map
     h = _per_run(x, lead)
     arrays = _fresh(len(net.layers)) if _plan is None else _plan.layers[h.shape[-2]]
@@ -257,13 +275,6 @@ def forward(
     logits = act[-1]
     features = act[-2] if len(act) > 1 else h
     return logits, features, ForwardCache(net, x, pre, act, run_map)
-
-
-def _run_map(runs) -> tuple:
-    """forward's (lead, stretches) for the run map ``runs``."""
-    ends = np.cumsum([hi - lo for lo, hi in runs]).tolist()
-    return (ends[-1],), tuple(
-        (slice(e - hi + lo, e), slice(lo, hi)) for e, (lo, hi) in zip(ends, runs))
 
 
 def _dense(net: Network, l: int, h: np.ndarray, stretches=_WHOLE, out=None) -> np.ndarray:
@@ -371,7 +382,7 @@ def _mean_ce(p: np.ndarray, t: np.ndarray):
     """Mean soft-target CE over the rows axis (-2): a scalar, or one per run.
 
     The targets are not scanned here: cross_entropy_soft, weighted_ce and
-    vicinal.regmix_loss (without ``_runs``) check them (_check_targets), and
+    vicinal.regmix_loss (without ``_plan``) check them (_check_targets), and
     a training step's targets are one-hot rows of checked labels or convex
     mixes of them with lambda in [0, 1].
     """
@@ -395,16 +406,16 @@ _GRAD_ROWS = 256
 
 def backward(
     net: Network, cache: ForwardCache, soft_targets, probs=None, *,
-    _plan: _StepPlan | None = None, _out: list | None = None,
+    _plan: _StepPlan | None = None,
 ) -> GradientSet:
     """Exact gradient of the batch-mean softmax cross-entropy w.r.t. all parameters.
 
     ``soft_targets`` are rows laid out like the forward inputs; ``probs`` is
     softmax(logits) when the caller already has it.  A stacked network gets
     each block's gradient of its own batch-mean loss; after a forward with a
-    run map, one GradientSet per stretch.  The gradients are written into
-    ``_out``, one GradientSet per stretch, and the deltas into a training
-    step's ``_plan``; without them every array is fresh.
+    run map, one GradientSet per stretch.  A two-term pass's ``_plan`` takes
+    the deltas and the gradients (its ``outs``); without it every array is
+    fresh.
     """
     if cache.net is not net:
         raise ValueError("cache does not belong to this network")
@@ -419,7 +430,8 @@ def backward(
     arrays = _fresh(n_layers) if _plan is None else _plan.layers[t.shape[-2]]
     delta = np.subtract(probs, t, out=arrays.delta[-1])
     delta /= logits.shape[-2]  # dL/dlogits for mean CE
-    outs = _out or [GradientSet([None] * n_layers, [None] * n_layers) for _ in stretches]
+    outs = _plan.outs if _plan is not None else [
+        GradientSet([None] * n_layers, [None] * n_layers) for _ in stretches]
     for l in range(n_layers - 1, -1, -1):
         inp = cache.act[l - 1] if l > 0 else _per_run(cache.x, lead)
         for (part, _), grads in zip(stretches, outs):
@@ -472,61 +484,36 @@ def _two_term_ce(net: Network, x, t, c: int, m: int, eta=1, *, _plan: _StepPlan 
 
     x and t are V = (R - c) + m blocks of rows: the clean rows of the runs
     [c, R), then the mixed rows of the runs [0, m), c <= m.  One forward,
-    softmax, CE and backward take all V through the run map ((c, R), (0, m)).
+    softmax, CE and backward take all V through the run map of a _StepPlan.
     eta (one value, or one per mixed run; 1 is never multiplied in) scales
     the mixed losses and gradients, and the runs [c, m) add their two slices.
-    The gradient sums, and the clean slices when c < m, tile one block
-    (weights, then biases).  A plain network is one run on a run axis of
-    views, and gets a scalar loss and its own shapes back.  A training
-    step's ``_plan`` holds that block and the layout for its (c, m) and eta.
+    A training step passes its ``_plan``; any other call runs on a plan of
+    its own for the runs of ``net`` (a plain network is one, and gets a
+    scalar loss and its own shapes back) and the batch size of x.
     """
     plain = net.weights[0].ndim == 2
-    if plain:
-        net = net._with([w[None] for w in net.weights], [b[None] for b in net.biases])
-    layout = _ce_layout(net, c, m, eta)[1] if _plan is None else _plan.layout
-    run_list, sums, clean, outs, scales = layout
-    logits, _, cache = forward(net, x, _runs=run_list, _plan=_plan)
+    if _plan is None:
+        x = as_matrix(x)
+        nets = [net] if plain else net.unstack()
+        _plan = _StepPlan(nets, c, m, eta, [len(x) // (len(nets) - c + m)])
+    logits, _, cache = forward(_plan.net, x, _plan=_plan)
     probs = softmax(logits)
     ce = _mean_ce(probs, _per_run(as_matrix(t), logits.shape[:1]))
-    backward(net, cache, t, probs, _plan=_plan, _out=outs)
-    runs = net.weights[0].shape[0]
+    backward(_plan.net, cache, t, probs, _plan=_plan)
+    sums, scales, runs = _plan.sums, _plan.scales, len(_plan.net.weights[0])
     loss = np.empty(runs)
     loss[:m] = ce[runs - c:]
     if scales is not None:  # one weight per run scales that run's slice
         loss[:m] *= scales[0]
         for g, w in zip(sums, scales[1]):
             g[:m] *= w
-    for total, values in [(loss, ce[:runs - c]), *(zip(sums, clean) if c < m else ())]:
+    for total, values in [(loss, ce[:runs - c]), *(zip(sums, _plan.clean) if c < m else ())]:
         total[c:m] += values[:m - c]  # the runs [c, m) add their two slices
         total[m:] = values[m - c:]
     n_layers = len(net.layers)
     if plain:
         sums = [g[0] for g in sums]
     return loss[0] if plain else loss, GradientSet(sums[:n_layers], sums[n_layers:])
-
-
-def _ce_layout(net: Network, c: int, m: int, eta) -> tuple:
-    """The block a _two_term_ce pass of ``net`` writes its gradients into,
-    the gradient sums first, and what it needs from its run list on: (run
-    list, gradient sums, clean slices, one GradientSet per stretch, scales),
-    scales being eta and its view per gradient sum, or None when every eta
-    is 1."""
-    runs, n_layers = net.weights[0].shape[0], len(net.layers)
-    shapes = tuple(p.shape for p in [*net.weights, *net.biases])
-    shapes += tuple((runs - c, *shape[1:]) for shape in shapes) * (c < m)
-    block = np.empty(sum(map(math.prod, shapes)))
-    arrays = _tiles(shapes, lambda n: block)
-    # the mixed stretch writes the sums of [0, m), the clean one those of
-    # [c, R), or arrays of its own when the two overlap
-    sums = arrays[:2 * n_layers]
-    clean = arrays[2 * n_layers:] or [g[c:] for g in sums]
-    outs = [clean] * (c < runs) + [[g[:m] for g in sums]] * (m > 0)
-    w = np.asarray(eta, dtype=np.float64)
-    scales = None
-    if m and (w != 1).any():
-        scales = w, [w.reshape(w.shape + (1,) * (g.ndim - w.ndim)) for g in sums]
-    return block, ([(lo, hi) for lo, hi in ((c, runs), (0, m)) if lo < hi], sums, clean,
-                   [GradientSet(a[:n_layers], a[n_layers:]) for a in outs], scales)
 
 
 @dataclass

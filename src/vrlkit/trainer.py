@@ -279,9 +279,9 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
     A step runs only its arithmetic.  What it reads was checked once: the
     configs (each eta and force_lambda by TrainConfig), the data here, and
     each epoch's mixing plan as _draw_plan makes it; so regmix_loss,
-    mixup_batch, nn._mean_ce and sgd_step skip their checks on a step (see
-    each).  A step's losses are scanned element by element only when their
-    sum is not finite.
+    mixup_batch, cutmix_batch, nn._mean_ce and sgd_step skip their checks on
+    a step (see each).  A step's losses are scanned element by element only
+    when their sum is not finite.
     """
     first = configs[0]
     if train_ds.n < 2:

@@ -47,7 +47,7 @@ class MixedBatch:
     pairing: np.ndarray | None = None  # pairing[i] != i for all i
 
 
-def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
+def _batch(x, y_onehot, lam, rng, what: str):
     """The rows as matrices and lam checked, before anything is drawn."""
     x, y = as_matrix(x), as_matrix(y_onehot)
     if x.shape[0] < 2:
@@ -58,7 +58,7 @@ def _batch(x, y_onehot, lam, rng, drawn: bool, what: str):
         lam = np.asarray(lam, dtype=np.float64)
         if not (lam.min() >= 0 and lam.max() <= 1):  # NaN fails too
             raise ValueError(f"{what} lam must lie in [0, 1]")
-    if rng is None and not drawn:
+    if rng is None:
         raise ValueError(f"{what} needs an RngState to draw its pairing and lambda")
     return x, y, lam
 
@@ -101,7 +101,7 @@ def mixup_batch(
     if _pairing is None or lam is None:
         if lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-        x, y_onehot, lam = _batch(x, y_onehot, lam, rng, False, "mixup")
+        x, y_onehot, lam = _batch(x, y_onehot, lam, rng, "mixup")
         scalar = lam.ndim == 0 if lam is not None else lambda_mode == "per_batch"
         plan = _draw_plan([(("mixup",), params, lambda_mode, lam, rng, None)], [x.shape[0]], None)
         _pairing, lam = plan.pairing, plan.lam
@@ -136,20 +136,20 @@ def cutmix_batch(
 
     ``_pairing`` with ``_boxes`` is a drawn plan: nothing is drawn, x is one
     block of rows per box (y0, y1, x0, x1), pasted into that block only, and
-    a partner may be any row of x.  ``_out`` = (x_out, y_out) receives the
-    mixed rows.
+    a partner may be any row of x.  Nothing is checked either: x and
+    y_onehot are float64 matrices of image_shape rows, as the trainer gives
+    them.  ``_out`` = (x_out, y_out) receives the mixed rows.
     """
-    drawn = _pairing is not None and _boxes is not None
-    x, y, lam = _batch(x_img, y_onehot, lam, rng, drawn, "cutmix")
-    n = x.shape[0]
-    if image_shape is None:
-        raise ValueError("cutmix requires (H, W, C) image shape metadata")
-    h, w, c = image_shape
-    if h * w * c != x.shape[1]:
-        raise ValueError(f"rows of length {x.shape[1]} do not match image shape {image_shape}")
-    if not drawn:
-        plan = _draw_plan([(("cutmix",), params, "per_batch", lam, rng, None)], [n], image_shape)
+    x, y = x_img, y_onehot
+    if _pairing is None or _boxes is None:
+        x, y, lam = _batch(x, y, lam, rng, "cutmix")
+        if image_shape is None:
+            raise ValueError("cutmix requires (H, W, C) image shape metadata")
+        if math.prod(image_shape) != x.shape[1]:
+            raise ValueError(f"rows of length {x.shape[1]} do not match image shape {image_shape}")
+        plan = _draw_plan([(("cutmix",), params, "per_batch", lam, rng, None)], [len(x)], image_shape)
         _pairing, _boxes = plan.pairing, plan.boxes[0]
+    n, (h, w, c) = x.shape[0], image_shape
     x_out, y_out = (np.empty_like(x), None) if _out is None else _out
     np.copyto(x_out, x)
     imgs, src, rows = x_out.reshape(n, c, h, w), x.reshape(n, c, h, w), n // len(_boxes)
@@ -254,9 +254,9 @@ def _stretches(cut: np.ndarray) -> list:
     ]
 
 
-def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
-    """The mixed rows of step b, rows [lo, hi) of each run's epoch, written
-    into the tail of x and y and returned as views of it.
+def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y):
+    """Write the mixed rows of step b, rows [lo, hi) of each run's epoch,
+    into the tail of x and y.
 
     x and y are a step's rows: one block per run of the group, the m mixing
     runs first, then m blocks for the mixed rows.  Each stretch of
@@ -275,7 +275,6 @@ def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y) -> MixedBatch:
                          _pairing=partners, _boxes=plan.boxes[first:last, b], _out=to)
         else:
             mixup_batch(x[block], y[block], None, lam=lam[block], _pairing=partners, _out=to)
-    return MixedBatch(*out)
 
 
 def regmix_loss(

@@ -889,6 +889,42 @@ def test_diverged_training_exits_numeric(tmp_path, capsys, monkeypatch, jobs):
     assert not list(tmp_path.rglob("*.record")) and not list(tmp_path.rglob("*.ckpt"))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("strategy", ["cutmix", "regcutmix", "mixup_plus_cutmix",
+                                      "reg_mixup_plus_regcutmix"])
+def test_cutmix_on_non_image_data_exits_schema(manifest_file, tmp_path, capsys, strategy, jobs):
+    text = MANIFEST.replace(*_setting(MANIFEST, "strategies", strategy))
+    manifest_file.write_text(text + "train.alpha = 1\ntrain.eta = 1\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = run_cli("train", "--config", str(manifest_file), "--out", str(out), "--jobs", jobs)
+    assert code == EXIT_SCHEMA
+    assert capsys.readouterr().err == (f"error: strategy {strategy} needs image-shaped data "
+                                       "(data.kind = cifar), not data.kind = blobs\n")
+    assert not out.exists()  # no <hash>/ directory
+
+
+def test_ood_on_features_that_do_not_vary_exits_numeric(manifest_file, tmp_path, capsys):
+    # an all-zero net gives every train row the same features: every class
+    # covariance is zero, and so is the Mahalanobis fit's epsilon
+    from vrlkit.nn import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "runs"
+    base = ["--config", str(manifest_file), "--out", str(out)]
+    assert run_cli("train", *base) == EXIT_OK
+    run_dir = next(out.iterdir())
+    ckpt = run_dir / "checkpoints" / "regmixup_seed1.ckpt"
+    net = load_checkpoint(ckpt)
+    for a in (*net.weights, *net.biases):
+        a[...] = 0.0
+    save_checkpoint(net, ckpt)
+    capsys.readouterr()
+    assert run_cli("ood", *base) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("error: ood: run regmixup_seed1: the class covariances "
+                                       "of its train features are all zero or not finite\n")
+    assert not (run_dir / "ood.csv").exists()
+
+
 def test_tiny_alpha_trains(manifest_file, tmp_path):
     # Beta(0.001, 0.001) draws lambdas at 0 or 1 to rounding, and never NaN
     manifest_file.write_text(MANIFEST.replace(*_setting(MANIFEST, "regmixup.alpha", "0.001")))

@@ -347,14 +347,15 @@ class TestStacked:
     """A stacked network computes each run exactly as the plain network would."""
 
     def test_run_maps_in_turn_equal_plain_forwards_bitwise(self):
-        # forward keeps each run map it works out: a map used after another
-        # must not read the other's stretches
+        # a plan's run map takes the clean rows of the runs [c, R), then the
+        # mixed rows of [0, m); a map used after another must not read the
+        # other's stretches
         nets, xs, _ = stacked_runs()
-        stacked = Network.stack(nets)
-        for runs in ([(1, 3), (0, 2)], [(0, 3)], [(1, 3), (0, 2)]):
-            order = [r for lo, hi in runs for r in range(lo, hi)]
-            logits, features, _ = forward(stacked, np.concatenate([xs[r] for r in order]),
-                                          _runs=runs)
+        plans = {(c, m): nn._StepPlan(nets, c, m, np.ones(m), [7]) for c, m in ((1, 2), (0, 0))}
+        for c, m in ((1, 2), (0, 0), (1, 2)):
+            plan, order = plans[c, m], [*range(c, 3), *range(m)]
+            logits, features, _ = forward(plan.net, np.concatenate([xs[r] for r in order]),
+                                          _plan=plan)
             assert logits.shape == (len(order), 7, 4)
             for block, r in enumerate(order):
                 want_logits, want_features, _ = forward(nets[r], xs[r])
@@ -447,6 +448,41 @@ class TestTermRuns:
             assert loss[r] == want_loss
             for got, ref in zip([*grads.d_weights, *grads.d_biases], want_arrays):
                 assert np.array_equal(got[r], ref)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+    @pytest.mark.parametrize("call", ["weighted_ce", "regmix_mixed", "regmix_clean"])
+    def test_library_call_equals_a_hand_built_plan_bitwise(self, call, stacked):
+        # weighted_ce is c = m = R; regmix_loss is c = 0 < m = R with a mixed
+        # batch and m = 0 without one.  A library call builds its own plan.
+        from vrlkit.vicinal import MixedBatch, regmix_loss
+        nets, xs, ys = (part[:3 if stacked else 1] for part in stacked_runs())
+        net, runs = (Network.stack(nets), 3) if stacked else (nets[0], 1)
+        eta = np.array(self.ETAS) if stacked else 0.4
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        x_m, y_m = x[::-1] * 0.5, 0.3 * y + 0.7 * y[::-1]
+        params = [*net.weights, *net.biases]
+        before = [p.copy() for p in params]
+        if call == "weighted_ce":
+            (c, m), x_all, t_all = (runs, runs), x_m, y_m
+            got_loss, got = weighted_ce(net, x_m, y_m, eta)
+        elif call == "regmix_mixed":
+            (c, m), x_all, t_all = (0, runs), np.concatenate([x, x_m]), np.concatenate([y, y_m])
+            got_loss, got = regmix_loss(net, x, y, MixedBatch(x_m, y_m), eta)
+        else:
+            (c, m), x_all, t_all = (0, 0), x, y
+            got_loss, got = regmix_loss(net, x, y, None, eta)
+        plan = nn._StepPlan(nets, c, m, eta, [7])
+        loss, want = nn._two_term_ce(plan.net, x_all, t_all, c, m, eta, _plan=plan)
+        got, want = [*got.d_weights, *got.d_biases], [*want.d_weights, *want.d_biases]
+        if not stacked:
+            loss, want = loss[0], [g[0] for g in want]
+        assert np.ndim(got_loss) == np.ndim(loss) and np.array_equal(got_loss, loss)
+        for a, b, p in zip(got, want, params, strict=True):
+            assert a.shape == p.shape and np.array_equal(a, b)
+        # the caller's net keeps its arrays and their bits, and no gradient is a view of them
+        assert all(a is b for a, b in zip([*net.weights, *net.biases], params))
+        assert all(np.array_equal(a, b) for a, b in zip(params, before))
+        assert not any(np.shares_memory(g, p) for g in got for p in params)
 
     def test_plan_arrays_give_the_same_bits_and_are_reused(self):
         (want_loss, want), _ = self._step(1, 2)

@@ -546,7 +546,15 @@ class TestOnePassStep:
         results = train(configs, tiny_image_dataset(n=14), None)
         assert [name for name, _, _ in calls] == ["forward", "backward", "sgd_step"]
         assert len(plans) == 1 and all(kwargs["_plan"] is plans[0] for _, _, kwargs in calls)
-        assert plans[0].run_map[0] == (4,) and plans[0].layout[0] == [(1, 3), (0, 2)]
+        # blocks 0, 1 take the clean rows of runs 1, 2 and blocks 2, 3 the
+        # mixed rows of runs 0, 1, whose gradients backward writes into the
+        # sums; the clean ones, overlapping them in run 1, have arrays of their own
+        plan = plans[0]
+        assert plan.run_map == ((4,), ((slice(0, 2), slice(1, 3)), (slice(2, 4), slice(0, 2))))
+        clean, mixed = ([*out.d_weights, *out.d_biases] for out in plan.outs)
+        assert all(a is b for a, b in zip(clean, plan.clean, strict=True))
+        assert all(np.shares_memory(a, g) and a.shape[0] == 2 for a, g in zip(mixed, plan.sums))
+        assert not any(np.shares_memory(a, g) for a, g in zip(clean, plan.sums))
         _, (_, rows), _ = calls[0]
         assert rows.shape == ((3 - 1 + 2) * 14, 4)  # clean rows of runs 1, 2; mixed of 0, 1
         assert np.shares_memory(rows, plans[0].rows[14][0])

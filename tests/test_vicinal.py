@@ -186,6 +186,24 @@ class TestCutmixBatch:
             cutmix_batch(np.zeros((3, 48)), np.eye(3), BetaParams(1.0), RngState(0), None)
 
 
+    def test_each_bad_input_rejected_without_a_drawn_plan(self):
+        # only a drawn plan (_pairing with _boxes) skips the checks
+        x, y = self._batch(RngState(15))
+        bad = {
+            "expected a 2-D array": (x[0], y, RngState(0), self.shape, None),
+            "batch of at least 2": (x[:1], y[:1], RngState(0), self.shape, None),
+            "row counts differ": (x, y[:4], RngState(0), self.shape, None),
+            r"lam must lie in \[0, 1\]": (x, y, RngState(0), self.shape, 1.5),
+            "RngState": (x, y, None, self.shape, None),
+            "image shape metadata": (x, y, RngState(0), None, None),
+            "do not match image shape": (x, y, RngState(0), (4, 4, 2), None),
+        }
+        for match, (xb, yb, rng, shape, lam) in bad.items():
+            for hooks in ({}, {"_pairing": np.roll(np.arange(len(y)), 1)}):
+                with pytest.raises(ValueError, match=match):
+                    cutmix_batch(xb, yb, BetaParams(1.0), rng, shape, lam, **hooks)
+
+
 class TestLambdaAndRngChecks:
     @pytest.mark.parametrize("lam", [-0.5, 1.5, 2.0, float("nan")])
     def test_lam_outside_unit_interval_rejected(self, lam):
@@ -308,8 +326,8 @@ class TestGroupMixer:
             x = data.normal((runs * rows, d))
             y = np.eye(3)[np.asarray(data.integers(0, 3, size=runs * rows))]
             xb, yb = step_rows(x, y, rows * (b % 2))
-            got = vicinal._mix_step(plan, b, lo, hi, xb, yb)
-            assert np.shares_memory(got.x_mixed, xb[-len(x):]) and len(got.x_mixed) == len(x)
+            vicinal._mix_step(plan, b, lo, hi, xb, yb)
+            x_mixed, y_mixed = xb[-len(x):], yb[-len(y):]  # the tail takes the mixed rows
             assert np.array_equal(xb[:len(x)], x)  # the sources are left as they were
             step = slice(runs * lo, runs * hi)
             for r in range(runs):
@@ -323,8 +341,8 @@ class TestGroupMixer:
                 else:
                     want = mixup_batch(x[block], y[block], None, lam=plan.lam[step][block],
                                        _pairing=pairing)
-                assert np.array_equal(got.x_mixed[block], want.x_mixed)
-                assert np.array_equal(got.y_mixed[block], want.y_mixed)
+                assert np.array_equal(x_mixed[block], want.x_mixed)
+                assert np.array_equal(y_mixed[block], want.y_mixed)
                 used.add("cutmix" if plan.cut[r, b] else "mixup")
             lo = hi
         return used
@@ -362,11 +380,11 @@ class TestGroupMixer:
         x = data.normal((3 * rows, d))
         y = np.eye(3)[np.asarray(data.integers(0, 3, size=3 * rows))]
         xb, yb = step_rows(x, y)
-        got = vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, xb, yb)
+        vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, xb, yb)
         assert [name for name, _, _ in calls] == ["cutmix_batch", "mixup_batch", "cutmix_batch"]
         for r, (_, x_in, (x_out, y_out)) in enumerate(calls):
             assert np.shares_memory(x_in, xb) and np.array_equal(x_in, x[r * rows:(r + 1) * rows])
-            assert np.shares_memory(x_out, got.x_mixed) and np.shares_memory(y_out, got.y_mixed)
+            assert np.shares_memory(x_out, xb[-len(x):]) and np.shares_memory(y_out, yb[-len(y):])
 
     def test_two_op_coins_with_runs_apart(self):
         # the runs of one op are not always next to each other
