@@ -139,6 +139,8 @@ class RunManifest:
     def __post_init__(self):
         if not self.seeds:
             raise ManifestError("need at least one seed")
+        if not self.strategies:
+            raise ManifestError("need at least one strategy")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ManifestError(f"unknown strategy {s!r}")
@@ -161,38 +163,93 @@ class RunManifest:
 
 
 _REQUIRED = object()
+_BY_DATA = object()  # an unset key whose default the reader passes, as the data sets it
 # What a value that fails its cast should have been, for the exit-3 message.
 _EXPECTED = {int: "an integer", float: "a finite number"}
+_AT_LEAST_1 = (">= 1", lambda value: value >= 1)
+_FRACTION = ("in (0, 1)", lambda value: 0.0 < value < 1.0)
 
 
-def _get(cfg, key, default=_REQUIRED, cast=str):
-    """``cfg[key]`` read by ``cast`` (str, int or float), else ``default``.
+def _one_of(*names):
+    return ", ".join(names[:-1]) + " or " + names[-1], names.__contains__
 
-    A key with no default is required. A number must parse and be finite;
+
+# Each train.<name> key (which <strategy>.<name> overrides): its TrainConfig field and entry.
+_TRAIN_FIELDS = {
+    "hidden": ("hidden_dims", ([int], (32, 32))),
+    "activation": ("activation", (str, "relu")),
+    "alpha": ("alpha", (float, None)),
+    "eta": ("eta", (float, None)),
+    "epochs": ("epochs", (int, 40)),
+    "batch_size": ("batch_size", (int, 64)),
+    "lr": ("learning_rate", (float, 0.1)),
+    "momentum": ("momentum", (float, 0.9)),
+    "weight_decay": ("weight_decay", (float, 5e-4)),
+    "schedule": ("schedule", (str, "cosine")),
+    "lambda_mode": ("lambda_mode", (str, "per_batch")),
+}
+
+# Every manifest key: (cast, default) or (cast, default, bound). A cast is str,
+# int or float, or [cast] for a comma-separated list of them, read as a tuple.
+# An unset key takes its default, unless that is _REQUIRED or _BY_DATA. A bound
+# is a (rule, test) pair: a set value that fails it exits 3 as <key> must be <rule>.
+_KEYS = {
+    "out": (str, "runs"),
+    "strategies": ([str], _REQUIRED),
+    "seeds": ([int], (0, 1, 2, 3, 4)),
+    "corruptions": (str, ""),
+    "data.kind": (str, _REQUIRED, _one_of("moons", "blobs", "csv", "cifar")),
+    "data.path": (str, _REQUIRED),
+    "data.seed": (int, 12345),
+    "data.n": (int, 1000),
+    "data.k": (int, 3),
+    "data.separation": (float, 8.0),
+    "data.noise_sd": (float, _BY_DATA),
+    "data.max_per_class": (int, None),
+    "data.test_frac": (float, 0.25, _FRACTION),
+    "data.val_frac": (float, 0.1, _FRACTION),
+    "ood.kind": (str, "none", _one_of("blob", "uniform_box", "none")),
+    "ood.n": (int, 400, _AT_LEAST_1),
+    "ood.center": ([float], _BY_DATA),
+    "ood.noise_sd": (float, 1.0, (">= 0", lambda value: value >= 0)),
+    "ood.low": ([float], _BY_DATA),
+    "ood.high": ([float], _BY_DATA),
+    "heatmap.source": (str, "train", _one_of("train", "test")),
+    "heatmap.pairs": (int, 1000, _AT_LEAST_1),
+    **{f"{prefix}.{name}": entry for prefix in ("train", *STRATEGIES)
+       for name, (_, entry) in _TRAIN_FIELDS.items()},
+}
+
+
+def _get(cfg, key, default=_REQUIRED):
+    """``cfg[key]`` read and checked by its ``_KEYS`` entry, else its default.
+
+    ``default`` serves a _BY_DATA key only. A number must parse and be finite;
     a value that does not raises ManifestError naming the key and the value.
     """
+    cast, fallback, *bound = _KEYS[key]
     if key not in cfg:
+        default = default if fallback is _BY_DATA else fallback
         if default is _REQUIRED:
             raise ManifestError(f"missing required key {key!r}")
         return default
-    return _cast(cast, key, cfg[key])
-
-
-def _get_list(cfg, key, default=_REQUIRED, cast=str):
-    """The comma-separated items of ``cfg[key]``, each read as by ``_get``."""
-    if key not in cfg:
-        return _get(cfg, key, default)
-    items = [item for item in map(str.strip, cfg[key].split(",")) if item]
-    try:  # one pass for the good list; a bad item is found and named item by item
-        values = list(map(cast, items))
-        if cast is not float or all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    return [_cast(cast, key, item) for item in items]
+    value = _cast(cast, key, cfg[key])
+    for rule, test in bound:
+        if not test(value):
+            raise ManifestError(f"{key} must be {rule}, got {value}")
+    return value
 
 
 def _cast(cast, key, text):
+    if isinstance(cast, list):  # the comma-separated items, each read as one value
+        items = [item for item in map(str.strip, text.split(",")) if item]
+        try:  # one pass for the good list; a bad item is found and named item by item
+            values = tuple(map(cast[0], items))
+            if cast[0] is not float or all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        return tuple(_cast(cast[0], key, item) for item in items)
     try:
         value = cast(text)
     except ValueError:
@@ -210,50 +267,21 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
         cfg = parse_config(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as err:
         raise ManifestError(f"{path}: not UTF-8 text (byte {err.start})") from None
-    out_dir = Path(out_override) if out_override else Path(_get(cfg, "out", "runs"))
+    for key in cfg:
+        if key not in _KEYS:
+            import difflib  # on this error path only: importing it outlasts a whole load
+            near = difflib.get_close_matches(key, _KEYS, n=1, cutoff=0)[0]
+            raise ManifestError(f"unknown key {key!r}; did you mean {near!r}?")
+        _get(cfg, key)
+    out_dir = Path(out_override) if out_override else Path(_get(cfg, "out"))
     cfg.pop("out", None)  # output location never participates in the hash
     if seeds_override is not None:
         seeds = list(range(int(seeds_override)))
     else:
-        seeds = _get_list(cfg, "seeds", list(range(5)), int)
-    strategies = _get_list(cfg, "strategies")
-    _heatmap_keys(cfg)
-    _split_fracs(cfg)
-    manifest = RunManifest(cfg, out_dir, seeds, strategies)
+        seeds = list(_get(cfg, "seeds"))
+    manifest = RunManifest(cfg, out_dir, seeds, list(_get(cfg, "strategies")))
     runs(manifest)
     return manifest
-
-
-def _split_fracs(cfg) -> tuple[float, float]:
-    """The checked (data.test_frac, data.val_frac), each in (0, 1)."""
-    fracs = (
-        _get(cfg, "data.test_frac", 0.25, float),
-        _get(cfg, "data.val_frac", 0.1, float),
-    )
-    for key, frac in zip(("data.test_frac", "data.val_frac"), fracs):
-        if not 0.0 < frac < 1.0:
-            raise ManifestError(f"{key} must be in (0, 1), got {frac}")
-    return fracs
-
-
-def _heatmap_keys(cfg) -> tuple[str, int]:
-    """The checked (heatmap.source, heatmap.pairs).
-
-    load_manifest checks them (and the split fractions and every run's
-    TrainConfig), so a bad value stops every command before any work, not
-    only the command that reads it.
-    """
-    source = _get(cfg, "heatmap.source", "train")
-    if source not in ("train", "test"):
-        raise ManifestError("heatmap.source must be train or test")
-    n_pairs = _get(cfg, "heatmap.pairs", 1000, int)
-    if n_pairs < 1:
-        raise ManifestError(f"heatmap.pairs must be >= 1, got {n_pairs}")
-    return source, n_pairs
-
-
-# The manifest key of a TrainConfig field, where the two names differ.
-_TRAIN_KEYS = {"hidden_dims": "hidden", "learning_rate": "lr"}
 
 
 def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainConfig:
@@ -269,33 +297,18 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
         own = f"{strategy}.{name}"
         return own if own in cfg else f"train.{name}"
 
-    def maybe_float(name):  # alpha and eta: empty or "none" means unset
-        return None if cfg.get(key(name), "") in ("", "none") else _get(cfg, key(name), cast=float)
-
-    values = dict(
-        hidden_dims=tuple(_get_list(cfg, key("hidden"), [32, 32], int)),
-        activation=_get(cfg, key("activation"), "relu"),
-        alpha=maybe_float("alpha"),
-        eta=maybe_float("eta"),
-        epochs=_get(cfg, key("epochs"), 40, int),
-        batch_size=_get(cfg, key("batch_size"), 64, int),
-        learning_rate=_get(cfg, key("lr"), 0.1, float),
-        momentum=_get(cfg, key("momentum"), 0.9, float),
-        weight_decay=_get(cfg, key("weight_decay"), 5e-4, float),
-        schedule=_get(cfg, key("schedule"), "cosine"),
-        lambda_mode=_get(cfg, key("lambda_mode"), "per_batch"),
-    )
+    values = {field: _get(cfg, key(name)) for name, (field, _) in _TRAIN_FIELDS.items()}
     try:
         return TrainConfig(strategy=strategy, seed=seed, **values)
     except ValueError as err:
         reason = str(err)
     if strategy in STRATEGIES:
         accepted = TrainConfig(strategy, alpha=1.0, eta=1.0)
-        for field, value in values.items():
+        for name, (field, _) in _TRAIN_FIELDS.items():
             try:
-                replace(accepted, **{field: value})
+                replace(accepted, **{field: values[field]})
             except ValueError as err:
-                raise ManifestError(f"key {key(_TRAIN_KEYS.get(field, field))!r}: {err}")
+                raise ManifestError(f"key {key(name)!r}: {err}")
     raise ManifestError(reason)
 
 
@@ -320,53 +333,41 @@ def _base_dataset(cfg, seed: int) -> Dataset:
             raise MissingInputError(f"dataset file not found: {path}")
     try:
         if kind == "moons":
-            return make_two_moons(
-                _get(cfg, "data.n", 1000, int), _get(cfg, "data.noise_sd", 0.1, float), rng
-            )
+            return make_two_moons(_get(cfg, "data.n"), _get(cfg, "data.noise_sd", 0.1), rng)
         if kind == "blobs":
             return make_gaussian_blobs(
-                _get(cfg, "data.n", 1000, int),
-                _get(cfg, "data.k", 3, int),
-                _get(cfg, "data.separation", 8.0, float),
+                _get(cfg, "data.n"),
+                _get(cfg, "data.k"),
+                _get(cfg, "data.separation"),
                 rng,
-                noise_sd=_get(cfg, "data.noise_sd", 1.0, float),
+                noise_sd=_get(cfg, "data.noise_sd", 1.0),
             )
         if kind == "csv":
             return load_csv(path)
-        if kind == "cifar":
-            return load_cifar_binary(path, max_per_class=_get(cfg, "data.max_per_class", None, int))
+        return load_cifar_binary(path, max_per_class=_get(cfg, "data.max_per_class"))
     except ValueError as err:
         raise ManifestError(f"data.kind = {kind}: {err}")
-    raise ManifestError(f"unknown data.kind {kind!r}")
 
 
 def _ood_dataset(cfg, d: int):
     """The manifest's OOD recipe (maker, arguments, name), or None when it has none.
 
-    Every ood.* key is checked, against the data dimension ``d`` where it
-    has one; nothing is drawn.
+    Its list keys are checked against the data dimension ``d``; nothing is drawn.
     """
-    kind = _get(cfg, "ood.kind", "none")
+    kind = _get(cfg, "ood.kind")
     if kind == "none":
         return None
-    n = _get(cfg, "ood.n", 400, int)
-    if n < 1:
-        raise ManifestError(f"ood.n must be >= 1, got {n}")
+    n = _get(cfg, "ood.n")
     if kind == "blob":
-        center = _get_list(cfg, "ood.center", [30.0] * d, float)
+        center = _get(cfg, "ood.center", [30.0] * d)
         if len(center) != d:
             raise ManifestError("ood.center dimension does not match the data")
-        noise_sd = _get(cfg, "ood.noise_sd", 1.0, float)
-        if noise_sd < 0:
-            raise ManifestError(f"ood.noise_sd must be >= 0, got {noise_sd}")
-        return make_blob, (n, center, noise_sd), "ood_blob"
-    if kind == "uniform_box":
-        low = _get_list(cfg, "ood.low", [-20.0] * d, float)
-        high = _get_list(cfg, "ood.high", [20.0] * d, float)
-        if len(low) != d or len(high) != d:
-            raise ManifestError("ood.low/high dimension does not match the data")
-        return make_uniform_box, (n, low, high), "ood_box"
-    raise ManifestError(f"unknown ood.kind {kind!r}")
+        return make_blob, (n, center, _get(cfg, "ood.noise_sd")), "ood_blob"
+    low = _get(cfg, "ood.low", [-20.0] * d)
+    high = _get(cfg, "ood.high", [20.0] * d)
+    if len(low) != d or len(high) != d:
+        raise ManifestError("ood.low/high dimension does not match the data")
+    return make_uniform_box, (n, low, high), "ood_box"
 
 
 def parse_corruptions(value: str) -> list:
@@ -433,13 +434,13 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     if unknown:
         raise ValueError(f"unknown pipeline parts {sorted(unknown)}, expected {PIPELINE_PARTS}")
     cfg = manifest.config
-    seed = _get(cfg, "data.seed", 12345, int)
+    seed = _get(cfg, "data.seed")
     base = _base_dataset(cfg, seed)
-    specs = parse_corruptions(_get(cfg, "corruptions", ""))
+    specs = parse_corruptions(_get(cfg, "corruptions"))
     if base.d != 2 and any(spec.kind == "rotation2d" for spec in specs):
         raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
     ood_recipe = _ood_dataset(cfg, base.d)
-    test_frac, val_frac = _split_fracs(cfg)
+    test_frac, val_frac = _get(cfg, "data.test_frac"), _get(cfg, "data.val_frac")
     try:  # split's draws: test from the loaded set, then val from the rest
         pool_idx, test_idx = _split_indices(
             base.labels, base.k, 1.0 - test_frac, True, RngState(seed).split(101)
@@ -730,7 +731,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
 
 def cmd_heatmap(manifest: RunManifest) -> Path:
     """Entropy-profile heatmap SVG per run, plus a barrier-statistic CSV."""
-    source_name, n_pairs = _heatmap_keys(manifest.config)
+    source_name = _get(manifest.config, "heatmap.source")
+    n_pairs = _get(manifest.config, "heatmap.pairs")
     pipe = build_pipeline(manifest, parts=(source_name,))
     source = getattr(pipe, source_name)
     classes = np.unique(source.labels).size

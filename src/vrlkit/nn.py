@@ -627,6 +627,8 @@ def load_checkpoint(path) -> Network:
             specs = [
                 LayerSpec(d["in"], d["out"], d["act"]) for d in header["layers"]
             ]
+            if any(type(w) is not int for sp in specs for w in (sp.in_dim, sp.out_dim)):
+                raise ValueError("layer widths must be integers")
         except (ValueError, KeyError, TypeError) as err:
             raise ValueError(f"bad checkpoint header: {err!r}") from None
         net = Network(specs, rng=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import re
 from pathlib import Path
@@ -55,6 +56,29 @@ MOONS_MANIFEST = MANIFEST.replace(
     "data.noise_sd = 1.0\n",
     "data.kind = moons\ndata.n = 200\ndata.noise_sd = 0.1\n",
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _shipped_manifest(name):
+    """The text of a manifest that the repository ships or builds."""
+    if name == "demo":
+        return (ROOT / "configs" / "demo.cfg").read_text()
+    if name == "large-batch":
+        return _module("checks", ROOT / "tools" / "checks.py").large_batch_manifest()
+    if name == "readme":
+        readme = (ROOT / "README.md").read_text()
+        return re.search(r"### Example manifest\n\n```ini\n(.*?)```", readme, re.S).group(1)
+    low, high = (",".join([bound] * 3072) for bound in ("0.0", "1.0"))
+    workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
+    return workloads.CIFAR_MANIFEST.format(path="images.bin", seed=5, low=low, high=high)
 
 
 @pytest.fixture()
@@ -132,7 +156,7 @@ class TestGetList:
         values = np.random.default_rng(4).normal(scale=1e3, size=3072)
         texts = [repr(float(v)) for v in values[:1024]]
         texts += [f"{v:.3e}" for v in values[1024:2048]] + [str(-i) for i in range(1024)]
-        got = cli._get_list({"ood.low": " , ".join(texts) + ","}, "ood.low", cast=float)
+        got = cli._get({"ood.low": " , ".join(texts) + ","}, "ood.low")
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array([float(t) for t in texts]).tobytes()
 
@@ -169,8 +193,60 @@ class TestManifest:
         assert (config.schedule, config.lambda_mode) == ("cosine", "per_batch")
         assert config.alpha is None and config.eta is None
         assert manifest.seeds == [0, 1, 2, 3, 4]
-        assert cli._heatmap_keys(manifest.config) == ("train", 1000)
-        assert cli._split_fracs(manifest.config) == (0.25, 0.1)
+        keys = ("heatmap.source", "heatmap.pairs", "data.test_frac", "data.val_frac")
+        assert [cli._get(manifest.config, key) for key in keys] == ["train", 1000, 0.25, 0.1]
+
+    def test_a_manifest_setting_every_key_loads(self, tmp_path):
+        given = {"strategies": "erm,mixup", "data.kind": "moons", "data.path": "unread.csv",
+                 "data.noise_sd": "0.2", "data.max_per_class": "5", "ood.kind": "blob",
+                 "ood.center": "1,2", "ood.low": "-1,-1", "ood.high": "1,1"}
+        lines = []
+        for key, (_, default, *_) in cli._KEYS.items():
+            if key.endswith((".alpha", ".eta")):
+                default = 1.0
+            elif isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            lines.append(f"{key} = {given.get(key, default)}\n")
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(lines))
+        manifest = load_manifest(path, tmp_path / "o")
+        assert set(manifest.config) == set(cli._KEYS) - {"out"}
+        assert build_pipeline(manifest, parts=("ood",)).ood.name == "ood_blob"
+
+    # Pinned: the key table changes the hash of no manifest without a stray key.
+    @pytest.mark.parametrize(
+        "name,content_hash",
+        [("demo", "092964ca6bcd"), ("cifar-shaped", "4f9670888cd9"),
+         ("large-batch", "545753106f8a"), ("readme", "ace913660ba9")],
+    )
+    def test_shipped_manifests_keep_their_hash(self, tmp_path, name, content_hash):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_shipped_manifest(name))
+        assert load_manifest(path, tmp_path / "o").content_hash() == content_hash
+
+    def test_readme_key_table_equals_keys(self):
+        header = "| key | value | default | bound |\n| --- | --- | --- | --- |\n"
+        block = (ROOT / "README.md").read_text().split(header, 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in block.splitlines()]
+        table = {key.strip("`"): cells for key, *cells in rows}
+        train_names = {key.removeprefix("train.") for key in cli._KEYS if key.startswith("train.")}
+        assert table.pop("<strategy>.<name>") == ["as `train.<name>`"] * 3
+        for strategy in cli.STRATEGIES:
+            for name in train_names:
+                assert cli._KEYS[f"{strategy}.{name}"] == cli._KEYS[f"train.{name}"]
+        assert set(table) == {key for key in cli._KEYS if key.split(".")[0] not in cli.STRATEGIES}
+        kind = {str: "text", int: "integer", float: "number"}
+        for key, (value, default, bound) in table.items():
+            cast, want, *rule = cli._KEYS[key]
+            assert value == (f"{kind[cast[0]]} list" if isinstance(cast, list) else kind[cast])
+            if want is cli._BY_DATA:
+                assert default.startswith("by data: ")
+            elif want is cli._REQUIRED or want in (None, ""):
+                assert default == ("required" if want is cli._REQUIRED else "unset")
+            else:
+                text = ",".join(map(str, want)) if isinstance(want, tuple) else str(want)
+                assert default == f"`{text}`"
+            assert bound == (rule[0][0] if rule else "")
 
     @pytest.mark.parametrize(
         "ood,explicit",
@@ -260,27 +336,6 @@ class TestPipeline:
         wrong = Network([LayerSpec(7, 3, "identity")])
         save_checkpoint(wrong, run_dir / "checkpoints" / "erm_seed0.ckpt")
         assert run_cli("eval", *base) == EXIT_INCOMPATIBLE
-
-    def test_empty_strategy_list_gives_header_only_csv(self, tmp_path):
-        p = tmp_path / "empty.cfg"
-        p.write_text(
-            "data.kind = blobs\ndata.n = 120\ndata.k = 3\ndata.seed = 1\n"
-            "strategies =\nseeds = 0\n"
-        )
-        out = tmp_path / "o"
-        assert run_cli("train", "--config", str(p), "--out", str(out)) == EXIT_OK
-        assert run_cli("eval", "--config", str(p), "--out", str(out)) == EXIT_OK
-        run_dir = next(out.iterdir())
-        lines = (run_dir / "eval.csv").read_text().splitlines()
-        assert lines == ["strategy,seed,dataset,metric,measure,value"]
-
-    def test_empty_strategy_list_trains_with_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("VRL_DETERMINISTIC", raising=False)
-        p = tmp_path / "empty.cfg"
-        p.write_text("data.kind = blobs\ndata.n = 120\ndata.seed = 1\nstrategies =\nseeds = 0\n")
-        out = tmp_path / "o"
-        assert run_cli("train", "--config", str(p), "--out", str(out), "--jobs", "2") == EXIT_OK
-        assert list(next(out.iterdir()).rglob("*.ckpt")) == []
 
 
 class TestDeterminism:
@@ -488,6 +543,26 @@ class TestBadManifestValues:
                    f"ood.kind = uniform_box\nood.low = {','.join(items)}")
         err = self._run(tmp_path, capsys, replace, ["train"])
         assert err == f"error: key 'ood.low': expected a finite number, got {bad!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    # regmixup.alpah beside regmixup.alpha = 10: a misspelt key would train at the other value
+    @pytest.mark.parametrize("command", (*COMMANDS, "compare"))
+    @pytest.mark.parametrize(
+        "key,near",
+        [("train.epoch", "train.epochs"), ("trian.epochs", "train.epochs"),
+         ("mixup.alpah", "mixup.alpha"), ("regmixup.alpah", "regmixup.alpha"), ("foo", None)],
+    )
+    def test_unknown_key_names_the_nearest_known_key(self, tmp_path, capsys, command, key, near):
+        err = self._run(tmp_path, capsys, _setting(MANIFEST, key, "30"), [command])
+        assert err.startswith(f"error: unknown key {key!r}; did you mean '")
+        assert near is None or err == f"error: unknown key {key!r}; did you mean {near!r}?\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", (*COMMANDS, "compare"))
+    @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
+    def test_empty_strategy_list(self, tmp_path, capsys, command, value):
+        err = self._run(tmp_path, capsys, _setting(MANIFEST, "strategies", value), [command])
+        assert err == "error: need at least one strategy\n"
         assert not (tmp_path / "o").exists()
 
     def test_repeated_key(self, tmp_path, capsys):
@@ -763,6 +838,8 @@ def _corrupt_artifact(run_dir, case):
         ckpt.write_bytes(raw[:-5])
     elif case == "checkpoint_header":
         ckpt.write_bytes(_CHECKPOINT_MAGIC + b"{not json\n" + raw.split(b"\n", 1)[1])
+    elif case == "checkpoint_width":  # a float width that passes LayerSpec's >= 1 check
+        ckpt.write_bytes(raw.replace(b'"in": 2,', b'"in": 2.0,', 1))
     else:
         ckpt.write_bytes(b"X" * len(_CHECKPOINT_MAGIC) + raw[len(_CHECKPOINT_MAGIC):])
     return ckpt
@@ -770,7 +847,7 @@ def _corrupt_artifact(run_dir, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["truncated_checkpoint", "checkpoint_header", "checkpoint_magic",
+    ["truncated_checkpoint", "checkpoint_header", "checkpoint_width", "checkpoint_magic",
      "truncated_record", "garbage_record", "epoch_gap_record"],
 )
 def test_corrupt_artifact_exits_schema(manifest_file, tmp_path, capsys, case):
@@ -1081,9 +1158,9 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
     ``parts``, and ``corrupt`` with its own pooled SD for each spec.
     """
     cfg = manifest.config
-    seed = cli._get(cfg, "data.seed", 12345, int)
+    seed = cli._get(cfg, "data.seed")
     base = cli._base_dataset(cfg, seed)
-    test_frac, val_frac = cli._split_fracs(cfg)
+    test_frac, val_frac = cli._get(cfg, "data.test_frac"), cli._get(cfg, "data.val_frac")
     pool, test = split(base, 1.0 - test_frac, True, RngState(seed).split(101))
     train, val = split(pool, 1.0 - val_frac, True, RngState(seed).split(102))
     mean, sd = fit_normalizer(train)

@@ -755,6 +755,14 @@ class TestCheckpoint:
         for a, b in zip(loaded.biases, net.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("width", [b"2.0", b"true", b'"2"'])
+    def test_rejects_non_integer_layer_width(self, tmp_path, width):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(random_net([2, 3], "tanh", RngState(1)), path)
+        path.write_bytes(path.read_bytes().replace(b'"in": 2', b'"in": ' + width, 1))
+        with pytest.raises(ValueError, match="bad checkpoint header"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
