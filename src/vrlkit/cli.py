@@ -105,9 +105,12 @@ _EXIT_CODES = (
 )
 
 
-def parse_config(text: str) -> dict:
-    """Parse `key = value` lines; `#` starts a comment. A key may be set once."""
-    cfg, first_line = {}, {}
+def parse_config(text: str, _lines=None) -> dict:
+    """Parse `key = value` lines; `#` starts a comment. A key may be set once.
+
+    The dict ``_lines``, if given, gets each key's line number.
+    """
+    cfg, first_line = {}, {} if _lines is None else _lines
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,7 +134,8 @@ def parse_config(text: str) -> dict:
 class RunManifest:
     """One experiment: dataset recipe, strategy grid, seeds, output root."""
 
-    config: dict
+    config: dict  # the text of each key the manifest sets but out, as hashed
+    values: dict  # each set key's value, as _read reads it
     out_dir: Path
     seeds: list
     strategies: list
@@ -221,19 +225,25 @@ _KEYS = {
 }
 
 
-def _get(cfg, key, default=_REQUIRED):
-    """``cfg[key]`` read and checked by its ``_KEYS`` entry, else its default.
+def _get(values, key, default=_REQUIRED):
+    """``values[key]``, else the key's default (``default`` for a _BY_DATA key)."""
+    fallback = _KEYS[key][1]
+    value = values.get(key, default if fallback is _BY_DATA else fallback)
+    if value is _REQUIRED:
+        raise ManifestError(f"missing required key {key!r}")
+    return value
 
-    ``default`` serves a _BY_DATA key only. A number must parse and be finite;
-    a value that does not raises ManifestError naming the key and the value.
-    """
-    cast, fallback, *bound = _KEYS[key]
-    if key not in cfg:
-        default = default if fallback is _BY_DATA else fallback
-        if default is _REQUIRED:
-            raise ManifestError(f"missing required key {key!r}")
-        return default
-    value = _cast(cast, key, cfg[key])
+
+def _read(key, text):
+    """The value of ``key = text`` by the key's ``_KEYS`` entry. An unknown key,
+    a number that does not parse or is not finite, or a value out of bound
+    raises ManifestError naming the key."""
+    if key not in _KEYS:
+        import difflib  # on this error path only: importing it outlasts a whole load
+        near = difflib.get_close_matches(key, _KEYS, n=1, cutoff=0)[0]
+        raise ManifestError(f"unknown key {key!r}; did you mean {near!r}?")
+    cast, _, *bound = _KEYS[key]
+    value = _cast(cast, key, text)
     for rule, test in bound:
         if not test(value):
             raise ManifestError(f"{key} must be {rule}, got {value}")
@@ -263,23 +273,24 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
     path = Path(config_path)
     if not path.exists():
         raise MissingInputError(f"config file not found: {path}")
+    lines = {}
     try:
-        cfg = parse_config(path.read_text(encoding="utf-8"))
+        cfg = parse_config(path.read_text(encoding="utf-8"), lines)
     except UnicodeDecodeError as err:
         raise ManifestError(f"{path}: not UTF-8 text (byte {err.start})") from None
-    for key in cfg:
-        if key not in _KEYS:
-            import difflib  # on this error path only: importing it outlasts a whole load
-            near = difflib.get_close_matches(key, _KEYS, n=1, cutoff=0)[0]
-            raise ManifestError(f"unknown key {key!r}; did you mean {near!r}?")
-        _get(cfg, key)
-    out_dir = Path(out_override) if out_override else Path(_get(cfg, "out"))
+    values = {}
+    for key, text in cfg.items():
+        try:
+            values[key] = _read(key, text)
+        except ManifestError as err:
+            raise ManifestError(f"line {lines[key]}: {err}") from None
+    out_dir = Path(out_override) if out_override else Path(_get(values, "out"))
     cfg.pop("out", None)  # output location never participates in the hash
     if seeds_override is not None:
         seeds = list(range(int(seeds_override)))
     else:
-        seeds = list(_get(cfg, "seeds"))
-    manifest = RunManifest(cfg, out_dir, seeds, list(_get(cfg, "strategies")))
+        seeds = list(_get(values, "seeds"))
+    manifest = RunManifest(cfg, values, out_dir, seeds, list(_get(values, "strategies")))
     runs(manifest)
     return manifest
 
@@ -291,7 +302,7 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
     that set it, with TrainConfig's reason: the first value, in field order,
     that it rejects among values it accepts.
     """
-    cfg = manifest.config
+    cfg = manifest.values
 
     def key(name):
         own = f"{strategy}.{name}"
@@ -433,7 +444,7 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     unknown = set(parts) - set(PIPELINE_PARTS)
     if unknown:
         raise ValueError(f"unknown pipeline parts {sorted(unknown)}, expected {PIPELINE_PARTS}")
-    cfg = manifest.config
+    cfg = manifest.values
     seed = _get(cfg, "data.seed")
     base = _base_dataset(cfg, seed)
     specs = parse_corruptions(_get(cfg, "corruptions"))
@@ -731,8 +742,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
 
 def cmd_heatmap(manifest: RunManifest) -> Path:
     """Entropy-profile heatmap SVG per run, plus a barrier-statistic CSV."""
-    source_name = _get(manifest.config, "heatmap.source")
-    n_pairs = _get(manifest.config, "heatmap.pairs")
+    source_name = _get(manifest.values, "heatmap.source")
+    n_pairs = _get(manifest.values, "heatmap.pairs")
     pipe = build_pipeline(manifest, parts=(source_name,))
     source = getattr(pipe, source_name)
     classes = np.unique(source.labels).size

@@ -196,9 +196,9 @@ def fit_temperature(
 
     The max-softmax confidence at temperature T is 1 / sum_c exp(D_c / T),
     with D the logits minus their row maximum.  D is laid out class-major,
-    so each chunk fills one (k, chunk, n) buffer and sums its class planes
-    with whole-array adds (`nn._class_sum`), bitwise equal to summing the
-    class-last (chunk, n, k) array over its last axis.
+    so each chunk fills one (k, chunk, n) buffer and adds its class planes
+    in order (`nn._class_sum`), as `softmax` does: for k < 8, bitwise the
+    class-last (chunk, n, k) array summed over its last axis.
 
     Chunks that cannot hold the minimum are never binned.  Whatever the
     binning, ECE(T) >= |acc - mc(T)|, mc being the mean confidence, and as

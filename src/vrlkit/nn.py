@@ -305,14 +305,14 @@ def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability.
 
     Rows are the last axis, so a stacked (runs, rows, k) array works per run.
-    The work runs on class planes (`_softmax_planes`), bit for bit
-    `e / e.sum(axis=-1, keepdims=True)` of the class-last array.
+    The work runs on class planes (`_softmax_planes`), summed in class order:
+    for k < 8, bit for bit `e / e.sum(axis=-1, keepdims=True)` class-last.
     """
     s = np.asarray(logits, dtype=np.float64)
     if s.ndim not in (2, 3):
         raise ShapeError(f"expected (rows, k) or (runs, rows, k) logits, got ndim={s.ndim}")
     n, k = math.prod(s.shape[:-1]), s.shape[-1]
-    buf = np.empty((k + min(k, 8), n))
+    buf = np.empty((k + 1, n))
     np.copyto(buf[:k], s.reshape(n, k).T)
     out = np.empty((n, k))
     _softmax_planes(buf, k, out=out.T)
@@ -322,9 +322,9 @@ def softmax(logits) -> np.ndarray:
 def _softmax_planes(buf: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """Softmax over the k class planes buf[:k], into the (k, ...) view out.
 
-    buf[k:] holds min(k, 8) planes of scratch for `_class_sum`.  The max
-    over planes is order-free, and exp, the subtraction and the division are
-    elementwise, so every value equals the class-last softmax's bit for bit.
+    buf[k] is the plane of scratch that `_class_sum` adds into.  The max over
+    planes is order-free, and the rest elementwise, so every value is the
+    class-last softmax's whose row sum adds the classes in order.
     """
     e = buf[:k]
     np.subtract(e, e.max(axis=0), out=e)
@@ -333,35 +333,13 @@ def _softmax_planes(buf: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
 
 
 def _class_sum(planes: np.ndarray, out=None) -> np.ndarray:
-    """Sum the k planes of `planes` (k, ...) into out[0] and return it.
-
-    `out` holds min(k, 8) planes of scratch and defaults to `planes` itself,
-    whose planes are then overwritten; any other `out` leaves them intact
-    (with k = 1 the sum is planes[0] itself).  The whole-plane additions run
-    in the order of numpy's pairwise sum over a contiguous axis of length k,
-    so the result is bitwise equal to `x.sum(axis=-1)` of the same values
-    laid out class-last: sequential for k < 8; up to 128, eight accumulators
-    combined as ((0+1)+(2+3))+((4+5)+(6+7)) and then the remaining planes in
-    turn; above 128, the two halves split at k // 2 rounded down to a
-    multiple of 8.
-    """
-    k = planes.shape[0]
+    """Add the k planes of `planes` (k, ...) in class order into out[0] and
+    return it; `out` defaults to `planes`, whose first plane is then the sum
+    (with k = 1, planes[0] itself is), and any other leaves them intact."""
     out = planes if out is None else out
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        total = _class_sum(planes[:half], out)
-        total += _class_sum(planes[half:], None if out is planes else np.empty_like(out))
-        return total
-    total, rest = planes[0], range(1, k)
-    if k >= 8:
-        acc = planes[:8]
-        for i in range(8, k - k % 8, 8):
-            acc = np.add(acc, planes[i : i + 8], out=out[:8])
-        np.add(acc[::2], acc[1::2], out=out[:8:2])
-        np.add(out[:8:4], out[2:8:4], out=out[:8:4])
-        total, rest = np.add(out[0], out[4], out=out[0]), range(k - k % 8, k)
-    for c in rest:
-        total = np.add(total, planes[c], out=out[0])
+    total = planes[0]
+    for plane in planes[1:]:
+        total = np.add(total, plane, out=out[0])
     return total
 
 

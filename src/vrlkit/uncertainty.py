@@ -281,7 +281,7 @@ def mc_predictive(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         z = rng.normal((hi - lo, m, k))
-        planes, p = np.empty((k + min(k, 8), m, hi - lo)), np.empty((m, hi - lo, k))
+        planes, p = np.empty((k + 1, m, hi - lo)), np.empty((m, hi - lo, k))
         np.add(s[lo:hi].T[:, None], (z @ factor_t[lo:hi]).transpose(2, 1, 0), out=planes[:k])
         nn._softmax_planes(planes, k, out=p.transpose(2, 0, 1))
         np.divide(np.add.reduce(p, axis=0), m, out=out[lo:hi])

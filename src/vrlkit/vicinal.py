@@ -171,9 +171,7 @@ class _Plan:
     boxes[r, s] is its CutMix box (y0, y1, x0, x1).  pairing and lam hold
     one entry per row of the epoch's steps in the trainer's row order: step
     by step, one block of rows per run.  A row's pairing is its partner's
-    index in its step's rows, and its lam is its Mixup lambda.  stretches[s]
-    lists step s's stretches of neighbouring runs that share an op, as
-    (first run, last run + 1, whether by CutMix).
+    index in its step's rows, and its lam is its Mixup lambda.
     """
 
     cut: np.ndarray
@@ -181,7 +179,6 @@ class _Plan:
     pairing: np.ndarray
     lam: np.ndarray
     image_shape: tuple | None
-    stretches: list
 
 
 # Bits of each pairing sort key below the step index, which leaves room for
@@ -238,20 +235,7 @@ def _draw_plan(runs, sizes, image_shape) -> _Plan:
             boxes[r] = np.stack([y0, np.minimum(y0 + patch_h, h), x0, np.minimum(x0 + patch_w, w)], 1)
     pairing, lam = np.empty(partner.size, np.int64), np.empty(lams.size)
     pairing[slots], lam[slots] = partner + run_offsets, lams
-    return _Plan(cut, boxes, pairing, lam, image_shape, _stretches(cut))
-
-
-def _stretches(cut: np.ndarray) -> list:
-    """Per step, (first, last, by CutMix) of each stretch of neighbouring runs
-    whose cut[:, step] agree, from one scan of the epoch's op flips."""
-    runs, steps = cut.shape
-    ends = [[] for _ in range(steps)]
-    for step, run in zip(*np.nonzero((cut[1:] != cut[:-1]).T)):
-        ends[step].append(int(run) + 1)
-    return [
-        [(first, last, by_cut[first]) for first, last in zip([0, *step_ends], [*step_ends, runs])]
-        for by_cut, step_ends in zip(cut.T.tolist(), ends)
-    ]
+    return _Plan(cut, boxes, pairing, lam, image_shape)
 
 
 def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y):
@@ -260,21 +244,25 @@ def _mix_step(plan: _Plan, b: int, lo: int, hi: int, x, y):
 
     x and y are a step's rows: one block per run of the group, the m mixing
     runs first, then m blocks for the mixed rows.  Each stretch of
-    neighbouring runs that use the same op mixes in one mixup_batch or
-    cutmix_batch call, in place on its rows of x and y.
+    neighbouring runs that use the same op in plan.cut[:, b] mixes in one
+    mixup_batch or cutmix_batch call, in place on its rows of x and y.
     """
     rows, runs = hi - lo, len(plan.cut)
     step = slice(runs * lo, runs * hi)
     pairing, lam = plan.pairing[step], plan.lam[step]
     out = x[len(x) - runs * rows:], y[len(y) - runs * rows:]
-    for first, last, by_cutmix in plan.stretches[b]:
+    by_cut, first = plan.cut[:, b].tolist(), 0
+    for last in range(1, runs + 1):
+        if last < runs and by_cut[last] == by_cut[first]:
+            continue
         block = slice(first * rows, last * rows)
         partners, to = pairing[block] - first * rows, (out[0][block], out[1][block])
-        if by_cutmix:
+        if by_cut[first]:
             cutmix_batch(x[block], y[block], None, None, plan.image_shape,
                          _pairing=partners, _boxes=plan.boxes[first:last, b], _out=to)
         else:
             mixup_batch(x[block], y[block], None, lam=lam[block], _pairing=partners, _out=to)
+        first = last
 
 
 def regmix_loss(

@@ -156,7 +156,7 @@ class TestGetList:
         values = np.random.default_rng(4).normal(scale=1e3, size=3072)
         texts = [repr(float(v)) for v in values[:1024]]
         texts += [f"{v:.3e}" for v in values[1024:2048]] + [str(-i) for i in range(1024)]
-        got = cli._get({"ood.low": " , ".join(texts) + ","}, "ood.low")
+        got = cli._read("ood.low", " , ".join(texts) + ",")
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array([float(t) for t in texts]).tobytes()
 
@@ -194,7 +194,7 @@ class TestManifest:
         assert config.alpha is None and config.eta is None
         assert manifest.seeds == [0, 1, 2, 3, 4]
         keys = ("heatmap.source", "heatmap.pairs", "data.test_frac", "data.val_frac")
-        assert [cli._get(manifest.config, key) for key in keys] == ["train", 1000, 0.25, 0.1]
+        assert [cli._get(manifest.values, key) for key in keys] == ["train", 1000, 0.25, 0.1]
 
     def test_a_manifest_setting_every_key_loads(self, tmp_path):
         given = {"strategies": "erm,mixup", "data.kind": "moons", "data.path": "unread.csv",
@@ -212,6 +212,17 @@ class TestManifest:
         manifest = load_manifest(path, tmp_path / "o")
         assert set(manifest.config) == set(cli._KEYS) - {"out"}
         assert build_pipeline(manifest, parts=("ood",)).ood.name == "ood_blob"
+
+    def test_each_set_key_cast_once_per_command(self, tmp_path, monkeypatch):
+        low, high = (",".join([bound] * 3072) for bound in ("-1.5", "2.5"))
+        cfg = write_cifar_manifest(tmp_path, f"ood.kind = uniform_box\nood.n = 9\n"
+                                             f"ood.low = {low}\nood.high = {high}\n")
+        base = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert run_cli("train", *base) == EXIT_OK
+        keys, cast = [], cli._cast
+        monkeypatch.setattr(cli, "_cast", lambda *args: keys.append(args[1]) or cast(*args))
+        assert run_cli("eval", *base) == EXIT_OK
+        assert sorted(keys) == sorted(parse_config(cfg.read_text()))
 
     # Pinned: the key table changes the hash of no manifest without a stray key.
     @pytest.mark.parametrize(
@@ -542,7 +553,8 @@ class TestBadManifestValues:
         replace = ("ood.kind = blob\nood.center = 10,10",
                    f"ood.kind = uniform_box\nood.low = {','.join(items)}")
         err = self._run(tmp_path, capsys, replace, ["train"])
-        assert err == f"error: key 'ood.low': expected a finite number, got {bad!r}\n"
+        line = MANIFEST.splitlines().index("ood.center = 10,10") + 1
+        assert err == f"error: line {line}: key 'ood.low': expected a finite number, got {bad!r}\n"
         assert not (tmp_path / "o").exists()
 
     # regmixup.alpah beside regmixup.alpha = 10: a misspelt key would train at the other value
@@ -553,9 +565,25 @@ class TestBadManifestValues:
          ("mixup.alpah", "mixup.alpha"), ("regmixup.alpah", "regmixup.alpha"), ("foo", None)],
     )
     def test_unknown_key_names_the_nearest_known_key(self, tmp_path, capsys, command, key, near):
-        err = self._run(tmp_path, capsys, _setting(MANIFEST, key, "30"), [command])
-        assert err.startswith(f"error: unknown key {key!r}; did you mean '")
-        assert near is None or err == f"error: unknown key {key!r}; did you mean {near!r}?\n"
+        replace = _setting(MANIFEST, key, "30")
+        err = self._run(tmp_path, capsys, replace, [command])
+        line = MANIFEST.replace(*replace).splitlines().index(f"{key} = 30") + 1
+        assert err.startswith(f"error: line {line}: unknown key {key!r}; did you mean '")
+        want = f"error: line {line}: unknown key {key!r}; did you mean {near!r}?\n"
+        assert near is None or err == want
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("train.epochs", "four", "key 'train.epochs': expected an integer, got 'four'"),
+         ("heatmap.pairs", "0", "heatmap.pairs must be >= 1, got 0")],
+        ids=["cast", "bound"],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, capsys, key, value, message):
+        replace = _setting(MANIFEST, key, value)
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        line = MANIFEST.replace(*replace).splitlines().index(f"{key} = {value}") + 1
+        assert err == f"error: line {line}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", (*COMMANDS, "compare"))
@@ -1157,7 +1185,7 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
     Two splits, the (x - mean) / sd formula on a copy of each set named in
     ``parts``, and ``corrupt`` with its own pooled SD for each spec.
     """
-    cfg = manifest.config
+    cfg = manifest.values
     seed = cli._get(cfg, "data.seed")
     base = cli._base_dataset(cfg, seed)
     test_frac, val_frac = cli._get(cfg, "data.test_frac"), cli._get(cfg, "data.val_frac")

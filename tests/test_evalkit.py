@@ -22,6 +22,8 @@ from vrlkit.tensor import RngState
 from vrlkit.trainer import TrainConfig, train
 from vrlkit.uncertainty import UncertaintyScores, entropy_of
 
+from test_nn import class_order_sum
+
 
 def average_ranks_loop(values):
     """The per-run tie loop that `_average_ranks` replaced."""
@@ -344,14 +346,16 @@ CLASS_COUNTS = [2, 3, 7, 8, 9, 10, 16, 17, 100, 130]
 
 
 class TestClassMajorConfidence:
-    """fit_temperature's class-major sums equal numpy's class-last sums bit for bit."""
+    """fit_temperature's class-major sums equal the class-last sums in class
+    order bit for bit, and so numpy's own sums for k < 8."""
 
     @pytest.mark.parametrize("k", CLASS_COUNTS)
     def test_class_sum_bitwise_equal_to_numpy_sum(self, k):
         rng = np.random.default_rng(k)
         x = np.exp(rng.normal(size=(6, 11, k)) * 6.0)  # magnitudes 1e-16..1e16
         total = nn._class_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
-        assert total.tobytes() == x.sum(axis=-1).tobytes()
+        assert total.tobytes() == class_order_sum(x).tobytes()
+        assert k >= 8 or total.tobytes() == x.sum(axis=-1).tobytes()
 
     @pytest.mark.parametrize("k", CLASS_COUNTS)
     def test_confidences_bitwise_equal_to_class_last_expression(self, k, monkeypatch):
@@ -379,8 +383,9 @@ class TestClassMajorConfidence:
         assert binned and len(computed) > len(binned)
         shifted = logits - logits.max(axis=1, keepdims=True)
         for ts, conf in computed + binned:
-            expected = 1.0 / np.exp(shifted[None] / ts[:, None, None]).sum(axis=2)
-            assert conf.tobytes() == expected.tobytes()
+            e = np.exp(shifted[None] / ts[:, None, None])
+            assert conf.tobytes() == (1.0 / class_order_sum(e)).tobytes()
+            assert k >= 8 or conf.tobytes() == (1.0 / e.sum(axis=2)).tobytes()
 
 
 def fit_temperature_exhaustive(logits_val, labels_val, spec=BinningSpec()):

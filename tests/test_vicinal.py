@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -364,27 +365,43 @@ class TestGroupMixer:
         assert self._check(recipes) == {"cutmix"}
 
     def test_stretches_mix_in_place(self, monkeypatch):
-        # cutmix | mixup | cutmix: one call per stretch, each on a view of the
-        # step's rows and writing into their tail
-        recipes = [(("cutmix",), 1.0, "per_batch", None), (("mixup",), 0.4, "per_pair", None),
-                   (("cutmix",), 2.0, "per_batch", None)]
-        assert self._check(recipes) == {"mixup", "cutmix"}
+        # two ops | cutmix | two ops | mixup, every step of an epoch: one call
+        # per maximal stretch of runs that share the step's op, in run order,
+        # each on a view of the step's rows and writing into their tail
+        two = ("mixup", "cutmix")
+        recipes = [(two, 1.0, "per_batch", None), (("cutmix",), 0.4, "per_pair", None),
+                   (two, 2.0, "per_pair", None), (("mixup",), 0.7, "per_batch", None)]
+        rows, sizes = 5, (5,) * 8
+        assert self._check(recipes, sizes) == {"mixup", "cutmix"}
         calls = []
         for name in ("mixup_batch", "cutmix_batch"):
             def spy(x, y, *args, _mixer=getattr(vicinal, name), **hooks):
                 calls.append((_mixer.__name__, x, hooks["_out"]))
                 return _mixer(x, y, *args, **hooks)
             monkeypatch.setattr(vicinal, name, spy)
-        rows, d = 5, int(np.prod(self.shape))
-        data = RngState(7)
-        x = data.normal((3 * rows, d))
-        y = np.eye(3)[np.asarray(data.integers(0, 3, size=3 * rows))]
-        xb, yb = step_rows(x, y)
-        vicinal._mix_step(self._plan(recipes, (rows, rows)), 0, 0, rows, xb, yb)
-        assert [name for name, _, _ in calls] == ["cutmix_batch", "mixup_batch", "cutmix_batch"]
-        for r, (_, x_in, (x_out, y_out)) in enumerate(calls):
-            assert np.shares_memory(x_in, xb) and np.array_equal(x_in, x[r * rows:(r + 1) * rows])
-            assert np.shares_memory(x_out, xb[-len(x):]) and np.shares_memory(y_out, yb[-len(y):])
+        plan, d = self._plan(recipes, sizes), int(np.prod(self.shape))
+        spans = set()
+        for b in range(len(sizes)):
+            data = RngState(7 + b)
+            x = data.normal((4 * rows, d))
+            y = np.eye(3)[np.asarray(data.integers(0, 3, size=4 * rows))]
+            xb, yb = step_rows(x, y)
+            calls.clear()
+            vicinal._mix_step(plan, b, b * rows, (b + 1) * rows, xb, yb)
+            stretches = [(op, len(list(same))) for op, same in itertools.groupby(plan.cut[:, b])]
+            assert [(name, len(x_in) // rows) for name, x_in, _ in calls] == [
+                ("cutmix_batch" if op else "mixup_batch", n) for op, n in stretches
+            ]
+            first = 0
+            for _, x_in, (x_out, y_out) in calls:
+                block = slice(first * rows, first * rows + len(x_in))
+                assert np.shares_memory(x_in, xb) and np.array_equal(x_in, x[block])
+                assert np.shares_memory(x_out, xb[len(x):][block]) and len(x_out) == len(x_in)
+                assert np.shares_memory(y_out, yb[len(y):][block]) and len(y_out) == len(x_in)
+                first += len(x_in) // rows
+            spans.add(tuple(n for _, n in stretches))
+        # steps of two and of three stretches, some of them over several runs
+        assert {len(s) for s in spans} >= {2, 3} and max(map(max, spans)) > 1
 
     def test_two_op_coins_with_runs_apart(self):
         # the runs of one op are not always next to each other
