@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import math
+import mmap
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -136,22 +137,19 @@ class RunManifest:
 
     config: dict  # the text of each key the manifest sets but out, as hashed
     values: dict  # each set key's value, as _read reads it
+    lines: dict  # the line that sets each key
     out_dir: Path
     seeds: list
     strategies: list
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ManifestError("need at least one seed")
-        if not self.strategies:
-            raise ManifestError("need at least one strategy")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ManifestError(f"unknown strategy {s!r}")
-        for key, values in (("seeds", self.seeds), ("strategies", self.strategies)):
+        for key, noun in (("seeds", "seed"), ("strategies", "strategy")):
+            values = getattr(self, key)
+            if not values:
+                raise _at(self.lines, key, f"need at least one {noun}")
             for i, value in enumerate(values):
                 if value in values[:i]:
-                    raise ManifestError(f"{key} lists {value!r} more than once")
+                    raise _at(self.lines, key, f"{key} lists {value!r} more than once")
 
     def canonical_text(self) -> str:
         keyed = dict(self.config)
@@ -164,6 +162,35 @@ class RunManifest:
 
     def run_dir(self) -> Path:
         return self.out_dir / self.content_hash()
+
+
+def parse_corruptions(value: str) -> list:
+    """'gaussian_noise:1-5,rotation2d:3' -> list of CorruptionSpec."""
+    specs = []
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        kind, _, levels = part.partition(":")
+        if not levels:
+            raise ManifestError(f"corruption {part!r} needs kind:levels")
+        lo, dash, hi = levels.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ManifestError(f"corruption {part!r}: levels must be integers")
+        if last < first:
+            raise ManifestError(f"corruption {part!r}: level range runs backwards")
+        for level in range(first, last + 1):
+            try:
+                spec = CorruptionSpec(kind, level)
+            except ValueError as err:
+                raise ManifestError(f"corruption {part!r}: {err}")
+            if spec in specs:  # two sets of one name would pool as two seeds in compare
+                raise ManifestError(f"corruptions lists {kind}:{level} more than once")
+            specs.append(spec)
+    return specs
 
 
 _REQUIRED = object()
@@ -194,14 +221,15 @@ _TRAIN_FIELDS = {
 }
 
 # Every manifest key: (cast, default) or (cast, default, bound). A cast is str,
-# int or float, or [cast] for a comma-separated list of them, read as a tuple.
+# int or float, or [cast] for a comma-separated list of them, read as a tuple,
+# or parse_corruptions.
 # An unset key takes its default, unless that is _REQUIRED or _BY_DATA. A bound
 # is a (rule, test) pair: a set value that fails it exits 3 as <key> must be <rule>.
 _KEYS = {
     "out": (str, "runs"),
     "strategies": ([str], _REQUIRED),
     "seeds": ([int], (0, 1, 2, 3, 4)),
-    "corruptions": (str, ""),
+    "corruptions": (parse_corruptions, ()),
     "data.kind": (str, _REQUIRED, _one_of("moons", "blobs", "csv", "cifar")),
     "data.path": (str, _REQUIRED),
     "data.seed": (int, 12345),
@@ -232,6 +260,11 @@ def _get(values, key, default=_REQUIRED):
     if value is _REQUIRED:
         raise ManifestError(f"missing required key {key!r}")
     return value
+
+
+def _at(lines, key, message) -> ManifestError:
+    """The exit-3 error ``message``, led by the line that sets ``key`` if one does."""
+    return ManifestError(f"line {lines[key]}: {message}" if key in lines else message)
 
 
 def _read(key, text):
@@ -283,14 +316,16 @@ def load_manifest(config_path, out_override=None, seeds_override=None) -> RunMan
         try:
             values[key] = _read(key, text)
         except ManifestError as err:
-            raise ManifestError(f"line {lines[key]}: {err}") from None
+            raise _at(lines, key, err) from None
     out_dir = Path(out_override) if out_override else Path(_get(values, "out"))
     cfg.pop("out", None)  # output location never participates in the hash
     if seeds_override is not None:
         seeds = list(range(int(seeds_override)))
+        if not seeds:  # set by --seeds, so no manifest line to name
+            raise ManifestError("need at least one seed")
     else:
         seeds = list(_get(values, "seeds"))
-    manifest = RunManifest(cfg, values, out_dir, seeds, list(_get(values, "strategies")))
+    manifest = RunManifest(cfg, values, lines, out_dir, seeds, list(_get(values, "strategies")))
     runs(manifest)
     return manifest
 
@@ -299,8 +334,9 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
     """Resolve train.* defaults with per-strategy overrides (mixup.alpha etc.).
 
     A value that TrainConfig rejects raises ManifestError naming the key
-    that set it, with TrainConfig's reason: the first value, in field order,
-    that it rejects among values it accepts.
+    that set it and its line, with TrainConfig's reason: the first value, in
+    field order, that it rejects among values it accepts. An unknown
+    strategy names the line of ``strategies``.
     """
     cfg = manifest.values
 
@@ -319,8 +355,9 @@ def train_config_for(manifest: RunManifest, strategy: str, seed: int) -> TrainCo
             try:
                 replace(accepted, **{field: values[field]})
             except ValueError as err:
-                raise ManifestError(f"key {key(name)!r}: {err}")
-    raise ManifestError(reason)
+                raise _at(manifest.lines, key(name), f"key {key(name)!r}: {err}")
+        raise ManifestError(reason)
+    raise _at(manifest.lines, "strategies", reason)
 
 
 def runs(manifest: RunManifest) -> list:
@@ -381,35 +418,6 @@ def _ood_dataset(cfg, d: int):
     return make_uniform_box, (n, low, high), "ood_box"
 
 
-def parse_corruptions(value: str) -> list:
-    """'gaussian_noise:1-5,rotation2d:3' -> list of CorruptionSpec."""
-    specs = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        kind, _, levels = part.partition(":")
-        if not levels:
-            raise ManifestError(f"corruption {part!r} needs kind:levels")
-        lo, dash, hi = levels.partition("-")
-        try:
-            first = int(lo)
-            last = int(hi) if dash else first
-        except ValueError:
-            raise ManifestError(f"corruption {part!r}: levels must be integers")
-        if last < first:
-            raise ManifestError(f"corruption {part!r}: level range runs backwards")
-        for level in range(first, last + 1):
-            try:
-                spec = CorruptionSpec(kind, level)
-            except ValueError as err:
-                raise ManifestError(str(err))
-            if spec in specs:  # two sets of one name would pool as two seeds in compare
-                raise ManifestError(f"corruptions lists {kind}:{level} more than once")
-            specs.append(spec)
-    return specs
-
-
 @dataclass
 class Pipeline:
     """Datasets of one experiment, normalized by train-split statistics.
@@ -447,7 +455,7 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     cfg = manifest.values
     seed = _get(cfg, "data.seed")
     base = _base_dataset(cfg, seed)
-    specs = parse_corruptions(_get(cfg, "corruptions"))
+    specs = _get(cfg, "corruptions")
     if base.d != 2 and any(spec.kind == "rotation2d" for spec in specs):
         raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
     ood_recipe = _ood_dataset(cfg, base.d)
@@ -496,6 +504,42 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
         corrupted=corrupted,
         _sizes=(train_pos.size, val_pos.size, test_idx.size),
     )
+
+
+_DATA_DIGEST = "data.sha256"
+
+
+def _data_digest(manifest: RunManifest):
+    """``<sha256 of the bytes>  <data.path>`` of a csv or cifar manifest's data
+    file, which ``vrl train`` keeps as <hash>/data.sha256; None for moons and
+    blobs data, which the manifest hash already covers.
+
+    The file is hashed through a read-only mapping, not a bytes copy: on the
+    3.7 MB cifar-shaped file the copy's page faults cost each command about
+    three times the hash.  Call it after a build has read the file, so the
+    file is known to exist and not to be empty, which mmap refuses.
+    """
+    if _get(manifest.values, "data.kind") not in ("csv", "cifar"):
+        return None
+    path = _get(manifest.values, "data.path")
+    with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        return f"{hashlib.sha256(data).hexdigest()}  {path}\n"
+
+
+def _check_data(manifest: RunManifest):
+    """Raise IncompatibleError unless the data file holds the bytes that
+    ``vrl train`` read, as its data.sha256 records them."""
+    digest = _data_digest(manifest)
+    if digest is None:
+        return
+    path = manifest.run_dir() / _DATA_DIGEST
+    try:
+        trained = path.read_bytes()
+    except FileNotFoundError:
+        raise IncompatibleError(f"no data digest {path}; run `vrl train` again") from None
+    if trained != digest.encode():
+        raise IncompatibleError(f"dataset file {_get(manifest.values, 'data.path')} is not "
+                                f"the one `vrl train` read (see {path}); run `vrl train` again")
 
 
 def load_records(manifest: RunManifest) -> list:
@@ -557,6 +601,7 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     trains its share in lockstep groups of its own.
     """
     pipe = build_pipeline(manifest, parts=("train", "val"))
+    digest = _data_digest(manifest)
     grid = runs(manifest)
     configs = [config for _, config in grid]
     for config in configs:
@@ -577,6 +622,9 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with atomic_open(run_dir / "manifest.txt") as f:
         f.write(manifest.canonical_text())
+    if digest is not None:
+        with atomic_open(run_dir / _DATA_DIGEST, encoding="utf-8") as f:
+            f.write(digest)
     for (name, _), (net, record) in zip(grid, results):
         record.checkpoint = str(Path("checkpoints", f"{name}.ckpt"))
         nn.save_checkpoint(net, run_dir / record.checkpoint)
@@ -589,14 +637,14 @@ def _write_per_run_csv(manifest: RunManifest, csv_name: str, expect_dim: int, ru
     """Load every trained run's net and write the (strategy, seed, *row) CSV.
 
     ``run_rows(name, config, net)`` returns the run's (dataset, metric,
-    measure, value) rows; the CSV is sorted on its first five columns.  All
-    nets load before the first ``run_rows`` call, so a damaged checkpoint
-    stops the command before it writes any SVG.
+    measure, value) rows; the CSV is sorted on its first five columns.  The
+    data file is checked against its digest before any net loads, and all
+    nets load before the first ``run_rows`` call, so changed data or a
+    damaged checkpoint stops the command before it writes any SVG.
     """
-    nets = [
-        (name, config, _load_net(manifest, name, expect_dim))
-        for name, config, _ in load_records(manifest)
-    ]
+    records = load_records(manifest)
+    _check_data(manifest)
+    nets = [(name, config, _load_net(manifest, name, expect_dim)) for name, config, _ in records]
     rows = []
     for name, config, net in nets:
         rows += [(config.strategy, config.seed, *row) for row in run_rows(name, config, net)]

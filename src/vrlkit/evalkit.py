@@ -2,9 +2,11 @@
 temperature scaling, the Fisher cluster criterion, and entropy profiles over
 pairwise interpolation paths.
 
-AUROC uses the rank-statistic (Mann-Whitney) form with half-weight ties,
-which is exactly the area under the ROC curve and trivial to cross-check by
-pair counting.
+AUROC is the Mann-Whitney U with half-weight ties, which is exactly the area
+under the ROC curve, computed by counting: each OOD score counts the
+in-distribution scores below it and half of those equal to it.  The
+equal-mass bins of AdaECE are counted too: a sample's bin is the number of
+bin cuts whose confidence lies below its own.
 """
 
 import math
@@ -18,16 +20,6 @@ from .tensor import RngState, as_matrix, atomic_open
 from .uncertainty import UncertaintyScores, entropy_of
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    _, start, count = np.unique(values[order], return_index=True, return_counts=True)
-    end = start + count
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(0.5 * (start + end + 1), count)  # ranks start+1 .. end
-    return ranks
-
-
 def auroc(in_scores: UncertaintyScores, out_scores: UncertaintyScores) -> float:
     """P(random OOD sample scores above a random in-distribution one), ties half."""
     if in_scores.measure != out_scores.measure:
@@ -37,12 +29,13 @@ def auroc(in_scores: UncertaintyScores, out_scores: UncertaintyScores) -> float:
     n_in, n_out = len(in_scores), len(out_scores)
     if n_in == 0 or n_out == 0:
         raise ValueError("both score sets must be non-empty")
-    combined = np.concatenate([in_scores.values, out_scores.values])
-    if np.isnan(combined).any():
+    if np.isnan(in_scores.values).any() or np.isnan(out_scores.values).any():
         raise ValueError("scores must not be NaN")
-    ranks = _average_ranks(combined)
-    u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
-    return float(u / (n_in * n_out))
+    in_sorted = np.sort(in_scores.values)
+    # U = sum over OOD scores of #in below + #in at or below, halved: exact
+    below = np.searchsorted(in_sorted, out_scores.values, side="left").sum()
+    at_or_below = np.searchsorted(in_sorted, out_scores.values, side="right").sum()
+    return float(0.5 * (below + at_or_below) / (n_in * n_out))
 
 
 @dataclass(frozen=True)
@@ -86,8 +79,9 @@ def _bin_cells(conf, correct, spec: BinningSpec):
     three (m, n) arrays in matching order: the cell index row * n_bins + bin,
     the confidence and the correctness.  Equal width puts c in bin
     min(floor(c * n_bins), n_bins - 1).  Equal mass sorts each row stably and
-    cuts it at round(i * n / n_bins); a cut inside a run of tied confidences
-    moves to the run's end, so the whole run stays in the left bin.
+    cuts it after the sorted confidence c_i at position round(i * n / n_bins) - 1,
+    for i = 1 .. n_bins - 1; a sample's bin is the number of c_i below its
+    confidence, so a run of tied confidences stays whole in the left bin.
     """
     conf = np.atleast_2d(conf)
     m, n = conf.shape
@@ -99,21 +93,8 @@ def _bin_cells(conf, correct, spec: BinningSpec):
         order = np.argsort(conf, axis=1, kind="stable")
         conf = np.take_along_axis(conf, order, axis=1)
         correct = correct[order]
-        # run_end[:, j]: the first position >= j that starts a new run (or n)
-        pos = np.arange(n + 1)
-        starts = np.ones((m, n + 1), dtype=bool)
-        starts[:, 1:n] = conf[:, 1:] != conf[:, :-1]
-        run_end = np.minimum.accumulate(
-            np.where(starts, pos, n)[:, ::-1], axis=1
-        )[:, ::-1]
-        cuts = [round(i * n / n_bins) for i in range(1, n_bins)]
-        cuts = np.maximum.accumulate(run_end[:, cuts], axis=1)
-        # bin of sorted position j = number of cuts <= j
-        marks = np.bincount(
-            (cuts + (n + 1) * np.arange(m)[:, None]).ravel(),
-            minlength=m * (n + 1),
-        ).reshape(m, n + 1)
-        idx = np.cumsum(marks[:, :n], axis=1)
+        left = conf[:, [round(i * n / n_bins) - 1 for i in range(1, n_bins)]]
+        idx = np.stack([np.searchsorted(lo, row) for lo, row in zip(left, conf)])
     return idx + n_bins * np.arange(m)[:, None], conf, correct
 
 

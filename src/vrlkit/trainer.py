@@ -178,11 +178,7 @@ class ExperimentRecord:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "none" if value is None else str(value)
 
 
 def _parse(value: str):
@@ -399,12 +395,8 @@ def cross_validate(grid: list, train_ds: Dataset) -> TrainConfig:
     if not grid:
         raise ValueError("empty grid")
     tr, val = split(train_ds, 0.9, stratified=True, rng=RngState(grid[0].seed).split(9))
-    best_config, best_score = None, -1.0
-    for config, (net, _) in zip(grid, train(grid, tr, None)):
-        score = accuracy(net, val)
-        if score > best_score:
-            best_config, best_score = config, score
-    return best_config
+    scores = [accuracy(net, val) for net, _ in train(grid, tr, None)]
+    return grid[int(np.argmax(scores))]
 
 
 @dataclass
@@ -416,9 +408,7 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        shapes = {tuple((s.in_dim, s.out_dim, s.activation) for s in m.layers)
-                  for m in self.members}
-        if len(shapes) != 1:
+        if any(m.layers != self.members[0].layers for m in self.members):
             raise ValueError("members must share an architecture")
 
 

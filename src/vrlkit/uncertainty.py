@@ -229,8 +229,12 @@ def _logit_covariances(post: LaplacePosterior, phi, exact: bool) -> np.ndarray:
     Factored form: (phi' V^-1 phi) * sym(U^-1).  With exact=True, J Cov J'
     from the dense covariance instead, in equal row chunks whose (rows, K*K,
     D) product holds at most _MC_CHUNK_FLOATS values (and at least one row),
-    so no n*K*K*D array is held.  A one-row product is a GEMV, whose bits
-    differ from a GEMM's; equal chunks of three or more rows leave no such tail.
+    so no n*K*K*D array is held.  A given n always gets the same equal
+    chunks, so the bits replay.  A one-row product is a GEMV, whose bits
+    differ from a GEMM's, and equal chunks of three or more rows leave no such
+    tail; the chunks' bits equal one contraction over all rows only while
+    every GEMM stays on one BLAS kernel (OpenBLAS's small-matrix DGEMM takes
+    the smaller calls, so at K = 10 they need not).
     """
     n = phi.shape[0]
     k = post.n_classes

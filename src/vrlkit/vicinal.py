@@ -43,7 +43,7 @@ def sample_lambdas(params: BetaParams, n: int, rng: RngState) -> np.ndarray:
 class MixedBatch:
     x_mixed: np.ndarray
     y_mixed: np.ndarray
-    lambda_used: float | np.ndarray | None = None  # None for a lockstep group's block
+    lambda_used: float | np.ndarray | None = None  # set by mixup_batch and cutmix_batch
     pairing: np.ndarray | None = None  # pairing[i] != i for all i
 
 

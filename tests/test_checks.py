@@ -76,10 +76,16 @@ def test_tree_difference_names_the_first_difference(tmp_path, change, expected):
     assert checks.tree_difference(a, b) == expected.format(a=a, b=b)
 
 
+HAVE = "{tree} holds {{'cifar-shaped': 1, 'demo': 1}} artifacts, want "
+
+
 @pytest.mark.parametrize(
     "want,expected",
-    [(2, None), (3, "{tree} holds 2 artifacts, want 3"), (1, "{tree} holds 2 artifacts, want 1")],
-    ids=["exact", "missing", "extra"],
+    [({"demo": 1, "cifar-shaped": 1}, None),
+     ({"demo": 1, "cifar-shaped": 2}, HAVE + "{{'demo': 1, 'cifar-shaped': 2}}"),
+     ({"demo": 0, "cifar-shaped": 1}, HAVE + "{{'demo': 0, 'cifar-shaped': 1}}"),
+     ({"demo": 2, "cifar-shaped": 0}, HAVE + "{{'demo': 2, 'cifar-shaped': 0}}")],
+    ids=["exact", "missing", "extra", "wrong-part"],
 )
 def test_artifact_count_skips_inputs(tmp_path, want, expected):
     for name in ("inputs/cifar.bin", "demo/h/eval.csv", "cifar-shaped/h/ood.csv"):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import re
@@ -21,7 +22,15 @@ from vrlkit.cli import (
     parse_config,
     parse_corruptions,
 )
-from vrlkit.datagen import CORRUPTION_KINDS, Dataset, corrupt, fit_normalizer, save_csv, split
+from vrlkit.datagen import (
+    CORRUPTION_KINDS,
+    Dataset,
+    corrupt,
+    fit_normalizer,
+    make_gaussian_blobs,
+    save_csv,
+    split,
+)
 from vrlkit.tensor import RngState
 
 MANIFEST = """\
@@ -246,13 +255,14 @@ class TestManifest:
             for name in train_names:
                 assert cli._KEYS[f"{strategy}.{name}"] == cli._KEYS[f"train.{name}"]
         assert set(table) == {key for key in cli._KEYS if key.split(".")[0] not in cli.STRATEGIES}
-        kind = {str: "text", int: "integer", float: "number"}
+        kind = {str: "text", int: "integer", float: "number",
+                cli.parse_corruptions: "corruption list"}
         for key, (value, default, bound) in table.items():
             cast, want, *rule = cli._KEYS[key]
             assert value == (f"{kind[cast[0]]} list" if isinstance(cast, list) else kind[cast])
             if want is cli._BY_DATA:
                 assert default.startswith("by data: ")
-            elif want is cli._REQUIRED or want in (None, ""):
+            elif want is cli._REQUIRED or want in (None, ()):
                 assert default == ("required" if want is cli._REQUIRED else "unset")
             else:
                 text = ",".join(map(str, want)) if isinstance(want, tuple) else str(want)
@@ -589,8 +599,10 @@ class TestBadManifestValues:
     @pytest.mark.parametrize("command", (*COMMANDS, "compare"))
     @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
     def test_empty_strategy_list(self, tmp_path, capsys, command, value):
-        err = self._run(tmp_path, capsys, _setting(MANIFEST, "strategies", value), [command])
-        assert err == "error: need at least one strategy\n"
+        replace = _setting(MANIFEST, "strategies", value)
+        err = self._run(tmp_path, capsys, replace, [command])
+        line = MANIFEST.replace(*replace).splitlines().index(f"strategies = {value}") + 1
+        assert err == f"error: line {line}: need at least one strategy\n"
         assert not (tmp_path / "o").exists()
 
     def test_repeated_key(self, tmp_path, capsys):
@@ -789,10 +801,10 @@ class TestBadManifestValues:
         manifest = MANIFEST.replace(
             "strategies = erm,regmixup", "strategies = erm,regmixup,mixup\nmixup.alpha = 1"
         )
-        err = self._run(
-            tmp_path, capsys, _setting(manifest, key, value), ["train"], manifest=manifest
-        )
-        assert err == f"error: key {key!r}: {reason}\n"
+        replace = _setting(manifest, key, value)
+        err = self._run(tmp_path, capsys, replace, ["train"], manifest=manifest)
+        line = manifest.replace(*replace).splitlines().index(f"{key} = {value}") + 1
+        assert err == f"error: line {line}: key {key!r}: {reason}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -806,6 +818,20 @@ class TestBadManifestValues:
     def test_repeated_seed_or_strategy(self, tmp_path, capsys, key, value, repeated):
         err = self._run(tmp_path, capsys, _setting(MANIFEST, key, value), ["train"])
         assert f"{key} lists {repeated}" in err
+        assert not (tmp_path / "o").exists()
+
+    # every value that load_manifest rejects after its key's cast names the key's line
+    @pytest.mark.parametrize(
+        "key,value",
+        [("corruptions", "gaussian_noise:0"), ("corruptions", "blur:2"),
+         ("strategies", "erm,erm"), ("strategies", "erm,foo"), ("strategies", ""),
+         ("seeds", "0,0"), ("train.batch_size", "1")],
+    )
+    def test_rejected_value_starts_with_its_line(self, tmp_path, capsys, key, value):
+        replace = _setting(MANIFEST, key, value)
+        err = self._run(tmp_path, capsys, replace, ["train"])
+        line = MANIFEST.replace(*replace).splitlines().index(f"{key} = {value}") + 1
+        assert err.startswith(f"error: line {line}: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -1055,6 +1081,69 @@ def test_compare_rejects_one_manifest_given_twice(manifest_file, tmp_path, capsy
     assert not list(out.glob("compare_*.csv"))
 
 
+def _tree(root):
+    """Every file under ``root`` and its bytes."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestDataDigest:
+    """`vrl train` ties a csv or cifar run directory to its data file's bytes."""
+
+    @staticmethod
+    def _write(tmp_path, rotate=0):
+        """MANIFEST's blobs as a csv file, labels rotated by ``rotate``; the manifest path."""
+        ds = make_gaussian_blobs(240, 3, 8.0, RngState(5))
+        data = tmp_path / "blobs.csv"
+        save_csv(dataclasses.replace(ds, labels=(ds.labels + rotate) % 3), data)
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(MANIFEST.replace("data.kind = blobs\n", f"data.kind = csv\ndata.path = {data}\n")
+                       .replace("seeds = 0,1", "seeds = 0"))
+        return cfg, data
+
+    def _train(self, tmp_path):
+        cfg, data = self._write(tmp_path)
+        base = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert run_cli("train", *base) == EXIT_OK
+        return base, data, load_manifest(cfg, tmp_path / "o").run_dir()
+
+    @pytest.mark.parametrize("command", COMMANDS[1:])
+    def test_changed_data_exits_incompatible(self, tmp_path, capsys, command):
+        base, data, run_dir = self._train(tmp_path)
+        self._write(tmp_path, rotate=1)
+        before = _tree(tmp_path / "o")
+        capsys.readouterr()
+        assert run_cli(command, *base) == EXIT_INCOMPATIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(data) in err and cli._DATA_DIGEST in err
+        assert _tree(tmp_path / "o") == before
+
+    def test_unchanged_data_keeps_every_byte(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+        base, data, run_dir = self._train(tmp_path)
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert (run_dir / cli._DATA_DIGEST).read_text() == f"{digest}  {data}\n"
+        for command in COMMANDS[1:]:
+            assert run_cli(command, *base) == EXIT_OK
+        first = _tree(tmp_path / "o")
+        for command in COMMANDS:
+            assert run_cli(command, *base) == EXIT_OK
+        assert _tree(tmp_path / "o") == first
+
+    def test_missing_digest_exits_incompatible(self, tmp_path, capsys):
+        base, data, run_dir = self._train(tmp_path)
+        (run_dir / cli._DATA_DIGEST).unlink()
+        capsys.readouterr()
+        assert run_cli("eval", *base) == EXIT_INCOMPATIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: no data digest ") and err.count("\n") == 1
+        assert not (run_dir / "eval.csv").exists()
+
+    def test_blobs_data_writes_no_digest(self, manifest_file, tmp_path):
+        assert run_cli("train", "--config", str(manifest_file), "--out", str(tmp_path / "o")) == 0
+        assert not list((tmp_path / "o").rglob(cli._DATA_DIGEST))
+
+
 def test_calibrate_rejects_small_test_split(tmp_path, capsys):
     # 40 records, data.test_frac = 0.3: 12 test rows, below AdaECE's 15 bins
     cfg = write_cifar_manifest(tmp_path)
@@ -1205,7 +1294,7 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
         ood = normalized(make(*args, RngState(seed).split(200), name=name))
     corrupted = []
     if "corrupted" in parts:
-        for i, spec in enumerate(parse_corruptions(cfg["corruptions"])):
+        for i, spec in enumerate(parse_corruptions(manifest.config["corruptions"])):
             corrupted.append((spec, normalized(corrupt(test, spec, RngState(seed).split(103, i)))))
     return cli.Pipeline(split_set("train", train), split_set("val", val),
                         split_set("test", test), ood, corrupted)

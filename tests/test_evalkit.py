@@ -25,21 +25,6 @@ from vrlkit.uncertainty import UncertaintyScores, entropy_of
 from test_nn import class_order_sum
 
 
-def average_ranks_loop(values):
-    """The per-run tie loop that `_average_ranks` replaced."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j < values.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
-
-
 def scores(values, measure="entropy"):
     return UncertaintyScores(measure, np.asarray(values, dtype=float))
 
@@ -68,14 +53,21 @@ class TestAuroc:
 
     def test_matches_brute_force_exact(self):
         rng = np.random.default_rng(0)
-        for trial in range(30):
+        for trial in range(40):
             n_in = int(rng.integers(1, 200))
             n_out = int(rng.integers(1, 200))
             vals_in = rng.normal(size=n_in)
             vals_out = rng.normal(size=n_out) + 0.3
-            if trial % 3 == 0:  # force ties
+            if trial % 4 == 1:  # force ties
                 vals_in = np.round(vals_in, 1)
                 vals_out = np.round(vals_out, 1)
+            if trial % 4 == 2:  # few distinct values: long tie runs, with infinities
+                high = int(rng.integers(1, 20))
+                vals_in = rng.integers(0, high, size=n_in).astype(float)
+                vals_out = rng.integers(0, high, size=n_out).astype(float)
+                for vals in (vals_in, vals_out):
+                    vals[rng.integers(0, vals.size, size=vals.size // 3)] = np.inf
+                    vals[rng.integers(0, vals.size, size=vals.size // 6)] = -np.inf
             got = auroc(scores(vals_in), scores(vals_out))
             want = auroc_brute_force(vals_in, vals_out)
             assert got == want
@@ -107,20 +99,8 @@ class TestAuroc:
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             auroc(scores([0.1, np.nan]), scores([0.5]))
-
-    def test_average_ranks_bitwise_equal_to_loop(self):
-        from vrlkit.evalkit import _average_ranks
-
-        rng = np.random.default_rng(12)
-        for trial in range(40):
-            n = int(rng.integers(1, 300))
-            high = int(rng.integers(1, 20))  # few distinct values: long tie runs
-            values = rng.integers(0, high, size=n).astype(float)
-            if trial % 4 == 0:
-                values[rng.integers(0, n, size=n // 3)] = np.inf
-            got = _average_ranks(values)
-            want = average_ranks_loop(values)
-            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="NaN"):
+            auroc(scores([0.5]), scores([0.1, np.nan]))
 
 
 def ece_oracle_equal_width(probs, labels, n_bins):

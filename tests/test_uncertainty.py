@@ -452,6 +452,34 @@ class TestExactLaplaceOracles:
         got = uncertainty._logit_covariances(post, phi, exact=True)
         assert got.tobytes() == _one_contraction_cov_oracle(post, phi).tobytes()
 
+    def test_k10_chunk_layout_is_fixed_by_n(self):
+        # At k = 10 a chunk's bits need not be one contraction's over all rows
+        # (see exact_posterior_small_k); replay rests on n alone fixing the chunks.
+        net, _, te, post = _exact_posterior(10)
+        k, d = post.n_classes, post.map_weights.shape[1]
+        rows = uncertainty._MC_CHUNK_FLOATS // (k * k * d)
+        n = 2 * rows + 3
+        _, feats, _ = forward(net, te.x)
+        phi = np.hstack([np.resize(feats, (n, feats.shape[1])), np.ones((n, 1))])
+        seen = set()
+
+        class RowSlices(np.ndarray):
+            """Records the row range of every slice taken of it."""
+
+            def __getitem__(self, key):
+                first = key[0] if isinstance(key, tuple) else key
+                if isinstance(first, slice):
+                    seen.add((first.start, first.stop))
+                return super().__getitem__(key)
+
+        got = uncertainty._logit_covariances(post, phi.view(RowSlices), exact=True)
+        chunks = sorted(seen)
+        assert chunks == [(i * n // 3, (i + 1) * n // 3) for i in range(3)]
+        assert min(hi - lo for lo, hi in chunks) >= 3
+        for lo, hi in chunks:
+            want = _one_contraction_cov_oracle(post, phi[lo:hi])
+            assert got[lo:hi].tobytes() == want.tobytes()
+
     def test_exact_logit_variance_peak_memory_is_bounded(self):
         # the whole (n, K*K, D) product of one contraction is n*K*K*D*8 bytes
         n, k, d = 4000, 4, 17

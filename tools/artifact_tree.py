@@ -4,7 +4,8 @@
 Usage: PYTHONPATH=src python3 tools/artifact_tree.py OUT
 
 The manifests are configs/demo.cfg (67 artifacts) and the seed-5
-cifar-shaped manifest of perfbench/workloads.py (19 artifacts). OUT gets:
+cifar-shaped manifest of perfbench/workloads.py (20 artifacts, its data
+digest included). OUT gets:
 
 - inputs/: the cifar-shaped manifest and the records it reads;
 - demo/ and cifar-shaped/: the `--out` trees of the two manifests.

@@ -6,8 +6,9 @@ Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all
 - digest: the library-uq results at seed 5 hash alike at 1 and at 2 BLAS
   threads, but for the exact-Laplace predictives, which replay only at a
   fixed thread count. Prints the digest.
-- replay: tools/artifact_tree.py writes the same tree of TREE_ARTIFACTS (86)
-  artifacts twice at 1 BLAS thread and once at 2.
+- replay: tools/artifact_tree.py writes the same tree twice at 1 BLAS thread
+  and once at 2, and each manifest's part of it holds its TREE_ARTIFACTS count
+  (67 demo, 20 cifar-shaped) of artifacts.
 - jobs: `vrl train --jobs 2` on configs/demo.cfg, outside deterministic mode,
   writes the checkpoints of a deterministic single-worker train.
 - large-batch: train and the five metric commands on large_batch_manifest()
@@ -23,6 +24,7 @@ exits non-zero with one line naming it and the first differing file or count.
 
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -44,9 +46,11 @@ COUNTS = {
     "library-uq": (604, 574, 574, 574, 222, 574, 0, 1),
 }
 
-# The artifacts of a replay tree: every file that tools/artifact_tree.py writes
-# outside inputs/. A tree that lost or gained one fails replay on both sides.
-TREE_ARTIFACTS = 86
+# The artifacts of each part of a replay tree: every file that
+# tools/artifact_tree.py writes under the part's directory (cifar-shaped's
+# includes data.sha256). A part that lost or gained one, such as a data digest
+# written for the wrong manifest, fails replay on both sides.
+TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20}
 
 LARGE_BATCH = {"data.n": "6000", "seeds": "0", "train.hidden": "64,64",
                "train.epochs": "2", "train.batch_size": "2048"}
@@ -95,11 +99,13 @@ def tree_difference(a: Path, b: Path):
             return f"{name} differs"
 
 
-def artifact_count_difference(tree: Path, want: int = TREE_ARTIFACTS):
-    """How many artifacts replay tree ``tree`` holds, if not ``want``, else None."""
-    n = sum(p.is_file() and p.relative_to(tree).parts[0] != "inputs" for p in tree.rglob("*"))
-    if n != want:
-        return f"{tree} holds {n} artifacts, want {want}"
+def artifact_count_difference(tree: Path, want: dict = TREE_ARTIFACTS):
+    """How many artifacts each part of replay tree ``tree`` holds (inputs/
+    aside), if not ``want``, else None."""
+    have = Counter(p.relative_to(tree).parts[0] for p in tree.rglob("*") if p.is_file())
+    del have["inputs"]
+    if have != want:
+        return f"{tree} holds {dict(sorted(have.items()))} artifacts, want {want}"
 
 
 def _same(check, a, b):
