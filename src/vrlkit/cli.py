@@ -197,6 +197,7 @@ _REQUIRED = object()
 _BY_DATA = object()  # an unset key whose default the reader passes, as the data sets it
 # What a value that fails its cast should have been, for the exit-3 message.
 _EXPECTED = {int: "an integer", float: "a finite number"}
+_AT_LEAST_0 = (">= 0", lambda value: value >= 0)
 _AT_LEAST_1 = (">= 1", lambda value: value >= 1)
 _FRACTION = ("in (0, 1)", lambda value: 0.0 < value < 1.0)
 
@@ -234,16 +235,16 @@ _KEYS = {
     "data.path": (str, _REQUIRED),
     "data.seed": (int, 12345),
     "data.n": (int, 1000),
-    "data.k": (int, 3),
+    "data.k": (int, 3, _AT_LEAST_1),
     "data.separation": (float, 8.0),
-    "data.noise_sd": (float, _BY_DATA),
-    "data.max_per_class": (int, None),
+    "data.noise_sd": (float, _BY_DATA, _AT_LEAST_0),
+    "data.max_per_class": (int, None, _AT_LEAST_1),
     "data.test_frac": (float, 0.25, _FRACTION),
     "data.val_frac": (float, 0.1, _FRACTION),
     "ood.kind": (str, "none", _one_of("blob", "uniform_box", "none")),
     "ood.n": (int, 400, _AT_LEAST_1),
     "ood.center": ([float], _BY_DATA),
-    "ood.noise_sd": (float, 1.0, (">= 0", lambda value: value >= 0)),
+    "ood.noise_sd": (float, 1.0, _AT_LEAST_0),
     "ood.low": ([float], _BY_DATA),
     "ood.high": ([float], _BY_DATA),
     "heatmap.source": (str, "train", _one_of("train", "test")),
@@ -397,25 +398,27 @@ def _base_dataset(cfg, seed: int) -> Dataset:
         raise ManifestError(f"data.kind = {kind}: {err}")
 
 
-def _ood_dataset(cfg, d: int):
+def _ood_dataset(manifest: RunManifest, d: int):
     """The manifest's OOD recipe (maker, arguments, name), or None when it has none.
 
     Its list keys are checked against the data dimension ``d``; nothing is drawn.
+    A mismatch names the line of the key that sets it.
     """
+    cfg = manifest.values
+
+    def point(key, fill):
+        value = _get(cfg, key, [fill] * d)
+        if len(value) != d:
+            raise _at(manifest.lines, key, f"{key} dimension does not match the data")
+        return value
+
     kind = _get(cfg, "ood.kind")
     if kind == "none":
         return None
     n = _get(cfg, "ood.n")
     if kind == "blob":
-        center = _get(cfg, "ood.center", [30.0] * d)
-        if len(center) != d:
-            raise ManifestError("ood.center dimension does not match the data")
-        return make_blob, (n, center, _get(cfg, "ood.noise_sd")), "ood_blob"
-    low = _get(cfg, "ood.low", [-20.0] * d)
-    high = _get(cfg, "ood.high", [20.0] * d)
-    if len(low) != d or len(high) != d:
-        raise ManifestError("ood.low/high dimension does not match the data")
-    return make_uniform_box, (n, low, high), "ood_box"
+        return make_blob, (n, point("ood.center", 30.0), _get(cfg, "ood.noise_sd")), "ood_blob"
+    return make_uniform_box, (n, point("ood.low", -20.0), point("ood.high", 20.0)), "ood_box"
 
 
 @dataclass
@@ -457,8 +460,9 @@ def build_pipeline(manifest: RunManifest, parts=PIPELINE_PARTS) -> Pipeline:
     base = _base_dataset(cfg, seed)
     specs = _get(cfg, "corruptions")
     if base.d != 2 and any(spec.kind == "rotation2d" for spec in specs):
-        raise ManifestError(f"corruption rotation2d needs 2-D data, got {base.d} features")
-    ood_recipe = _ood_dataset(cfg, base.d)
+        raise _at(manifest.lines, "corruptions",
+                  f"corruption rotation2d needs 2-D data, got {base.d} features")
+    ood_recipe = _ood_dataset(manifest, base.d)
     test_frac, val_frac = _get(cfg, "data.test_frac"), _get(cfg, "data.val_frac")
     try:  # split's draws: test from the loaded set, then val from the rest
         pool_idx, test_idx = _split_indices(

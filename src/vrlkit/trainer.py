@@ -103,10 +103,11 @@ class TrainConfig:
         # leading width 1 checks the activation even with no hidden layer.
         for width in (1, *self.hidden_dims):
             nn.LayerSpec(1, width, self.activation)
-        nn.OptimState(
-            learning_rate=self.learning_rate, momentum=self.momentum,
-            weight_decay=self.weight_decay, schedule=self.schedule,
-        )
+        self._optim_state()
+
+    def _optim_state(self) -> nn.OptimState:
+        """A fresh SGD state of this config's optimiser settings."""
+        return nn.OptimState(self.learning_rate, self.momentum, self.weight_decay, self.schedule)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -303,12 +304,7 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
         for config, root in zip(configs, roots)
     ], n_mixed_only, n_mixed, etas, sizes)
     net = step_plan.net
-    opt = nn.OptimState(
-        learning_rate=first.learning_rate,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-        schedule=first.schedule,
-    )
+    opt = first._optim_state()
     y_onehot = train_ds.onehot()
     mixing = [(_RECIPES[c.strategy][0], BetaParams(c.alpha), c.lambda_mode, c.force_lambda)
               for c in configs[:n_mixed]]

@@ -300,6 +300,6 @@ def meanfield_predictive(
         raise ValueError("mf_lambda must be finite and >= 0")
     phi = _augment(features, post.include_bias)
     s = phi @ post.map_weights.T
-    var = laplace_logit_variance(post, features, exact=exact)
+    var = np.einsum("nkk->nk", _logit_covariances(post, phi, exact))
     return nn.softmax(s / np.sqrt(1.0 + mf_lambda * var))
 

@@ -1,18 +1,26 @@
-"""The pure parts of tools/checks.py, the runner of the replay checks."""
+"""The pure parts of tools/checks.py, the runner of the replay checks, and of
+tools/artifact_tree.py, the writer of the replay tree."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vrlkit.cli import load_manifest
 
-_spec = importlib.util.spec_from_file_location(
-    "checks", Path(__file__).resolve().parent.parent / "tools" / "checks.py"
-)
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks, artifact_tree = _tool("checks"), _tool("artifact_tree")
 
 # The large-batch manifest written out in full: the oracle of large_batch_manifest().
 LARGE_BATCH_CFG = """\
@@ -49,11 +57,26 @@ heatmap.source = train
 
 def test_large_batch_manifest_hashes_as_written_out(tmp_path):
     hashes = []
-    for name, text in (("built", checks.large_batch_manifest()), ("oracle", LARGE_BATCH_CFG)):
+    built = artifact_tree.large_batch_manifest()
+    for name, text in (("built", built), ("oracle", LARGE_BATCH_CFG)):
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
         hashes.append(load_manifest(path, tmp_path).content_hash())
-    assert hashes[0] == hashes[1]
+    assert hashes[0] == hashes[1] == "545753106f8a"
+
+
+# Every key of a hand-made results dict moves the digest, but the two
+# exact-Laplace predictives, which replay only at a fixed BLAS thread count.
+RESULTS = {"auroc": 0.75, "mc_exact": np.eye(2), "meanfield_exact": np.ones((2, 2)),
+           "mc": np.full((2, 2), 0.5), "temperature": np.float64(1.5)}
+
+
+@pytest.mark.parametrize("key", sorted(RESULTS))
+def test_results_digest_leaves_out_exactly_the_exact_laplace_keys(key):
+    assert artifact_tree.FIXED_THREADS_ONLY == {"mc_exact", "meanfield_exact"}
+    changed = dict(RESULTS, **{key: np.asarray(RESULTS[key]) + 1.0})
+    moved = artifact_tree.results_digest(changed) != artifact_tree.results_digest(RESULTS)
+    assert moved == (key not in {"mc_exact", "meanfield_exact"})
 
 
 @pytest.mark.parametrize(
@@ -84,8 +107,10 @@ HAVE = "{tree} holds {{'cifar-shaped': 1, 'demo': 1}} artifacts, want "
     [({"demo": 1, "cifar-shaped": 1}, None),
      ({"demo": 1, "cifar-shaped": 2}, HAVE + "{{'demo': 1, 'cifar-shaped': 2}}"),
      ({"demo": 0, "cifar-shaped": 1}, HAVE + "{{'demo': 0, 'cifar-shaped': 1}}"),
-     ({"demo": 2, "cifar-shaped": 0}, HAVE + "{{'demo': 2, 'cifar-shaped': 0}}")],
-    ids=["exact", "missing", "extra", "wrong-part"],
+     ({"demo": 2, "cifar-shaped": 0}, HAVE + "{{'demo': 2, 'cifar-shaped': 0}}"),
+     (checks.TREE_ARTIFACTS,
+      HAVE + "{{'demo': 67, 'cifar-shaped': 20, 'large-batch': 19, 'library-uq': 1}}")],
+    ids=["exact", "missing", "extra", "wrong-part", "four-parts"],
 )
 def test_artifact_count_skips_inputs(tmp_path, want, expected):
     for name in ("inputs/cifar.bin", "demo/h/eval.csv", "cifar-shaped/h/ood.csv"):
@@ -95,12 +120,10 @@ def test_artifact_count_skips_inputs(tmp_path, want, expected):
     assert difference == (expected and expected.format(tree=tmp_path))
 
 
-@pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"]])
+@pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"], ["digest"], ["large-batch"]])
 def test_unknown_check_exits_2_with_usage(capsys, argv):
     assert checks.main(argv) == 2
-    assert capsys.readouterr().err == (
-        "Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all\n"
-    )
+    assert capsys.readouterr().err == "Usage: python3 tools/checks.py counts|replay|jobs|all\n"
 
 
 def test_failing_variant_exits_with_one_line_naming_the_check():

@@ -81,7 +81,7 @@ def _shipped_manifest(name):
     if name == "demo":
         return (ROOT / "configs" / "demo.cfg").read_text()
     if name == "large-batch":
-        return _module("checks", ROOT / "tools" / "checks.py").large_batch_manifest()
+        return _module("artifact_tree", ROOT / "tools" / "artifact_tree.py").large_batch_manifest()
     if name == "readme":
         readme = (ROOT / "README.md").read_text()
         return re.search(r"### Example manifest\n\n```ini\n(.*?)```", readme, re.S).group(1)
@@ -684,7 +684,7 @@ class TestBadManifestValues:
     @pytest.mark.parametrize(
         "replace,key",
         [
-            (("data.noise_sd = 1.0", "data.noise_sd = -1"), "data.kind = blobs: noise_sd"),
+            (("data.noise_sd = 1.0", "data.noise_sd = -1"), "data.noise_sd"),
             (("ood.n = 60", "ood.n = 60\nood.noise_sd = -2"), "ood.noise_sd"),
         ],
         ids=["blobs", "ood-blob"],
@@ -705,7 +705,7 @@ class TestBadManifestValues:
 
     def test_zero_blobs(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, ("data.k = 3", "data.k = 0"), ["train"])
-        assert "k >= 1" in err
+        assert "data.k must be >= 1, got 0" in err
         assert not (tmp_path / "o").exists()
 
     def test_fisher_on_a_test_split_too_small_for_its_classes(self, tmp_path, capsys):
@@ -820,17 +820,36 @@ class TestBadManifestValues:
         assert f"{key} lists {repeated}" in err
         assert not (tmp_path / "o").exists()
 
-    # every value that load_manifest rejects after its key's cast names the key's line
+    # every value that load_manifest or a dataset build rejects for one key
+    # names the key's line, on blobs data unless said otherwise; a bound holds
+    # for a data kind that does not read the key, too
+    REJECTED = [
+        ("corruptions", "gaussian_noise:0", "blobs"), ("corruptions", "blur:2", "blobs"),
+        ("strategies", "erm,erm", "blobs"), ("strategies", "erm,foo", "blobs"),
+        ("strategies", "", "blobs"), ("seeds", "0,0", "blobs"), ("train.batch_size", "1", "blobs"),
+        ("data.noise_sd", "-1", "blobs"), ("data.k", "0", "blobs"),
+        ("ood.center", "1,2,3", "blobs"), ("ood.low", "1,2,3", "uniform_box"),
+        ("ood.high", "1,2,3", "uniform_box"), ("data.max_per_class", "0", "cifar"),
+        ("corruptions", "rotation2d:1", "cifar"), ("data.k", "-2", "cifar"),
+        ("data.noise_sd", "-1", "cifar"), ("data.k", "0", "csv"),
+        ("data.max_per_class", "-1", "csv"),
+    ]
+
     @pytest.mark.parametrize(
-        "key,value",
-        [("corruptions", "gaussian_noise:0"), ("corruptions", "blur:2"),
-         ("strategies", "erm,erm"), ("strategies", "erm,foo"), ("strategies", ""),
-         ("seeds", "0,0"), ("train.batch_size", "1")],
+        "key,value,data", REJECTED,
+        ids=[f"{key}-{value}" + f"-{data}" * (data != "blobs") for key, value, data in REJECTED],
     )
-    def test_rejected_value_starts_with_its_line(self, tmp_path, capsys, key, value):
-        replace = _setting(MANIFEST, key, value)
-        err = self._run(tmp_path, capsys, replace, ["train"])
-        line = MANIFEST.replace(*replace).splitlines().index(f"{key} = {value}") + 1
+    def test_rejected_value_starts_with_its_line(self, tmp_path, capsys, key, value, data):
+        manifest = {
+            "blobs": MANIFEST,
+            "uniform_box": MANIFEST.replace("ood.kind = blob\nood.center = 10,10",
+                                            "ood.kind = uniform_box"),
+            "csv": MANIFEST.replace("data.kind = blobs",
+                                    f"data.kind = csv\ndata.path = {tmp_path / 'points.csv'}"),
+        }.get(data) or write_cifar_manifest(tmp_path).read_text() + "heatmap.pairs = 40\n"
+        replace = _setting(manifest, key, value)
+        err = self._run(tmp_path, capsys, replace, ["train"], manifest=manifest)
+        line = manifest.replace(*replace).splitlines().index(f"{key} = {value}") + 1
         assert err.startswith(f"error: line {line}: ")
         assert not (tmp_path / "o").exists()
 
@@ -852,7 +871,7 @@ class TestBadManifestValues:
         elif case.startswith("max_per_class"):
             n = case.rsplit("_", 1)[1]
             cfg.write_text(cfg.read_text() + f"data.max_per_class = {n}\n")
-            expected = f"data.kind = cifar: max_per_class must be >= 1, got {n}"
+            expected = f": data.max_per_class must be >= 1, got {n}"
         else:
             data = tmp_path / "points.csv"
             data.write_text({"csv_cell": "0.5,0.25,0\n0.5,abc,1\n", "csv_label_only": "0\n1\n0\n",
@@ -1290,7 +1309,7 @@ def reference_pipeline(manifest, parts) -> cli.Pipeline:
 
     ood = None
     if "ood" in parts:
-        make, args, name = cli._ood_dataset(cfg, base.d)
+        make, args, name = cli._ood_dataset(manifest, base.d)
         ood = normalized(make(*args, RngState(seed).split(200), name=name))
     corrupted = []
     if "corrupted" in parts:

@@ -1,19 +1,15 @@
 """The replay checks of CI, each defined once.
 
-Usage: python3 tools/checks.py counts|digest|replay|jobs|large-batch|all
+Usage: python3 tools/checks.py counts|replay|jobs|all
 
 - counts: one traced perfbench pass per workload at seed 5 gives COUNTS.
-- digest: the library-uq results at seed 5 hash alike at 1 and at 2 BLAS
-  threads, but for the exact-Laplace predictives, which replay only at a
-  fixed thread count. Prints the digest.
 - replay: tools/artifact_tree.py writes the same tree twice at 1 BLAS thread
-  and once at 2, and each manifest's part of it holds its TREE_ARTIFACTS count
-  (67 demo, 20 cifar-shaped) of artifacts.
+  and once at 2, and each part of it holds its TREE_ARTIFACTS count of
+  artifacts: 67 demo, 20 cifar-shaped, 19 large-batch (2,048-row batches)
+  and 1 library-uq (the digest of the library benchmark's results). This is
+  the one byte-for-byte check across BLAS thread counts.
 - jobs: `vrl train --jobs 2` on configs/demo.cfg, outside deterministic mode,
   writes the checkpoints of a deterministic single-worker train.
-- large-batch: train and the five metric commands on large_batch_manifest()
-  write the same tree at 1 and at 2 BLAS threads: nn's 256-row gradient chunks
-  keep OpenBLAS from splitting its 2,048-row batches across threads.
 - all: each check above, in turn.
 
 Each variant is a fresh interpreter with OPENBLAS_NUM_THREADS set before numpy
@@ -50,24 +46,7 @@ COUNTS = {
 # tools/artifact_tree.py writes under the part's directory (cifar-shaped's
 # includes data.sha256). A part that lost or gained one, such as a data digest
 # written for the wrong manifest, fails replay on both sides.
-TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20}
-
-LARGE_BATCH = {"data.n": "6000", "seeds": "0", "train.hidden": "64,64",
-               "train.epochs": "2", "train.batch_size": "2048"}
-
-_DIGEST = """
-import hashlib
-import numpy as np
-from workloads import LibraryWorkload
-workload = LibraryWorkload(5)
-for _, _, stage in workload.stages(None):
-    stage()
-h = hashlib.sha256()
-for key in sorted(set(workload.results) - {"mc_exact", "meanfield_exact"}):
-    h.update(key.encode())
-    h.update(np.asarray(workload.results[key]).tobytes())
-print(h.hexdigest())
-"""
+TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20, "large-batch": 19, "library-uq": 1}
 
 
 def _run(check: str, args: list, threads: int = 1, deterministic: bool = True) -> str:
@@ -80,11 +59,6 @@ def _run(check: str, args: list, threads: int = 1, deterministic: bool = True) -
         last = (done.stderr.strip().splitlines() or ["no output"])[-1]
         sys.exit(f"{check}: exited with {done.returncode} at OPENBLAS_NUM_THREADS={threads}: {last}")
     return done.stdout.strip()
-
-
-def _vrl(check, command, cfg, out, *extra, threads=1, deterministic=True):
-    args = ["-m", "vrlkit.cli", command, "--config", str(cfg), "--out", str(out), *extra]
-    _run(f"{check}: vrl {command}", args, threads, deterministic)
 
 
 def tree_difference(a: Path, b: Path):
@@ -109,18 +83,8 @@ def artifact_count_difference(tree: Path, want: dict = TREE_ARTIFACTS):
 
 
 def _same(check, a, b):
-    difference = tree_difference(a, b)
-    if difference:
+    if difference := tree_difference(a, b):
         sys.exit(f"{check}: {difference}")
-
-
-def large_batch_manifest() -> str:
-    """The text of configs/demo.cfg with LARGE_BATCH's values in place of its own."""
-    lines = DEMO.read_text().splitlines(keepends=True)
-    keys = [line.partition("=")[0].strip() for line in lines]
-    for key, value in LARGE_BATCH.items():
-        lines[keys.index(key)] = f"{key} = {value}\n"
-    return "".join(lines)
 
 
 def counts(tmp):
@@ -134,45 +98,27 @@ def counts(tmp):
         print(f"counts: {workload} matches")
 
 
-def digest(tmp):
-    one, two = (_run("digest", ["-c", _DIGEST], threads) for threads in (1, 2))
-    if one != two:
-        sys.exit(f"digest: library-uq results {one} at 1 BLAS thread, {two} at 2")
-    print(f"digest: {one}")
-
-
 def replay(tmp):
     trees = [tmp / name for name in "abc"]
     for tree, threads in zip(trees, (1, 1, 2)):
         print("replay:", _run("replay", ["tools/artifact_tree.py", str(tree)], threads))
-        difference = artifact_count_difference(tree)
-        if difference:
+        if difference := artifact_count_difference(tree):
             sys.exit(f"replay: {difference}")
     for tree in trees[1:]:
         _same("replay", trees[0], tree)
 
 
 def jobs(tmp):
-    _vrl("jobs", "train", DEMO, tmp / "one")
-    _vrl("jobs", "train", DEMO, tmp / "two", "--jobs", "2", deterministic=False)
+    train = ["-m", "vrlkit.cli", "train", "--config", str(DEMO), "--out"]
+    _run("jobs: vrl train", [*train, str(tmp / "one")])
+    _run("jobs: vrl train", [*train, str(tmp / "two"), "--jobs", "2"], deterministic=False)
     # records hold wall-clock fields outside deterministic mode; checkpoints do not
     (one,), (two,) = ((tmp / side).iterdir() for side in ("one", "two"))
     _same("jobs", one / "checkpoints", two / "checkpoints")
     print("jobs: checkpoints match")
 
 
-def large_batch(tmp):
-    cfg = tmp / "batch-2048.cfg"
-    cfg.write_text(large_batch_manifest())
-    for threads in (1, 2):
-        for command in ("train", "eval", "ood", "calibrate", "heatmap", "fisher"):
-            _vrl("large-batch", command, cfg, tmp / f"threads-{threads}", threads=threads)
-    _same("large-batch", tmp / "threads-1", tmp / "threads-2")
-    print("large-batch: trees match")
-
-
-CHECKS = {"counts": counts, "digest": digest, "replay": replay, "jobs": jobs,
-          "large-batch": large_batch}
+CHECKS = {"counts": counts, "replay": replay, "jobs": jobs}
 
 
 def main(argv) -> int:
