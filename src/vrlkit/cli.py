@@ -5,8 +5,7 @@ Manifests are `key = value` files with `#` comments and dotted section
 prefixes (train.alpha, data.kind, mixup.alpha, ...).  Every command writes
 its artifacts under <out>/<hash>/ where <hash> keys the canonical manifest
 text, so reruns with unchanged inputs land on byte-identical files and never
-mutate their inputs.  VRL_DETERMINISTIC=1 forces single-worker execution and
-zeroes wall-clock fields.
+mutate their inputs.  VRL_DETERMINISTIC=1 only zeroes wall-clock fields.
 """
 
 import argparse
@@ -59,7 +58,6 @@ from .trainer import (
     ExperimentRecord,
     TrainConfig,
     accuracy_from_logits,
-    deterministic_mode,
     train,
 )
 from .uncertainty import (
@@ -614,7 +612,7 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
                 f"strategy {config.strategy} needs image-shaped data (data.kind = cifar), "
                 f"not data.kind = {manifest.config['data.kind']}")
     n = min(jobs, len(configs))
-    if deterministic_mode() or n <= 1:
+    if n <= 1:
         results = train(configs, pipe.train, pipe.val)
     else:
         shares = [configs[i::n] for i in range(n)]

@@ -58,7 +58,7 @@ REGMIXUP_ETA_GRID = (0.1, 1.0, 2.0)
 
 
 def deterministic_mode() -> bool:
-    """True when VRL_DETERMINISTIC=1: single worker, no wall-clock in records."""
+    """True when VRL_DETERMINISTIC=1: records carry no wall-clock time."""
     return os.environ.get("VRL_DETERMINISTIC", "") == "1"
 
 
@@ -91,7 +91,7 @@ class TrainConfig:
             raise ValueError(f"force_lambda must lie in [0, 1], not {self.force_lambda}")
         if ops and (self.alpha is None or self.alpha <= 0):
             raise ValueError(f"strategy {self.strategy} requires alpha > 0")
-        if regularized and (self.eta is None or self.eta < 0):
+        if regularized and self.eta is None:
             raise ValueError(f"strategy {self.strategy} requires eta >= 0")
         if self.eta is not None and self.eta < 0:  # training scans no eta
             raise ValueError(f"eta must be >= 0, not {self.eta} (strategy {self.strategy})")

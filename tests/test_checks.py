@@ -108,9 +108,11 @@ HAVE = "{tree} holds {{'cifar-shaped': 1, 'demo': 1}} artifacts, want "
      ({"demo": 1, "cifar-shaped": 2}, HAVE + "{{'demo': 1, 'cifar-shaped': 2}}"),
      ({"demo": 0, "cifar-shaped": 1}, HAVE + "{{'demo': 0, 'cifar-shaped': 1}}"),
      ({"demo": 2, "cifar-shaped": 0}, HAVE + "{{'demo': 2, 'cifar-shaped': 0}}"),
+     ({"demo": 67, "cifar-shaped": 20, "large-batch": 19, "library-uq": 1},
+      HAVE + "{{'demo': 67, 'cifar-shaped': 20, 'large-batch': 19, 'library-uq': 1}}"),
      (checks.TREE_ARTIFACTS,
-      HAVE + "{{'demo': 67, 'cifar-shaped': 20, 'large-batch': 19, 'library-uq': 1}}")],
-    ids=["exact", "missing", "extra", "wrong-part", "four-parts"],
+      HAVE + "{{'demo': 67, 'cifar-shaped': 20, 'large-batch': 19, 'jobs': 31, 'library-uq': 1}}")],
+    ids=["exact", "missing", "extra", "wrong-part", "four-parts", "five-parts"],
 )
 def test_artifact_count_skips_inputs(tmp_path, want, expected):
     for name in ("inputs/cifar.bin", "demo/h/eval.csv", "cifar-shaped/h/ood.csv"):
@@ -120,10 +122,34 @@ def test_artifact_count_skips_inputs(tmp_path, want, expected):
     assert difference == (expected and expected.format(tree=tmp_path))
 
 
-@pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"], ["digest"], ["large-batch"]])
+@pytest.mark.parametrize("argv", [["bogus"], [], ["counts", "digest"], ["digest"], ["large-batch"],
+                                  ["jobs"]])
 def test_unknown_check_exits_2_with_usage(capsys, argv):
     assert checks.main(argv) == 2
-    assert capsys.readouterr().err == "Usage: python3 tools/checks.py counts|replay|jobs|all\n"
+    assert capsys.readouterr().err == "Usage: python3 tools/checks.py counts|replay|all\n"
+
+
+@pytest.mark.parametrize("jobs_ckpt,expected", [
+    (b"w", None),
+    (b"v", "replay: jobs/h/checkpoints/erm_seed0.ckpt differs from demo/h/checkpoints/erm_seed0.ckpt"),
+], ids=["equal", "checkpoint-differs"])
+def test_replay_holds_jobs_to_demo(tmp_path, monkeypatch, jobs_ckpt, expected):
+    def write_tree(check, args, threads=1):
+        # every part at its TREE_ARTIFACTS count; jobs/ is demo/'s first files
+        for part, count in checks.TREE_ARTIFACTS.items():
+            (Path(args[1]) / part / "h" / "checkpoints").mkdir(parents=True)
+            for name in ["checkpoints/erm_seed0.ckpt", *(str(i) for i in range(count - 1))]:
+                data = jobs_ckpt if part == "jobs" and name.endswith(".ckpt") else b"w"
+                (Path(args[1]) / part / "h" / name).write_bytes(data)
+        return "written"
+
+    monkeypatch.setattr(checks, "_run", write_tree)
+    if expected is None:
+        checks.replay(tmp_path)
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            checks.replay(tmp_path)
+        assert exit_info.value.code == expected
 
 
 def test_failing_variant_exits_with_one_line_naming_the_check():

@@ -456,6 +456,35 @@ class TestDeterminism:
             assert record.checkpoint == f"checkpoints/{name}"
             assert f"{record.config['strategy']}_seed{record.seed}" == stem
 
+    def test_deterministic_jobs_write_a_single_workers_bytes(self, tmp_path, monkeypatch):
+        # VRL_DETERMINISTIC=1 keeps --jobs: 6 runs (3 strategies x 2 seeds) in
+        # shares of 3, each with a clean-only, a mixed-only and a two-term run
+        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+        text = MANIFEST.replace(*_setting(MANIFEST, "strategies", "erm,mixup,regmixup"))
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(text.replace(*_setting(text, "mixup.alpha", "1.0")))
+        seq = tmp_path / "seq"
+        assert run_cli("train", "--config", str(cfg), "--out", str(seq)) == EXIT_OK
+        import concurrent.futures
+
+        shares = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, configs, *rest):
+                shares.extend(configs)
+                return super().map(fn, configs, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        par = tmp_path / "par"
+        assert run_cli("train", "--config", str(cfg), "--out", str(par), "--jobs", "2") == EXIT_OK
+        assert [[c.strategy for c in share] for share in shares] == [["erm", "mixup", "regmixup"]] * 2
+        dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
+        files = sorted(p.relative_to(dir_s) for p in dir_s.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(dir_p) for p in dir_p.rglob("*") if p.is_file())
+        assert len(files) == 13  # manifest.txt, 6 records and 6 checkpoints
+        for rel in files:
+            assert (dir_p / rel).read_bytes() == (dir_s / rel).read_bytes(), rel
+
     def test_large_batch_replays_across_blas_threads(self, tmp_path):
         # a batch of 1,024 rows: the weight gradient's inner dimension is long
         # enough for OpenBLAS to split it across threads.  The thread count is

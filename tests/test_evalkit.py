@@ -202,6 +202,24 @@ class TestCalibrationErrors:
         with pytest.raises(ValueError):
             adaece(probs, [0, 0, 1], BinningSpec("equal_mass", 5))
 
+    @pytest.mark.parametrize("n_bins", [1, 3, 5, 10])
+    def test_equal_mass_block_bins_each_row_as_alone(self, n_bins):
+        # quarter-step confidences tie within each row; row 0 is one run of ties
+        rng = np.random.default_rng(9)
+        conf = rng.integers(0, 4, size=(6, 10)) / 4
+        conf[0] = 0.5
+        correct = rng.random(10) < 0.5
+        spec = BinningSpec("equal_mass", n_bins)
+        cells, block_conf, block_correct = evalkit._bin_cells(conf, correct, spec)
+        for r, row in enumerate(conf):
+            (row_cells,), (row_conf,), (row_correct,) = evalkit._bin_cells(row, correct, spec)
+            assert np.array_equal(cells[r] - r * n_bins, row_cells)
+            assert np.array_equal(block_conf[r], row_conf)
+            assert np.array_equal(block_correct[r], row_correct)
+            # a sample's bin is the number of cut confidences below its own
+            cut = row_conf[[round(i * 10 / n_bins) - 1 for i in range(1, n_bins)]]
+            assert np.array_equal(row_cells, (cut < row_conf[:, None]).sum(axis=1))
+
 
 def fit_temperature_oracle(logits, labels, spec):
     """The smallest grid T minimizing ECE, computed as per-bin mean gaps.

@@ -75,7 +75,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(strategy="dropout")
 
-    @pytest.mark.parametrize("strategy", ["erm", "mixup", "cutmix", "mixup_plus_cutmix"])
+    @pytest.mark.parametrize("strategy", ["erm", "mixup", "cutmix", "mixup_plus_cutmix",
+                                          "regmixup", "regcutmix", "reg_mixup_plus_regcutmix"])
     def test_negative_eta_rejected_whatever_the_strategy(self, strategy):
         # training scans no eta, so an unused one is checked as well
         alpha = None if strategy == "erm" else 1.0

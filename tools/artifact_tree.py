@@ -1,5 +1,5 @@
-"""Write the replay tree under VRL_DETERMINISTIC=1: every artifact of three
-manifests through all seven `vrl` commands, and the library-uq digest.
+"""Write the replay tree under VRL_DETERMINISTIC=1: three manifests through all
+seven `vrl` commands, a `--jobs 2` train and the library-uq digest.
 
 Usage: PYTHONPATH=src python3 tools/artifact_tree.py OUT
 
@@ -12,6 +12,7 @@ OUT gets:
   manifest (20, its data digest included);
 - large-batch/: that of large_batch_manifest(), whose 2,048-row batches nn's
   256-row gradient chunks keep OpenBLAS from splitting across threads (19);
+- jobs/: `vrl train --jobs 2` on configs/demo.cfg; each file equals demo/'s (31);
 - library-uq/results.sha256: results_digest() of the seed-5 library-uq
   benchmark's results (1), also printed. It leaves out the exact-Laplace
   predictives, whose GGN GEMMs and np.linalg.inv vary with the thread count.
@@ -81,22 +82,22 @@ def main(argv) -> int:
         low=",".join(["0.0"] * d), high=",".join(["1.0"] * d),
     ))
     (inputs / "large-batch.cfg").write_text(large_batch_manifest())
-    manifests = {"demo": ROOT / "configs" / "demo.cfg", "cifar-shaped": cifar_cfg,
-                 "large-batch": inputs / "large-batch.cfg"}
-    for name, cfg in manifests.items():
-        for command in COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main([command, "--config", str(cfg), "--out", name])
-            if rc != cli.EXIT_OK:
-                print(f"vrl {command} on {name} exited with {rc}", file=sys.stderr)
-                return 1
+    demo = ROOT / "configs" / "demo.cfg"
+    manifests = {"demo": demo, "cifar-shaped": cifar_cfg, "large-batch": inputs / "large-batch.cfg"}
+    runs = [(name, cfg, command) for name, cfg in manifests.items() for command in COMMANDS]
+    for name, cfg, command, *extra in [*runs, ("jobs", demo, "train", "--jobs", "2")]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([command, "--config", str(cfg), "--out", name, *extra])
+        if rc != cli.EXIT_OK:
+            print(f"vrl {command} on {name} exited with {rc}", file=sys.stderr)
+            return 1
     workload = LibraryWorkload(SEED)
     for _, _, stage in workload.stages(None):
         stage()
     digest = results_digest(workload.results)
     Path("library-uq").mkdir()
     Path("library-uq", "results.sha256").write_text(f"{digest}\n")
-    n = sum(1 for name in (*manifests, "library-uq") for p in Path(name).rglob("*") if p.is_file())
+    n = sum(1 for p in Path().rglob("*") if p.is_file() and p.parts[0] != "inputs")
     print(f"{n} artifacts under {out}; library-uq results {digest}")
     return 0
 

@@ -1,21 +1,20 @@
 """The replay checks of CI, each defined once.
 
-Usage: python3 tools/checks.py counts|replay|jobs|all
+Usage: python3 tools/checks.py counts|replay|all
 
 - counts: one traced perfbench pass per workload at seed 5 gives COUNTS.
 - replay: tools/artifact_tree.py writes the same tree twice at 1 BLAS thread
   and once at 2, and each part of it holds its TREE_ARTIFACTS count of
-  artifacts: 67 demo, 20 cifar-shaped, 19 large-batch (2,048-row batches)
-  and 1 library-uq (the digest of the library benchmark's results). This is
-  the one byte-for-byte check across BLAS thread counts.
-- jobs: `vrl train --jobs 2` on configs/demo.cfg, outside deterministic mode,
-  writes the checkpoints of a deterministic single-worker train.
+  artifacts: 67 demo, 20 cifar-shaped, 19 large-batch (2,048-row batches),
+  31 jobs (`vrl train --jobs 2` on configs/demo.cfg, each file byte-equal to
+  demo's) and 1 library-uq (the digest of the library benchmark's results).
+  This is the one byte-for-byte check across BLAS thread counts.
 - all: each check above, in turn.
 
 Each variant is a fresh interpreter with OPENBLAS_NUM_THREADS set before numpy
-loads, this checkout's src/ and perfbench/ on PYTHONPATH and VRL_DETERMINISTIC=1
-unless said otherwise. Output goes to a temporary directory. A failing check
-exits non-zero with one line naming it and the first differing file or count.
+loads, this checkout's src/ and perfbench/ on PYTHONPATH and VRL_DETERMINISTIC=1.
+Output goes to a temporary directory. A failing check exits non-zero with one
+line naming it and the first differing file or count.
 """
 
 import json
@@ -27,7 +26,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMO = ROOT / "configs" / "demo.cfg"
 PYTHONPATH = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
 
 # The seed-5 traced counts of each workload, one per COUNTED metric. The last
@@ -46,13 +44,12 @@ COUNTS = {
 # tools/artifact_tree.py writes under the part's directory (cifar-shaped's
 # includes data.sha256). A part that lost or gained one, such as a data digest
 # written for the wrong manifest, fails replay on both sides.
-TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20, "large-batch": 19, "library-uq": 1}
+TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20, "large-batch": 19, "jobs": 31, "library-uq": 1}
 
 
-def _run(check: str, args: list, threads: int = 1, deterministic: bool = True) -> str:
+def _run(check: str, args: list, threads: int = 1) -> str:
     """The stdout of ``python *args`` in a fresh interpreter at ``threads`` BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               VRL_DETERMINISTIC=str(int(deterministic)), PYTHONPATH=PYTHONPATH)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), VRL_DETERMINISTIC="1", PYTHONPATH=PYTHONPATH)
     done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     if done.returncode:
@@ -61,10 +58,13 @@ def _run(check: str, args: list, threads: int = 1, deterministic: bool = True) -
     return done.stdout.strip()
 
 
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def tree_difference(a: Path, b: Path):
     """The first path, in sorted order, where trees ``a`` and ``b`` differ, or None."""
-    trees = [{p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-             for root in (a, b)]
+    trees = [_files(a), _files(b)]
     for name in sorted(trees[0].keys() | trees[1].keys()):
         x, y = (tree.get(name) for tree in trees)
         if x is None or y is None:
@@ -82,9 +82,12 @@ def artifact_count_difference(tree: Path, want: dict = TREE_ARTIFACTS):
         return f"{tree} holds {dict(sorted(have.items()))} artifacts, want {want}"
 
 
-def _same(check, a, b):
-    if difference := tree_difference(a, b):
-        sys.exit(f"{check}: {difference}")
+def jobs_difference(tree: Path):
+    """The first jobs/ file of replay tree ``tree`` not byte-equal to demo/'s, or None."""
+    demo = _files(tree / "demo")
+    for name, data in sorted(_files(tree / "jobs").items()):
+        if demo.get(name) != data:
+            return f"jobs/{name} differs from demo/{name}"
 
 
 def counts(tmp):
@@ -102,23 +105,14 @@ def replay(tmp):
     trees = [tmp / name for name in "abc"]
     for tree, threads in zip(trees, (1, 1, 2)):
         print("replay:", _run("replay", ["tools/artifact_tree.py", str(tree)], threads))
-        if difference := artifact_count_difference(tree):
+        if difference := artifact_count_difference(tree) or jobs_difference(tree):
             sys.exit(f"replay: {difference}")
     for tree in trees[1:]:
-        _same("replay", trees[0], tree)
+        if difference := tree_difference(trees[0], tree):
+            sys.exit(f"replay: {difference}")
 
 
-def jobs(tmp):
-    train = ["-m", "vrlkit.cli", "train", "--config", str(DEMO), "--out"]
-    _run("jobs: vrl train", [*train, str(tmp / "one")])
-    _run("jobs: vrl train", [*train, str(tmp / "two"), "--jobs", "2"], deterministic=False)
-    # records hold wall-clock fields outside deterministic mode; checkpoints do not
-    (one,), (two,) = ((tmp / side).iterdir() for side in ("one", "two"))
-    _same("jobs", one / "checkpoints", two / "checkpoints")
-    print("jobs: checkpoints match")
-
-
-CHECKS = {"counts": counts, "replay": replay, "jobs": jobs}
+CHECKS = {"counts": counts, "replay": replay}
 
 
 def main(argv) -> int:
