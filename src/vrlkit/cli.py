@@ -559,7 +559,7 @@ def load_records(manifest: RunManifest) -> list:
     return out
 
 
-def _load_net(manifest: RunManifest, name: str, expect_dim: int) -> nn.Network:
+def _load_net(manifest: RunManifest, name: str, data: Dataset) -> nn.Network:
     path = manifest.run_dir() / "checkpoints" / f"{name}.ckpt"
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
@@ -569,10 +569,9 @@ def _load_net(manifest: RunManifest, name: str, expect_dim: int) -> nn.Network:
         raise ManifestError(f"unreadable checkpoint {path}: {err}")
     if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
         raise ManifestError(f"checkpoint {path} holds non-finite weights or biases")
-    if net.in_dim != expect_dim:
-        raise IncompatibleError(
-            f"checkpoint expects {net.in_dim} features, dataset has {expect_dim}"
-        )
+    if (net.in_dim, net.n_classes) != (data.d, data.k):
+        raise IncompatibleError(f"checkpoint {path} has {net.in_dim} features and "
+                                f"{net.n_classes} classes, the data {data.d} and {data.k}")
     return net
 
 
@@ -635,21 +634,22 @@ def cmd_train(manifest: RunManifest, jobs: int = 1) -> Path:
     return run_dir
 
 
-def _write_per_run_csv(manifest: RunManifest, csv_name: str, expect_dim: int, run_rows) -> Path:
-    """Load every trained run's net and write the (strategy, seed, *row) CSV.
+def _write_per_run_csv(manifest: RunManifest, pipe: Pipeline, sets, csv_name, run_rows) -> Path:
+    """Write the (strategy, seed, *row) CSV of every trained run, sorted on its first five columns.
 
-    ``run_rows(name, config, net)`` returns the run's (dataset, metric,
-    measure, value) rows; the CSV is sorted on its first five columns.  The
-    data file is checked against its digest before any net loads, and all
-    nets load before the first ``run_rows`` call, so changed data or a
-    damaged checkpoint stops the command before it writes any SVG.
+    ``run_rows(name, config, net, out)`` returns a run's (dataset, metric, measure, value) rows;
+    ``out[name]`` is the (logits, features) of each of ``sets`` ({name: Dataset}), forwarded once
+    per net.  The data digest and every net (against the pipeline's first built split) are checked
+    before the first forward, so bad data or a bad checkpoint stops the command before any SVG.
     """
     records = load_records(manifest)
     _check_data(manifest)
-    nets = [(name, config, _load_net(manifest, name, expect_dim)) for name, config, _ in records]
+    data = next(ds for ds in (pipe.train, pipe.val, pipe.test) if ds is not None)
+    nets = [(name, config, _load_net(manifest, name, data)) for name, config, _ in records]
     rows = []
     for name, config, net in nets:
-        rows += [(config.strategy, config.seed, *row) for row in run_rows(name, config, net)]
+        out = {set_name: nn.forward(net, ds.x)[:2] for set_name, ds in sets.items()}
+        rows += [(config.strategy, config.seed, *row) for row in run_rows(name, config, net, out)]
     rows.sort(key=lambda r: r[:5])
     path = manifest.run_dir() / csv_name
     write_csv(path, list(_METRIC_HEADER), rows)
@@ -698,15 +698,13 @@ def _write_per_test_set_csv(
     ``pipe`` holds the corrupted sets; ``value(logits, features, labels)``
     scores one set under one run's net.
     """
-    sets = [("test", pipe.test)] + [(ds.name, ds) for _, ds in pipe.corrupted]
+    sets = {"test": pipe.test, **{ds.name: ds for _, ds in pipe.corrupted}}
 
-    def run_rows(name, config, net):
-        return [
-            (set_name, metric, "-", value(*nn.forward(net, ds.x)[:2], ds.labels))
-            for set_name, ds in sets
-        ]
+    def run_rows(name, config, net, out):
+        return [(set_name, metric, "-", value(*out[set_name], ds.labels))
+                for set_name, ds in sets.items()]
 
-    return _write_per_run_csv(manifest, csv_name, pipe.test.d, run_rows)
+    return _write_per_run_csv(manifest, pipe, sets, csv_name, run_rows)
 
 
 def cmd_eval(manifest: RunManifest) -> Path:
@@ -738,15 +736,13 @@ def cmd_ood(manifest: RunManifest) -> Path:
         raise _too_small(pipe, f"ood needs >= 2 train rows of each class, found class "
                                f"{classes[counts.argmin()]} with {counts.min()} row")
 
-    def run_rows(name, config, net):
-        logits_in, feat_in, _ = nn.forward(net, pipe.test.x)
-        logits_out, feat_out, _ = nn.forward(net, pipe.ood.x)
+    def run_rows(name, config, net, out):
+        (logits_in, feat_in), (logits_out, feat_out) = out["test"], out["ood"]
         probs_in, probs_out = nn.softmax(logits_in), nn.softmax(logits_out)
         scored = [(fn(logits_in), fn(logits_out)) for fn in _LOGIT_MEASURES]
         scored += [(fn(probs_in), fn(probs_out)) for fn in _PROB_MEASURES]
-        _, feat_tr, _ = nn.forward(net, pipe.train.x)
         try:
-            gauss = fit_class_gaussians(feat_tr, pipe.train.labels)
+            gauss = fit_class_gaussians(out["train"][1], pipe.train.labels)
         except ValueError:  # each class has >= 2 rows (checked above): only epsilon fails
             raise _SingularError(f"ood: run {name}: the class covariances of its train "
                                  "features are all zero or not finite") from None
@@ -756,7 +752,8 @@ def cmd_ood(manifest: RunManifest) -> Path:
             for s_in, s_out in scored
         ]
 
-    return _write_per_run_csv(manifest, "ood.csv", pipe.test.d, run_rows)
+    sets = {"test": pipe.test, "ood": pipe.ood, "train": pipe.train}
+    return _write_per_run_csv(manifest, pipe, sets, "ood.csv", run_rows)
 
 
 def cmd_calibrate(manifest: RunManifest) -> Path:
@@ -769,9 +766,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
                                f"for its {em.n_bins}-bin AdaECE")
     run_dir = manifest.run_dir()
 
-    def run_rows(name, config, net):
-        logits_val, _, _ = nn.forward(net, pipe.val.x)
-        logits_test, _, _ = nn.forward(net, pipe.test.x)
+    def run_rows(name, config, net, out):
+        (logits_val, _), (logits_test, _) = out["val"], out["test"]
         temp = fit_temperature(logits_val, pipe.val.labels, ew)
         pre = nn.softmax(logits_test)
         post = apply_temperature(logits_test, temp)
@@ -787,7 +783,8 @@ def cmd_calibrate(manifest: RunManifest) -> Path:
             )
         ]
 
-    return _write_per_run_csv(manifest, "calibrate.csv", pipe.test.d, run_rows)
+    sets = {"val": pipe.val, "test": pipe.test}
+    return _write_per_run_csv(manifest, pipe, sets, "calibrate.csv", run_rows)
 
 
 def cmd_heatmap(manifest: RunManifest) -> Path:
@@ -802,13 +799,13 @@ def cmd_heatmap(manifest: RunManifest) -> Path:
                                f"(heatmap.source), found {classes} in its {source.n} rows")
     run_dir = manifest.run_dir()
 
-    def run_rows(name, config, net):
+    def run_rows(name, config, net, out):
         rng = RngState(config.seed).split(300)
         profile = entropy_profile(net, source, n_pairs=n_pairs, rng=rng)
         heatmap_svg(profile, run_dir / f"heatmap_{name}.svg")
         return [(source.name, "barrier", "-", barrier_statistic(profile))]
 
-    return _write_per_run_csv(manifest, "barrier.csv", source.d, run_rows)
+    return _write_per_run_csv(manifest, pipe, {}, "barrier.csv", run_rows)
 
 
 def cmd_fisher(manifest: RunManifest) -> Path:
@@ -886,6 +883,8 @@ def main(argv=None) -> int:
         if name == "train":
             p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         if args.command == "compare":
             print(cmd_compare(_distinct_manifests(args.config, args.out, args.seeds)))

@@ -1,7 +1,8 @@
 """The pure parts of tools/bench_pairs.py: the per-workload summary and the
-claim rule, on synthetic pairs of runs."""
+claim rule, on synthetic pairs of runs, and its exit code, on synthetic runs."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -19,7 +20,7 @@ BETTER = {"train_s": "lower", "train_samples_per_s": "higher"}
 def side(train_s, cpu, scale):
     """One run's result line as bench_pairs.run returns it: its metrics, and
     its report line's pipeline_cpu_s and scale samples."""
-    return {"metrics": {"train_s": {"value": train_s},
+    return {"correct": True, "metrics": {"train_s": {"value": train_s},
                         "train_samples_per_s": {"value": 1000.0 / train_s}},
             "report": {"samples": {"pipeline_cpu_s": cpu, "scale": scale}}}
 
@@ -57,6 +58,48 @@ class TestSummarise:
         assert got == {"parent_pipeline_cpu_s": 2.5, "change_pipeline_cpu_s": 2.5,
                        "parent_scale": 1.4, "change_scale": 1.25,
                        "change_less_cpu": 2, "pairs": 3}
+
+
+class TestFailedRuns:
+    def test_summary_counts_each_sides_failed_runs(self):
+        got = pairs([1.0] * 3, [1.0] * 3)
+        got[1]["change"]["correct"] = False
+        got[2]["change"]["correct"] = False
+        summary = bench_pairs.summarise(got, BETTER)
+        assert summary["failed_runs"] == {"parent": 0, "change": 2}
+        assert summary["train_s"]["pairs"] == 3  # a failed run's metrics still count
+
+    @pytest.mark.parametrize("fail", [None, ("parent", 2)], ids=["clean", "failed"])
+    def test_a_failed_run_exits_1_after_the_json(self, tmp_path, monkeypatch, capsys, fail):
+        checkouts = [tmp_path / "parent", tmp_path / "change"]
+        spec = {"end_to_end": [{"name": name, "better": way} for name, way in BETTER.items()]}
+        for checkout in checkouts:
+            checkout.mkdir()
+            (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
+        runs = []
+
+        def run(checkout, workload, seed, seconds):
+            result = side(1.0, [1.0], [1.0])
+            result["correct"] = (checkout.name, seed) != fail
+            result["metrics"]["pipeline_s"] = {"value": 1.0}  # main prints it per pair
+            runs.append((checkout.name, seed))
+            return result, {}
+
+        monkeypatch.setattr(bench_pairs, "run", run)
+        out = tmp_path / "pairs.json"
+        code = bench_pairs.main([*map(str, checkouts), "--workload", "demo-blobs",
+                                 "--seeds", "1-3", "--out", str(out)])
+        assert len(runs) == 6
+        report = json.loads(out.read_text())
+        failed = report["summary"]["demo-blobs"]["failed_runs"]
+        err = capsys.readouterr().err
+        if fail is None:
+            assert code == 0 and failed == {"parent": 0, "change": 0}
+            assert "failed" not in err
+        else:
+            assert code == 1 and failed == {"parent": 1, "change": 0}
+            assert "error: demo-blobs seed 2: the parent run failed\n" in err
+            assert report["workloads"]["demo-blobs"][1]["parent"]["correct"] is False
 
 
 class TestClaim:

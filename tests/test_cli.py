@@ -346,17 +346,56 @@ class TestPipeline:
         p.write_text("strategies = erm\nseeds = 0\ndata.kind = hypercube\n")
         assert run_cli("train", "--config", str(p), "--out", str(tmp_path / "o")) == EXIT_SCHEMA
 
-    def test_incompatible_checkpoint_exit(self, manifest_file, tmp_path):
+    def test_jobs_below_one_is_a_usage_error(self, manifest_file, tmp_path):
+        for jobs in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("train", "--config", str(manifest_file), "--out", str(tmp_path / "o"),
+                        "--jobs", jobs)
+            assert exc.value.code == 2  # argparse usage error
+        assert not (tmp_path / "o").exists()
+
+    def test_incompatible_checkpoint_exit(self, manifest_file, tmp_path, capsys):
         out = tmp_path / "runs"
         base = ["--config", str(manifest_file), "--out", str(out)]
         assert run_cli("train", *base) == EXIT_OK
-        run_dir = next(out.iterdir())
-        # overwrite one checkpoint with a network of the wrong input width
+        ckpt = next(out.iterdir()) / "checkpoints" / "erm_seed0.ckpt"
+        # overwrite one checkpoint with a network of the wrong input width, then
+        # with one of the right width and the wrong class count
         from vrlkit.nn import LayerSpec, Network, save_checkpoint
 
-        wrong = Network([LayerSpec(7, 3, "identity")])
-        save_checkpoint(wrong, run_dir / "checkpoints" / "erm_seed0.ckpt")
-        assert run_cli("eval", *base) == EXIT_INCOMPATIBLE
+        for width, classes in ((7, 3), (2, 5)):
+            wrong = Network([LayerSpec(width, classes, "identity")])
+            save_checkpoint(wrong, ckpt)
+            before = _tree(out)
+            for command in COMMANDS[1:]:
+                capsys.readouterr()
+                assert run_cli(command, *base) == EXIT_INCOMPATIBLE, command
+                assert capsys.readouterr().err == (
+                    f"error: checkpoint {ckpt} has {width} features and {classes} classes, "
+                    "the data 2 and 3\n")
+                assert _tree(out) == before, command
+
+    @pytest.mark.parametrize("command, calls", [
+        ("eval", 12), ("ood", 12), ("calibrate", 8), ("heatmap", 4), ("fisher", 12)])
+    def test_one_forward_per_net_and_set(self, manifest_file, tmp_path, monkeypatch,
+                                         command, calls):
+        # 4 runs; eval and fisher score the test split and 2 corrupted copies,
+        # ood the test, OOD and train sets, calibrate val and test, and heatmap
+        # forwards its endpoint rows once per run
+        from vrlkit import nn
+
+        base = ["--config", str(manifest_file), "--out", str(tmp_path / "o")]
+        assert run_cli("train", *base) == EXIT_OK
+        forward, seen = nn.forward, []
+
+        def spy(net, x, **kwargs):
+            seen.append((net, hashlib.sha256(np.ascontiguousarray(x)).hexdigest(), x.shape))
+            return forward(net, x, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        assert run_cli(command, *base) == EXIT_OK
+        assert len(seen) == calls
+        assert len({(id(net), digest, shape) for net, digest, shape in seen}) == calls
 
 
 class TestDeterminism:

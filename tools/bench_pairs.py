@@ -20,13 +20,17 @@ The JSON written to FILE (stdout without --out) holds:
   change was better; and under "raw_cpu", each side's median of its runs'
   median `pipeline_cpu_s` and `scale` samples (raw CPU seconds of one
   pipeline, and the clock's scaled-over-raw factor), with the number of
-  pairs in which the change spent less raw CPU;
+  pairs in which the change spent less raw CPU; and under "failed_runs",
+  each side's number of runs whose result line reads `"correct": false`
+  (a stage or check failed);
 - claimed (with --claim): that metric's summary, and whether the claim is
   met: better in at least nine pairs of ten, and medians further apart than
   the parent's IQR.
 
-Metric directions are read from CHANGE's BENCHMARK.json. Each run is its own
-process; this script imports nothing from perfbench/.
+The script exits 1, after the JSON is written, if any run failed; each
+failed run's workload, seed and side go to stderr. Metric directions are
+read from CHANGE's BENCHMARK.json. Each run is its own process; this script
+imports nothing from perfbench/.
 """
 
 import argparse
@@ -110,6 +114,8 @@ def summarise(pairs, better: dict) -> dict:
                                                      raw["change"]["pipeline_cpu_s"])),
         "pairs": len(pairs),
     }
+    summary["failed_runs"] = {side: sum(not p[side]["correct"] for p in pairs)
+                              for side in ("parent", "change")}
     return summary
 
 
@@ -174,7 +180,11 @@ def main(argv=None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    failed = [(workload, pair["seed"], side) for workload, pairs in report["workloads"].items()
+              for pair in pairs for side in ("parent", "change") if not pair[side]["correct"]]
+    for workload, seed, side in failed:
+        print(f"error: {workload} seed {seed}: the {side} run failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
