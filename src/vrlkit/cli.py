@@ -5,7 +5,7 @@ Manifests are `key = value` files with `#` comments and dotted section
 prefixes (train.alpha, data.kind, mixup.alpha, ...).  Every command writes
 its artifacts under <out>/<hash>/ where <hash> keys the canonical manifest
 text, so reruns with unchanged inputs land on byte-identical files and never
-mutate their inputs.  VRL_DETERMINISTIC=1 only zeroes wall-clock fields.
+mutate their inputs.
 """
 
 import argparse
@@ -303,7 +303,7 @@ def _cast(cast, key, text):
 
 def load_manifest(config_path, out_override=None, seeds_override=None) -> RunManifest:
     path = Path(config_path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingInputError(f"config file not found: {path}")
     lines = {}
     try:
@@ -376,7 +376,7 @@ def _base_dataset(cfg, seed: int) -> Dataset:
     rng = RngState(seed).split(100)
     if kind in ("csv", "cifar"):
         path = Path(_get(cfg, "data.path"))
-        if not path.exists():
+        if not path.is_file():
             raise MissingInputError(f"dataset file not found: {path}")
     try:
         if kind == "moons":
@@ -549,7 +549,7 @@ def load_records(manifest: RunManifest) -> list:
     out = []
     for name, config in runs(manifest):
         path = manifest.run_dir() / "records" / f"{name}.record"
-        if not path.exists():
+        if not path.is_file():
             raise MissingInputError(f"record not found (run `vrl train` first): {path}")
         try:
             record = ExperimentRecord.from_text(path.read_text())
@@ -561,7 +561,7 @@ def load_records(manifest: RunManifest) -> list:
 
 def _load_net(manifest: RunManifest, name: str, data: Dataset) -> nn.Network:
     path = manifest.run_dir() / "checkpoints" / f"{name}.ckpt"
-    if not path.exists():
+    if not path.is_file():
         raise MissingInputError(f"checkpoint not found: {path}")
     try:
         net = nn.load_checkpoint(path)
@@ -832,7 +832,7 @@ def cmd_compare(manifests: list) -> Path:
         groups = {}
         for name in ("eval.csv", "ood.csv", "calibrate.csv", "fisher.csv", "barrier.csv"):
             path = run_dir / name
-            if not path.exists():
+            if not path.is_file():
                 continue
             found = True
             for *key, value in _read_metric_csv(path):

@@ -330,8 +330,13 @@ def load_csv(path, k: int | None = None, name: str = "csv") -> Dataset:
             if rows and len(parts) != len(rows[0]) + 1:  # the first data line's count
                 raise ValueError(f"line {lineno}: {len(parts)} cells, expected {len(rows[0]) + 1}")
             rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
+            label = int(parts[-1])
+            if label < 0:
+                raise ValueError(f"line {lineno}: label {label} is negative")
+            labels.append(label)
+    if not rows:
+        raise ValueError("no data rows")
     labels = np.asarray(labels, dtype=np.int64)
     if k is None:
-        k = int(labels.max()) + 1 if labels.size else 1
+        k = int(labels.max()) + 1
     return Dataset(np.asarray(rows, dtype=np.float64), labels, k=k, name=name)

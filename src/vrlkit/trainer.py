@@ -14,8 +14,6 @@ the same bits as alone.
 """
 
 import math
-import os
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -55,11 +53,6 @@ _S_INIT, _S_SHUFFLE, _S_MIX, _S_COIN = 0, 1, 2, 3
 MIXUP_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 5.0, 10.0, 20.0)
 REGMIXUP_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 REGMIXUP_ETA_GRID = (0.1, 1.0, 2.0)
-
-
-def deterministic_mode() -> bool:
-    """True when VRL_DETERMINISTIC=1: records carry no wall-clock time."""
-    return os.environ.get("VRL_DETERMINISTIC", "") == "1"
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ class ExperimentRecord:
     epoch_losses: list
     metrics: dict
     seed: int
-    wall_clock_s: float
+    wall_clock_s: float = 0.0  # v1 keeps the line; training writes 0.0
     checkpoint: str = "-"
 
     def to_text(self) -> str:
@@ -247,7 +240,7 @@ def train(configs: TrainConfig | list, train_ds: Dataset, val_ds: Dataset | None
     update for the whole group, both loss terms included, and one mixing
     call per op.  Each run still draws its init, shuffle, mixing and coin
     streams from its own seed and mixes its own rows, and its result is bit
-    for bit what it would be alone.  In a group, wall_clock_s is the group's wall time.
+    for bit what it would be alone.
 
     Raises DivergedError, naming the first bad run, when a batch loss or a
     trained weight is not finite.
@@ -288,7 +281,6 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
             raise ValueError(f"strategy {config.strategy} needs image-shaped data")
     if val_ds is not None and val_ds.d != train_ds.d:
         raise ValueError("train/val feature dimensions differ")
-    t_start = time.perf_counter()
     roles = [_step_role(config) for config in configs]
     runs = len(configs)
     n_mixed_only, n_mixed = roles.count(0), runs - roles.count(2)
@@ -351,14 +343,12 @@ def _train_lockstep(configs, train_ds, val_ds) -> list:
             logits, _, _ = nn.forward(run, val_ds.x)
             run_metrics["val_accuracy"] = accuracy_from_logits(logits, val_ds.labels)
             run_metrics["val_loss"] = nn.cross_entropy_soft(nn.softmax(logits), val_ds.onehot())
-    wall = 0.0 if deterministic_mode() else time.perf_counter() - t_start
     return [
         (run, ExperimentRecord(
             config=config.to_dict(),
             epoch_losses=losses.tolist(),
             metrics=run_metrics,
             seed=config.seed,
-            wall_clock_s=wall,
         ))
         for config, run, run_metrics, losses in zip(configs, nets, metrics, np.transpose(epoch_losses))
     ]

@@ -407,8 +407,7 @@ def test_criterion_10_fisher_criterion():
     )
 
 
-def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+def test_criterion_11_cli_determinism(tmp_path):
     manifest = tmp_path / "exp.cfg"
     manifest.write_text(
         "data.kind = blobs\ndata.n = 240\ndata.k = 3\ndata.separation = 8.0\n"

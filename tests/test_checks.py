@@ -3,6 +3,7 @@ tools/artifact_tree.py, the writer of the replay tree."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +167,11 @@ def test_counts_table_pins_a_count_metric_per_column():
     assert {"cli.build_pipeline_calls", "datagen.calls"} <= set(checks.COUNTED)
     assert set(checks.COUNTS) == {w["name"] for w in benchmark["workloads"]}
     assert all(len(row) == len(checks.COUNTED) for row in checks.COUNTS.values())
+
+
+def test_workflow_runs_tier1_then_exactly_the_defined_checks():
+    workflow = (checks.ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.findall(r"(?m)^\s*- run: python3 tools/checks\.py (\S+)$", workflow) == list(checks.CHECKS)
+    tier1, = re.findall(r"(?m)^\s*- name: Tier-1 tests\n\s*run: (.*)$", workflow)
+    verify, = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (checks.ROOT / "ROADMAP.md").read_text())
+    assert tier1.startswith(verify)

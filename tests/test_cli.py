@@ -337,9 +337,24 @@ class TestPipeline:
             run_cli("eval", "--config", str(manifest_file), "--jobs", "2")
         assert exc.value.code == 2  # argparse usage error
 
-    def test_missing_config_exits_missing(self, tmp_path):
-        code = run_cli("train", "--config", str(tmp_path / "absent.cfg"))
+    @pytest.mark.parametrize("case", ["absent", "config_dir", "data_path_dir"])
+    def test_missing_config_exits_missing(self, tmp_path, capsys, case):
+        # a directory is no input file: it is reported missing, not as an OSError
+        cfg = tmp_path / "run.cfg"
+        expected = f"config file not found: {cfg}"
+        if case == "config_dir":
+            cfg.mkdir()
+        elif case == "data_path_dir":
+            pts = tmp_path / "pts"
+            pts.mkdir()
+            cfg.write_text(MOONS_MANIFEST.replace(
+                "data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {pts}\n"
+            ))
+            expected = f"dataset file not found: {pts}"
+        code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_schema_violation_exit(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -400,8 +415,7 @@ class TestPipeline:
 
 class TestDeterminism:
     @pytest.mark.parametrize("image", [False, True], ids=["blobs", "cifar"])
-    def test_rerun_reproduces_identical_bytes(self, manifest_file, tmp_path, monkeypatch, image):
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+    def test_rerun_reproduces_identical_bytes(self, manifest_file, tmp_path, image):
         if image:
             # 30 records after max_per_class; half of them keep the test split
             # at the 15 rows that calibrate's 15 equal-mass bins need
@@ -424,105 +438,72 @@ class TestDeterminism:
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes(), rel
 
+    def test_records_with_a_wall_clock_time_still_score(self, manifest_file, tmp_path):
+        # records written before training stopped timing itself hold a wall
+        # clock time; they parse, print back as written and score the same
+        run_dirs = []
+        for out, timed in ((tmp_path / "a", False), (tmp_path / "b", True)):
+            base = ["--config", str(manifest_file), "--out", str(out)]
+            assert run_cli("train", *base) == EXIT_OK
+            run_dir = next(out.iterdir())
+            for path in (run_dir / "records").iterdir() if timed else ():
+                text = path.read_text().replace("\nwall_clock_s = 0.0\n",
+                                                "\nwall_clock_s = 0.17319575500005158\n")
+                assert "0.17319575500005158" in text
+                assert cli.ExperimentRecord.from_text(text).to_text() == text
+                path.write_text(text)
+            assert run_cli("eval", *base) == EXIT_OK
+            run_dirs.append(run_dir)
+        assert (run_dirs[0] / "eval.csv").read_bytes() == (run_dirs[1] / "eval.csv").read_bytes()
+
     def test_inputs_never_mutated(self, manifest_file, tmp_path):
         before = manifest_file.read_bytes()
         run_cli("train", "--config", str(manifest_file), "--out", str(tmp_path / "o"))
         assert manifest_file.read_bytes() == before
 
-    def test_parallel_jobs_match_sequential(self, manifest_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
-        seq = tmp_path / "seq"
-        assert run_cli("train", "--config", str(manifest_file), "--out", str(seq)) == EXIT_OK
-        monkeypatch.delenv("VRL_DETERMINISTIC")
-        # 4 runs (2 strategies x 2 seeds) and --jobs 2: a share of 2 runs per
-        # worker, which trains them as one lockstep group of its own
-        import concurrent.futures
-
-        shares = []
-
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, configs, *rest):
-                shares.extend(configs)
-                return super().map(fn, configs, *rest)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        par = tmp_path / "par"
-        assert run_cli(
-            "train", "--config", str(manifest_file), "--out", str(par), "--jobs", "2"
-        ) == EXIT_OK
-        assert [len(share) for share in shares] == [2, 2]
-        dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
-        for ckpt in sorted((dir_s / "checkpoints").iterdir()):
-            assert (dir_p / "checkpoints" / ckpt.name).read_bytes() == ckpt.read_bytes()
-        assert len(list((dir_p / "checkpoints").iterdir())) == 4
-
-    def test_uneven_jobs_shares_keep_each_run_in_its_files(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("settings,jobs,shares", [
+        # 4 runs (2 strategies x 2 seeds) and --jobs 2: two shares of 2 runs,
+        # each trained as one lockstep group of its own
+        ((), 2, [[("erm", 0), ("regmixup", 0)], [("erm", 1), ("regmixup", 1)]]),
         # 4 runs and --jobs 3: shares of 2, 1 and 1 runs, put back in run order
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
-        cfg = tmp_path / "four.cfg"
-        cfg.write_text(MANIFEST.replace(*_setting(MANIFEST, "train.epochs", "2")))
-        seq = tmp_path / "seq"
-        assert run_cli("train", "--config", str(cfg), "--out", str(seq)) == EXIT_OK
-        monkeypatch.delenv("VRL_DETERMINISTIC")
-        import concurrent.futures
-
-        shares = []
-
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, configs, *rest):
-                shares.extend(configs)
-                return super().map(fn, configs, *rest)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        par = tmp_path / "par"
-        assert run_cli(
-            "train", "--config", str(cfg), "--out", str(par), "--jobs", "3"
-        ) == EXIT_OK
-        assert [[(c.strategy, c.seed) for c in share] for share in shares] == [
-            [("erm", 0), ("regmixup", 1)], [("erm", 1)], [("regmixup", 0)],
-        ]
-        dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
-        names = sorted(p.name for p in (dir_s / "checkpoints").iterdir())
-        assert names == sorted(p.name for p in (dir_p / "checkpoints").iterdir())
-        assert len(names) == 4
-        for name in names:
-            ckpt = dir_p / "checkpoints" / name
-            assert ckpt.read_bytes() == (dir_s / "checkpoints" / name).read_bytes()
-            stem = name.removesuffix(".ckpt")
-            record = cli.ExperimentRecord.from_text(
-                (dir_p / "records" / f"{stem}.record").read_text()
-            )
-            assert record.checkpoint == f"checkpoints/{name}"
-            assert f"{record.config['strategy']}_seed{record.seed}" == stem
-
-    def test_deterministic_jobs_write_a_single_workers_bytes(self, tmp_path, monkeypatch):
-        # VRL_DETERMINISTIC=1 keeps --jobs: 6 runs (3 strategies x 2 seeds) in
-        # shares of 3, each with a clean-only, a mixed-only and a two-term run
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
-        text = MANIFEST.replace(*_setting(MANIFEST, "strategies", "erm,mixup,regmixup"))
-        cfg = tmp_path / "three.cfg"
-        cfg.write_text(text.replace(*_setting(text, "mixup.alpha", "1.0")))
+        ((("train.epochs", "2"),), 3, [[("erm", 0), ("regmixup", 1)], [("erm", 1)], [("regmixup", 0)]]),
+        # 6 runs (3 strategies x 2 seeds) in shares of 3, each with a clean-only,
+        # a mixed-only and a two-term run
+        ((("strategies", "erm,mixup,regmixup"), ("mixup.alpha", "1.0")), 2,
+         [[("erm", 0), ("mixup", 0), ("regmixup", 0)], [("erm", 1), ("mixup", 1), ("regmixup", 1)]]),
+    ], ids=["jobs2", "jobs3_uneven", "jobs2_three_roles"])
+    def test_jobs_write_a_single_workers_bytes(self, tmp_path, monkeypatch, settings, jobs, shares):
+        text = MANIFEST
+        for key, value in settings:
+            text = text.replace(*_setting(text, key, value))
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text(text)
         seq = tmp_path / "seq"
         assert run_cli("train", "--config", str(cfg), "--out", str(seq)) == EXIT_OK
         import concurrent.futures
 
-        shares = []
+        seen = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, configs, *rest):
-                shares.extend(configs)
+                seen.extend(configs)
                 return super().map(fn, configs, *rest)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         par = tmp_path / "par"
-        assert run_cli("train", "--config", str(cfg), "--out", str(par), "--jobs", "2") == EXIT_OK
-        assert [[c.strategy for c in share] for share in shares] == [["erm", "mixup", "regmixup"]] * 2
+        assert run_cli("train", "--config", str(cfg), "--out", str(par), "--jobs", str(jobs)) == EXIT_OK
+        assert [[(c.strategy, c.seed) for c in share] for share in seen] == shares
         dir_s, dir_p = next(seq.iterdir()), next(par.iterdir())
         files = sorted(p.relative_to(dir_s) for p in dir_s.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(dir_p) for p in dir_p.rglob("*") if p.is_file())
-        assert len(files) == 13  # manifest.txt, 6 records and 6 checkpoints
+        # manifest.txt, and a record and a checkpoint per run
+        assert len(files) == 1 + 2 * sum(map(len, shares))
         for rel in files:
             assert (dir_p / rel).read_bytes() == (dir_s / rel).read_bytes(), rel
+        for path in (dir_p / "records").iterdir():
+            record = cli.ExperimentRecord.from_text(path.read_text())
+            assert record.checkpoint == f"checkpoints/{path.stem}.ckpt"
+            assert f"{record.config['strategy']}_seed{record.seed}" == path.stem
 
     def test_large_batch_replays_across_blas_threads(self, tmp_path):
         # a batch of 1,024 rows: the weight gradient's inner dimension is long
@@ -541,7 +522,7 @@ class TestDeterminism:
         trees = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads-{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "VRL_DETERMINISTIC": "1",
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
             subprocess.run([sys.executable, "-m", "vrlkit.cli", "train", "--config", str(cfg),
                             "--out", str(out)], env=env, check=True, capture_output=True)
@@ -924,7 +905,7 @@ class TestBadManifestValues:
     @pytest.mark.parametrize(
         "case",
         ["singleton_class", "cifar_size", "csv_cell", "csv_label_only", "csv_ragged",
-         "max_per_class_0", "max_per_class_-1"],
+         "csv_no_rows", "csv_negative_label", "max_per_class_0", "max_per_class_-1"],
     )
     def test_unreadable_or_unsplittable_data(self, tmp_path, capsys, case):
         cfg = write_cifar_manifest(tmp_path)
@@ -943,12 +924,14 @@ class TestBadManifestValues:
         else:
             data = tmp_path / "points.csv"
             data.write_text({"csv_cell": "0.5,0.25,0\n0.5,abc,1\n", "csv_label_only": "0\n1\n0\n",
-                             "csv_ragged": "0.5,0.25,0\n0.5,1\n0.5,0.25,1\n"}[case])
+                             "csv_ragged": "0.5,0.25,0\n0.5,1\n0.5,0.25,1\n",
+                             "csv_no_rows": "\n \n", "csv_negative_label": "1,2,-1\n1,3,0\n"}[case])
             cfg.write_text(MOONS_MANIFEST.replace(
                 "data.kind = moons\ndata.n = 200\n", f"data.kind = csv\ndata.path = {data}\n"
             ))
             expected = {"csv_cell": "abc", "csv_label_only": "line 1: no feature column",
-                        "csv_ragged": "line 2: 2 cells, expected 3"}[case]
+                        "csv_ragged": "line 2: 2 cells, expected 3", "csv_no_rows": "no data rows",
+                        "csv_negative_label": "line 1: label -1 is negative"}[case]
         code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_SCHEMA
         err = capsys.readouterr().err
@@ -1091,8 +1074,7 @@ def test_damaged_later_checkpoint_writes_no_svg(manifest_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_diverged_training_exits_numeric(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.delenv("VRL_DETERMINISTIC", raising=False)
+def test_diverged_training_exits_numeric(tmp_path, capsys, jobs):
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(re.sub(r"(?m)^train\.lr = .*$", "train.lr = 1e6", demo.read_text()))
@@ -1205,8 +1187,7 @@ class TestDataDigest:
         assert str(data) in err and cli._DATA_DIGEST in err
         assert _tree(tmp_path / "o") == before
 
-    def test_unchanged_data_keeps_every_byte(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+    def test_unchanged_data_keeps_every_byte(self, tmp_path):
         base, data, run_dir = self._train(tmp_path)
         digest = hashlib.sha256(data.read_bytes()).hexdigest()
         assert (run_dir / cli._DATA_DIGEST).read_text() == f"{digest}  {data}\n"

@@ -492,8 +492,7 @@ for r, (net, _) in enumerate(train(configs, tiny_image_dataset(n=14), None)):
                 want += [(config.seed, (trainer._S_COIN, epoch))] * (len(ops) > 1)
         assert sorted(made) == sorted(want)
 
-    def test_list_of_one_equals_single_config(self, monkeypatch):
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+    def test_list_of_one_equals_single_config(self):
         tr, val = normalized_moons()
         cfg = TrainConfig(strategy="regmixup", alpha=5.0, eta=1.0, seed=3, **FAST)
         (net, record), = train([cfg], tr, val)
@@ -615,8 +614,7 @@ class TestDivergence:
 
 
 class TestRecord:
-    def test_byte_identical_for_equal_config(self, monkeypatch):
-        monkeypatch.setenv("VRL_DETERMINISTIC", "1")
+    def test_byte_identical_for_equal_config(self):
         tr, val = normalized_moons()
         cfg = TrainConfig(strategy="regmixup", alpha=5.0, eta=1.0, seed=3, **FAST)
         _, rec_a = train(cfg, tr, val)

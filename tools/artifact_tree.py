@@ -1,5 +1,5 @@
-"""Write the replay tree under VRL_DETERMINISTIC=1: three manifests through all
-seven `vrl` commands, a `--jobs 2` train and the library-uq digest.
+"""Write the replay tree: three manifests through all seven `vrl` commands,
+a `--jobs 2` train and the library-uq digest.
 
 Usage: PYTHONPATH=src python3 tools/artifact_tree.py OUT
 
@@ -63,7 +63,6 @@ def main(argv) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True)
-    os.environ["VRL_DETERMINISTIC"] = "1"
     sys.path.append(str(ROOT / "perfbench"))
     from vrlkit import cli
     from vrlkit.datagen import CIFAR_RECORD_BYTES

@@ -12,7 +12,7 @@ Usage: python3 tools/checks.py counts|replay|all
 - all: each check above, in turn.
 
 Each variant is a fresh interpreter with OPENBLAS_NUM_THREADS set before numpy
-loads, this checkout's src/ and perfbench/ on PYTHONPATH and VRL_DETERMINISTIC=1.
+loads and this checkout's src/ and perfbench/ on PYTHONPATH.
 Output goes to a temporary directory. A failing check exits non-zero with one
 line naming it and the first differing file or count.
 """
@@ -49,7 +49,7 @@ TREE_ARTIFACTS = {"demo": 67, "cifar-shaped": 20, "large-batch": 19, "jobs": 31,
 
 def _run(check: str, args: list, threads: int = 1) -> str:
     """The stdout of ``python *args`` in a fresh interpreter at ``threads`` BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), VRL_DETERMINISTIC="1", PYTHONPATH=PYTHONPATH)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=PYTHONPATH)
     done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     if done.returncode:

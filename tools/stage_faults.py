@@ -2,10 +2,10 @@
 
 Usage: python3 tools/stage_faults.py --workload W --seed S [--iterations N]
 
-Run in a vrlkit checkout. The script pins one BLAS thread and
-VRL_DETERMINISTIC=1 before numpy loads, as perfbench/run.py does, builds the
-workload of perfbench/workloads.py at the seed, and runs all its stages N
-times (default 5), each iteration in a fresh output directory. A
+Run in a vrlkit checkout. The script pins one BLAS thread before numpy
+loads, as perfbench/run.py does, builds the workload of
+perfbench/workloads.py at the seed, and runs all its stages N times
+(default 5), each iteration in a fresh output directory. A
 clock.Scaled reference pass follows every stage, as in a benchmark run.
 
 It prints one JSON line: for each stage, in run order, the medians over the
